@@ -4,8 +4,9 @@ Subcommands emit JSON reports (stable key order, fractions as "num/den"
 strings) or CSV tables.  Identical arguments and seeds produce
 byte-identical output.
 
-Exit codes: 0 success, 2 validation error, 3 asserted bound violated or a
-verification check failed, 4 verification budget exceeded.
+Exit codes: 0 success, 2 invalid input, a file that cannot be read or
+written, or two numerical routes that disagree, 3 asserted bound violated
+or a verification check failed, 4 verification budget exceeded.
 """
 
 from __future__ import annotations
@@ -466,7 +467,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fh.write(buffer.getvalue())
             return code
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -373,8 +373,6 @@ def schatten_norm(x, spec: NormSpec = NormSpec()) -> Scalar:
         else:
             val = math.fsum(abs(float(e)) ** p for e in entries) ** (1.0 / p)
         if spec.normalize_by:
-            if isinstance(val, Fraction):
-                return val / spec.normalize_by
             return val / spec.normalize_by
         return val
     vals = np.abs(np.array([complex(e) for e in entries]))
@@ -405,10 +403,7 @@ def trace_distance(a, b, spec: NormSpec = NormSpec(p=1)) -> Scalar:
 
 def total_variation(a, b) -> Scalar:
     """Half the Schatten-1 distance."""
-    d = trace_distance(a, b)
-    if isinstance(d, Fraction):
-        return d / 2
-    return d / 2.0
+    return trace_distance(a, b) / 2
 
 
 def tensor(a, b):
@@ -469,10 +464,7 @@ def normalized_tensor_distance(rho, sigma, n: int, base: int | None = None) -> S
             "tensor dimension %d exceeds cap %d" % (dim**n, TENSOR_DIM_CAP)
         )
     d = trace_distance(tensor_power(rho, n), tensor_power(sigma, n))
-    denom = n * base
-    if isinstance(d, Fraction):
-        return d / denom
-    return d / denom
+    return d / (n * base)
 
 
 # ---------------------------------------------------------------------------

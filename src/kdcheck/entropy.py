@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import Alphabet, FiniteDistribution
-from .quadrature import gauss_legendre_1d, tensor_rule
+from .quadrature import tensor_rule
 
 # Orders within KL_WINDOW of 1 use the KL limit form; orders above
 # INF_THRESHOLD use the max-ratio form.
@@ -163,6 +163,24 @@ def divergence_report(f, f_plus, order, base=None) -> dict:
     return {"order": alpha, "value": value, "method": method, "log_base": b}
 
 
+def _entropy_with_method(
+    f: FiniteDistribution, alpha: float, base: float
+) -> Tuple[float, str]:
+    weights = f.weights
+    if math.isinf(alpha) or alpha > INF_THRESHOLD:
+        return -_log_base(float(max(weights)), base), "closed-form:min-entropy"
+    if abs(alpha - 1.0) < KL_WINDOW:
+        total = math.fsum(
+            -float(w) * math.log(float(w)) for w in weights if w > 0
+        )
+        return total / math.log(base), "closed-form:shannon"
+    if alpha == 0.0:
+        return _log_base(float(len(f.support)), base), "closed-form:max-entropy"
+    s = math.fsum(float(w) ** alpha for w in weights if w > 0)
+    method = "closed-form:power-sum" if alpha in (0.5, 2.0) else "generic"
+    return _log_base(s, base) / (1.0 - alpha), method
+
+
 def renyi_entropy(
     f: FiniteDistribution, order: Union[DivergenceOrder, float], base=None
 ) -> float:
@@ -174,40 +192,16 @@ def renyi_entropy(
     """
     alpha = _order_value(order)
     b = _resolve_base(base, f.alphabet.num_symbols)
-    weights = f.weights
-    if math.isinf(alpha) or alpha > INF_THRESHOLD:
-        return -_log_base(float(max(weights)), b)
-    if abs(alpha - 1.0) < KL_WINDOW:
-        total = math.fsum(
-            -float(w) * math.log(float(w)) for w in weights if w > 0
-        )
-        return total / math.log(b)
-    if alpha == 0.0:
-        return _log_base(float(len(f.support)), b)
-    s = math.fsum(float(w) ** alpha for w in weights if w > 0)
-    return _log_base(s, b) / (1.0 - alpha)
+    value, _ = _entropy_with_method(f, alpha, b)
+    return value
 
 
 def entropy_report(f: FiniteDistribution, order, base=None) -> dict:
     """Entropy value plus the dispatch arm used, for report emission."""
     alpha = _order_value(order)
     b = _resolve_base(base, f.alphabet.num_symbols)
-    if math.isinf(alpha) or alpha > INF_THRESHOLD:
-        method = "closed-form:min-entropy"
-    elif abs(alpha - 1.0) < KL_WINDOW:
-        method = "closed-form:shannon"
-    elif alpha == 0.0:
-        method = "closed-form:max-entropy"
-    elif alpha in (0.5, 2.0):
-        method = "closed-form:power-sum"
-    else:
-        method = "generic"
-    return {
-        "order": alpha,
-        "value": renyi_entropy(f, alpha, base=b),
-        "method": method,
-        "log_base": b,
-    }
+    value, method = _entropy_with_method(f, alpha, b)
+    return {"order": alpha, "value": value, "method": method, "log_base": b}
 
 
 def min_entropy(f: FiniteDistribution, base=None) -> float:

@@ -7,6 +7,14 @@ first-return generating function ``Theta_{i,i}(r) = 1 - 1/P_{i,i}(r)``
 are all computed in exact arithmetic; only the radius of convergence
 (smallest pole magnitude) goes through floating point root finding,
 polished by Newton steps.
+
+All resolvent entries of a chain come from one fraction-free
+Gauss-Jordan elimination (Bareiss 1968) of ``[I - rP | I]`` into
+``[det * I | adj]``, memoised on the immutable ``TransitionMatrix``.  It
+needs no pivoting, because each pivot is a leading principal minor of
+``I - rP`` and equals 1 at ``r = 0``.  Matrix powers (``n_step``,
+``first_return``) never use it, so the series of a resolvent can be
+checked against powers computed independently.
 """
 
 from __future__ import annotations
@@ -14,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from functools import cached_property
+from itertools import islice
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -227,30 +237,6 @@ class RationalFunction:
         return "RationalFunction(%s)" % self.display()
 
 
-def _poly_det_bareiss(m: list) -> Poly:
-    """Fraction-free determinant of a matrix of polynomials."""
-    n = len(m)
-    if n == 0:
-        return Poly.one()
-    m = [row[:] for row in m]
-    sign = 1
-    prev = Poly.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-        prev = m[k][k]
-    return m[n - 1][n - 1] * sign
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic matrix with exact Fraction entries."""
@@ -294,6 +280,39 @@ class TransitionMatrix:
 
         return all(len(reach(s, True)) == n for s in range(n))
 
+    @cached_property
+    def _det_adj(self) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
+        return _det_adjugate(self.rows)
+
+
+def _det_adjugate(rows) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
+    """``det(I - rP)`` and ``adj(I - rP)`` from one fraction-free elimination.
+
+    Bareiss's Gauss-Jordan form reduces ``[I - rP | I]`` to
+    ``[det * I | adj]``; every division is exact.  No pivoting is needed:
+    the k-th pivot is the k-th leading principal minor of ``I - rP``, which
+    is 1 at ``r = 0`` and so never the zero polynomial.
+    """
+    n = len(rows)
+    m = [
+        [Poly((int(a == b), -rows[a][b])) for b in range(n)]
+        + [Poly((int(a == b),)) for b in range(n)]
+        for a in range(n)
+    ]
+    prev = Poly.one()
+    for k in range(n):
+        pivot = m[k][k]
+        for i in range(n):
+            if i == k:
+                continue
+            factor = m[i][k]
+            m[i] = [
+                (pivot * m[i][j] - factor * m[k][j]).exact_div(prev)
+                for j in range(2 * n)
+            ]
+        prev = pivot
+    return prev, tuple(tuple(row[n:]) for row in m)
+
 
 def _as_matrix(P) -> TransitionMatrix:
     if isinstance(P, TransitionMatrix):
@@ -308,6 +327,15 @@ def _mat_mul(a, b):
          for j in range(n)]
         for i in range(n)
     ]
+
+
+def _powers(P: TransitionMatrix) -> Iterator[List[List[Fraction]]]:
+    """Successive powers ``P, P^2, P^3, ...`` by repeated multiplication."""
+    base = [list(row) for row in P.rows]
+    power = base
+    while True:
+        yield power
+        power = _mat_mul(power, base)
 
 
 def n_step(P, n: int):
@@ -340,13 +368,7 @@ def first_return(P, i: int, n_max: int) -> Tuple[Fraction, ...]:
         raise ValueError("state index out of range")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    # Diagonal entries of successive powers.
-    diag = [Fraction(1)]
-    power = [[Fraction(int(a == b)) for b in range(P.n)] for a in range(P.n)]
-    base = [list(row) for row in P.rows]
-    for _ in range(n_max):
-        power = _mat_mul(power, base)
-        diag.append(power[i][i])
+    diag = [Fraction(1)] + [power[i][i] for power in islice(_powers(P), n_max)]
     theta = []
     for n in range(1, n_max + 1):
         acc = diag[n]
@@ -359,27 +381,15 @@ def first_return(P, i: int, n_max: int) -> Tuple[Fraction, ...]:
 def resolvent(P, i: int, j: int) -> RationalFunction:
     """Entry ``[(I - rP)^-1]_{i,j}`` as a reduced rational function of ``r``.
 
-    Computed from the cofactor formula: the (i, j) entry of the inverse is
-    ``(-1)^(i+j) det(minor_{j,i}(I - rP)) / det(I - rP)``.
+    The entry is ``adj(I - rP)[i][j] / det(I - rP)``.  Both come from a
+    single fraction-free elimination per ``TransitionMatrix``, memoised on
+    the object, so a sweep over all entries of one chain eliminates once.
     """
     P = _as_matrix(P)
-    size = P.n
-    if not (0 <= i < size and 0 <= j < size):
+    if not (0 <= i < P.n and 0 <= j < P.n):
         raise ValueError("state index out of range")
-    x = Poly.x()
-    m = [
-        [Poly((int(a == b),)) - x * Poly((P.rows[a][b],)) for b in range(size)]
-        for a in range(size)
-    ]
-    den = _poly_det_bareiss(m)
-    minor = [
-        [m[a][b] for b in range(size) if b != i]
-        for a in range(size) if a != j
-    ]
-    num = _poly_det_bareiss(minor)
-    if (i + j) % 2:
-        num = -num
-    return RationalFunction(num, den)
+    det, adj = P._det_adj
+    return RationalFunction(adj[i][j], det)
 
 
 def theta_gf(P, i: int) -> RationalFunction:
@@ -420,10 +430,7 @@ def period(P, i: int) -> int:
     """
     P = _as_matrix(P)
     g = 0
-    power = [[Fraction(int(a == b)) for b in range(P.n)] for a in range(P.n)]
-    base = [list(row) for row in P.rows]
-    for n in range(1, P.n + 1):
-        power = _mat_mul(power, base)
+    for n, power in enumerate(islice(_powers(P), P.n), start=1):
         if power[i][i] > 0:
             g = math.gcd(g, n)
     return g
@@ -434,6 +441,7 @@ def markov_report(P, i: int, series_terms: int = 8) -> dict:
     P = _as_matrix(P)
     pii = resolvent(P, i, i)
     theta = theta_gf(P, i)
+    irreducible = P.is_irreducible()
     report = {
         "state": i,
         "P_gf": pii.display(),
@@ -441,8 +449,8 @@ def markov_report(P, i: int, series_terms: int = 8) -> dict:
         "theta_series": list(first_return(P, i, series_terms)),
         "radius": radius_of_convergence(theta),
         "period": period(P, i),
-        "irreducible": P.is_irreducible(),
+        "irreducible": irreducible,
     }
-    if P.is_irreducible():
+    if irreducible:
         report["theta_at_1"] = theta.eval(Fraction(1))
     return report

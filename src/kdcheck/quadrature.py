@@ -62,10 +62,3 @@ def tensor_rule(
     for j in range(1, d):
         wts = np.multiply.outer(wts, axes[j][1])
     return pts, wts.ravel()
-
-
-def integrate(f, lows, highs, nodes: int) -> float:
-    """Integral of a vectorized callable over the box."""
-    pts, wts = tensor_rule(lows, highs, nodes)
-    vals = np.asarray(f(pts if len(lows) > 1 else pts[:, 0]), dtype=float)
-    return float(np.dot(wts, vals))

@@ -90,10 +90,6 @@ class Ensemble:
         return StateDensity.from_matrix(total)
 
 
-def average_state(ensemble: Ensemble) -> StateDensity:
-    return ensemble.average()
-
-
 @dataclass(frozen=True)
 class Povm:
     """Measurement elements summing to the identity on ``support``.

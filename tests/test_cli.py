@@ -163,3 +163,29 @@ def test_verify_json_shape(capsys):
     assert rep["all_passed"] is True
     assert rep["results"][0]["name"] == "pgm-success-table"
     assert rep["results"][0]["paper_anchor"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("quantum-lhl", "--q", "2", "--m", "2", "--k", "1", "--ensemble", "{missing}"),
+    ("markov", "--matrix", "{missing}"),
+    ("phi", "--n", "2", "--output", "{missing}/report.json"),
+])
+def test_file_errors_exit_two(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing")
+    code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cross_route_disagreement_exits_two(capsys, monkeypatch):
+    from kdcheck import semigroup
+
+    def disagree(spec):
+        raise ArithmeticError("determinant routes disagree")
+
+    monkeypatch.setattr(semigroup, "build_sigma", disagree)
+    code, out, err = run_cli(capsys, "semigroup", "--variances", "1.0",
+                             "--function", "gauss", "--points", "0")
+    assert code == 2 and out == ""
+    assert err == "error: determinant routes disagree\n"

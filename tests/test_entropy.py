@@ -169,6 +169,20 @@ def test_entropy_report_methods():
     assert entropy_report(STAIRS, 1.7)["method"] == "generic"
 
 
+@pytest.mark.parametrize("order, method", [
+    (0.0, "closed-form:max-entropy"),
+    (0.5, "closed-form:power-sum"),
+    (1.0, "closed-form:shannon"),
+    (2.0, "closed-form:power-sum"),
+    (3.0, "generic"),
+    (math.inf, "closed-form:min-entropy"),
+])
+def test_entropy_report_matches_renyi_entropy(order, method):
+    rep = entropy_report(STAIRS, order)
+    assert rep["value"] == renyi_entropy(STAIRS, order)
+    assert rep["method"] == method
+
+
 @seed(12)
 @given(weights_strategy(6))
 def test_entropy_order_monotone(raw):

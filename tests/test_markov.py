@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from kdcheck import markov
 from kdcheck.markov import (
     Poly,
     RationalFunction,
@@ -209,3 +210,76 @@ def test_positive_chain_radius_beyond_one(raw):
     chain = random_chain(raw, 2)
     for i in range(2):
         assert radius_of_convergence(theta_gf(chain, i)) > 1 + 1e-6
+
+
+def chain_of(*rows):
+    return TransitionMatrix.build(
+        [[Fraction(v, sum(row)) for v in row] for row in rows])
+
+
+# Sparse chains with zero entries: a 5-state chain absorbed at state 4, a
+# 6-state chain cycling through three classes (period 3), and a reducible
+# 6-state chain with two closed classes and transient states 0 and 1.
+SPARSE_CHAINS = {
+    "absorbing5": chain_of([0, 2, 0, 1, 1], [1, 0, 3, 0, 0], [0, 1, 1, 0, 2],
+                           [2, 0, 0, 1, 1], [0, 0, 0, 0, 1]),
+    "cycle6": chain_of([0, 0, 1, 2, 0, 0], [0, 0, 3, 1, 0, 0],
+                       [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1],
+                       [1, 0, 0, 0, 0, 0], [2, 5, 0, 0, 0, 0]),
+    "reducible6": chain_of([1, 1, 1, 0, 0, 1], [0, 2, 0, 1, 0, 0],
+                           [0, 0, 0, 1, 0, 0], [0, 0, 1, 1, 0, 0],
+                           [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_CHAINS))
+def test_sparse_resolvents_match_powers_and_recursion(name):
+    # Entries have degree <= 6, so 13 matching coefficients pin each one.
+    chain = SPARSE_CHAINS[name]
+    powers = [n_step(chain, n) for n in range(13)]
+    for i in range(chain.n):
+        for j in range(chain.n):
+            series = resolvent(chain, i, j).series(12)
+            assert series == tuple(powers[n][i][j] for n in range(13))
+        assert theta_gf(chain, i).series(12)[1:] == first_return(chain, i, 12)
+
+
+def test_sparse_chain_structure():
+    cycle = SPARSE_CHAINS["cycle6"]
+    assert cycle.is_irreducible()
+    assert all(period(cycle, i) == 3 for i in range(6))
+    assert theta_gf(cycle, 0).eval(frac(1)) == 1
+    absorbing = SPARSE_CHAINS["absorbing5"]
+    assert not absorbing.is_irreducible()
+    assert theta_gf(absorbing, 4).display() == "r"
+    assert theta_gf(absorbing, 0).eval(frac(1)) < 1
+    reducible = SPARSE_CHAINS["reducible6"]
+    assert not reducible.is_irreducible()
+    assert resolvent(reducible, 2, 0).num.is_zero()
+    assert theta_gf(reducible, 4).display() == "r^2"
+
+
+def test_one_elimination_per_chain(monkeypatch):
+    calls = []
+    real = markov._det_adjugate
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(markov, "_det_adjugate", counted)
+    chain = TransitionMatrix(SPARSE_CHAINS["absorbing5"].rows)
+    markov_report(chain, 1, series_terms=6)
+    for i in range(chain.n):
+        for j in range(chain.n):
+            resolvent(chain, i, j)
+    assert len(calls) == 1
+    n_step(chain, 5)
+    first_return(chain, 2, 5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("i, j", [(5, 0), (0, 5), (-1, 0), (0, -1)])
+def test_resolvent_state_out_of_range(i, j):
+    with pytest.raises(ValueError):
+        resolvent(SPARSE_CHAINS["absorbing5"], i, j)
