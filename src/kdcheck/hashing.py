@@ -1,26 +1,44 @@
 """Universal hash families over prime fields and exact key-uniformity bounds.
 
 Symbols are integers in ``[0, q**m)`` identified with little-endian base-q
-digit vectors (digit 0 is the least significant).  A family is stored as a
-lookup table per member, so every probability below is a finite sum of
-``Fraction`` terms: distances, collision probabilities, and bound
-comparisons are exact, with square-form comparisons used wherever the
-bound itself is an irrational square root.
+digit vectors (digit 0 is the least significant).  A family is one
+``(|G|, q**m)`` lookup table, built for every member at once as
+``(hash matrices @ digit matrix) % q`` read back as keys.  Probabilities
+are integer sums: the input weights are scaled by their common
+denominator ``D``, each (key, member) cell of the joint law sums integer
+numerators over the one denominator ``|G| D``, and distances and
+collision probabilities are integer sums turned into a ``Fraction`` once.
+Bound comparisons are exact, with square-form comparisons used wherever
+the bound itself is an irrational square root.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import Alphabet, FiniteDistribution
 
 # Family enumeration cap: q**(m*k) members for the all-linear kind.
 MAX_FAMILY_SIZE = 2**20
+# Lookup-table cap for the enumerated kinds: |G| * q**m cells.
+MAX_TABLE_CELLS = 2**22
+# Table cells handled per step when building tables and pushing weights
+# forward, so that no temporary grows with the family.  Larger steps run
+# no faster on the Toeplitz (2, 8, 3) and (2, 10, 3) families and raise
+# peak memory.
+CHUNK_CELLS = 2**12
+# Exact integer sums stay in int64 while the total fits.  Past it they run
+# on 31-bit limbs: a cell sums at most q**m < 2**32 of them, so every limb
+# sum fits int64.
+_INT64_MAX = 2**63 - 1
+_LIMB_BITS = 31
 
 
 def _is_prime(n: int) -> bool:
@@ -32,42 +50,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def digits(x: int, q: int, m: int) -> Tuple[int, ...]:
-    """Little-endian base-q digits of ``x``, padded to length ``m``."""
-    if not 0 <= x < q**m:
-        raise ValueError("symbol %d out of range [0, %d)" % (x, q**m))
-    out = []
-    for _ in range(m):
-        out.append(x % q)
-        x //= q
-    return tuple(out)
-
-
-def undigits(ds: Sequence[int], q: int) -> int:
-    x = 0
-    for d in reversed(ds):
-        x = x * q + int(d)
-    return x
-
-
-def _matrix_to_table(matrix: Sequence[Sequence[int]], q: int, m: int, k: int
-                     ) -> Tuple[int, ...]:
-    table = []
-    for x in range(q**m):
-        ds = digits(x, q, m)
-        out = [sum(matrix[i][j] * ds[j] for j in range(m)) % q for i in range(k)]
-        table.append(undigits(out, q))
-    return tuple(table)
+def _check_shape(q: int, m: int, k: int) -> None:
+    if not _is_prime(q):
+        raise ValueError("alphabet size must be prime, got %d" % q)
+    if k < 1 or m < k:
+        raise ValueError("need m >= k >= 1, got m=%d k=%d" % (m, k))
 
 
 @dataclass(frozen=True)
 class HashFamily:
     """Finite family of maps ``[0, q**m) -> [0, q**k)`` with uniform seeding.
 
-    ``maps[g][x]`` is the output of member ``g`` on symbol ``x``.
-    ``zeta`` is ``log_q |G|`` when that is exact (all enumerated kinds),
-    else None; bound formulas use ``1/|G|`` directly so an inexact zeta
-    never enters the arithmetic.
+    ``maps[g][x]`` is the output of member ``g`` on symbol ``x``; ``table``
+    holds the same values as one array.  ``zeta`` is ``log_q |G|`` when
+    that is exact (all enumerated kinds), else None; bound formulas use
+    ``1/|G|`` directly so an inexact zeta never enters the arithmetic.
     """
 
     q: int
@@ -77,18 +74,28 @@ class HashFamily:
     maps: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not _is_prime(self.q):
-            raise ValueError("alphabet size must be prime, got %d" % self.q)
-        if self.k < 1 or self.m < self.k:
-            raise ValueError("need m >= k >= 1, got m=%d k=%d" % (self.m, self.k))
+        _check_shape(self.q, self.m, self.k)
         if not self.maps:
             raise ValueError("family must be nonempty")
-        n_in, n_out = self.q**self.m, self.q**self.k
-        for table in self.maps:
-            if len(table) != n_in:
-                raise ValueError("each map needs %d entries" % n_in)
-            if any(not 0 <= v < n_out for v in table):
+        n_in = self.q**self.m
+        if any(len(t) != n_in for t in self.maps):
+            raise ValueError("each map needs %d entries" % n_in)
+        self.table  # checks every output and memoises the array
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Read-only ``(|G|, q**m)`` array of ``maps``, narrowest unsigned dtype."""
+        n_out = self.q**self.k
+        out = np.empty((len(self.maps), self.q**self.m),
+                       dtype=np.min_scalar_type(n_out - 1))
+        step = max(1, CHUNK_CELLS // out.shape[1])
+        for lo in range(0, len(out), step):
+            rows = np.array(self.maps[lo:lo + step])
+            if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n_out:
                 raise ValueError("map output out of range [0, %d)" % n_out)
+            out[lo:lo + step] = rows
+        out.flags.writeable = False
+        return out
 
     @property
     def group_size(self) -> int:
@@ -113,6 +120,31 @@ class HashFamily:
         return Alphabet(self.q, self.k)
 
 
+def _member_tables(kind: str, q: int, m: int, k: int, n_params: int) -> np.ndarray:
+    """Lookup tables of all ``q**n_params`` members, in ``itertools.product`` order.
+
+    Member ``g`` has the base-q digits of ``g``, most significant first, as
+    its parameters: the k x m matrix row by row ("linear"), or the
+    diagonals ``T[i][j] = params[i - j + m - 1]`` ("toeplitz").
+    """
+    n_in = q**m
+    size = q**n_params
+    symbols = np.arange(n_in, dtype=np.int64)
+    digit_matrix = symbols // q ** np.arange(m)[:, None] % q       # (m, q**m)
+    place = q ** np.arange(n_params - 1, -1, -1, dtype=np.int64)
+    key_place = q ** np.arange(k, dtype=np.int64)
+    diagonals = np.arange(k)[:, None] - np.arange(m) + m - 1
+    out = np.empty((size, n_in), dtype=np.min_scalar_type(q**k - 1))
+    step = max(1, CHUNK_CELLS // (k * n_in))
+    for lo in range(0, size, step):
+        members = np.arange(lo, min(size, lo + step), dtype=np.int64)
+        params = members[:, None] // place % q
+        matrices = (params.reshape(-1, k, m) if kind == "linear"
+                    else params[:, diagonals])
+        out[lo:lo + len(members)] = key_place @ (matrices @ digit_matrix % q)
+    return out
+
+
 def build_family(kind: str, q, m: int, k: int, seed: Optional[int] = None,
                  maps: Optional[Sequence[Sequence[int]]] = None) -> HashFamily:
     """Construct a hash family.
@@ -122,7 +154,8 @@ def build_family(kind: str, q, m: int, k: int, seed: Optional[int] = None,
     kind : {"linear", "toeplitz", "explicit"}
         "linear" enumerates every k x m matrix over GF(q); "toeplitz"
         enumerates the q**(m+k-1) Toeplitz matrices; "explicit" wraps the
-        given lookup tables.
+        given lookup tables.  The enumerated kinds are capped at
+        ``MAX_FAMILY_SIZE`` members and ``MAX_TABLE_CELLS`` table cells.
     q : int or Alphabet
         Prime base alphabet size.
     m, k : int
@@ -136,23 +169,18 @@ def build_family(kind: str, q, m: int, k: int, seed: Optional[int] = None,
     if isinstance(q, Alphabet):
         q = q.size
     q = int(q)
-    if kind == "linear":
-        if q ** (m * k) > MAX_FAMILY_SIZE:
-            raise ValueError("all-linear family of size %d exceeds cap" % q ** (m * k))
-        tables = []
-        for flat in itertools.product(range(q), repeat=m * k):
-            matrix = [flat[i * m:(i + 1) * m] for i in range(k)]
-            tables.append(_matrix_to_table(matrix, q, m, k))
-        return HashFamily(q, m, k, "linear", tuple(tables))
-    if kind == "toeplitz":
-        if q ** (m + k - 1) > MAX_FAMILY_SIZE:
-            raise ValueError("Toeplitz family of size %d exceeds cap" % q ** (m + k - 1))
-        tables = []
-        for params in itertools.product(range(q), repeat=m + k - 1):
-            # T[i][j] = params[i - j + m - 1]; constant along diagonals.
-            matrix = [[params[i - j + m - 1] for j in range(m)] for i in range(k)]
-            tables.append(_matrix_to_table(matrix, q, m, k))
-        return HashFamily(q, m, k, "toeplitz", tuple(tables))
+    if kind in ("linear", "toeplitz"):
+        _check_shape(q, m, k)
+        n_params = m * k if kind == "linear" else m + k - 1
+        size = q**n_params
+        label = "all-linear" if kind == "linear" else "Toeplitz"
+        if size > MAX_FAMILY_SIZE:
+            raise ValueError("%s family of size %d exceeds cap" % (label, size))
+        if size * q**m > MAX_TABLE_CELLS:
+            raise ValueError("%s family table of %d cells exceeds cap %d"
+                             % (label, size * q**m, MAX_TABLE_CELLS))
+        table = _member_tables(kind, q, m, k, n_params)
+        return HashFamily(q, m, k, kind, tuple(tuple(row.tolist()) for row in table))
     if kind == "explicit":
         if maps is None:
             raise ValueError("explicit kind requires lookup tables")
@@ -163,18 +191,15 @@ def build_family(kind: str, q, m: int, k: int, seed: Optional[int] = None,
 def verify_universality(family: HashFamily) -> Fraction:
     """Worst-case collision probability ``max_{x != x'} Pr_g[g(x) = g(x')]``.
 
-    The family is universal iff the returned value is <= q**-k.
+    The family is universal iff the returned value is <= q**-k.  Each
+    column of the table is compared with every later column at once.
     """
-    n_in = family.q**family.m
-    if n_in < 2:
-        return Fraction(0)
-    worst = Fraction(0)
-    size = family.group_size
-    for x in range(n_in):
-        for y in range(x + 1, n_in):
-            hits = sum(1 for t in family.maps if t[x] == t[y])
-            worst = max(worst, Fraction(hits, size))
-    return worst
+    table = family.table
+    hits = 0
+    for x in range(table.shape[1] - 1):
+        same = table[:, x + 1:] == table[:, x:x + 1]
+        hits = max(hits, int(same.sum(axis=0).max()))
+    return Fraction(hits, family.group_size)
 
 
 def is_universal(family: HashFamily) -> bool:
@@ -185,33 +210,51 @@ def is_universal(family: HashFamily) -> bool:
 class JointKeyState:
     """Exact joint law of (hashed key, family member).
 
-    ``table[kappa][g] = (1/|G|) sum_{x: g(x)=kappa} P_X(x)``.  The member
-    marginal is uniform by construction; validated on creation.
+    ``table[kappa][g] = (1/|G|) sum_{x: g(x)=kappa} P_X(x)``, held as integer
+    ``counts[kappa][g]`` over one ``denominator``.  The member marginal is
+    uniform by construction; validated on creation.
     """
 
     q: int
     k: int
     group_size: int
-    table: Tuple[Tuple[Fraction, ...], ...]
+    counts: Tuple[Tuple[int, ...], ...]
+    denominator: int
 
     def __post_init__(self):
-        total = Fraction(0)
-        per_g = [Fraction(0)] * self.group_size
-        for row in self.table:
-            for g, p in enumerate(row):
-                if p < 0:
-                    raise ValueError("joint weights must be nonnegative")
-                per_g[g] += p
-                total += p
-        if total != 1:
+        if any(c < 0 for row in self.counts for c in row):
+            raise ValueError("joint weights must be nonnegative")
+        per_g = [sum(col) for col in zip(*self.counts)]
+        if sum(per_g) != self.denominator:
             raise ValueError("joint weights must sum to exactly 1")
-        share = Fraction(1, self.group_size)
-        if any(pg != share for pg in per_g):
+        if len(per_g) != self.group_size or any(
+                self.group_size * s != self.denominator for s in per_g):
             raise ValueError("member marginal must be exactly uniform")
 
+    @cached_property
+    def table(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(c, self.denominator) for c in row)
+                     for row in self.counts)
+
     def key_marginal(self) -> FiniteDistribution:
-        weights = [sum(row, start=Fraction(0)) for row in self.table]
+        weights = [Fraction(sum(row), self.denominator) for row in self.counts]
         return FiniteDistribution(Alphabet(self.q, self.k), weights)
+
+    def distance(self) -> Fraction:
+        """``(1/q) sum_{kappa,g} |P_KG(kappa,g) - q**-k/|G||``.
+
+        Over the common denominator a cell contributes
+        ``|q**k c - denominator/|G|| / (q**k denominator)``.
+        """
+        n_out = self.q**self.k
+        share = self.denominator // self.group_size
+        gap = sum(abs(n_out * c - share) for row in self.counts for c in row)
+        return Fraction(gap, self.q * n_out * self.denominator)
+
+    def collision_probability(self) -> Fraction:
+        """``sum_{kappa,g} P_KG(kappa,g)**2``."""
+        squares = sum(c * c for row in self.counts for c in row)
+        return Fraction(squares, self.denominator**2)
 
 
 def _require_exact(f: FiniteDistribution):
@@ -222,21 +265,48 @@ def _require_exact(f: FiniteDistribution):
         )
 
 
+def _cell_sums(table: np.ndarray, values: Sequence[int], n_out: int) -> np.ndarray:
+    """``out[g, kappa] = sum_{x: table[g, x] = kappa} values[x]``, exact.
+
+    ``values`` are nonnegative ints.  They are summed in int64 when their
+    total fits, else as 31-bit limbs recombined into Python ints.
+    """
+    size, n_in = table.shape
+    if sum(values) <= _INT64_MAX:
+        limbs = np.array(values, dtype=np.int64)[:, None]
+    else:
+        n_limbs = -(-max(values).bit_length() // _LIMB_BITS)
+        low = (1 << _LIMB_BITS) - 1
+        limbs = np.array([[(v >> (_LIMB_BITS * j)) & low for j in range(n_limbs)]
+                          for v in values], dtype=np.int64)
+    width = limbs.shape[1]
+    sums = np.zeros((size * n_out, width), dtype=np.int64)
+    step = max(1, CHUNK_CELLS // (n_in * width))
+    for lo in range(0, size, step):
+        rows = table[lo:lo + step]
+        cells = np.arange(lo, lo + len(rows))[:, None] * n_out + rows
+        np.add.at(sums, cells.ravel(), np.tile(limbs, (len(rows), 1)))
+    if width == 1:
+        return sums.reshape(size, n_out)
+    total = sum(sums[:, j].astype(object) << (_LIMB_BITS * j) for j in range(width))
+    return total.reshape(size, n_out)
+
+
 def joint_state(f: FiniteDistribution, family: HashFamily) -> JointKeyState:
-    """Joint law of key and member under uniform member choice, exact."""
+    """Joint law of key and member under uniform member choice, exact.
+
+    The weights are scaled by their common denominator ``D`` and pushed
+    forward as integer sums per (key, member) cell, over ``|G| D``.
+    """
     _require_exact(f)
     if f.alphabet.num_symbols != family.q**family.m:
         raise ValueError("distribution does not match the family input alphabet")
-    size = family.group_size
-    n_out = family.q**family.k
-    share = Fraction(1, size)
-    table = [[Fraction(0)] * size for _ in range(n_out)]
-    for g, t in enumerate(family.maps):
-        for x, p in enumerate(f.weights):
-            if p:
-                table[t[x]][g] += p * share
-    return JointKeyState(family.q, family.k, size,
-                         tuple(tuple(row) for row in table))
+    den = math.lcm(*(w.denominator for w in f.weights))
+    numerators = [w.numerator * (den // w.denominator) for w in f.weights]
+    sums = _cell_sums(family.table, numerators, family.q**family.k)
+    return JointKeyState(family.q, family.k, family.group_size,
+                         tuple(map(tuple, sums.T.tolist())),
+                         family.group_size * den)
 
 
 def lhl_distance(f: FiniteDistribution, family: HashFamily) -> Fraction:
@@ -245,19 +315,12 @@ def lhl_distance(f: FiniteDistribution, family: HashFamily) -> Fraction:
     ``(1/q) * sum_{kappa,g} | P_KG(kappa,g) - q**-k / |G| |``; the ``1/q``
     prefactor is the inverse alphabet size carried by the norm convention.
     """
-    js = joint_state(f, family)
-    ideal = Fraction(1, family.q**family.k * family.group_size)
-    d = Fraction(0)
-    for row in js.table:
-        for p in row:
-            d += abs(p - ideal)
-    return d / family.q
+    return joint_state(f, family).distance()
 
 
 def collision_probability(f: FiniteDistribution, family: HashFamily) -> Fraction:
     """``sum_{kappa,g} P_KG(kappa,g)**2``, exact."""
-    js = joint_state(f, family)
-    return sum((p * p for row in js.table for p in row), start=Fraction(0))
+    return joint_state(f, family).collision_probability()
 
 
 def collision_bound(f: FiniteDistribution, family: HashFamily,
@@ -329,6 +392,8 @@ def lhl_report(f: FiniteDistribution, family: HashFamily,
                h_plus=None) -> dict:
     """Distance, collision probability, bounds, and exact verdicts.
 
+    Distance and collision probability are read from one joint law.
+
     All comparisons are exact: the distance bound ``q**-((h_plus-k)/2)``
     is checked in squared form ``distance**2 <= q**(k-2) * (q**-h_plus)``
     ... more precisely through the tightening chain
@@ -341,8 +406,9 @@ def lhl_report(f: FiniteDistribution, family: HashFamily,
     _require_exact(f)
     q, k = family.q, family.k
     size = family.group_size
-    dist = lhl_distance(f, family)
-    pcol = collision_probability(f, family)
+    js = joint_state(f, family)
+    dist = js.distance()
+    pcol = js.collision_probability()
     qk = Fraction(1, q**k)
     max_w = Fraction(f.max_weight)
     try:

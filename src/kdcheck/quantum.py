@@ -13,7 +13,14 @@ Hashing a quantum side register: ``hashed_joint_blocks`` forms the
 subnormalized blocks ``(1/|G|) sum_{x: g(x)=kappa} T_x`` of the
 (key, member, side) state, and ``tripartite_report`` checks the exact
 distance of that state from (uniform key) x (member) x (side marginal)
-against ``q**-((h_plus - k)/2)``.
+against ``q**-((h_plus - k)/2)``.  The blocks are diagonal in the
+ensemble's common eigenbasis.  On rational ensembles the diagonals of
+every ``p_x rho_x`` are scaled by their common denominator ``D`` and
+summed per (key, member) cell as integers over ``|G| D``, one key at a
+time as a masked product with the family's table; the side marginal and
+the distance are integer sums over that one denominator.  This
+pushforward is written apart from ``hashing.joint_state``, so that a
+trivial side register gives a second route to the classical distance.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,7 +40,7 @@ from .core import (
     distribution_from_json,
     state_from_json,
 )
-from .hashing import HashFamily, _q_pow_neg, lhl_bound
+from .hashing import CHUNK_CELLS, HashFamily, _q_pow_neg, lhl_bound
 
 COMMUTE_TOL = 1e-9
 PINV_CUTOFF = 1e-12
@@ -317,51 +325,88 @@ class CqKeyState:
     """Blocks of the (key, member, side register) state.
 
     ``blocks[kappa][g]`` is the subnormalized side-register operator
-    ``(1/|G|) sum_{x: g(x)=kappa} p_x rho_x`` as a diagonal tuple (exact
-    path) or dense array.  Block-diagonal structure over the classical
-    registers means Schatten-1 norms decompose as sums over blocks.
+    ``(1/|G|) sum_{x: g(x)=kappa} p_x rho_x`` as its diagonal in the
+    ensemble's common eigenbasis, held as ``counts[kappa][g]`` over one
+    ``denominator``: integer counts over ``|G| D`` on the exact path,
+    float sums over ``|G|`` otherwise.  Block-diagonal structure over the
+    classical registers means Schatten-1 norms decompose as sums over
+    blocks.
     """
 
     q: int
     k: int
     group_size: int
     dim_q: int
-    blocks: Tuple
+    counts: Tuple
+    denominator: int
     exact: bool
 
-    def side_marginal(self):
-        """``T_Q``: sum of all blocks, trace-1 side-register state."""
+    def _value(self, count):
         if self.exact:
-            acc = [Fraction(0)] * self.dim_q
-            for row in self.blocks:
-                for b in row:
-                    for i, v in enumerate(b):
-                        acc[i] += v
-            return tuple(acc)
-        acc = np.zeros((self.dim_q, self.dim_q), dtype=complex)
-        for row in self.blocks:
+            return Fraction(count, self.denominator)
+        return count / self.denominator
+
+    @cached_property
+    def blocks(self) -> Tuple:
+        return tuple(tuple(tuple(self._value(c) for c in b) for b in row)
+                     for row in self.counts)
+
+    def _side_counts(self) -> list:
+        acc = [0] * self.dim_q
+        for row in self.counts:
             for b in row:
-                acc += b
+                for i, c in enumerate(b):
+                    acc[i] += c
         return acc
+
+    def side_marginal(self) -> tuple:
+        """``T_Q``: sum of all blocks, the trace-1 side-register diagonal."""
+        return tuple(self._value(c) for c in self._side_counts())
 
     def member_blocks(self):
         """``T_GQ`` blocks per member: key register traced out."""
-        if self.exact:
-            out = []
-            for g in range(self.group_size):
-                acc = [Fraction(0)] * self.dim_q
-                for kappa in range(len(self.blocks)):
-                    for i, v in enumerate(self.blocks[kappa][g]):
-                        acc[i] += v
-                out.append(tuple(acc))
-            return tuple(out)
         out = []
         for g in range(self.group_size):
-            acc = np.zeros((self.dim_q, self.dim_q), dtype=complex)
-            for kappa in range(len(self.blocks)):
-                acc += self.blocks[kappa][g]
-            out.append(acc)
+            acc = [0] * self.dim_q
+            for row in self.counts:
+                for i, c in enumerate(row[g]):
+                    acc[i] += c
+            out.append(tuple(self._value(c) for c in acc))
         return tuple(out)
+
+
+def _key_blocks(table: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarray:
+    """``out[kappa, g] = sum_{x: table[g, x] = kappa} weights[x]``, key by key."""
+    size, n_in = table.shape
+    out = np.zeros((n_out, size, weights.shape[1]), dtype=weights.dtype)
+    step = max(1, CHUNK_CELLS // n_in)
+    for lo in range(0, size, step):
+        rows = table[lo:lo + step]
+        for kappa in range(n_out):
+            out[kappa, lo:lo + step] = (rows == kappa).astype(weights.dtype) @ weights
+    return out
+
+
+def _exact_key_blocks(table: np.ndarray, numerators: Sequence[Sequence[int]],
+                      n_out: int) -> np.ndarray:
+    """Integer ``_key_blocks``: int64 while the total fits, else 31-bit limbs.
+
+    A cell sums at most ``q**m`` limbs below ``2**31``, which stays far
+    inside int64; the limb sums are recombined in Python ints.
+    """
+    values = np.array(numerators, dtype=object)
+    if values.sum() < 2**63:
+        return _key_blocks(table, values.astype(np.int64), n_out)
+    n_limbs = -(-int(values.max()).bit_length() // 31)
+    limbs = [(values >> (31 * j)) & (2**31 - 1) for j in range(n_limbs)]
+    sums = _key_blocks(table, np.hstack(limbs).astype(np.int64), n_out)
+    dim = values.shape[1]
+    out = np.empty(sums.shape[:2] + (dim,), dtype=object)
+    for kappa, block in enumerate(sums):
+        # One key at a time keeps the Python-int temporaries small.
+        out[kappa] = sum(block[:, j * dim:(j + 1) * dim].astype(object) << (31 * j)
+                         for j in range(n_limbs))
+    return out
 
 
 def hashed_joint_blocks(ensemble: Ensemble, family: HashFamily) -> CqKeyState:
@@ -369,49 +414,37 @@ def hashed_joint_blocks(ensemble: Ensemble, family: HashFamily) -> CqKeyState:
     n_in = family.q**family.m
     if ensemble.alphabet.num_symbols != n_in:
         raise ValueError("ensemble alphabet does not match the family input")
-    diags, basis = _diagonals_in_common_basis(ensemble)
-    exact = ensemble.exact
+    diags, _ = _diagonals_in_common_basis(ensemble)
     size = family.group_size
     n_out = family.q**family.k
-    share = Fraction(1, size) if exact else 1.0 / size
-    zero_block = ((Fraction(0),) * ensemble.dim if exact
-                  else (0.0,) * ensemble.dim)
-    blocks = [[list(zero_block) for _ in range(size)] for _ in range(n_out)]
-    for g, table in enumerate(family.maps):
-        for x in range(n_in):
-            d = diags[x]
-            row = blocks[table[x]][g]
-            for i in range(ensemble.dim):
-                row[i] += share * d[i]
-    blocks = tuple(tuple(tuple(b) for b in row) for row in blocks)
-    return CqKeyState(family.q, family.k, size, ensemble.dim, blocks, exact)
+    if ensemble.exact:
+        den = math.lcm(*(v.denominator for d in diags for v in d))
+        numerators = [[v.numerator * (den // v.denominator) for v in d] for d in diags]
+        sums = _exact_key_blocks(family.table, numerators, n_out)
+        denominator = size * den
+    else:
+        sums = _key_blocks(family.table, np.array(diags, dtype=float), n_out)
+        denominator = size
+    counts = tuple(tuple(map(tuple, row)) for row in sums.tolist())
+    return CqKeyState(family.q, family.k, size, ensemble.dim, counts,
+                      denominator, ensemble.exact)
 
 
 def tripartite_distance(cq: CqKeyState):
     """Exact distance of the hashed state from uniform-key x member x side.
 
     ``(1/q) sum_{kappa,g} || block(kappa,g) - q**-k (1/|G|) T_Q ||_1``;
-    diagonal blocks make each trace norm a plain absolute sum.
+    diagonal blocks make each trace norm a plain absolute sum.  With the
+    side marginal's counts ``t``, an entry contributes
+    ``|q**k |G| c - t| / (q**k |G| denominator)``.
     """
-    t_q = cq.side_marginal()
+    side = cq._side_counts()
+    spread = cq.q**cq.k * cq.group_size
+    gap = sum(abs(spread * c - t)
+              for row in cq.counts for b in row for c, t in zip(b, side))
     if cq.exact:
-        scale = Fraction(1, cq.q**cq.k * cq.group_size)
-        total = Fraction(0)
-        for row in cq.blocks:
-            for b in row:
-                for v, t in zip(b, t_q):
-                    total += abs(v - scale * t)
-        return total / cq.q
-    scale = 1.0 / (cq.q**cq.k * cq.group_size)
-    total = 0.0
-    for row in cq.blocks:
-        for b in row:
-            diff = np.asarray(b) - scale * t_q
-            if diff.ndim == 1:
-                total += float(np.abs(diff).sum())
-            else:
-                total += float(np.abs(np.linalg.eigvalsh(diff)).sum())
-    return total / cq.q
+        return Fraction(gap, cq.q * spread * cq.denominator)
+    return gap / (cq.q * spread * cq.denominator)
 
 
 def tripartite_report(ensemble: Ensemble, family: HashFamily,

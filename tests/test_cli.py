@@ -189,3 +189,13 @@ def test_cross_route_disagreement_exits_two(capsys, monkeypatch):
                              "--function", "gauss", "--points", "0")
     assert code == 2 and out == ""
     assert err == "error: determinant routes disagree\n"
+
+
+@pytest.mark.parametrize("command", ["lhl", "quantum-lhl"])
+def test_table_cell_cap_exits_two(capsys, command):
+    # 2**20 Toeplitz members of 2**20 cells each: refused before any table is built.
+    code, out, err = run_cli(capsys, command, "--q", "2", "--m", "20", "--k", "1",
+                             "--family", "toeplitz")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cells exceeds cap" in err

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from kdcheck import hashing
 from kdcheck.core import Alphabet, FiniteDistribution
 from kdcheck.hashing import (
+    MAX_FAMILY_SIZE,
+    MAX_TABLE_CELLS,
     build_family,
     collision_bound,
     collision_probability,
@@ -194,3 +198,164 @@ def test_point_mass_has_zero_entropy_margin():
     rep = lhl_report(f, fam)
     assert rep["bound"] >= 1.0
     assert rep["satisfied"]
+
+
+# ---------------------------------------------------------------------------
+# Integer kernel against per-cell references written from the definitions
+# ---------------------------------------------------------------------------
+
+def brute_tables(kind, q, m, k):
+    """Member tables symbol by symbol, members in itertools.product order."""
+    n_params = m * k if kind == "linear" else m + k - 1
+    tables = []
+    for params in itertools.product(range(q), repeat=n_params):
+        if kind == "linear":
+            matrix = [params[i * m:(i + 1) * m] for i in range(k)]
+        else:
+            matrix = [[params[i - j + m - 1] for j in range(m)] for i in range(k)]
+        table = []
+        for x in range(q**m):
+            digits = [(x // q**j) % q for j in range(m)]
+            out = [sum(matrix[i][j] * digits[j] for j in range(m)) % q
+                   for i in range(k)]
+            table.append(sum(o * q**i for i, o in enumerate(out)))
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def brute_joint(weights, family):
+    """``P_KG[kappa][g]`` one (member, symbol) cell at a time."""
+    size = family.group_size
+    table = [[Fraction(0)] * size for _ in range(family.q**family.k)]
+    for g, t in enumerate(family.maps):
+        for x, p in enumerate(weights):
+            table[t[x]][g] += p / size
+    return table
+
+
+def brute_distance(joint, q, k):
+    ideal = Fraction(1, q**k * len(joint[0]))
+    return sum(abs(p - ideal) for row in joint for p in row) / q
+
+
+def brute_collision(joint):
+    return sum(p * p for row in joint for p in row)
+
+
+def brute_universality(family):
+    n_in, size = family.q**family.m, family.group_size
+    return max(Fraction(sum(t[x] == t[y] for t in family.maps), size)
+               for x in range(n_in) for y in range(x + 1, n_in))
+
+
+def assert_joint_exact(f, family):
+    ref = brute_joint(f.weights, family)
+    js = joint_state(f, family)
+    assert js.table == tuple(tuple(row) for row in ref)
+    assert lhl_distance(f, family) == brute_distance(ref, family.q, family.k)
+    assert collision_probability(f, family) == brute_collision(ref)
+    assert isinstance(lhl_distance(f, family), Fraction)
+
+
+@pytest.mark.parametrize("kind,q,m,k", [
+    ("linear", 2, 3, 2), ("linear", 3, 2, 1), ("linear", 5, 2, 1),
+    ("toeplitz", 2, 4, 2), ("toeplitz", 3, 3, 2), ("toeplitz", 5, 2, 2),
+])
+def test_build_family_tables_and_member_order(kind, q, m, k):
+    fam = build_family(kind, q, m, k)
+    ref = brute_tables(kind, q, m, k)
+    assert fam.maps == ref
+    assert all(type(v) is int for t in fam.maps for v in t)
+    assert fam.table.dtype == np.uint8 and not fam.table.flags.writeable
+    assert fam.table.tolist() == [list(t) for t in ref]
+
+
+@pytest.mark.parametrize("kind,q,m,k", [
+    ("linear", 3, 2, 1), ("toeplitz", 3, 2, 2), ("linear", 2, 3, 1),
+])
+def test_joint_law_exact_with_zero_weights(kind, q, m, k):
+    n = q**m
+    raw = [0 if x % 3 == 0 else x for x in range(n)]
+    f = FiniteDistribution(Alphabet(q, m),
+                           tuple(Fraction(r, sum(raw)) for r in raw))
+    assert_joint_exact(f, build_family(kind, q, m, k))
+
+
+def test_joint_law_exact_past_int64():
+    # Common denominator above 2**63: the pushforward runs on limbs.
+    dens = (2**61 - 1, 2**31 - 1, 3, 5, 7, 11, 13)
+    weights = [Fraction(1, d) for d in dens]
+    weights.append(1 - sum(weights))
+    f = FiniteDistribution(Alphabet(2, 3), tuple(weights))
+    assert math.lcm(*(w.denominator for w in weights)) > 2**63
+    assert_joint_exact(f, build_family("toeplitz", 2, 3, 2))
+
+
+def test_explicit_maps_exact():
+    maps = [[0, 1, 2, 0, 1, 2, 0, 1, 2], [2, 2, 2, 1, 1, 1, 0, 0, 0],
+            [0, 0, 1, 1, 2, 2, 0, 1, 2], [1, 0, 2, 2, 0, 1, 0, 2, 1]]
+    fam = build_family("explicit", 3, 2, 1, maps=maps)
+    assert fam.maps == tuple(map(tuple, maps))
+    assert fam.table.tolist() == maps
+    f = FiniteDistribution(Alphabet(3, 2), tuple(
+        Fraction(r, 20) for r in (0, 5, 1, 0, 4, 2, 3, 5, 0)))
+    assert_joint_exact(f, fam)
+    assert verify_universality(fam) == brute_universality(fam)
+
+
+@pytest.mark.parametrize("maps", [[[0, 1, 2, 0]], [[0, -1, 0, 1]], [[0, 0.5, 0, 1]],
+                                  [[0, 1, 0]]])
+def test_explicit_maps_rejected(maps):
+    with pytest.raises(ValueError):
+        build_family("explicit", 2, 2, 1, maps=maps)
+
+
+@pytest.mark.parametrize("kind,q,m,k", [
+    ("linear", 3, 2, 1), ("toeplitz", 3, 3, 1), ("toeplitz", 3, 2, 2),
+])
+def test_verify_universality_matches_pair_count(kind, q, m, k):
+    fam = build_family(kind, q, m, k)
+    assert verify_universality(fam) == brute_universality(fam)
+
+
+def test_lhl_report_builds_one_joint_law(monkeypatch):
+    calls = []
+    inner = hashing.joint_state
+
+    def counted(f, family):
+        calls.append(1)
+        return inner(f, family)
+
+    monkeypatch.setattr(hashing, "joint_state", counted)
+    fam = build_family("toeplitz", 2, 3, 1)
+    rep = lhl_report(UNIFORM8, fam)
+    assert len(calls) == 1
+    ref = brute_joint(UNIFORM8.weights, fam)
+    assert rep["distance"] == brute_distance(ref, 2, 1)
+    assert rep["collision_probability"] == brute_collision(ref)
+
+
+def test_table_cell_cap_checked_before_building(monkeypatch):
+    def never(*args):
+        raise AssertionError("tables built past the cell cap")
+
+    monkeypatch.setattr(hashing, "_member_tables", never)
+    # 2**20 members pass the member cap; 2**40 cells do not pass the cell cap.
+    assert 2**20 <= MAX_FAMILY_SIZE < 2**40
+    with pytest.raises(ValueError, match="cells exceeds cap"):
+        build_family("toeplitz", 2, 20, 1)
+    with pytest.raises(ValueError, match="cells exceeds cap"):
+        build_family("linear", 2, 19, 1)
+
+
+def test_table_cell_cap_admits_toeplitz_2_10_3(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(hashing, "_member_tables", reached)
+    assert 2**12 * 2**10 == MAX_TABLE_CELLS
+    with pytest.raises(Reached):
+        build_family("toeplitz", 2, 10, 3)

@@ -261,3 +261,99 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         Ensemble(prior, (diag_state(Fraction(1)),
                          diag_state(Fraction(1, 2), Fraction(1, 2))))
+
+
+# ---------------------------------------------------------------------------
+# Integer side-register kernel against per-cell references
+# ---------------------------------------------------------------------------
+
+def brute_blocks(ens, fam):
+    """``(1/|G|) sum_{x: g(x)=kappa} p_x rho_x`` one (member, symbol) cell at a time."""
+    size = fam.group_size
+    blocks = [[[Fraction(0)] * ens.dim for _ in range(size)]
+              for _ in range(fam.q**fam.k)]
+    for g, t in enumerate(fam.maps):
+        for x in range(len(ens.states)):
+            for i, v in enumerate(ens.weighted(x)):
+                blocks[t[x]][g][i] += v / size
+    return blocks
+
+
+def brute_tripartite(blocks, q, k):
+    size, dim = len(blocks[0]), len(blocks[0][0])
+    side = [sum(b[i] for row in blocks for b in row) for i in range(dim)]
+    scale = Fraction(1, q**k * size)
+    return sum(abs(v - scale * t) for row in blocks for b in row
+               for v, t in zip(b, side)) / q
+
+
+def big_denominator_ensemble():
+    """Rational diagonal ensemble on 8 symbols whose entries need > 63 bits."""
+    dens = (2**61 - 1, 2**31 - 1, 3, 5, 7, 11, 13)
+    prior = [Fraction(1, d) for d in dens]
+    prior.append(1 - sum(prior))
+    states = []
+    for x in range(8):
+        a = Fraction(x + 1, 2**59 + 2 * x + 1) if x % 2 else Fraction(x, 9)
+        states.append(diag_state(a, Fraction(0), 1 - a))
+    return Ensemble(FiniteDistribution(Alphabet(2, 3), tuple(prior)), tuple(states))
+
+
+def test_hashed_blocks_exact_past_int64():
+    ens = big_denominator_ensemble()
+    den = math.lcm(*(v.denominator for x in range(8) for v in ens.weighted(x)))
+    assert den > 2**63
+    fam = build_family("toeplitz", 2, 3, 2)
+    cq = hashed_joint_blocks(ens, fam)
+    ref = brute_blocks(ens, fam)
+    assert cq.blocks == tuple(tuple(tuple(b) for b in row) for row in ref)
+    assert cq.side_marginal() == ens.average().diag
+    assert cq.member_blocks() == tuple(
+        tuple(sum((ref[kappa][g][i] for kappa in range(4)), start=Fraction(0))
+              for i in range(3)) for g in range(fam.group_size))
+    dist = tripartite_distance(cq)
+    assert isinstance(dist, Fraction)
+    assert dist == brute_tripartite(ref, 2, 2)
+
+
+def test_trivial_side_register_past_int64():
+    ens = big_denominator_ensemble()
+    trivial = Ensemble(ens.prior, tuple([diag_state(1)] * 8))
+    fam = build_family("linear", 2, 3, 1)
+    assert tripartite_distance(hashed_joint_blocks(trivial, fam)) \
+        == lhl_distance(ens.prior, fam)
+
+
+def test_side_register_route_skips_classical_pushforward(monkeypatch):
+    from kdcheck import hashing
+
+    def forbidden(*args):
+        raise AssertionError("side-register route used the classical pushforward")
+
+    fam = build_family("linear", 2, 2, 1)
+    prior = FiniteDistribution(Alphabet(2, 2), tuple(
+        Fraction(r, 10) for r in (1, 2, 3, 4)))
+    classical = lhl_distance(prior, fam)
+    monkeypatch.setattr(hashing, "joint_state", forbidden)
+    monkeypatch.setattr(hashing, "_cell_sums", forbidden)
+    ens = Ensemble(prior, tuple([diag_state(1)] * 4))
+    assert tripartite_distance(hashed_joint_blocks(ens, fam)) == classical
+
+
+def test_float_side_register_matches_exact():
+    rng = np.random.default_rng(49)
+    fam = build_family("linear", 2, 2, 1)
+    ens = random_diagonal_ensemble(rng, 4, 3)
+    floats = Ensemble(
+        FiniteDistribution(ens.alphabet, tuple(float(p) for p in ens.prior.weights)),
+        tuple(StateDensity.from_diag(tuple(float(v) for v in s.diag))
+              for s in ens.states))
+    assert not floats.exact
+    cq = hashed_joint_blocks(floats, fam)
+    exact = tripartite_distance(hashed_joint_blocks(ens, fam))
+    assert abs(tripartite_distance(cq) - float(exact)) < 1e-12
+    assert np.allclose(cq.side_marginal(), [float(v) for v in ens.average().diag])
+    # Dense states, diagonal only in a rotated common basis.
+    rotated = rotate_ensemble(ens, rng)
+    dense = tripartite_distance(hashed_joint_blocks(rotated, fam))
+    assert abs(dense - float(exact)) < DENSE_TOL
