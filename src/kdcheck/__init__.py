@@ -74,6 +74,7 @@ from .quantum import (
 )
 from .semigroup import (
     CovSpec,
+    QuadratureWarning,
     apply,
     build_sigma,
     check_contraction,
@@ -114,9 +115,9 @@ __all__ = [
     "cond_min_entropy", "e_gen", "e_opt", "hashed_joint_blocks",
     "partial_trace", "phi_report", "pretty_good_measurement",
     "tripartite_distance", "tripartite_report",
-    "CovSpec", "apply", "build_sigma", "check_contraction",
-    "check_semigroup", "determinant_closed", "determinant_lu",
-    "inverse_sigma", "kernel_pdf",
+    "CovSpec", "QuadratureWarning", "apply", "build_sigma",
+    "check_contraction", "check_semigroup", "determinant_closed",
+    "determinant_lu", "inverse_sigma", "kernel_pdf",
     "PathEnsemble", "TimeGrid", "grid", "grid_factor", "increment_stats",
     "refinement_delta", "simulate", "simulate_ensemble",
     "__version__",

@@ -4,27 +4,52 @@
 correlations (dimension at most 4).  Determinants are computed twice, by
 LAPACK LU and by the hand-expanded closed forms, and must agree to 1e-10;
 likewise the inverse (Cholesky route vs cofactor closed forms for d <= 3).
-``apply`` evaluates ``P_t f`` by composite Gauss-Legendre quadrature over
-an 8-sigma window or by seeded Monte Carlo with per-point derived seeds.
+
+``apply`` evaluates ``P_t f`` either by seeded Monte Carlo with per-point
+derived seeds or by quadrature in whitened coordinates,
+``P_t f(x) = sum_k w_k f(x + sqrt(t) L z_k)``, where ``L`` is the Cholesky
+factor of Sigma and ``(z_k, w_k)`` is the d-fold tensor of the
+probabilists' Gauss-Hermite rule (Golub-Welsch, weights summing to 1).
+Every query point runs through one broadcast, in chunks of at most
+``CHUNK_ROWS`` (point, node) rows.  The error estimate is
+``max |Q_n - Q_{n/2}|`` over the points; by default the rule starts at
+``HERMITE_NODES`` per dimension and doubles while the estimate exceeds
+``ESTIMATE_TOL * max(1, max |Q_n|)``, up to ``MAX_RULE_NODES`` nodes per
+point, and warns (``QuadratureWarning``) if it is still too large there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .quadrature import tensor_rule
+from .quadrature import MAX_TOTAL_NODES, tensor_rule
 
 DET_CROSS_TOL = 1e-10
 INV_CROSS_TOL = 1e-10
-WINDOW_SIGMAS = 8.0
 DEFAULT_MC_SAMPLES = 10**6
 
-# Quadrature nodes per dimension; tensor grids in d = 3 stay desk-scale.
-DEFAULT_NODES = {1: 201, 2: 101, 3: 41}
+HERMITE_NODES = 40
+ESTIMATE_TOL = 1e-6
+CHUNK_ROWS = 2**16
+# Nodes per query point of the 8-sigma Gauss-Legendre box that the Hermite
+# rule replaced; doubling stops before a rule would use more than these
+# (in four dimensions, more than MAX_TOTAL_NODES).
+MAX_RULE_NODES = {1: 216, 2: 120**2, 3: 48**3}
+
+# The L1 integral of ``check_contraction`` runs over the window widened by
+# WINDOW_SIGMAS kernel standard deviations, on a Gauss-Legendre grid with
+# these nodes per dimension.
+WINDOW_SIGMAS = 8.0
+WINDOW_NODES = {1: 201, 2: 101, 3: 41}
+
+
+class QuadratureWarning(UserWarning):
+    """The halving error estimate stayed above ``ESTIMATE_TOL``."""
 
 
 @dataclass(frozen=True)
@@ -244,6 +269,103 @@ def _eval_f(f: Callable, pts: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(f(x), dtype=float).reshape(pts.shape[0])
 
 
+def _check_nodes(nodes: Optional[int], dim: int) -> None:
+    """Reject a node count before any rule is built."""
+    if nodes is None:
+        return
+    if nodes < 2:
+        raise ValueError("nodes per dimension must be at least 2 "
+                         "(the halving estimate uses nodes // 2), got %d" % nodes)
+    if nodes**dim > MAX_TOTAL_NODES:
+        raise ValueError("%d^%d quadrature nodes per point exceed the cap of %d"
+                         % (nodes, dim, MAX_TOTAL_NODES))
+
+
+def _cholesky(spec: CovSpec) -> np.ndarray:
+    """Cholesky factor of Sigma, after both cross-checked factorizations."""
+    sigma, _ = build_sigma(spec)
+    inverse_sigma(spec)
+    return np.linalg.cholesky(sigma)
+
+
+def _hermite_1d(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Probabilists' Gauss-Hermite rule by Golub-Welsch, weights summing to 1.
+
+    The nodes are the eigenvalues of the Jacobi matrix with off-diagonal
+    ``sqrt(k)``; each weight is the squared first component of its
+    eigenvector, which stays finite where ``hermegauss`` overflows.
+    """
+    off = np.sqrt(np.arange(1.0, n))
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = vecs[0] ** 2
+    # The rule is symmetric; symmetrize away eigensolver rounding.
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
+    return nodes, weights / weights.sum()
+
+
+def _whitened_rule(chol: np.ndarray, t: float,
+                   n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets ``sqrt(t) L z_k`` and weights of the d-fold Hermite tensor."""
+    d = chol.shape[0]
+    z1, w1 = _hermite_1d(n)
+    grids = np.meshgrid(*([z1] * d), indexing="ij")
+    z = np.stack([g.ravel() for g in grids], axis=-1)
+    weights = w1
+    for _ in range(d - 1):
+        weights = np.multiply.outer(weights, w1).ravel()
+    return math.sqrt(t) * (z @ chol.T), weights
+
+
+def _average(f: Callable, pts: np.ndarray, offsets: np.ndarray,
+             weights: np.ndarray) -> np.ndarray:
+    """``sum_k w_k f(x + offsets_k)`` for every row ``x`` of ``pts``.
+
+    Points and nodes are broadcast together in blocks of at most
+    ``CHUNK_ROWS`` (point, node) rows, so no temporary grows with the
+    point count.
+    """
+    n_pts, d = pts.shape
+    node_step = min(len(weights), CHUNK_ROWS)
+    point_step = max(1, CHUNK_ROWS // node_step)
+    out = np.zeros(n_pts)
+    for i in range(0, n_pts, point_step):
+        block = pts[i:i + point_step]
+        for j in range(0, len(weights), node_step):
+            rows = block[:, None, :] + offsets[None, j:j + node_step, :]
+            vals = _eval_f(f, rows.reshape(-1, d), d).reshape(len(block), -1)
+            out[i:i + point_step] += vals @ weights[j:j + node_step]
+    return out
+
+
+def _hermite_average(f: Callable, t: float, chol: np.ndarray, pts: np.ndarray,
+                     nodes: Optional[int]) -> Tuple[np.ndarray, int, float]:
+    """``(P_t f at pts, nodes per dimension, halving estimate)``.
+
+    With ``nodes`` given the rule is fixed; otherwise it starts at
+    ``HERMITE_NODES`` and doubles while the estimate is too large, reusing
+    the previous result as the coarser rule.
+    """
+    d = chol.shape[0]
+    n = HERMITE_NODES if nodes is None else nodes
+    cap = MAX_RULE_NODES.get(d, MAX_TOTAL_NODES)
+    coarse = _average(f, pts, *_whitened_rule(chol, t, n // 2))
+    while True:
+        fine = _average(f, pts, *_whitened_rule(chol, t, n))
+        estimate = float(np.abs(fine - coarse).max(initial=0.0))
+        tol = ESTIMATE_TOL * max(1.0, float(np.abs(fine).max(initial=0.0)))
+        if estimate <= tol or nodes is not None or (2 * n)**d > cap:
+            break
+        coarse, n = fine, 2 * n
+    if not estimate <= tol:
+        warnings.warn(
+            "Gauss-Hermite halving estimate %.3g exceeds %.3g at %d nodes per "
+            "dimension; pass a larger --nodes (nodes^%d at most %d)"
+            % (estimate, tol, n, d, MAX_TOTAL_NODES),
+            QuadratureWarning, stacklevel=3)
+    return fine, n, estimate
+
+
 def apply(
     f: Callable,
     t: float,
@@ -267,33 +389,26 @@ def apply(
     points : array-like
         Query points, shape (N,) for dim 1 or (N, dim).
     method : {"quadrature", "mc"}
-        Composite Gauss-Legendre over the 8-sigma window, or Monte Carlo
-        with a derived seed per query point.
+        Gauss-Hermite in whitened coordinates with a halving error
+        estimate, or Monte Carlo with a derived seed per query point.
     nodes : int, optional
-        Quadrature nodes per dimension (defaults depend on dimension).
+        Gauss-Hermite nodes per dimension, at least 2.  Fixes the rule (the
+        estimate is still computed); by default the rule starts at
+        ``HERMITE_NODES`` and doubles until the estimate meets
+        ``ESTIMATE_TOL``.  Warns with ``QuadratureWarning`` if the final
+        estimate does not.
     samples : int
         Monte Carlo sample count per query point.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
     d = spec.dim
+    _check_nodes(nodes, d)
     pts = _as_points(points, d)
     if t == 0:
         return _eval_f(f, pts, d)
     if method == "quadrature":
-        if nodes is None:
-            nodes = DEFAULT_NODES.get(d, 41)
-        sigma = spec.sigma()
-        half = WINDOW_SIGMAS * np.sqrt(t * np.diag(sigma))
-        offs, wts = tensor_rule(-half, half, nodes)
-        centered = CovSpec(d, spec.variances, spec.correlations)
-        kde = kernel_pdf(centered, t)
-        kern = kde(offs[:, 0] if d == 1 else offs) * wts
-        out = np.empty(pts.shape[0])
-        for i, x in enumerate(pts):
-            vals = _eval_f(f, x[None, :] + offs, d)
-            out[i] = float(np.dot(kern, vals))
-        return out
+        return _hermite_average(f, t, _cholesky(spec), pts, nodes)[0]
     if method == "mc":
         chol = np.linalg.cholesky(spec.sigma())
         scaled = math.sqrt(t) * chol
@@ -305,6 +420,11 @@ def apply(
             out[i] = float(np.mean(_eval_f(f, x[None, :] + z @ scaled.T, d)))
         return out
     raise ValueError("method must be 'quadrature' or 'mc'")
+
+
+def _rule_report(n: int, estimate: float) -> dict:
+    return {"rule": "gauss-hermite-whitened", "nodes_per_dim": n,
+            "error_estimate": estimate}
 
 
 def check_semigroup(
@@ -320,24 +440,28 @@ def check_semigroup(
 ) -> dict:
     """Compare ``P_s(P_t f)`` with ``P_{s+t} f`` at the query points.
 
-    Quadrature mode nests the two averaging integrals; Monte Carlo mode
-    draws the two increments independently and reports the deviation in
-    units of the combined standard error.
+    Quadrature mode settles the node count (and its halving estimate) on
+    the direct route ``P_{s+t} f``, then nests the two averaging sums at
+    that fixed count.  Monte Carlo mode draws the two increments
+    independently and reports the deviation in units of the combined
+    standard error.
     """
     if s <= 0 or t <= 0:
         raise ValueError("both times must be positive")
     d = spec.dim
+    _check_nodes(nodes, d)
     pts = _as_points(points, d)
     if method == "quadrature":
-        if nodes is None:
-            nodes = 201 if d == 1 else 48
-        inner = lambda y: apply(f, t, spec, y, method="quadrature", nodes=nodes)
-        lhs = apply(inner, s, spec, pts, method="quadrature", nodes=nodes)
-        rhs = apply(f, s + t, spec, pts, method="quadrature", nodes=nodes)
+        chol = _cholesky(spec)
+        rhs, n, estimate = _hermite_average(f, s + t, chol, pts, nodes)
+        inner_rule = _whitened_rule(chol, t, n)
+        inner = lambda y: _average(f, _as_points(y, d), *inner_rule)
+        lhs = _average(inner, pts, *_whitened_rule(chol, s, n))
         gap = np.abs(lhs - rhs)
         return {
             "method": "quadrature",
             "max_abs_deviation": float(gap.max()),
+            **_rule_report(n, estimate),
             "lhs": lhs.tolist(),
             "rhs": rhs.tolist(),
         }
@@ -379,16 +503,18 @@ def check_contraction(
 
     The window should contain the essential support of ``f``; the L1
     integral of ``P_t f`` runs over the window expanded by the kernel's
-    8-sigma radius.
+    8-sigma radius, on a fixed Gauss-Legendre grid (``WINDOW_NODES``).
+    ``nodes`` is the Gauss-Hermite node count of ``P_t``, as in ``apply``.
     """
     d = spec.dim
+    _check_nodes(nodes, d)
     lows, highs = (np.atleast_1d(np.asarray(w, dtype=float)) for w in window)
-    if nodes is None:
-        nodes = DEFAULT_NODES.get(d, 41)
     half = WINDOW_SIGMAS * np.sqrt(t * np.diag(spec.sigma()))
-    pts_out, wts_out = tensor_rule(lows - half, highs + half, nodes)
+    pts_out, wts_out = tensor_rule(lows - half, highs + half,
+                                   WINDOW_NODES.get(d, 41))
     f_out = _eval_f(f, pts_out, d)
-    ptf_out = apply(f, t, spec, pts_out, method="quadrature", nodes=nodes)
+    ptf_out, n, estimate = _hermite_average(f, t, _cholesky(spec), pts_out,
+                                            nodes)
     sup_f = float(np.abs(f_out).max())
     sup_ptf = float(np.abs(ptf_out).max())
     l1_f = float(np.dot(wts_out, np.abs(f_out)))
@@ -400,4 +526,5 @@ def check_contraction(
         "l1_f": l1_f,
         "l1_ptf": l1_ptf,
         "l1_contracts": l1_ptf <= l1_f + 1e-6,
+        **_rule_report(n, estimate),
     }

@@ -223,6 +223,14 @@ def _random_positive_chain(rng: np.random.Generator, n: int) -> markov.Transitio
     return markov.TransitionMatrix.build(rows)
 
 
+def _mat_mul(a, b):
+    """Exact product of two square matrices of Fractions, as nested tuples."""
+    n = len(b)
+    return tuple(tuple(sum((row[k] * b[k][j] for k in range(n)), start=Fraction(0))
+                       for j in range(n))
+                 for row in a)
+
+
 def check_markov_gf() -> dict:
     rng = np.random.default_rng(606)
     chains = [_random_positive_chain(rng, int(rng.integers(2, 6)))
@@ -236,7 +244,13 @@ def check_markov_gf() -> dict:
     failures = []
     for idx, chain in enumerate(chains):
         size = chain.n
-        powers = [markov.n_step(chain, n) for n in range(n_terms + 1)]
+        # One running product P^n = P^(n-1) P, pinned to binary powering at
+        # the last term; neither route touches the resolvent elimination.
+        powers = [markov.n_step(chain, 0)]
+        for _ in range(n_terms):
+            powers.append(_mat_mul(powers[-1], chain.rows))
+        if powers[-1] != markov.n_step(chain, n_terms):
+            failures.append(("powers", idx))
         for i in range(size):
             for j in range(size):
                 rf = markov.resolvent(chain, i, j)
@@ -342,17 +356,24 @@ def check_covariance_forms() -> dict:
 # Check 8: semigroup composition and contraction
 # ---------------------------------------------------------------------------
 
+def _rule_fields(rep: dict) -> dict:
+    return {k: rep[k] for k in ("max_abs_deviation", "rule", "nodes_per_dim",
+                                "error_estimate")}
+
+
 def check_semigroup_property() -> dict:
     dev1 = dev2 = 0.0
+    composition = {}
     # One dimension, two test functions.
     spec1 = sg.CovSpec(1, (0.8,))
     f_gauss = lambda x: np.exp(-0.5 * (np.asarray(x) - 0.2) ** 2 / 0.5) \
         / math.sqrt(2 * math.pi * 0.5)
     f_wave = lambda x: np.exp(-0.25 * np.asarray(x) ** 2) * np.cos(2.0 * np.asarray(x))
     pts1 = [-1.2, -0.3, 0.0, 0.7, 1.5]
-    for f in (f_gauss, f_wave):
+    for name, f in (("d1-gauss", f_gauss), ("d1-wave", f_wave)):
         rep = sg.check_semigroup(f, 0.3, 0.5, spec1, pts1, method="quadrature")
         dev1 = max(dev1, rep["max_abs_deviation"])
+        composition[name] = _rule_fields(rep)
     # Two dimensions with correlation.
     spec2 = sg.CovSpec(2, (1.0, 0.7), (0.4,))
     f2 = lambda x: np.exp(-0.5 * ((x[:, 0] - 0.2) ** 2 + 0.8 * x[:, 1] ** 2) / 1.5) \
@@ -360,6 +381,7 @@ def check_semigroup_property() -> dict:
     pts2 = [[0.0, 0.0], [0.5, -0.4], [-0.8, 0.3], [1.0, 1.0]]
     rep2 = sg.check_semigroup(f2, 0.4, 0.7, spec2, pts2, method="quadrature")
     dev2 = rep2["max_abs_deviation"]
+    composition["d2"] = _rule_fields(rep2)
     # Three dimensions by Monte Carlo, deviation in combined standard errors.
     spec3 = sg.CovSpec(3, (1.0, 0.8, 1.2), (0.2, -0.1, 0.3))
     f3 = lambda x: np.exp(-0.25 * np.sum(np.asarray(x) ** 2, axis=-1))
@@ -377,6 +399,7 @@ def check_semigroup_property() -> dict:
         "max_deviation_d1": dev1,
         "max_deviation_d2": dev2,
         "mc_deviation_in_se_d3": rep3["max_deviation_in_se"],
+        "composition": composition,
         "contraction": {"d1": con1, "d2": con2},
         "tolerances": {"quadrature": 1e-6, "mc": "3 standard errors"},
     }

@@ -191,6 +191,37 @@ def test_cross_route_disagreement_exits_two(capsys, monkeypatch):
     assert err == "error: determinant routes disagree\n"
 
 
+@pytest.mark.parametrize("nodes", ["0", "1", "3000"])
+@pytest.mark.parametrize("mode", [(), ("--compose", "0.3,0.5"), ("--contract",)],
+                         ids=["apply", "compose", "contract"])
+def test_bad_node_count_exits_two(capsys, monkeypatch, nodes, mode):
+    from kdcheck import semigroup
+
+    def unexpected(n):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(semigroup, "_hermite_1d", unexpected)
+    code, out, err = run_cli(capsys, "semigroup", "--variances", "1,1",
+                             "--correlations", "0.3", "--points", "0,0",
+                             "--nodes", nodes, *mode)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_semigroup_reports_rule_and_warning(capsys):
+    rep = run_json(capsys, "semigroup", "--variances", "1,1", "--correlations",
+                   "0.4", "--function", "wave", "--compose", "0.3,0.5",
+                   "--points", "0,0;1,-1")
+    assert rep["rule"] == "gauss-hermite-whitened"
+    assert rep["nodes_per_dim"] == 40 and rep["error_estimate"] < 1e-6
+    assert rep["warnings"] == []
+    code, out, err = run_cli(capsys, "semigroup", "--variances", "1,1",
+                             "--correlations", "0.4", "--function", "bump",
+                             "--points", "0,0")
+    assert code == 0 and out.startswith("x1,x2,value\n")
+    assert err.startswith("warning: ") and "--nodes" in err
+
+
 @pytest.mark.parametrize("command", ["lhl", "quantum-lhl"])
 def test_table_cell_cap_exits_two(capsys, command):
     # 2**20 Toeplitz members of 2**20 cells each: refused before any table is built.

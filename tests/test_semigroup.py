@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from kdcheck import semigroup
+from kdcheck.cli import _FUNCTIONS
 from kdcheck.quadrature import gauss_legendre_1d, tensor_rule
 from kdcheck.semigroup import (
     CovSpec,
+    QuadratureWarning,
     apply,
     build_sigma,
     check_contraction,
@@ -198,6 +202,127 @@ def test_apply_deterministic_per_seed():
     b = apply(f, 0.5, spec, [[0.0, 0.0]], method="mc", seed=3, samples=5000)
     c = apply(f, 0.5, spec, [[0.0, 0.0]], method="mc", seed=4, samples=5000)
     assert a[0] == b[0] and a[0] != c[0]
+
+
+def closed_form_average(x, cov):
+    """The standard normal pdf averaged over N(x, cov): the N(0, I + cov) pdf."""
+    a = np.eye(len(x)) + cov
+    quad = float(x @ np.linalg.solve(a, x))
+    return math.exp(-0.5 * quad) / math.sqrt(
+        (2.0 * math.pi) ** len(x) * np.linalg.det(a))
+
+
+def test_hermite_rule_finite_and_exact():
+    # Golub-Welsch stays finite where hermegauss overflows to NaN weights.
+    z, w = semigroup._hermite_1d(1000)
+    assert np.isfinite(z).all() and np.isfinite(w).all()
+    assert abs(float(w.sum()) - 1.0) < 1e-14
+    assert abs(float(np.dot(w, z ** 2)) - 1.0) < 1e-12
+    # n nodes integrate polynomials of degree 2n - 1 against N(0, 1).
+    z, w = semigroup._hermite_1d(5)
+    assert abs(float(np.dot(w, z ** 8)) - 105.0) < 1e-11
+    assert abs(float(np.dot(w, z ** 6 + z ** 9)) - 15.0) < 1e-12
+
+
+@pytest.mark.parametrize("rho", [0.99, 0.999, 0.9999])
+def test_gauss_average_closed_form_high_correlation(rho):
+    spec = CovSpec(2, (1.0, 1.0), (rho,))
+    t = 1.0
+    pts = np.array([[0.0, 0.0], [0.3, -0.2], [-1.0, -1.1]])
+    got = apply(_FUNCTIONS["gauss"], t, spec, pts)
+    want = np.array([closed_form_average(x, t * spec.sigma()) for x in pts])
+    assert np.abs(got / want - 1.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("chunk_rows", [500, 4000])
+def test_batch_matches_single_point_calls(monkeypatch, chunk_rows):
+    # 1600 nodes per point: 500 rows split each point's nodes into four
+    # blocks, 4000 rows hold two points per block; either way the seven
+    # points span at least three chunks.  At the default size all seven
+    # points fit in one block.
+    spec = CovSpec(2, (1.0, 0.7), (0.4,))
+    pts = np.random.default_rng(5).standard_normal((7, 2))
+    whole = apply(_FUNCTIONS["wave"], 0.8, spec, pts)
+    monkeypatch.setattr(semigroup, "CHUNK_ROWS", chunk_rows)
+    sizes = []
+
+    def wave(x):
+        sizes.append(len(x))
+        return _FUNCTIONS["wave"](x)
+
+    batch = apply(wave, 0.8, spec, pts)
+    assert max(sizes) <= chunk_rows and len(sizes) >= 3
+    single = np.array([apply(_FUNCTIONS["wave"], 0.8, spec, [p])[0] for p in pts])
+    assert np.abs(batch - single).max() < 1e-14
+    assert np.abs(batch - whole).max() < 1e-14
+
+
+VERIFY_SPEC2 = CovSpec(2, (1.0, 0.7), (0.4,))
+
+
+def verify_f2(x):
+    return np.exp(-0.5 * ((x[:, 0] - 0.2) ** 2 + 0.8 * x[:, 1] ** 2) / 1.5) \
+        * (1.0 + 0.3 * np.sin(x[:, 0]))
+
+
+def verify_wave(x):
+    x = np.asarray(x)
+    return np.exp(-0.25 * x ** 2) * np.cos(2.0 * x)
+
+
+def assert_rule_fields(rep, nodes):
+    assert rep["rule"] == "gauss-hermite-whitened"
+    assert rep["nodes_per_dim"] == nodes
+    assert 0.0 <= rep["error_estimate"] <= 1e-6
+
+
+@pytest.mark.parametrize("f, spec, s, t, pts", [
+    (gauss_pdf(0.2, 0.5), CovSpec(1, (0.8,)), 0.3, 0.5, [-1.2, -0.3, 0.0, 0.7, 1.5]),
+    (verify_wave, CovSpec(1, (0.8,)), 0.3, 0.5, [-1.2, -0.3, 0.0, 0.7, 1.5]),
+    (verify_f2, VERIFY_SPEC2, 0.4, 0.7,
+     [[0.0, 0.0], [0.5, -0.4], [-0.8, 0.3], [1.0, 1.0]]),
+], ids=["d1-gauss", "d1-wave", "d2"])
+def test_composition_verify_functions(f, spec, s, t, pts):
+    rep = check_semigroup(f, s, t, spec, pts)
+    assert rep["max_abs_deviation"] < COMPOSE_TOL
+    assert_rule_fields(rep, semigroup.HERMITE_NODES)
+
+
+# Sup and L1 norms of P_t f from the 8-sigma Gauss-Legendre box rule that
+# the Hermite rule replaced (same window grids).
+@pytest.mark.parametrize("f, spec, t, window, sup_ptf, l1_ptf", [
+    (verify_wave, CovSpec(1, (0.8,)), 0.7, ((-6.0,), (6.0,)),
+     0.36466981092042744, 0.9408063840748062),
+    (verify_f2, VERIFY_SPEC2, 0.5, ((-6.0, -6.0), (6.0, 6.0)),
+     0.8558468179734393, 10.83388097883135),
+], ids=["d1", "d2"])
+def test_contraction_matches_box_rule(f, spec, t, window, sup_ptf, l1_ptf):
+    rep = check_contraction(f, t, spec, window)
+    assert rep["sup_contracts"] and rep["l1_contracts"]
+    assert abs(rep["sup_ptf"] - sup_ptf) < 1e-12
+    assert abs(rep["l1_ptf"] - l1_ptf) < 1e-12
+    assert_rule_fields(rep, semigroup.HERMITE_NODES)
+
+
+def test_bump_warns_in_two_dimensions():
+    spec = CovSpec(2, (1.0, 1.0), (0.4,))
+    pts = [[0.0, 0.0], [1.0, -0.5]]
+    with pytest.warns(QuadratureWarning, match="--nodes"):
+        apply(_FUNCTIONS["bump"], 1.0, spec, pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        apply(_FUNCTIONS["wave"], 1.0, spec, pts)
+        apply(_FUNCTIONS["gauss"], 1.0, spec, pts)
+
+
+def test_bump_doubles_to_reference_in_one_dimension():
+    spec = CovSpec(1, (1.0,))
+    pts = [-2.0, 0.0, 0.5, 1.3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = apply(_FUNCTIONS["bump"], 1.0, spec, pts)
+    ref = apply(_FUNCTIONS["bump"], 1.0, spec, pts, nodes=400)
+    assert np.abs(got - ref).max() < 1e-6
 
 
 @seed(51)
