@@ -85,9 +85,8 @@ from .semigroup import (
     kernel_pdf,
 )
 from .treeproc import (
+    MAX_PATH_CELLS,
     PathEnsemble,
-    TimeGrid,
-    grid,
     grid_factor,
     increment_stats,
     refinement_delta,
@@ -118,7 +117,7 @@ __all__ = [
     "CovSpec", "QuadratureWarning", "apply", "build_sigma",
     "check_contraction", "check_semigroup", "determinant_closed",
     "determinant_lu", "inverse_sigma", "kernel_pdf",
-    "PathEnsemble", "TimeGrid", "grid", "grid_factor", "increment_stats",
+    "MAX_PATH_CELLS", "PathEnsemble", "grid_factor", "increment_stats",
     "refinement_delta", "simulate", "simulate_ensemble",
     "__version__",
 ]

@@ -303,6 +303,9 @@ def cmd_semigroup(args) -> int:
 
 
 def cmd_treesim(args) -> int:
+    # Checked before simulating; a bad --reps is named by simulate_ensemble.
+    if not args.stats and args.reps >= 1 and not 0 <= args.rep < args.reps:
+        raise ValueError("rep index out of range")
     ens = treeproc.simulate_ensemble(args.dim, args.eta, args.reps,
                                      seed=args.seed, mode=args.mode,
                                      keep_eta=args.keep_eta)
@@ -313,13 +316,11 @@ def cmd_treesim(args) -> int:
         rep["mode"] = ens.mode
         emit(rep, "increment statistics of bridge-refined paths")
         return EXIT_OK
-    if not 0 <= args.rep < ens.reps:
-        raise ValueError("rep index out of range")
     path = ens.values[args.rep]
     header = "time," + ",".join("w%d" % (i + 1) for i in range(ens.dim))
     print(header)
     for t, row in zip(ens.times, path):
-        print("%.17g," % float(t) + ",".join("%.17g" % v for v in row))
+        print("%.17g," % t + ",".join("%.17g" % v for v in row))
     return EXIT_OK
 
 

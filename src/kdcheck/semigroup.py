@@ -58,13 +58,12 @@ class CovSpec:
 
     ``correlations`` lists ``rho_ij`` for ``i < j`` in row-major order:
     (1,2), (1,3), ..., (1,d), (2,3), ...  The assembled matrix must be
-    positive definite.  ``mean`` defaults to the origin.
+    positive definite.
     """
 
     dim: int
     variances: Tuple[float, ...]
     correlations: Tuple[float, ...] = ()
-    mean: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if not 1 <= self.dim <= 4:
@@ -73,8 +72,6 @@ class CovSpec:
                            tuple(float(v) for v in self.variances))
         object.__setattr__(self, "correlations",
                            tuple(float(r) for r in self.correlations))
-        mean = tuple(float(x) for x in self.mean) if self.mean else (0.0,) * self.dim
-        object.__setattr__(self, "mean", mean)
         if len(self.variances) != self.dim:
             raise ValueError("need one variance per coordinate")
         if any(v <= 0 for v in self.variances):
@@ -85,8 +82,6 @@ class CovSpec:
                              % (n_corr, self.dim))
         if any(not -1 < r < 1 for r in self.correlations):
             raise ValueError("correlations must lie in (-1, 1)")
-        if len(mean) != self.dim:
-            raise ValueError("mean must have one entry per coordinate")
         try:
             np.linalg.cholesky(self.sigma())
         except np.linalg.LinAlgError:
@@ -226,7 +221,7 @@ def inverse_sigma(spec: CovSpec) -> Tuple[np.ndarray, dict]:
 
 
 def kernel_pdf(spec: CovSpec, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Density of ``N(mean, t Sigma)`` as a vectorized callable.
+    """Density of ``N(0, t Sigma)`` as a vectorized callable.
 
     For ``dim == 1`` accepts an (N,) array; otherwise (N, dim).
     """
@@ -237,15 +232,14 @@ def kernel_pdf(spec: CovSpec, t: float) -> Callable[[np.ndarray], np.ndarray]:
     det = det_report["det_closed_form"] * t**d
     inv, _ = inverse_sigma(spec)
     inv = inv / t
-    mean = np.array(spec.mean)
     norm = 1.0 / math.sqrt((2.0 * math.pi) ** d * det)
 
     def pdf(x: np.ndarray) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
         if d == 1:
-            z = pts.reshape(-1, 1) - mean
+            z = pts.reshape(-1, 1)
         else:
-            z = np.atleast_2d(pts) - mean
+            z = np.atleast_2d(pts)
         quad = np.einsum("ni,ij,nj->n", z, inv, z)
         out = norm * np.exp(-0.5 * quad)
         return out if np.ndim(x) else float(out[0])

@@ -2,8 +2,9 @@
 
 Level ``eta`` (even, up to 16) carries the uniform grid with
 ``f(eta) = (eta/2)! * 2**(eta/2)`` steps on [0, 1]; consecutive levels
-nest because ``f(eta+2)/f(eta) = (eta/2 + 1) * 2`` is an integer.  Grid
-times are exact Fractions.
+nest because ``f(eta+2)/f(eta) = (eta/2 + 1) * 2`` is an integer.  Point
+``j`` sits at time ``j / f(eta)``: ``PathEnsemble.times`` holds these as
+correctly rounded floats and ``PathEnsemble.time(j)`` as an exact Fraction.
 
 Standard mode inserts each new grid point by sequential bridge sampling:
 given the current left anchor (a, W_a) and the enclosing right anchor
@@ -18,24 +19,30 @@ and ``(l, l + 1/f(eta-2))`` the enclosing previous-level gap.  That rule
 is not distribution preserving; outputs are flagged nonstandard and no
 statistical claims attach to them.
 
+Both modes share one refinement kernel.  It walks a level in blocks of
+whole gaps, takes one normal draw per block in (gap, position, rep,
+coordinate) order, and fills one position inside every gap of the block
+at once.  That order is the order of a per-point loop over gaps and
+positions, so the random stream does not depend on the block size.
 Replications are simulated in fixed chunks of 256, each chunk seeded by
 ``SeedSequence(seed).spawn``, so results are identical for a fixed
-(seed, reps) no matter how many workers ``KD_THREADS`` allows.
+(seed, reps).  Path arrays are capped at ``MAX_PATH_CELLS`` values, both
+per chunk and as returned, and the cap is checked before simulating.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 MAX_ETA = 16
 CHUNK = 256
+MAX_PATH_CELLS = 2**24
+_BLOCK_NORMALS = 2**16  # per draw; a whole-level draw nearly doubles peak memory
 
 
 def _check_eta(eta: int):
@@ -51,29 +58,27 @@ def grid_factor(eta: int) -> int:
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """Exact uniform grid ``{j / f(eta)}`` on [0, 1]."""
-
-    eta: int
-    factor: int
-    times: Tuple[Fraction, ...]
-
-
-def grid(eta: int) -> TimeGrid:
-    f = grid_factor(eta)
-    return TimeGrid(eta, f, tuple(Fraction(j, f) for j in range(f + 1)))
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
-    """Replicated paths on one grid: values has shape (reps, len(times), dim)."""
+    """Replicated paths on one grid: values has shape (reps, factor + 1, dim)."""
 
     dim: int
     eta: int
-    times: Tuple[Fraction, ...]
     values: np.ndarray
     mode: str
     seed: int
+
+    @property
+    def factor(self) -> int:
+        return grid_factor(self.eta)
+
+    @property
+    def times(self) -> np.ndarray:
+        """Grid times ``j / factor`` as correctly rounded floats."""
+        return np.arange(self.factor + 1) / self.factor
+
+    def time(self, j: int) -> Fraction:
+        """Exact time of grid point ``j``."""
+        return Fraction(j, self.factor)
 
     @property
     def reps(self) -> int:
@@ -87,30 +92,9 @@ class PathEnsemble:
         return self.values[rep]
 
 
-def _refine_standard(vals: np.ndarray, eta_prev: int, eta: int,
-                     rng: np.random.Generator) -> np.ndarray:
+def _refine(vals: np.ndarray, eta_prev: int, eta: int,
+            rng: np.random.Generator, mode: str) -> np.ndarray:
     """One refinement step: (reps, P_prev, d) -> (reps, P_new, d)."""
-    f_prev = grid_factor(eta_prev)
-    f_new = grid_factor(eta)
-    ratio = f_new // f_prev
-    reps, _, d = vals.shape
-    out = np.empty((reps, f_new + 1, d))
-    out[:, ::ratio, :] = vals
-    for g in range(f_prev):
-        left = g * ratio
-        right = (g + 1) * ratio
-        # Sequential bridge fill, left to right inside the gap.
-        for j in range(left + 1, right):
-            a, r = j - 1, right
-            # Times in units of 1/f_new; variance scales accordingly.
-            mean = out[:, a, :] + (out[:, r, :] - out[:, a, :]) / (r - a)
-            var = ((1.0) * (r - j)) / ((r - a) * f_new)
-            out[:, j, :] = mean + math.sqrt(var) * rng.standard_normal((reps, d))
-    return out
-
-
-def _refine_literal(vals: np.ndarray, eta_prev: int, eta: int,
-                    rng: np.random.Generator) -> np.ndarray:
     f_prev = grid_factor(eta_prev)
     f_new = grid_factor(eta)
     ratio = f_new // f_prev
@@ -119,14 +103,26 @@ def _refine_literal(vals: np.ndarray, eta_prev: int, eta: int,
     out[:, ::ratio, :] = vals
     prefac = 1.0 / math.factorial(eta)
     innov = 1.0 / f_new
-    k = 0
-    for g in range(f_prev):
-        left = g * ratio
-        right = (g + 1) * ratio
-        for j in range(left + 1, right):
-            k += 1
-            pair = out[:, left, :] + out[:, right, :]
-            out[:, j, :] = prefac * pair * k + innov * rng.standard_normal((reps, d))
+    step = max(1, _BLOCK_NORMALS // ((ratio - 1) * reps * d))
+    for g0 in range(0, f_prev, step):
+        g1 = min(g0 + step, f_prev)
+        z = rng.standard_normal((g1 - g0, ratio - 1, reps, d))
+        # Gap g spans points g*ratio .. (g+1)*ratio; slices run over the block.
+        left = out[:, g0 * ratio:g1 * ratio:ratio, :]
+        right = out[:, (g0 + 1) * ratio:g1 * ratio + 1:ratio, :]
+        k = np.arange(g0, g1)[None, :, None] * (ratio - 1)
+        for p in range(1, ratio):
+            noise = z[:, p - 1].transpose(1, 0, 2)
+            if mode == "standard":
+                # Sequential bridge fill, left to right inside the gap; times
+                # in units of 1/f_new, variance scales accordingly.
+                prev = out[:, g0 * ratio + p - 1:g1 * ratio:ratio, :]
+                mean = prev + (right - prev) / (ratio - p + 1)
+                var = (ratio - p) / ((ratio - p + 1) * f_new)
+                new = mean + math.sqrt(var) * noise
+            else:
+                new = prefac * (left + right) * (k + p) + innov * noise
+            out[:, g0 * ratio + p:g1 * ratio:ratio, :] = new
     return out
 
 
@@ -135,7 +131,6 @@ def _simulate_levels(dim: int, etas: Sequence[int], reps: int,
                      ) -> Dict[int, np.ndarray]:
     """Coupled paths for every requested level, shared randomness."""
     top = max(etas)
-    refine = _refine_standard if mode == "standard" else _refine_literal
     vals = np.zeros((reps, 2, dim))
     vals[:, 1, :] = rng.standard_normal((reps, dim))
     out = {}
@@ -143,54 +138,42 @@ def _simulate_levels(dim: int, etas: Sequence[int], reps: int,
         out[0] = vals.copy()
     eta = 0
     while eta < top:
-        vals = refine(vals, eta, eta + 2, rng)
+        vals = _refine(vals, eta, eta + 2, rng, mode)
         eta += 2
         if eta in etas:
             out[eta] = vals if eta == top else vals.copy()
     return out
 
 
-def _check_mode(mode: str):
+def _check_args(dim: int, reps: int, mode: str):
     if mode not in ("standard", "paper-literal"):
         raise ValueError("mode must be 'standard' or 'paper-literal'")
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    if reps < 1:
+        raise ValueError("replication count must be >= 1")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("KD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _chunk_sizes(reps: int) -> List[int]:
-    out = [CHUNK] * (reps // CHUNK)
-    if reps % CHUNK:
-        out.append(reps % CHUNK)
-    return out
+def _check_cells(what: str, reps: int, eta: int, dim: int):
+    cells = reps * (grid_factor(eta) + 1) * dim
+    if cells > MAX_PATH_CELLS:
+        raise ValueError("%s of %d path cells exceeds cap %d"
+                         % (what, cells, MAX_PATH_CELLS))
 
 
 def _run_chunks(dim: int, etas: Sequence[int], reps: int, seed: int, mode: str,
-                transform=None) -> Dict:
+                transform) -> Dict:
     """Simulate in fixed chunks and concatenate per-chunk results on axis 0.
 
-    ``transform`` may reduce each chunk's level dict to smaller arrays
-    (same keys across chunks) before assembly.
+    ``transform`` reduces each chunk's level dict to smaller arrays (same
+    keys across chunks) before assembly.
     """
-    sizes = _chunk_sizes(reps)
+    _check_cells("working level", min(reps, CHUNK), max(etas), dim)
+    sizes = [CHUNK] * (reps // CHUNK) + [reps % CHUNK] * (reps % CHUNK > 0)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    def one(idx: int) -> Dict:
-        rng = np.random.default_rng(seeds[idx])
-        levels = _simulate_levels(dim, etas, sizes[idx], rng, mode)
-        return transform(levels) if transform is not None else levels
-
-    workers = _worker_count()
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(len(sizes))))
-    else:
-        parts = [one(i) for i in range(len(sizes))]
+    parts = [transform(_simulate_levels(dim, etas, size, np.random.default_rng(s),
+                                        mode))
+             for size, s in zip(sizes, seeds)]
     return {key: np.concatenate([p[key] for p in parts], axis=0)
             for key in parts[0]}
 
@@ -210,15 +193,12 @@ def simulate_ensemble(dim: int, eta: int, reps: int, seed: int = 0,
     keeps memory at desk scale for large ensembles.
     """
     _check_eta(eta)
-    _check_mode(mode)
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if reps < 1:
-        raise ValueError("replication count must be >= 1")
+    _check_args(dim, reps, mode)
     out_eta = eta if keep_eta is None else keep_eta
     _check_eta(out_eta)
     if out_eta > eta:
         raise ValueError("keep_eta cannot exceed the simulated level")
+    _check_cells("returned level", reps, out_eta, dim)
     ratio = grid_factor(eta) // grid_factor(out_eta)
 
     def keep(levels: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
@@ -227,9 +207,8 @@ def simulate_ensemble(dim: int, eta: int, reps: int, seed: int = 0,
             vals = vals[:, ::ratio, :].copy()
         return {out_eta: vals}
 
-    levels = _run_chunks(dim, [eta], reps, seed, mode, transform=keep)
-    return PathEnsemble(dim, out_eta, grid(out_eta).times, levels[out_eta],
-                        mode, seed)
+    levels = _run_chunks(dim, [eta], reps, seed, mode, keep)
+    return PathEnsemble(dim, out_eta, levels[out_eta], mode, seed)
 
 
 def increment_stats(ensemble: PathEnsemble, eta: Optional[int] = None) -> dict:
@@ -285,7 +264,7 @@ def refinement_delta(dim: int, etas: Sequence[int], seed: int = 0,
     ``sup_t |W_eta(t) - interp(W_{eta-2})(t)|`` over the level-``eta``
     grid is recorded.  Returns shape (reps, len(etas)).
     """
-    _check_mode(mode)
+    _check_args(dim, reps, mode)
     etas = list(etas)
     if not etas:
         raise ValueError("need at least one level")
@@ -312,4 +291,4 @@ def refinement_delta(dim: int, etas: Sequence[int], seed: int = 0,
             out[:, col] = np.abs(fine - interp).max(axis=(1, 2))
         return {"delta": out}
 
-    return _run_chunks(dim, wanted, reps, seed, mode, transform=deltas)["delta"]
+    return _run_chunks(dim, wanted, reps, seed, mode, deltas)["delta"]

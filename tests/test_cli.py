@@ -230,3 +230,28 @@ def test_table_cell_cap_exits_two(capsys, command):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "cells exceeds cap" in err
+
+
+def test_treesim_path_cap_exits_two(capsys, monkeypatch):
+    # 256 paths at eta=16 would need about 21 GB: refused before any level is drawn.
+    from kdcheck import treeproc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated past the cap")
+    monkeypatch.setattr(treeproc, "_simulate_levels", refuse)
+    code, out, err = run_cli(capsys, "treesim", "--eta", "16", "--reps", "256")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "path cells exceeds cap" in err
+
+
+@pytest.mark.parametrize("rep", ["3", "-1"])
+def test_treesim_rep_checked_before_simulating(capsys, monkeypatch, rep):
+    from kdcheck import treeproc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated with a bad --rep")
+    monkeypatch.setattr(treeproc, "simulate_ensemble", refuse)
+    code, out, err = run_cli(capsys, "treesim", "--reps", "3", "--rep", rep)
+    assert code == 2 and out == ""
+    assert err == "error: rep index out of range\n"

@@ -1,13 +1,14 @@
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kdcheck import treeproc
 from kdcheck.treeproc import (
+    CHUNK,
+    MAX_PATH_CELLS,
     PathEnsemble,
-    grid,
     grid_factor,
     increment_stats,
     refinement_delta,
@@ -26,29 +27,41 @@ def test_grid_factor_oracles():
     assert grid_factor(8) == 384
 
 
+def _exact_times(eta):
+    ens = simulate(1, eta)
+    return tuple(ens.time(j) for j in range(ens.factor + 1))
+
+
 def test_grid_contents():
-    g0 = grid(0)
-    assert g0.times == (Fraction(0), Fraction(1))
-    g2 = grid(2)
-    assert g2.times == (Fraction(0), Fraction(1, 2), Fraction(1))
-    g4 = grid(4)
-    assert len(g4.times) == 9
-    assert g4.times[1] == Fraction(1, 8)
+    assert _exact_times(0) == (Fraction(0), Fraction(1))
+    assert _exact_times(2) == (Fraction(0), Fraction(1, 2), Fraction(1))
+    t4 = _exact_times(4)
+    assert len(t4) == 9
+    assert t4[1] == Fraction(1, 8)
 
 
 def test_grids_nest_exactly():
     # factor 8 divides factor 48: every level-4 time appears at level 6
-    t4, t6 = set(grid(4).times), set(grid(6).times)
+    t4, t6 = set(_exact_times(4)), set(_exact_times(6))
     assert t4 <= t6
-    t8 = set(grid(8).times)
+    t8 = set(_exact_times(8))
     assert t6 <= t8
+
+
+@pytest.mark.parametrize("eta", range(0, 12, 2))
+def test_times_are_rounded_exact_times(eta):
+    f = grid_factor(eta)
+    ens = simulate(1, eta)
+    assert ens.factor == f
+    assert np.array_equal(ens.times, [float(Fraction(j, f)) for j in range(f + 1)])
+    assert all(ens.time(j) == Fraction(j, f) for j in range(f + 1))
 
 
 def test_odd_or_large_eta_rejected():
     with pytest.raises(ValueError):
-        grid(3)
+        grid_factor(3)
     with pytest.raises(ValueError):
-        grid(18)
+        grid_factor(18)
     with pytest.raises(ValueError):
         simulate_ensemble(1, 5, 10)
 
@@ -64,16 +77,6 @@ def test_seed_determinism():
     c = simulate_ensemble(1, 6, 40, seed=6)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-
-
-def test_thread_count_does_not_change_values():
-    a = simulate_ensemble(1, 4, 700, seed=5)
-    os.environ["KD_THREADS"] = "4"
-    try:
-        b = simulate_ensemble(1, 4, 700, seed=5)
-    finally:
-        del os.environ["KD_THREADS"]
-    assert np.array_equal(a.values, b.values)
 
 
 def test_terminal_variance_near_one():
@@ -131,5 +134,107 @@ def test_literal_mode_flagged_and_different():
 
 def test_single_path_shape():
     p = simulate(3, 6, seed=10)
-    assert p.values.shape == (1, len(grid(6).times), 3)
-    assert p.path().shape == (len(grid(6).times), 3)
+    assert p.values.shape == (1, grid_factor(6) + 1, 3)
+    assert p.path().shape == (len(p.times), 3)
+
+
+# Reference: the per-(gap, position) loop of the module docstring, one
+# normal draw per new grid point, gaps left to right.
+def _reference_refine(vals, eta_prev, eta, rng, mode):
+    f_prev, f_new = grid_factor(eta_prev), grid_factor(eta)
+    ratio = f_new // f_prev
+    reps, _, d = vals.shape
+    out = np.empty((reps, f_new + 1, d))
+    out[:, ::ratio, :] = vals
+    k = 0
+    for g in range(f_prev):
+        left, right = g * ratio, (g + 1) * ratio
+        for j in range(left + 1, right):
+            k += 1
+            z = rng.standard_normal((reps, d))
+            if mode == "standard":
+                a = j - 1
+                mean = out[:, a, :] + (out[:, right, :] - out[:, a, :]) / (right - a)
+                var = ((1.0) * (right - j)) / ((right - a) * f_new)
+                out[:, j, :] = mean + math.sqrt(var) * z
+            else:
+                pair = out[:, left, :] + out[:, right, :]
+                out[:, j, :] = (1.0 / math.factorial(eta)) * pair * k + (1.0 / f_new) * z
+    return out
+
+
+def _reference_paths(dim, eta, reps, seed, mode):
+    sizes = [CHUNK] * (reps // CHUNK) + ([reps % CHUNK] if reps % CHUNK else [])
+    chunks = []
+    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        rng = np.random.default_rng(child)
+        vals = np.zeros((size, 2, dim))
+        vals[:, 1, :] = rng.standard_normal((size, dim))
+        for e in range(2, eta + 1, 2):
+            vals = _reference_refine(vals, e - 2, e, rng, mode)
+        chunks.append(vals)
+    return np.concatenate(chunks, axis=0)
+
+
+@pytest.mark.parametrize("block", [1, 50, None])
+@pytest.mark.parametrize("mode", ["standard", "paper-literal"])
+@pytest.mark.parametrize("dim,eta,reps,seed", [
+    (1, 10, 257, 0), (2, 4, 700, 3), (3, 8, 5, 1), (1, 10, 2, 2)])
+def test_blocked_kernel_matches_reference(monkeypatch, block, mode, dim, eta,
+                                          reps, seed):
+    # block=1 puts one gap in each block; None keeps the default block size.
+    if block is not None:
+        monkeypatch.setattr(treeproc, "_BLOCK_NORMALS", block)
+    ens = simulate_ensemble(dim, eta, reps, seed=seed, mode=mode)
+    assert np.array_equal(ens.values, _reference_paths(dim, eta, reps, seed, mode))
+
+
+@pytest.mark.parametrize("block", [1, None])
+@pytest.mark.parametrize("mode", ["standard", "paper-literal"])
+def test_refinement_delta_matches_reference_kernel(monkeypatch, block, mode):
+    if block is not None:
+        monkeypatch.setattr(treeproc, "_BLOCK_NORMALS", block)
+    got = refinement_delta(2, [2, 4, 6], seed=3, reps=260, mode=mode)
+    monkeypatch.setattr(treeproc, "_refine", _reference_refine)
+    want = refinement_delta(2, [2, 4, 6], seed=3, reps=260, mode=mode)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,reps", [(0, 4), (1, 0), (2, -1)])
+def test_refinement_delta_validates_sizes(dim, reps):
+    what = "dimension" if dim < 1 else "replication count"
+    with pytest.raises(ValueError, match=what + " must be >= 1"):
+        refinement_delta(dim, [4], reps=reps)
+
+
+class _Simulated(Exception):
+    pass
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _Simulated
+    monkeypatch.setattr(treeproc, "_simulate_levels", refuse)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: simulate_ensemble(1, 16, 256),              # 2.6e9 cells per chunk
+    lambda: simulate_ensemble(2, 16, 1),                # 2.1e7 cells
+    lambda: simulate_ensemble(1, 14, 256, keep_eta=2),  # working level only
+    lambda: simulate_ensemble(1, 12, 400),              # returned level only
+    lambda: refinement_delta(1, [16], reps=2),
+])
+def test_path_cap_checked_before_simulating(no_simulation, call):
+    with pytest.raises(ValueError, match="path cells exceeds cap %d" % MAX_PATH_CELLS):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: simulate_ensemble(1, 12, 256, keep_eta=8),  # 11.8M cells
+    lambda: simulate_ensemble(1, 16, 1),                # 10.3M cells
+    lambda: refinement_delta(1, [16], reps=1),
+])
+def test_path_cap_admits_desk_sizes(no_simulation, call):
+    with pytest.raises(_Simulated):
+        call()
