@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BOUND = 3
 EXIT_BUDGET = 4
+CSV_BLOCK_ROWS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +76,20 @@ def emit(report: dict, anchor: str, check: Optional[str] = None) -> None:
         payload["check"] = check
     payload.update(report)
     print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
+
+
+def _print_csv(header: str, table: np.ndarray) -> None:
+    """Print a header and a float table, every value as ``%.17g``.
+
+    Rows are formatted and written in blocks of ``CSV_BLOCK_ROWS``, which
+    bounds the text held at once for a level-16 path.
+    """
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    out = sys.stdout
+    out.write(header + "\n")
+    for b in range(0, len(table), CSV_BLOCK_ROWS):
+        out.write("".join([row % tuple(r)
+                           for r in table[b:b + CSV_BLOCK_ROWS].tolist()]))
 
 
 def _parse_number(tok: str):
@@ -296,9 +311,7 @@ def cmd_semigroup(args) -> int:
         emit(rep, anchor, check="gaussian-semigroup")
         return EXIT_BOUND if args.assert_bounds and failed else EXIT_OK
     header = ",".join("x%d" % (i + 1) for i in range(spec.dim)) + ",value"
-    print(header)
-    for row, val in zip(pts, values):
-        print(",".join("%.17g" % c for c in row) + ",%.17g" % val)
+    _print_csv(header, np.column_stack([np.array(pts, dtype=float), values]))
     return EXIT_OK
 
 
@@ -306,9 +319,18 @@ def cmd_treesim(args) -> int:
     # Checked before simulating; a bad --reps is named by simulate_ensemble.
     if not args.stats and args.reps >= 1 and not 0 <= args.rep < args.reps:
         raise ValueError("rep index out of range")
-    ens = treeproc.simulate_ensemble(args.dim, args.eta, args.reps,
-                                     seed=args.seed, mode=args.mode,
-                                     keep_eta=args.keep_eta)
+    eta = args.eta
+    if args.keep_eta is not None:
+        # Levels nest, so the kept slice of a level-eta run is the level-keep
+        # run itself: validate both levels, then simulate the kept one only.
+        treeproc.grid_factor(eta)
+        treeproc._check_args(args.dim, args.reps, args.mode)
+        treeproc.grid_factor(args.keep_eta)
+        if args.keep_eta > eta:
+            raise ValueError("keep_eta cannot exceed the simulated level")
+        eta = args.keep_eta
+    ens = treeproc.simulate_ensemble(args.dim, eta, args.reps,
+                                     seed=args.seed, mode=args.mode)
     if args.stats:
         rep = treeproc.increment_stats(ens)
         w1 = ens.values[:, -1, :]
@@ -316,11 +338,8 @@ def cmd_treesim(args) -> int:
         rep["mode"] = ens.mode
         emit(rep, "increment statistics of bridge-refined paths")
         return EXIT_OK
-    path = ens.values[args.rep]
     header = "time," + ",".join("w%d" % (i + 1) for i in range(ens.dim))
-    print(header)
-    for t, row in zip(ens.times, path):
-        print("%.17g," % t + ",".join("%.17g" % v for v in row))
+    _print_csv(header, np.column_stack([ens.times, ens.values[args.rep]]))
     return EXIT_OK
 
 

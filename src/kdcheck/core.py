@@ -306,21 +306,13 @@ class StateDensity:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Schatten norm order ``p >= 1`` plus an optional 1/normalize_by prefactor.
-
-    ``p`` may be ``math.inf`` for the operator norm.  ``normalize_by``
-    divides the norm by the given positive integer (used for distances
-    that carry an inverse alphabet-size factor).
-    """
+    """Schatten norm order ``p >= 1``; ``p`` may be ``math.inf`` (operator norm)."""
 
     p: float = 1
-    normalize_by: int | None = None
 
     def __post_init__(self):
         if not (self.p >= 1):
             raise ValueError("Schatten order must satisfy p >= 1, got %r" % (self.p,))
-        if self.normalize_by is not None and self.normalize_by < 1:
-            raise ValueError("normalize_by must be a positive integer")
 
 
 def _singular_values(x) -> np.ndarray:
@@ -340,8 +332,8 @@ def schatten_norm(x, spec: NormSpec = NormSpec()) -> Scalar:
         A state, a dense (Hermitian or general) matrix, a 1-D array, or a
         sequence of scalars interpreted as a diagonal.  Differences of two
         diagonal states (tuples of rationals) stay exact for p in {1, inf}.
-    spec : NormSpec
-        Order and optional 1/normalize_by prefactor.
+    spec : NormSpec or float
+        Schatten order.
 
     Returns
     -------
@@ -354,42 +346,27 @@ def schatten_norm(x, spec: NormSpec = NormSpec()) -> Scalar:
     if isinstance(x, StateDensity):
         x = x.diag if x.diag is not None else x.mat
     if isinstance(x, np.ndarray) and x.ndim == 2:
-        sv = _singular_values(x)
-        if math.isinf(p):
-            val = float(sv.max()) if sv.size else 0.0
-        elif p == 1:
-            val = float(sv.sum())
-        else:
-            val = float((sv**p).sum() ** (1.0 / p))
-        return val / spec.normalize_by if spec.normalize_by else val
-
-    entries = list(x)
-    if all(_is_rational(e) for e in entries):
-        if p == 1:
-            val = sum(abs(Fraction(e)) for e in entries)
-            val = Fraction(val)
-        elif math.isinf(p):
-            val = max((abs(Fraction(e)) for e in entries), default=Fraction(0))
-        else:
-            val = math.fsum(abs(float(e)) ** p for e in entries) ** (1.0 / p)
-        if spec.normalize_by:
-            return val / spec.normalize_by
-        return val
-    vals = np.abs(np.array([complex(e) for e in entries]))
-    if math.isinf(p):
-        val = float(vals.max()) if vals.size else 0.0
-    elif p == 1:
-        val = float(vals.sum())
+        mags = _singular_values(x)
     else:
-        val = float((vals**p).sum() ** (1.0 / p))
-    return val / spec.normalize_by if spec.normalize_by else val
+        entries = list(x)
+        if all(_is_rational(e) for e in entries):
+            if p == 1:
+                return Fraction(sum(abs(Fraction(e)) for e in entries))
+            if math.isinf(p):
+                return max((abs(Fraction(e)) for e in entries), default=Fraction(0))
+            return math.fsum(abs(float(e)) ** p for e in entries) ** (1.0 / p)
+        mags = np.abs(np.array([complex(e) for e in entries]))
+    if math.isinf(p):
+        return float(mags.max()) if mags.size else 0.0
+    if p == 1:
+        return float(mags.sum())
+    return float((mags**p).sum() ** (1.0 / p))
 
 
 def trace_distance(a, b, spec: NormSpec = NormSpec(p=1)) -> Scalar:
     """Schatten-1 distance between two distributions or two states.
 
-    Exact (Fraction) when both arguments are rational-backed; the optional
-    ``spec.normalize_by`` prefactor is applied to the result.
+    Exact (Fraction) when both arguments are rational-backed.
     """
     if isinstance(a, FiniteDistribution) and isinstance(b, FiniteDistribution):
         if a.alphabet != b.alphabet:

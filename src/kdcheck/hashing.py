@@ -145,7 +145,7 @@ def _member_tables(kind: str, q: int, m: int, k: int, n_params: int) -> np.ndarr
     return out
 
 
-def build_family(kind: str, q, m: int, k: int, seed: Optional[int] = None,
+def build_family(kind: str, q, m: int, k: int,
                  maps: Optional[Sequence[Sequence[int]]] = None) -> HashFamily:
     """Construct a hash family.
 
@@ -160,9 +160,6 @@ def build_family(kind: str, q, m: int, k: int, seed: Optional[int] = None,
         Prime base alphabet size.
     m, k : int
         Input and output string lengths, m >= k >= 1.
-    seed : int, optional
-        Accepted for signature stability; the enumerated kinds are
-        deterministic and ignore it.
     maps : sequence, optional
         Lookup tables for the explicit kind, maps[g][x] = kappa.
     """

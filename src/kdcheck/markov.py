@@ -13,8 +13,10 @@ Gauss-Jordan elimination (Bareiss 1968) of ``[I - rP | I]`` into
 ``[det * I | adj]``, memoised on the immutable ``TransitionMatrix``.  It
 needs no pivoting, because each pivot is a leading principal minor of
 ``I - rP`` and equals 1 at ``r = 0``.  Matrix powers (``n_step``,
-``first_return``) never use it, so the series of a resolvent can be
-checked against powers computed independently.
+``first_return``, ``period``) never use it, so the series of a resolvent
+can be checked against powers computed independently.  ``first_return``
+and ``period`` read the diagonals of ``P, P^2, ...``, which each chain
+grows once from one running product ``P^m = P^(m-1) P`` and memoises.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -284,6 +285,21 @@ class TransitionMatrix:
     def _det_adj(self) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
         return _det_adjugate(self.rows)
 
+    @cached_property
+    def _power_memo(self) -> list:
+        """``[P^m, [diag(P^1), ..., diag(P^m)]]`` for the largest m read."""
+        return [None, []]
+
+    def _diagonals(self, n: int) -> List[Tuple[Fraction, ...]]:
+        """Diagonals of ``P^1 .. P^n``, extending the memoised running product."""
+        memo = self._power_memo
+        power, diags = memo
+        while len(diags) < n:
+            power = self.rows if power is None else _mat_mul(power, self.rows)
+            diags.append(tuple(power[i][i] for i in range(self.n)))
+        memo[0] = power
+        return diags[:n]
+
 
 def _det_adjugate(rows) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
     """``det(I - rP)`` and ``adj(I - rP)`` from one fraction-free elimination.
@@ -329,15 +345,6 @@ def _mat_mul(a, b):
     ]
 
 
-def _powers(P: TransitionMatrix) -> Iterator[List[List[Fraction]]]:
-    """Successive powers ``P, P^2, P^3, ...`` by repeated multiplication."""
-    base = [list(row) for row in P.rows]
-    power = base
-    while True:
-        yield power
-        power = _mat_mul(power, base)
-
-
 def n_step(P, n: int):
     """Exact ``n``-step transition matrix as nested Fraction tuples."""
     P = _as_matrix(P)
@@ -368,7 +375,7 @@ def first_return(P, i: int, n_max: int) -> Tuple[Fraction, ...]:
         raise ValueError("state index out of range")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    diag = [Fraction(1)] + [power[i][i] for power in islice(_powers(P), n_max)]
+    diag = [Fraction(1)] + [d[i] for d in P._diagonals(n_max)]
     theta = []
     for n in range(1, n_max + 1):
         acc = diag[n]
@@ -430,8 +437,8 @@ def period(P, i: int) -> int:
     """
     P = _as_matrix(P)
     g = 0
-    for n, power in enumerate(islice(_powers(P), P.n), start=1):
-        if power[i][i] > 0:
+    for n, d in enumerate(P._diagonals(P.n), start=1):
+        if d[i] > 0:
             g = math.gcd(g, n)
     return g
 

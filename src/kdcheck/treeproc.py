@@ -24,6 +24,10 @@ whole gaps, takes one normal draw per block in (gap, position, rep,
 coordinate) order, and fills one position inside every gap of the block
 at once.  That order is the order of a per-point loop over gaps and
 positions, so the random stream does not depend on the block size.
+Refinement copies every existing point and draws only for new ones, so
+the level-k points of a level-eta path are the level-k path itself, bit
+for bit: a coarse level is the slice ``values[:, ::f(eta) // f(k)]`` of
+a finer one, and each call simulates one level only.
 Replications are simulated in fixed chunks of 256, each chunk seeded by
 ``SeedSequence(seed).spawn``, so results are identical for a fixed
 (seed, reps).  Path arrays are capped at ``MAX_PATH_CELLS`` values, both
@@ -35,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -126,23 +130,14 @@ def _refine(vals: np.ndarray, eta_prev: int, eta: int,
     return out
 
 
-def _simulate_levels(dim: int, etas: Sequence[int], reps: int,
-                     rng: np.random.Generator, mode: str
-                     ) -> Dict[int, np.ndarray]:
-    """Coupled paths for every requested level, shared randomness."""
-    top = max(etas)
+def _simulate_chunk(dim: int, eta: int, reps: int, rng: np.random.Generator,
+                    mode: str) -> np.ndarray:
+    """Level-``eta`` paths of one chunk, refined up from level 0."""
     vals = np.zeros((reps, 2, dim))
     vals[:, 1, :] = rng.standard_normal((reps, dim))
-    out = {}
-    if 0 in etas:
-        out[0] = vals.copy()
-    eta = 0
-    while eta < top:
-        vals = _refine(vals, eta, eta + 2, rng, mode)
-        eta += 2
-        if eta in etas:
-            out[eta] = vals if eta == top else vals.copy()
-    return out
+    for e in range(2, eta + 1, 2):
+        vals = _refine(vals, e - 2, e, rng, mode)
+    return vals
 
 
 def _check_args(dim: int, reps: int, mode: str):
@@ -161,21 +156,16 @@ def _check_cells(what: str, reps: int, eta: int, dim: int):
                          % (what, cells, MAX_PATH_CELLS))
 
 
-def _run_chunks(dim: int, etas: Sequence[int], reps: int, seed: int, mode: str,
-                transform) -> Dict:
-    """Simulate in fixed chunks and concatenate per-chunk results on axis 0.
+def _chunks(dim: int, eta: int, reps: int, seed: int, mode: str):
+    """Level-``eta`` paths in fixed chunks, each simulated when it is reached.
 
-    ``transform`` reduces each chunk's level dict to smaller arrays (same
-    keys across chunks) before assembly.
+    The working-level cap is checked here, before any chunk is drawn.
     """
-    _check_cells("working level", min(reps, CHUNK), max(etas), dim)
+    _check_cells("working level", min(reps, CHUNK), eta, dim)
     sizes = [CHUNK] * (reps // CHUNK) + [reps % CHUNK] * (reps % CHUNK > 0)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    parts = [transform(_simulate_levels(dim, etas, size, np.random.default_rng(s),
-                                        mode))
-             for size, s in zip(sizes, seeds)]
-    return {key: np.concatenate([p[key] for p in parts], axis=0)
-            for key in parts[0]}
+    return (_simulate_chunk(dim, eta, size, np.random.default_rng(s), mode)
+            for size, s in zip(sizes, seeds))
 
 
 def simulate(dim: int, eta: int, seed: int = 0, mode: str = "standard"
@@ -185,30 +175,13 @@ def simulate(dim: int, eta: int, seed: int = 0, mode: str = "standard"
 
 
 def simulate_ensemble(dim: int, eta: int, reps: int, seed: int = 0,
-                      mode: str = "standard", keep_eta: Optional[int] = None
-                      ) -> PathEnsemble:
-    """Replicated paths; ``keep_eta`` returns the coarser subgrid only.
-
-    Simulation always runs to level ``eta``; restricting the returned grid
-    keeps memory at desk scale for large ensembles.
-    """
+                      mode: str = "standard") -> PathEnsemble:
+    """Replicated paths on the level-``eta`` grid."""
     _check_eta(eta)
     _check_args(dim, reps, mode)
-    out_eta = eta if keep_eta is None else keep_eta
-    _check_eta(out_eta)
-    if out_eta > eta:
-        raise ValueError("keep_eta cannot exceed the simulated level")
-    _check_cells("returned level", reps, out_eta, dim)
-    ratio = grid_factor(eta) // grid_factor(out_eta)
-
-    def keep(levels: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-        vals = levels[eta]
-        if ratio > 1:
-            vals = vals[:, ::ratio, :].copy()
-        return {out_eta: vals}
-
-    levels = _run_chunks(dim, [eta], reps, seed, mode, keep)
-    return PathEnsemble(dim, out_eta, levels[out_eta], mode, seed)
+    _check_cells("returned level", reps, eta, dim)
+    values = np.concatenate(list(_chunks(dim, eta, reps, seed, mode)), axis=0)
+    return PathEnsemble(dim, eta, values, mode, seed)
 
 
 def increment_stats(ensemble: PathEnsemble, eta: Optional[int] = None) -> dict:
@@ -259,8 +232,9 @@ def refinement_delta(dim: int, etas: Sequence[int], seed: int = 0,
                      reps: int = 1, mode: str = "standard") -> np.ndarray:
     """Sup deviation of each level from the previous level's interpolant.
 
-    For each ``eta`` in ``etas`` (even, >= 2) the coupled pair
-    ``(W_{eta-2}, W_eta)`` is simulated with shared randomness and
+    Paths are simulated once, to level ``max(etas)``.  For each ``eta``
+    in ``etas`` (even, >= 2) the coupled pair ``(W_{eta-2}, W_eta)`` is
+    read as two slices of them and
     ``sup_t |W_eta(t) - interp(W_{eta-2})(t)|`` over the level-``eta``
     grid is recorded.  Returns shape (reps, len(etas)).
     """
@@ -272,14 +246,14 @@ def refinement_delta(dim: int, etas: Sequence[int], seed: int = 0,
         _check_eta(eta)
         if eta < 2:
             raise ValueError("refinement levels start at 2")
-    wanted = sorted({e for eta in etas for e in (eta - 2, eta)})
+    top = max(etas)
 
-    def deltas(levels: Dict[int, np.ndarray]) -> Dict[str, np.ndarray]:
-        chunk_reps = levels[wanted[0]].shape[0]
-        out = np.empty((chunk_reps, len(etas)))
+    def deltas(vals: np.ndarray) -> np.ndarray:
+        out = np.empty((vals.shape[0], len(etas)))
         for col, eta in enumerate(etas):
-            coarse = levels[eta - 2]
-            fine = levels[eta]
+            # Both levels are slices of the level-top path (levels nest).
+            coarse = vals[:, ::grid_factor(top) // grid_factor(eta - 2), :]
+            fine = vals[:, ::grid_factor(top) // grid_factor(eta), :]
             ratio = grid_factor(eta) // grid_factor(eta - 2)
             # Linear interpolation of the coarse path onto the fine grid.
             idx = np.arange(fine.shape[1])
@@ -289,6 +263,7 @@ def refinement_delta(dim: int, etas: Sequence[int], seed: int = 0,
             interp = (coarse[:, g, :] * (1.0 - frac)[None, :, None]
                       + coarse[:, g_next, :] * frac[None, :, None])
             out[:, col] = np.abs(fine - interp).max(axis=(1, 2))
-        return {"delta": out}
+        return out
 
-    return _run_chunks(dim, wanted, reps, seed, mode, deltas)["delta"]
+    chunks = _chunks(dim, top, reps, seed, mode)
+    return np.concatenate([deltas(vals) for vals in chunks], axis=0)

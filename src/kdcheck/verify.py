@@ -473,7 +473,7 @@ def check_entropy_suite() -> dict:
 
 def check_tree_process() -> dict:
     reps = 10**4
-    ens = treeproc.simulate_ensemble(3, 8, reps, seed=0, keep_eta=4)
+    ens = treeproc.simulate_ensemble(3, 4, reps, seed=0)
     w1 = ens.values[:, -1, :]
     variances = w1.var(axis=0, ddof=1)
     var_ok = bool(np.all((variances >= 0.95) & (variances <= 1.05)))

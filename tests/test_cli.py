@@ -238,11 +238,53 @@ def test_treesim_path_cap_exits_two(capsys, monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("simulated past the cap")
-    monkeypatch.setattr(treeproc, "_simulate_levels", refuse)
+    monkeypatch.setattr(treeproc, "_simulate_chunk", refuse)
     code, out, err = run_cli(capsys, "treesim", "--eta", "16", "--reps", "256")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "path cells exceeds cap" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--dim", "2", "--seed", "1"],
+    ["--reps", "300", "--rep", "299", "--mode", "paper-literal"],
+    ["--reps", "300", "--seed", "2", "--stats"],
+])
+def test_treesim_keep_eta_prints_the_kept_level(capsys, extra):
+    kept = run_cli(capsys, "treesim", "--eta", "10", "--keep-eta", "4", *extra)
+    direct = run_cli(capsys, "treesim", "--eta", "4", *extra)
+    assert kept[0] == 0 and kept == direct
+
+
+@pytest.mark.parametrize("eta,keep", [("16", "8"), ("14", "2"), ("12", "8")])
+def test_treesim_keep_eta_admitted_past_working_cap(capsys, monkeypatch, eta, keep):
+    # A level-eta chunk of 256 paths may exceed the cap; only the kept level
+    # is simulated, so the call is admitted and never refines past it.
+    from kdcheck import treeproc
+
+    levels = []
+    refine = treeproc._refine
+
+    def spy(vals, eta_prev, eta_new, rng, mode):
+        levels.append(eta_new)
+        return refine(vals, eta_prev, eta_new, rng, mode)
+    monkeypatch.setattr(treeproc, "_refine", spy)
+    rep = run_json(capsys, "treesim", "--eta", eta, "--reps", "256",
+                   "--keep-eta", keep, "--stats")
+    assert rep["eta"] == int(keep)
+    assert max(levels) == int(keep)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--eta", "5"], "level must be even and lie in 0..16, got 5"),
+    (["--eta", "18", "--keep-eta", "4"], "level must be even and lie in 0..16, got 18"),
+    (["--eta", "8", "--keep-eta", "3"], "level must be even and lie in 0..16, got 3"),
+    (["--eta", "8", "--keep-eta", "10"], "keep_eta cannot exceed the simulated level"),
+    (["--reps", "0", "--keep-eta", "10"], "replication count must be >= 1"),
+])
+def test_treesim_level_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, "treesim", *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("rep", ["3", "-1"])

@@ -283,3 +283,21 @@ def test_one_elimination_per_chain(monkeypatch):
 def test_resolvent_state_out_of_range(i, j):
     with pytest.raises(ValueError):
         resolvent(SPARSE_CHAINS["absorbing5"], i, j)
+
+
+def test_one_power_sequence_per_chain(monkeypatch):
+    # markov_report and every state's first_return share one running product.
+    products = []
+    mat_mul = markov._mat_mul
+
+    def spy(a, b):
+        products.append(1)
+        return mat_mul(a, b)
+    monkeypatch.setattr(markov, "_mat_mul", spy)
+    chain = TransitionMatrix.build(
+        [[0, 1, 0], ["1/2", 0, "1/2"], ["1/3", "1/3", "1/3"]])
+    markov_report(chain, 0, series_terms=8)
+    for i in range(chain.n):
+        first_return(chain, i, 8)
+        period(chain, i)
+    assert len(products) == 8 - 1

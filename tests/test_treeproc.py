@@ -111,12 +111,17 @@ def test_increment_stats_rejects_literal_mode():
         increment_stats(ens)
 
 
-def test_keep_eta_subsamples_grid():
-    full = simulate_ensemble(1, 8, 30, seed=7)
-    kept = simulate_ensemble(1, 8, 30, seed=7, keep_eta=4)
-    assert kept.eta == 4 and kept.values.shape[1] == 9
-    ratio = grid_factor(8) // grid_factor(4)
-    assert np.array_equal(kept.values, full.values[:, ::ratio, :])
+def test_coarse_level_is_a_slice_of_the_finest():
+    # Refinement copies existing points and draws only new ones, so a level-k
+    # run is the level-k slice of a level-eta run with the same seed.
+    for mode in ("standard", "paper-literal"):
+        for dim, k, eta, reps, seed in [(1, 4, 8, 30, 7), (2, 2, 8, 257, 1),
+                                        (3, 0, 6, 600, 2), (1, 6, 10, 257, 3),
+                                        (2, 8, 8, 30, 4)]:
+            fine = simulate_ensemble(dim, eta, reps, seed=seed, mode=mode)
+            kept = simulate_ensemble(dim, k, reps, seed=seed, mode=mode)
+            ratio = grid_factor(eta) // grid_factor(k)
+            assert np.array_equal(kept.values, fine.values[:, ::ratio])
 
 
 def test_refinement_deltas_shrink():
@@ -215,13 +220,13 @@ class _Simulated(Exception):
 def no_simulation(monkeypatch):
     def refuse(*args, **kwargs):
         raise _Simulated
-    monkeypatch.setattr(treeproc, "_simulate_levels", refuse)
+    monkeypatch.setattr(treeproc, "_simulate_chunk", refuse)
 
 
 @pytest.mark.parametrize("call", [
     lambda: simulate_ensemble(1, 16, 256),              # 2.6e9 cells per chunk
     lambda: simulate_ensemble(2, 16, 1),                # 2.1e7 cells
-    lambda: simulate_ensemble(1, 14, 256, keep_eta=2),  # working level only
+    lambda: refinement_delta(1, [14], reps=256),        # working level only
     lambda: simulate_ensemble(1, 12, 400),              # returned level only
     lambda: refinement_delta(1, [16], reps=2),
 ])
@@ -231,7 +236,7 @@ def test_path_cap_checked_before_simulating(no_simulation, call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: simulate_ensemble(1, 12, 256, keep_eta=8),  # 11.8M cells
+    lambda: simulate_ensemble(1, 12, 256),              # 11.8M cells
     lambda: simulate_ensemble(1, 16, 1),                # 10.3M cells
     lambda: refinement_delta(1, [16], reps=1),
 ])
