@@ -10,7 +10,6 @@ semigroups, and bridge-refined path ensembles.
 from .core import (
     Alphabet,
     FiniteDistribution,
-    NormSpec,
     StateDensity,
     format_rational,
     parse_rational,
@@ -22,7 +21,6 @@ from .core import (
 )
 from .entropy import (
     ContinuousDensity,
-    DivergenceOrder,
     aep_convergence,
     aep_estimate,
     differential_entropy,
@@ -97,13 +95,12 @@ from .treeproc import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "FiniteDistribution", "NormSpec", "StateDensity",
-    "format_rational", "parse_rational", "schatten_norm", "tensor",
-    "tensor_power", "total_variation", "trace_distance",
-    "ContinuousDensity", "DivergenceOrder", "aep_convergence",
-    "aep_estimate", "differential_entropy", "divergence_report",
-    "entropy_report", "min_entropy", "renyi_divergence", "renyi_entropy",
-    "shannon_entropy",
+    "Alphabet", "FiniteDistribution", "StateDensity", "format_rational",
+    "parse_rational", "schatten_norm", "tensor", "tensor_power",
+    "total_variation", "trace_distance",
+    "ContinuousDensity", "aep_convergence", "aep_estimate",
+    "differential_entropy", "divergence_report", "entropy_report",
+    "min_entropy", "renyi_divergence", "renyi_entropy", "shannon_entropy",
     "HashFamily", "build_family", "collision_bound",
     "collision_probability", "is_universal", "joint_state", "lhl_bound",
     "lhl_distance", "lhl_report", "max_key_length", "verify_universality",

@@ -304,17 +304,6 @@ class StateDensity:
         return "StateDensity(dim=%d, %s, trace=%s)" % (self.dim, kind, self.trace())
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Schatten norm order ``p >= 1``; ``p`` may be ``math.inf`` (operator norm)."""
-
-    p: float = 1
-
-    def __post_init__(self):
-        if not (self.p >= 1):
-            raise ValueError("Schatten order must satisfy p >= 1, got %r" % (self.p,))
-
-
 def _singular_values(x) -> np.ndarray:
     m = np.asarray(x, dtype=complex)
     scale = max(1.0, float(np.abs(m).max()))
@@ -323,7 +312,7 @@ def _singular_values(x) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def schatten_norm(x, spec: NormSpec = NormSpec()) -> Scalar:
+def schatten_norm(x, p: float = 1) -> Scalar:
     """Schatten p-norm ``(sum_i s_i^p)^(1/p)`` of an operator or diagonal.
 
     Parameters
@@ -332,17 +321,16 @@ def schatten_norm(x, spec: NormSpec = NormSpec()) -> Scalar:
         A state, a dense (Hermitian or general) matrix, a 1-D array, or a
         sequence of scalars interpreted as a diagonal.  Differences of two
         diagonal states (tuples of rationals) stay exact for p in {1, inf}.
-    spec : NormSpec or float
-        Schatten order.
+    p : float
+        Schatten order ``p >= 1``; ``math.inf`` is the operator norm.
 
     Returns
     -------
     Fraction or float
         Exact when the input is rational and p in {1, inf}; float otherwise.
     """
-    if not isinstance(spec, NormSpec):
-        spec = NormSpec(p=spec)
-    p = spec.p
+    if not (p >= 1):
+        raise ValueError("Schatten order must satisfy p >= 1, got %r" % (p,))
     if isinstance(x, StateDensity):
         x = x.diag if x.diag is not None else x.mat
     if isinstance(x, np.ndarray) and x.ndim == 2:
@@ -363,7 +351,7 @@ def schatten_norm(x, spec: NormSpec = NormSpec()) -> Scalar:
     return float((mags**p).sum() ** (1.0 / p))
 
 
-def trace_distance(a, b, spec: NormSpec = NormSpec(p=1)) -> Scalar:
+def trace_distance(a, b, p: float = 1) -> Scalar:
     """Schatten-1 distance between two distributions or two states.
 
     Exact (Fraction) when both arguments are rational-backed.
@@ -372,9 +360,9 @@ def trace_distance(a, b, spec: NormSpec = NormSpec(p=1)) -> Scalar:
         if a.alphabet != b.alphabet:
             raise ValueError("distributions live on different alphabets")
         diff = tuple(x - y for x, y in zip(a.weights, b.weights))
-        return schatten_norm(diff, spec)
+        return schatten_norm(diff, p)
     if isinstance(a, StateDensity) and isinstance(b, StateDensity):
-        return schatten_norm(a - b, spec)
+        return schatten_norm(a - b, p)
     raise ValueError("trace_distance expects two distributions or two states")
 
 
@@ -456,6 +444,15 @@ def distribution_to_json(f: FiniteDistribution) -> dict:
     }
 
 
+def _json_number(x) -> Scalar:
+    """A JSON weight: "num/den" strings and ints exact, other numbers float."""
+    if isinstance(x, bool):
+        raise ValueError("weights must be numbers, got %r" % x)
+    if isinstance(x, (str, int)):
+        return Fraction(x)
+    return float(x)
+
+
 def distribution_from_json(obj: dict) -> FiniteDistribution:
     """Inverse of :func:`distribution_to_json`; floats allowed for the float backend."""
     try:
@@ -464,17 +461,7 @@ def distribution_from_json(obj: dict) -> FiniteDistribution:
         raw = obj["weights"]
     except (KeyError, TypeError) as exc:
         raise ValueError("distribution JSON needs 'alphabet' and 'weights'") from exc
-    weights: list = []
-    for w in raw:
-        if isinstance(w, str):
-            weights.append(Fraction(w))
-        elif isinstance(w, bool):
-            raise ValueError("weights must be numbers, got %r" % w)
-        elif isinstance(w, int):
-            weights.append(Fraction(w))
-        else:
-            weights.append(float(w))
-    return FiniteDistribution(alphabet, weights)
+    return FiniteDistribution(alphabet, [_json_number(w) for w in raw])
 
 
 def state_to_json(s: StateDensity) -> dict:
@@ -488,15 +475,7 @@ def state_to_json(s: StateDensity) -> dict:
 
 def state_from_json(obj: dict) -> StateDensity:
     if "diag" in obj:
-        entries = []
-        for d in obj["diag"]:
-            if isinstance(d, str):
-                entries.append(Fraction(d))
-            elif isinstance(d, int) and not isinstance(d, bool):
-                entries.append(Fraction(d))
-            else:
-                entries.append(float(d))
-        return StateDensity.from_diag(entries)
+        return StateDensity.from_diag([_json_number(d) for d in obj["diag"]])
     if "matrix" in obj:
         rows = obj["matrix"]
         n = len(rows)

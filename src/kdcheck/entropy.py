@@ -15,9 +15,8 @@ the number of symbols, so the uniform distribution has entropy one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,21 +29,8 @@ KL_WINDOW = 1e-9
 INF_THRESHOLD = 1e9
 
 
-@dataclass(frozen=True)
-class DivergenceOrder:
-    """Order parameter ``alpha >= 0``; ``math.inf`` is the max-ratio order."""
-
-    alpha: float
-
-    def __post_init__(self):
-        a = self.alpha
-        if not (a >= 0):
-            raise ValueError("divergence order must satisfy alpha >= 0, got %r" % (a,))
-
-
 def _order_value(order) -> float:
-    if isinstance(order, DivergenceOrder):
-        return order.alpha
+    """``alpha >= 0`` as a float; ``math.inf`` is the max-ratio order."""
     a = float(order)
     if not a >= 0:
         raise ValueError("divergence order must satisfy alpha >= 0, got %r" % (order,))
@@ -128,7 +114,7 @@ def _divergence_with_method(
 def renyi_divergence(
     f: FiniteDistribution,
     f_plus: FiniteDistribution,
-    order: Union[DivergenceOrder, float],
+    order: float,
     base=None,
 ) -> float:
     """Order-``alpha`` divergence of ``f`` from ``f_plus``, base ``|A|`` digits.
@@ -137,7 +123,7 @@ def renyi_divergence(
     ----------
     f, f_plus : FiniteDistribution
         Distributions on a common alphabet; ``f_plus`` is the reference.
-    order : DivergenceOrder or float
+    order : float
         ``alpha >= 0``; ``math.inf`` gives the max-ratio order.  Orders
         within 1e-9 of 1 dispatch to the KL limit.
     base : Alphabet, int, float, optional
@@ -182,7 +168,7 @@ def _entropy_with_method(
 
 
 def renyi_entropy(
-    f: FiniteDistribution, order: Union[DivergenceOrder, float], base=None
+    f: FiniteDistribution, order: float, base=None
 ) -> float:
     """Order-``alpha`` entropy, base defaulting to the symbol count.
 

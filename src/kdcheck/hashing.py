@@ -1,9 +1,11 @@
 """Universal hash families over prime fields and exact key-uniformity bounds.
 
 Symbols are integers in ``[0, q**m)`` identified with little-endian base-q
-digit vectors (digit 0 is the least significant).  A family is one
+digit vectors (digit 0 is the least significant).  A family is its one
 ``(|G|, q**m)`` lookup table, built for every member at once as
-``(hash matrices @ digit matrix) % q`` read back as keys.  Probabilities
+``(hash matrices @ digit matrix) % q`` read back as keys and held as the
+only copy; ``HashFamily.maps`` rebuilds it as int tuples on each read, for
+reference code that indexes members one at a time.  Probabilities
 are integer sums: the input weights are scaled by their common
 denominator ``D``, each (key, member) cell of the joint law sums integer
 numerators over the one denominator ``|G| D``, and distances and
@@ -57,49 +59,48 @@ def _check_shape(q: int, m: int, k: int) -> None:
         raise ValueError("need m >= k >= 1, got m=%d k=%d" % (m, k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HashFamily:
     """Finite family of maps ``[0, q**m) -> [0, q**k)`` with uniform seeding.
 
-    ``maps[g][x]`` is the output of member ``g`` on symbol ``x``; ``table``
-    holds the same values as one array.  ``zeta`` is ``log_q |G|`` when
-    that is exact (all enumerated kinds), else None; bound formulas use
-    ``1/|G|`` directly so an inexact zeta never enters the arithmetic.
+    ``table[g, x]`` is the output of member ``g`` on symbol ``x``: one
+    read-only ``(|G|, q**m)`` array of the narrowest unsigned dtype, and
+    the family's only copy.  ``zeta`` is ``log_q |G|`` when that is exact
+    (all enumerated kinds), else None; bound formulas use ``1/|G|``
+    directly so an inexact zeta never enters the arithmetic.
     """
 
     q: int
     m: int
     k: int
     kind: str
-    maps: Tuple[Tuple[int, ...], ...]
+    table: np.ndarray
 
     def __post_init__(self):
         _check_shape(self.q, self.m, self.k)
-        if not self.maps:
+        table = np.asarray(self.table)
+        if not table.size:
             raise ValueError("family must be nonempty")
-        n_in = self.q**self.m
-        if any(len(t) != n_in for t in self.maps):
-            raise ValueError("each map needs %d entries" % n_in)
-        self.table  # checks every output and memoises the array
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """Read-only ``(|G|, q**m)`` array of ``maps``, narrowest unsigned dtype."""
+        if table.ndim != 2 or table.shape[1] != self.q**self.m:
+            raise ValueError("each map needs %d entries" % self.q**self.m)
         n_out = self.q**self.k
-        out = np.empty((len(self.maps), self.q**self.m),
-                       dtype=np.min_scalar_type(n_out - 1))
-        step = max(1, CHUNK_CELLS // out.shape[1])
-        for lo in range(0, len(out), step):
-            rows = np.array(self.maps[lo:lo + step])
-            if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n_out:
-                raise ValueError("map output out of range [0, %d)" % n_out)
-            out[lo:lo + step] = rows
-        out.flags.writeable = False
-        return out
+        if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= n_out:
+            raise ValueError("map output out of range [0, %d)" % n_out)
+        narrow = np.min_scalar_type(n_out - 1)
+        if table.dtype != narrow or table.flags.writeable or not table.flags.owndata:
+            # A private copy: nobody else can write the validated outputs.
+            table = table.astype(narrow)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    @property
+    def maps(self) -> Tuple[Tuple[int, ...], ...]:
+        """``table`` as a tuple of int tuples, built anew on each read."""
+        return tuple(map(tuple, self.table.tolist()))
 
     @property
     def group_size(self) -> int:
-        return len(self.maps)
+        return len(self.table)
 
     @property
     def zeta(self) -> Optional[Fraction]:
@@ -110,14 +111,6 @@ class HashFamily:
             g //= self.q
             e += 1
         return Fraction(e) if g == 1 else None
-
-    @property
-    def input_alphabet(self) -> Alphabet:
-        return Alphabet(self.q, self.m)
-
-    @property
-    def output_alphabet(self) -> Alphabet:
-        return Alphabet(self.q, self.k)
 
 
 def _member_tables(kind: str, q: int, m: int, k: int, n_params: int) -> np.ndarray:
@@ -142,6 +135,7 @@ def _member_tables(kind: str, q: int, m: int, k: int, n_params: int) -> np.ndarr
         matrices = (params.reshape(-1, k, m) if kind == "linear"
                     else params[:, diagonals])
         out[lo:lo + len(members)] = key_place @ (matrices @ digit_matrix % q)
+    out.flags.writeable = False  # HashFamily keeps it without a copy
     return out
 
 
@@ -176,12 +170,14 @@ def build_family(kind: str, q, m: int, k: int,
         if size * q**m > MAX_TABLE_CELLS:
             raise ValueError("%s family table of %d cells exceeds cap %d"
                              % (label, size * q**m, MAX_TABLE_CELLS))
-        table = _member_tables(kind, q, m, k, n_params)
-        return HashFamily(q, m, k, kind, tuple(tuple(row.tolist()) for row in table))
+        return HashFamily(q, m, k, kind, _member_tables(kind, q, m, k, n_params))
     if kind == "explicit":
         if maps is None:
             raise ValueError("explicit kind requires lookup tables")
-        return HashFamily(q, m, k, "explicit", tuple(tuple(t) for t in maps))
+        _check_shape(q, m, k)
+        if any(len(t) != q**m for t in maps):
+            raise ValueError("each map needs %d entries" % q**m)
+        return HashFamily(q, m, k, "explicit", np.array(maps))
     raise ValueError("unknown family kind %r" % kind)
 
 

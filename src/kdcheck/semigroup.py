@@ -32,6 +32,7 @@ from .quadrature import MAX_TOTAL_NODES, tensor_rule
 DET_CROSS_TOL = 1e-10
 INV_CROSS_TOL = 1e-10
 DEFAULT_MC_SAMPLES = 10**6
+MC_SE_BOUND = 3.0  # Monte Carlo compositions pass below this many standard errors
 
 HERMITE_NODES = 40
 ESTIMATE_TOL = 1e-6
@@ -404,8 +405,7 @@ def apply(
     if method == "quadrature":
         return _hermite_average(f, t, _cholesky(spec), pts, nodes)[0]
     if method == "mc":
-        chol = np.linalg.cholesky(spec.sigma())
-        scaled = math.sqrt(t) * chol
+        scaled = math.sqrt(t) * _cholesky(spec)
         seeds = np.random.SeedSequence(seed).spawn(pts.shape[0])
         out = np.empty(pts.shape[0])
         for i, x in enumerate(pts):
@@ -431,6 +431,7 @@ def check_semigroup(
     seed: int = 0,
     nodes: Optional[int] = None,
     samples: int = 200_000,
+    tol: float = 1e-6,
 ) -> dict:
     """Compare ``P_s(P_t f)`` with ``P_{s+t} f`` at the query points.
 
@@ -438,7 +439,8 @@ def check_semigroup(
     the direct route ``P_{s+t} f``, then nests the two averaging sums at
     that fixed count.  Monte Carlo mode draws the two increments
     independently and reports the deviation in units of the combined
-    standard error.
+    standard error.  ``value``, ``bound`` and ``passed`` give the verdict
+    against ``tol`` (quadrature) or ``MC_SE_BOUND`` (Monte Carlo).
     """
     if s <= 0 or t <= 0:
         raise ValueError("both times must be positive")
@@ -451,16 +453,19 @@ def check_semigroup(
         inner_rule = _whitened_rule(chol, t, n)
         inner = lambda y: _average(f, _as_points(y, d), *inner_rule)
         lhs = _average(inner, pts, *_whitened_rule(chol, s, n))
-        gap = np.abs(lhs - rhs)
+        dev = float(np.abs(lhs - rhs).max())
         return {
             "method": "quadrature",
-            "max_abs_deviation": float(gap.max()),
+            "max_abs_deviation": dev,
+            "value": dev,
+            "bound": tol,
+            "passed": dev <= tol,
             **_rule_report(n, estimate),
             "lhs": lhs.tolist(),
             "rhs": rhs.tolist(),
         }
     if method == "mc":
-        chol = np.linalg.cholesky(spec.sigma())
+        chol = _cholesky(spec)
         seeds = np.random.SeedSequence(seed).spawn(pts.shape[0])
         max_dev_se = 0.0
         max_dev = 0.0
@@ -482,6 +487,9 @@ def check_semigroup(
             "max_abs_deviation": max_dev,
             "max_deviation_in_se": max_dev_se,
             "samples": samples,
+            "value": max_dev_se,
+            "bound": MC_SE_BOUND,
+            "passed": max_dev_se < MC_SE_BOUND,
         }
     raise ValueError("method must be 'quadrature' or 'mc'")
 

@@ -140,6 +140,128 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert rep["phi"] == "10/16" or rep["phi"] == "5/8"
 
 
+CSV_ARGV = [
+    ("treesim", "--dim", "2", "--eta", "4", "--seed", "1"),
+    ("semigroup", "--variances", "1,2", "--correlations", "0.3",
+     "--points", ";".join("%d,0.5" % i for i in range(10))),
+]
+
+
+@pytest.mark.parametrize("argv", CSV_ARGV + [("phi", "--n", "3")],
+                         ids=["treesim", "semigroup", "phi"])
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    path = tmp_path / "report"
+    code, printed, _ = run_cli(capsys, *argv)
+    code2, out, _ = run_cli(capsys, *argv, "--output", str(path))
+    assert code == code2 == 0 and out == ""
+    assert path.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ("treesim", "--eta", "16", "--reps", "256"),
+    ("semigroup", "--variances", "1", "--nodes", "1"),
+], ids=["path-cap", "nodes"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_run_leaves_output_path_as_it_was(capsys, tmp_path, argv, existing):
+    path = tmp_path / "report"
+    if existing:
+        path.write_text("an earlier report\n")
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    if existing:
+        assert path.read_text() == "an earlier report\n"
+    else:
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("markov", "--matrix", "{path}", "--state", "0", "--output", "{path}"),
+    ("quantum-lhl", "--q", "2", "--m", "2", "--k", "1",
+     "--ensemble", "{path}", "--output", "{path}"),
+], ids=["markov", "quantum-lhl"])
+def test_output_may_name_the_input(capsys, tmp_path, argv):
+    path = tmp_path / "data.json"
+    inputs = {
+        "markov": {"rows": [["0", "1"], ["1", "0"]]},
+        "quantum-lhl": {
+            "prior": {"alphabet": {"size": 2, "power": 2},
+                      "weights": ["1/2", "1/4", "1/8", "1/8"]},
+            "states": [{"dim": 2, "diag": d} for d in
+                       (["3/4", "1/4"], ["1/4", "3/4"], ["1", "0"], ["0", "1"])]},
+    }
+    path.write_text(json.dumps(inputs[argv[0]]))
+    argv = [a.format(path=path) for a in argv]
+    code, printed, err = run_cli(capsys, *argv[:-2])
+    assert code == 0, err
+    path.write_text(json.dumps(inputs[argv[0]]))
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert path.read_text() == printed
+
+
+def _fail_after_writing(args):
+    print("partial report")
+    raise ValueError("late failure")
+
+
+@pytest.mark.parametrize("target", ["file", "symlink", "fifo"])
+def test_late_failure_removes_only_a_regular_output(capsys, monkeypatch,
+                                                     tmp_path, target):
+    import os
+    import threading
+
+    from kdcheck import cli
+
+    monkeypatch.setattr(cli, "cmd_phi", _fail_after_writing)
+    path = tmp_path / "report"
+    drained = []
+    if target == "symlink":
+        (tmp_path / "real").write_text("")
+        path.symlink_to(tmp_path / "real")
+    elif target == "fifo":
+        os.mkfifo(path)
+        reader = threading.Thread(target=lambda: drained.append(path.read_text()),
+                                  daemon=True)
+        reader.start()
+    code, out, err = run_cli(capsys, "phi", "--n", "2", "--output", str(path))
+    # The error that ended the run is the one reported.
+    assert (code, out, err) == (2, "", "error: late failure\n")
+    if target == "file":
+        assert not path.exists()
+    else:
+        assert os.path.lexists(path)
+    if target == "fifo":
+        reader.join(10)
+        assert drained == ["partial report\n"]
+
+
+@pytest.mark.parametrize("argv", CSV_ARGV, ids=["treesim", "semigroup"])
+def test_csv_blocks_do_not_change_bytes(capsys, monkeypatch, argv):
+    from kdcheck import cli
+
+    whole = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+    assert run_cli(capsys, *argv) == whole and whole[1].count("\n") > 7
+
+
+def test_mc_compose_judged_in_standard_errors(capsys, monkeypatch):
+    argv = ("semigroup", "--variances", "1", "--compose", "0.3,0.5",
+            "--method", "mc", "--samples", "20000", "--points", "0",
+            "--assert-bounds")
+    code, out, _ = run_cli(capsys, *argv)
+    rep = json.loads(out)
+    assert code == 0 and rep["value"] == rep["max_deviation_in_se"] < 3
+    assert rep["bound"] == 3 and rep["max_abs_deviation"] > 1e-6
+
+    from kdcheck import semigroup
+    # The CLI reads the verdict that check_semigroup gives.
+    inner = semigroup.check_semigroup
+    monkeypatch.setattr(semigroup, "check_semigroup", lambda *a, **k: {
+        **inner(*a, **k), "value": 3.0, "passed": False})
+    code, out, _ = run_cli(capsys, *argv)
+    rep = json.loads(out)
+    assert code == 3 and rep["value"] == rep["bound"] == 3 and "passed" not in rep
+
+
 def test_verify_filter_lhl(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--filter", "lhl")
     assert code == 0
@@ -178,7 +300,8 @@ def test_file_errors_exit_two(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
-def test_cross_route_disagreement_exits_two(capsys, monkeypatch):
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
+def test_cross_route_disagreement_exits_two(capsys, monkeypatch, method):
     from kdcheck import semigroup
 
     def disagree(spec):
@@ -186,7 +309,8 @@ def test_cross_route_disagreement_exits_two(capsys, monkeypatch):
 
     monkeypatch.setattr(semigroup, "build_sigma", disagree)
     code, out, err = run_cli(capsys, "semigroup", "--variances", "1.0",
-                             "--function", "gauss", "--points", "0")
+                             "--function", "gauss", "--points", "0",
+                             "--method", method)
     assert code == 2 and out == ""
     assert err == "error: determinant routes disagree\n"
 

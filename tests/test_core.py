@@ -124,6 +124,8 @@ def test_schatten_norms():
     assert schatten_norm(s, math.inf) == Fraction(3, 4)
     v = np.array([3.0, 4.0])
     assert abs(schatten_norm(v, 2) - 5.0) < 1e-12
+    with pytest.raises(ValueError, match="p >= 1"):
+        schatten_norm(v, 0.5)
 
 
 def test_tensor_and_power():
@@ -211,3 +213,12 @@ def test_state_json_roundtrip():
     m = StateDensity.from_matrix(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
     m2 = state_from_json(state_to_json(m))
     assert np.allclose(m.to_matrix(), m2.to_matrix())
+
+
+@pytest.mark.parametrize("read,obj", [
+    (distribution_from_json, {"alphabet": {"size": 2}, "weights": [True, 0]}),
+    (state_from_json, {"diag": [True, 0]}),
+])
+def test_json_readers_reject_booleans(read, obj):
+    with pytest.raises(ValueError, match="must be numbers"):
+        read(obj)

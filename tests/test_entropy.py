@@ -274,7 +274,7 @@ def test_point_mass_entropy_zero():
 
 
 def test_invalid_orders_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha >= 0"):
         renyi_entropy(STAIRS, -0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha >= 0"):
         renyi_divergence(F34, U2, -1.0)

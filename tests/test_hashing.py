@@ -261,8 +261,14 @@ def assert_joint_exact(f, family):
     ("linear", 2, 3, 2), ("linear", 3, 2, 1), ("linear", 5, 2, 1),
     ("toeplitz", 2, 4, 2), ("toeplitz", 3, 3, 2), ("toeplitz", 5, 2, 2),
 ])
-def test_build_family_tables_and_member_order(kind, q, m, k):
+def test_build_family_tables_and_member_order(kind, q, m, k, monkeypatch):
+    built = []
+    member_tables = hashing._member_tables
+    monkeypatch.setattr(hashing, "_member_tables",
+                        lambda *a: built.append(member_tables(*a)) or built[-1])
     fam = build_family(kind, q, m, k)
+    # The built array is the family's only copy; maps are made on read.
+    assert np.shares_memory(fam.table, built[0]) and "maps" not in vars(fam)
     ref = brute_tables(kind, q, m, k)
     assert fam.maps == ref
     assert all(type(v) is int for t in fam.maps for v in t)
@@ -297,6 +303,13 @@ def test_explicit_maps_exact():
     fam = build_family("explicit", 3, 2, 1, maps=maps)
     assert fam.maps == tuple(map(tuple, maps))
     assert fam.table.tolist() == maps
+    # A caller's writeable array is copied: writing it later leaves the
+    # validated family as it was.
+    own = np.array(maps, dtype=np.uint8)
+    direct = hashing.HashFamily(3, 2, 1, "explicit", own)
+    own[0, 0] = 7
+    assert not np.shares_memory(direct.table, own) and own.flags.writeable
+    assert direct.table.tolist() == maps and not direct.table.flags.writeable
     f = FiniteDistribution(Alphabet(3, 2), tuple(
         Fraction(r, 20) for r in (0, 5, 1, 0, 4, 2, 3, 5, 0)))
     assert_joint_exact(f, fam)
@@ -308,6 +321,11 @@ def test_explicit_maps_exact():
 def test_explicit_maps_rejected(maps):
     with pytest.raises(ValueError):
         build_family("explicit", 2, 2, 1, maps=maps)
+
+
+def test_explicit_ragged_maps_name_the_length():
+    with pytest.raises(ValueError, match="each map needs 4 entries"):
+        build_family("explicit", 2, 2, 1, maps=[[0, 1, 0, 1], [0, 1]])
 
 
 @pytest.mark.parametrize("kind,q,m,k", [
