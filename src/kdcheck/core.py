@@ -28,6 +28,7 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-9
 SUM_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
+MAX_SYMBOLS = 2**20  # random distributions draw one weight per symbol
 
 Scalar = Union[Fraction, float]
 
@@ -176,6 +177,9 @@ class FiniteDistribution:
     ) -> "FiniteDistribution":
         """Random exact distribution: integer weights in [1, max_weight], normalized."""
         n = alphabet.num_symbols
+        if n > MAX_SYMBOLS:
+            raise ValueError("random distribution over %d symbols exceeds MAX_SYMBOLS = %d"
+                             % (n, MAX_SYMBOLS))
         raw = rng.integers(1, max_weight + 1, size=n)
         total = int(raw.sum())
         return cls(alphabet, [Fraction(int(r), total) for r in raw])

@@ -387,14 +387,14 @@ def lhl_report(f: FiniteDistribution, family: HashFamily,
 
     Distance and collision probability are read from one joint law.
 
-    All comparisons are exact: the distance bound ``q**-((h_plus-k)/2)``
-    is checked in squared form ``distance**2 <= q**(k-2) * (q**-h_plus)``
-    ... more precisely through the tightening chain
+    The distance bound ``q**-((h_plus-k)/2)`` is checked in squared form,
+    as is each step of the tightening chain
 
-    ``distance <= q**(k/2-1) sqrt(|G| P_col - q**-k) <= q**((k-h_plus)/2-1)``,
+    ``distance <= q**(k/2-1) sqrt(|G| P_col - q**-k) <= q**((k-h_plus)/2-1)``.
 
-    each step compared with rational squares.  ``precondition_met`` records
-    ``h_plus <= h_min`` (the entropy floor assumption).
+    The squares are rationals when ``h_plus`` is an integer or the default
+    ``h_min``, else floats (``exact_comparison`` false).  ``precondition_met``
+    records ``h_plus <= h_min`` (the entropy floor assumption).
     """
     _require_exact(f)
     q, k = family.q, family.k

@@ -1,22 +1,23 @@
 """Return-time generating functions of finite Markov chains, exactly.
 
-Transition matrices carry ``Fraction`` entries.  The n-step return
-probabilities, the first-return sequence, the resolvent entries
-``[(I - rP)^-1]_{i,j}`` as rational functions of ``r``, and the
+A chain is held as ``P = A/D``: ``D`` is the lcm of the entry
+denominators and ``A`` an integer matrix.  The n-step and first-return
+probabilities, the resolvent entries ``[(I - rP)^-1]_{i,j}`` and the
 first-return generating function ``Theta_{i,i}(r) = 1 - 1/P_{i,i}(r)``
-are all computed in exact arithmetic; only the radius of convergence
+are computed over the integers, and a ``Fraction`` is built only when a
+value leaves the module.  A ``RationalFunction`` is canonical: coprime
+integer polynomials whose coefficients have gcd 1, with a positive
+leading coefficient in the denominator.  Only the radius of convergence
 (smallest pole magnitude) goes through floating point root finding,
 polished by Newton steps.
 
 All resolvent entries of a chain come from one fraction-free
-Gauss-Jordan elimination (Bareiss 1968) of ``[I - rP | I]`` into
-``[det * I | adj]``, memoised on the immutable ``TransitionMatrix``.  It
-needs no pivoting, because each pivot is a leading principal minor of
-``I - rP`` and equals 1 at ``r = 0``.  Matrix powers (``n_step``,
-``first_return``, ``period``) never use it, so the series of a resolvent
-can be checked against powers computed independently.  ``first_return``
-and ``period`` read the diagonals of ``P, P^2, ...``, which each chain
-grows once from one running product ``P^m = P^(m-1) P`` and memoises.
+Gauss-Jordan elimination (Bareiss 1968) of ``[D*I - rA | I]``, memoised
+on the immutable ``TransitionMatrix``.  Matrix powers (``n_step``,
+``first_return``, ``period``, ``is_irreducible``) never use it, so the
+series of a resolvent can be checked against powers computed
+independently.  The last three read ``A, A^2, ...``, which each chain
+grows once from one running product ``A^m = A^(m-1) A`` and memoises.
 """
 
 from __future__ import annotations
@@ -33,13 +34,23 @@ NEWTON_TOL = 1e-12
 NEWTON_STEPS = 60
 
 
+def _quo(a, b):
+    """``a / b`` exactly, kept an int when ``b`` divides the int ``a``."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return Fraction(a, b)
+
+
 class Poly:
-    """Univariate polynomial with Fraction coefficients, ascending order."""
+    """Univariate polynomial, ascending order; int coefficients stay ints
+    and any other coefficient is held as a Fraction."""
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs: Sequence = ()):
-        c = [Fraction(x) for x in coeffs]
+        c = [x if isinstance(x, int) else Fraction(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.c = tuple(c)
@@ -51,10 +62,6 @@ class Poly:
     @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
 
     def is_zero(self) -> bool:
         return not self.c
@@ -84,9 +91,7 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return Poly([x * other for x in self.c])
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
+        out = [0] * (len(self.c) + len(other.c) - 1)
         for i, a in enumerate(self.c):
             if a:
                 for j, b in enumerate(other.c):
@@ -99,16 +104,10 @@ class Poly:
     def divmod(self, other: "Poly") -> Tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.c)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.c) + 1)
-        d = other.c
-        while len(rem) >= len(d) and any(rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            shift = len(rem) - len(d)
-            coef = rem[-1] / d[-1]
-            q[shift] = coef
+        rem, d = list(self.c), other.c
+        q = [0] * max(0, len(rem) - len(d) + 1)
+        for shift in reversed(range(len(q))):
+            coef = q[shift] = _quo(rem[-1], d[-1])
             for i, b in enumerate(d):
                 rem[shift + i] -= coef * b
             rem.pop()
@@ -126,20 +125,11 @@ class Poly:
             out = out * r + (c if isinstance(r, (int, Fraction)) else float(c))
         return out
 
-    def eval_complex(self, z: complex) -> complex:
-        out = 0j
-        for c in reversed(self.c):
-            out = out * z + complex(c)
-        return out
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.c)][1:])
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
         lead = self.c[-1]
-        return Poly([x / lead for x in self.c])
+        return Poly([_quo(x, lead) for x in self.c])
 
     def __repr__(self) -> str:
         return "Poly(%s)" % (poly_str(self),)
@@ -149,6 +139,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
     return a.monic() if not a.is_zero() else a
+
+
+def _primitive(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
+    """``num`` and ``den`` times the one rational that makes all their
+    coefficients integers with gcd 1 and ``den``'s leading one positive."""
+    cs = num.c + den.c
+    lcm = math.lcm(*(x.denominator for x in cs))
+    g = math.gcd(*(x.numerator for x in cs))
+    if den.c[-1] < 0:
+        g = -g
+    return tuple(Poly([x.numerator * (lcm // x.denominator) // g for x in p.c])
+                 for p in (num, den))
 
 
 def poly_str(p: Poly, var: str = "r") -> str:
@@ -162,25 +164,17 @@ def poly_str(p: Poly, var: str = "r") -> str:
         a = abs(c)
         if k == 0:
             s = str(a)
-        else:
-            v = var if k == 1 else "%s^%d" % (var, k)
-            if a == 1:
-                s = v
-            elif a.denominator == 1:
-                s = "%d%s" % (a.numerator, v)
-            elif a.numerator == 1:
-                s = "%s/%d" % (v, a.denominator)
-            else:
-                s = "%d%s/%d" % (a.numerator, v, a.denominator)
-        if not out:
-            out = ("-" if c < 0 else "") + s
-        else:
-            out += ("-" if c < 0 else "+") + s
+        else:  # like 3r^2/4, with a numerator or denominator of 1 left out
+            s = ("%d" % a.numerator if a.numerator != 1 else "") \
+                + (var if k == 1 else "%s^%d" % (var, k)) \
+                + ("/%d" % a.denominator if a.denominator != 1 else "")
+        out += ("-" if c < 0 else "+" if out else "") + s
     return out
 
 
 class RationalFunction:
-    """Quotient of two polynomials, gcd-reduced with a monic denominator."""
+    """Quotient of two coprime integer polynomials whose coefficients have
+    gcd 1, with a positive leading coefficient in the denominator."""
 
     __slots__ = ("num", "den")
 
@@ -189,15 +183,8 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num.is_zero():
             g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        lead = den.c[-1]
-        if lead != 1:
-            num = num * (Fraction(1) / lead)
-            den = den.monic()
-        self.num = num
-        self.den = den
+            num, den = num.exact_div(g), den.exact_div(g)
+        self.num, self.den = _primitive(num, den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFunction)
@@ -205,17 +192,21 @@ class RationalFunction:
 
     def series(self, n: int) -> Tuple[Fraction, ...]:
         """First ``n + 1`` Taylor coefficients at 0; needs ``den(0) != 0``."""
-        d0 = self.den.eval(Fraction(0))
+        num, den = self.num.c, self.den.c
+        d0 = den[0]
         if d0 == 0:
             raise ValueError("series expansion needs den(0) != 0")
-        num, den = self.num.c, self.den.c
-        out = []
+        # s[j] = d0**(j+1) * (coefficient j) is an integer, and
+        # s[j] = num[j] d0**j - sum_i den[i] d0**(i-1) s[j-i].
+        pw = [d0**k for k in range(n + 2)]
+        w = [den[i] * pw[i - 1] for i in range(1, len(den))]
+        s = []
         for j in range(n + 1):
-            acc = num[j] if j < len(num) else Fraction(0)
-            for i in range(1, min(j, len(den) - 1) + 1):
-                acc -= den[i] * out[j - i]
-            out.append(acc / d0)
-        return tuple(out)
+            acc = num[j] * pw[j] if j < len(num) else 0
+            for i in range(1, min(j, len(w)) + 1):
+                acc -= w[i - 1] * s[j - i]
+            s.append(acc)
+        return tuple(Fraction(v, pw[j + 1]) for j, v in enumerate(s))
 
     def eval(self, r) -> Fraction:
         d = self.den.eval(r)
@@ -224,12 +215,10 @@ class RationalFunction:
         return self.num.eval(r) / d
 
     def display(self, var: str = "r") -> str:
-        """Human form with the denominator scaled to constant term 1."""
-        num, den = self.num, self.den
-        d0 = den.eval(Fraction(0))
-        if d0 != 0:
-            num = num * (Fraction(1) / d0)
-            den = den * (Fraction(1) / d0)
+        """Human form with the denominator scaled to constant term 1, or to
+        leading coefficient 1 when its constant term is 0."""
+        scale = Fraction(1, self.den.c[0] or self.den.c[-1])
+        num, den = self.num * scale, self.den * scale
         if den == Poly.one():
             return poly_str(num, var)
         return "(%s)/(%s)" % (poly_str(num, var), poly_str(den, var))
@@ -265,21 +254,14 @@ class TransitionMatrix:
         return len(self.rows)
 
     def is_irreducible(self) -> bool:
-        n = self.n
-        # Reachability in both directions via BFS on positive entries.
-        def reach(start, forward: bool) -> set:
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in range(n):
-                    edge = self.rows[u][v] if forward else self.rows[v][u]
-                    if edge > 0 and v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            return seen
+        """Every state reaches every state, itself included, within n steps."""
+        powers = self._powers(self.n)
+        return all(any(a[i][j] for a in powers)
+                   for i in range(self.n) for j in range(self.n))
 
-        return all(len(reach(s, True)) == n for s in range(n))
+    @cached_property
+    def _scaled(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        return _scale_rows(self.rows)
 
     @cached_property
     def _det_adj(self) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
@@ -287,33 +269,39 @@ class TransitionMatrix:
 
     @cached_property
     def _power_memo(self) -> list:
-        """``[P^m, [diag(P^1), ..., diag(P^m)]]`` for the largest m read."""
-        return [None, []]
+        """``[A^1, ..., A^m]`` for the largest m read."""
+        return [self._scaled[1]]
 
-    def _diagonals(self, n: int) -> List[Tuple[Fraction, ...]]:
-        """Diagonals of ``P^1 .. P^n``, extending the memoised running product."""
+    def _powers(self, n: int) -> List[Tuple[Tuple[int, ...], ...]]:
+        """``A^1 .. A^n``, extending the memoised running product."""
         memo = self._power_memo
-        power, diags = memo
-        while len(diags) < n:
-            power = self.rows if power is None else _mat_mul(power, self.rows)
-            diags.append(tuple(power[i][i] for i in range(self.n)))
-        memo[0] = power
-        return diags[:n]
+        while len(memo) < n:
+            memo.append(_mat_mul(memo[-1], memo[0]))
+        return memo[:n]
+
+
+def _scale_rows(rows) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """``(D, A)`` with ``rows = A/D``: D the lcm of the entry denominators."""
+    d = math.lcm(*(p.denominator for row in rows for p in row))
+    return d, tuple(tuple(p.numerator * (d // p.denominator) for p in row)
+                    for row in rows)
 
 
 def _det_adjugate(rows) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
-    """``det(I - rP)`` and ``adj(I - rP)`` from one fraction-free elimination.
+    """``det(D*I - rA)`` and ``D * adj(D*I - rA)``, whose quotient is
+    ``(I - rP)^-1``, from one fraction-free elimination over the integers.
 
-    Bareiss's Gauss-Jordan form reduces ``[I - rP | I]`` to
+    Bareiss's Gauss-Jordan form reduces ``[D*I - rA | I]`` to
     ``[det * I | adj]``; every division is exact.  No pivoting is needed:
-    the k-th pivot is the k-th leading principal minor of ``I - rP``, which
-    is 1 at ``r = 0`` and so never the zero polynomial.
+    the k-th pivot is the k-th leading principal minor of ``D*I - rA``,
+    which is ``D**k`` at ``r = 0`` and so never the zero polynomial.
     """
-    n = len(rows)
+    d, a = _scale_rows(rows)
+    n = len(a)
     m = [
-        [Poly((int(a == b), -rows[a][b])) for b in range(n)]
-        + [Poly((int(a == b),)) for b in range(n)]
-        for a in range(n)
+        [Poly((d * (i == j), -a[i][j])) for j in range(n)]
+        + [Poly((int(i == j),)) for j in range(n)]
+        for i in range(n)
     ]
     prev = Poly.one()
     for k in range(n):
@@ -327,7 +315,7 @@ def _det_adjugate(rows) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
                 for j in range(2 * n)
             ]
         prev = pivot
-    return prev, tuple(tuple(row[n:]) for row in m)
+    return prev, tuple(tuple(p * d for p in row[n:]) for row in m)
 
 
 def _as_matrix(P) -> TransitionMatrix:
@@ -338,11 +326,8 @@ def _as_matrix(P) -> TransitionMatrix:
 
 def _mat_mul(a, b):
     n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), start=Fraction(0))
-         for j in range(n)]
-        for i in range(n)
-    ]
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
 
 
 def n_step(P, n: int):
@@ -350,9 +335,8 @@ def n_step(P, n: int):
     P = _as_matrix(P)
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    size = P.n
-    out = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    base = [list(row) for row in P.rows]
+    d, base = P._scaled
+    out = tuple(tuple(int(i == j) for j in range(P.n)) for i in range(P.n))
     k = n
     while k:
         if k & 1:
@@ -360,7 +344,8 @@ def n_step(P, n: int):
         k >>= 1
         if k:
             base = _mat_mul(base, base)
-    return tuple(tuple(row) for row in out)
+    scale = d**n
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in out)
 
 
 def first_return(P, i: int, n_max: int) -> Tuple[Fraction, ...]:
@@ -369,28 +354,27 @@ def first_return(P, i: int, n_max: int) -> Tuple[Fraction, ...]:
     Computed by peeling the renewal identity: the n-step return splits
     over the time of first return, so
     ``theta^(n) = P^n_{i,i} - sum_{m=1}^{n-1} theta^(m) P^(n-m)_{i,i}``.
+    Scaled by ``D**n``, it runs on the integer diagonals of ``A^n``.
     """
     P = _as_matrix(P)
     if not 0 <= i < P.n:
         raise ValueError("state index out of range")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    diag = [Fraction(1)] + [d[i] for d in P._diagonals(n_max)]
+    diag = [1] + [a[i][i] for a in P._powers(n_max)]
     theta = []
     for n in range(1, n_max + 1):
-        acc = diag[n]
-        for m in range(1, n):
-            acc -= theta[m - 1] * diag[n - m]
-        theta.append(acc)
-    return tuple(theta)
+        theta.append(diag[n] - sum(theta[m - 1] * diag[n - m] for m in range(1, n)))
+    d = P._scaled[0]
+    return tuple(Fraction(t, d**n) for n, t in enumerate(theta, start=1))
 
 
 def resolvent(P, i: int, j: int) -> RationalFunction:
     """Entry ``[(I - rP)^-1]_{i,j}`` as a reduced rational function of ``r``.
 
-    The entry is ``adj(I - rP)[i][j] / det(I - rP)``.  Both come from a
-    single fraction-free elimination per ``TransitionMatrix``, memoised on
-    the object, so a sweep over all entries of one chain eliminates once.
+    Both parts of the entry come from a single fraction-free elimination
+    per ``TransitionMatrix``, memoised on the object, so a sweep over all
+    entries of one chain eliminates once.
     """
     P = _as_matrix(P)
     if not (0 <= i < P.n and 0 <= j < P.n):
@@ -405,22 +389,32 @@ def theta_gf(P, i: int) -> RationalFunction:
     return RationalFunction(pii.num - pii.den, pii.num)
 
 
+def _horner(coeffs: Sequence[float], z: complex) -> complex:
+    """Value at ``z`` of the polynomial with descending ``coeffs``."""
+    out = 0j
+    for c in coeffs:
+        out = out * z + c
+    return out
+
+
 def radius_of_convergence(rf: RationalFunction) -> float:
     """Smallest pole magnitude of the reduced function; ``inf`` if entire."""
     den = rf.den
     if den.degree < 1:
         return math.inf
-    coeffs = [float(c) for c in den.c]
-    roots = np.roots(coeffs[::-1])
-    dp = den.derivative()
+    # Root finding and Newton run on the monic denominator and its
+    # derivative, each coefficient rounded once from its exact value.
+    lead = den.c[-1]
+    monic = [c / lead for c in reversed(den.c)]
+    deriv = [k * c / lead for k, c in enumerate(den.c)][:0:-1]
     best = math.inf
-    for z in roots:
+    for z in np.roots(monic):
         z = complex(z)
         for _ in range(NEWTON_STEPS):
-            d = dp.eval_complex(z)
+            d = _horner(deriv, z)
             if d == 0:
                 break
-            step = den.eval_complex(z) / d
+            step = _horner(monic, z) / d
             z -= step
             if abs(step) < NEWTON_TOL:
                 break
@@ -436,9 +430,11 @@ def period(P, i: int) -> int:
     is sufficient.
     """
     P = _as_matrix(P)
+    if not 0 <= i < P.n:
+        raise ValueError("state index out of range")
     g = 0
-    for n, d in enumerate(P._diagonals(P.n), start=1):
-        if d[i] > 0:
+    for n, a in enumerate(P._powers(P.n), start=1):
+        if a[i][i]:
             g = math.gcd(g, n)
     return g
 

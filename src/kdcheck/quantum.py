@@ -183,10 +183,7 @@ def _diagonals_in_common_basis(ensemble: Ensemble):
     """Weighted operators as diagonal vectors: exact Fractions or floats."""
     if ensemble.exact:
         return [ensemble.weighted(x) for x in range(len(ensemble.states))], None
-    mats = [np.asarray(ensemble.weighted(x), dtype=complex)
-            if not isinstance(ensemble.weighted(x), tuple)
-            else np.diag([float(v) for v in ensemble.weighted(x)]).astype(complex)
-            for x in range(len(ensemble.states))]
+    mats = [ensemble.weighted(x) for x in range(len(ensemble.states))]
     if all(np.abs(m - np.diag(np.diag(m))).max() < COMMUTE_TOL for m in mats):
         return [tuple(float(np.real(d)) for d in np.diag(m)) for m in mats], None
     basis = _common_eigenbasis(mats)
@@ -220,10 +217,7 @@ def pretty_good_measurement(ensemble: Ensemble) -> Povm:
     s = (vecs * inv_sqrt) @ vecs.conj().T
     elements = []
     for x in range(len(ensemble.states)):
-        wx = ensemble.weighted(x)
-        if isinstance(wx, tuple):
-            wx = np.diag([float(v) for v in wx]).astype(complex)
-        g = s @ wx @ s
+        g = s @ ensemble.weighted(x) @ s
         elements.append(0.5 * (g + g.conj().T))
     rank_deficient = bool((evals <= PINV_CUTOFF).any())
     return Povm(ensemble.dim, tuple(elements), exact=False,

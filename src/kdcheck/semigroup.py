@@ -405,6 +405,8 @@ def apply(
     if method == "quadrature":
         return _hermite_average(f, t, _cholesky(spec), pts, nodes)[0]
     if method == "mc":
+        if samples < 1:
+            raise ValueError("Monte Carlo needs samples >= 1, got %d" % samples)
         scaled = math.sqrt(t) * _cholesky(spec)
         seeds = np.random.SeedSequence(seed).spawn(pts.shape[0])
         out = np.empty(pts.shape[0])
@@ -465,6 +467,9 @@ def check_semigroup(
             "rhs": rhs.tolist(),
         }
     if method == "mc":
+        if samples < 2:
+            raise ValueError("a Monte Carlo standard error needs samples >= 2, got %d"
+                             % samples)
         chol = _cholesky(spec)
         seeds = np.random.SeedSequence(seed).spawn(pts.shape[0])
         max_dev_se = 0.0

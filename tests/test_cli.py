@@ -421,3 +421,27 @@ def test_treesim_rep_checked_before_simulating(capsys, monkeypatch, rep):
     code, out, err = run_cli(capsys, "treesim", "--reps", "3", "--rep", rep)
     assert code == 2 and out == ""
     assert err == "error: rep index out of range\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--samples", "1", "--compose", "0.3,0.5", "--assert-bounds"],
+     "a Monte Carlo standard error needs samples >= 2, got 1"),
+    (["--samples", "0"], "Monte Carlo needs samples >= 1, got 0"),
+])
+def test_mc_sample_count_checked_before_drawing(capsys, monkeypatch, argv, message):
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew samples with a bad --samples")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    code, out, err = run_cli(capsys, "semigroup", "--variances", "1", "--method", "mc",
+                             "--points", "0", *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_random_distribution_symbol_cap_exits_two(capsys):
+    # 2**40 symbols would need 8 TiB of weights: refused before any is drawn.
+    code, out, err = run_cli(capsys, "entropy", "--random", "2", "--alphabet-power", "40")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds MAX_SYMBOLS" in err

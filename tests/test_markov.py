@@ -301,3 +301,96 @@ def test_one_power_sequence_per_chain(monkeypatch):
         first_return(chain, i, 8)
         period(chain, i)
     assert len(products) == 8 - 1
+
+
+def test_period_state_out_of_range():
+    chain = TransitionMatrix.build([[0, 1, 0], [1, 0, 0], ["1/2", 0, "1/2"]])
+    assert [period(chain, i) for i in range(3)] == [2, 2, 1]
+    for i in (-1, chain.n):
+        with pytest.raises(ValueError, match="state index out of range"):
+            period(chain, i)
+
+
+def random_sparse_chain(rng, n):
+    rows = []
+    for _ in range(n):
+        raw = [int(v) * int(rng.random() < 0.5) for v in rng.integers(1, 10, size=n)]
+        raw[int(rng.integers(n))] += 1
+        rows.append([Fraction(v, sum(raw)) for v in raw])
+    return TransitionMatrix.build(rows)
+
+
+def test_integer_elimination_and_powers():
+    # The kernels run on P = A/D: every coefficient and every memoised
+    # power entry is a Python int, never a Fraction.
+    chains = [TransitionMatrix(c.rows) for c in SPARSE_CHAINS.values()]
+    chains.append(random_sparse_chain(np.random.default_rng(5), 6))
+    for chain in chains:
+        det, adj = markov._det_adjugate(chain.rows)
+        coeffs = [c for p in [det] + [p for row in adj for p in row] for c in p.c]
+        assert coeffs and all(type(c) is int for c in coeffs)
+        first_return(chain, 0, 10)
+        memo = chain._power_memo
+        assert len(memo) == 10
+        assert all(type(x) is int for power in memo for row in power for x in row)
+
+
+def test_rational_function_canonical_form():
+    p = Poly([frac(1), frac(-1, 2), frac(3, 4)])
+    q = Poly([frac(2), frac(0), frac(-5, 3), frac(1, 6)])
+    forms = [RationalFunction(p * 2, q * 2), RationalFunction(p * frac(1, 3), q * frac(1, 3)),
+             RationalFunction(-p, -q), RationalFunction(p, q)]
+    assert all(rf == forms[0] for rf in forms)
+    for rf in forms:
+        coeffs = rf.num.c + rf.den.c
+        assert all(type(c) is int for c in coeffs)
+        assert math.gcd(*coeffs) == 1 and rf.den.c[-1] > 0
+    assert forms[0].num.c == (12, -6, 9) and forms[0].den.c == (24, 0, -20, 2)
+    assert forms[0].eval(1) == Fraction(15, 6) and type(forms[0].eval(1)) is Fraction
+
+
+def test_display_with_zero_constant_term():
+    # The denominator is scaled to leading coefficient 1 when den(0) = 0.
+    assert RationalFunction(Poly([1]), Poly([0, 2])).display() == "(1/2)/(r)"
+    assert (RationalFunction(Poly([frac(1, 3), 1]), Poly([0, 0, frac(3, 2)])).display()
+            == "(2/9+2r/3)/(r^2)")
+
+
+SIX = chain_of([2, 1, 3, 1, 1, 1], [1, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6],
+               [5, 1, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1], [1, 1, 1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("rf, radius", [
+    (theta_gf(SIX, 4), 1.1360882190969384),
+    # Newton on the non-monic integer denominator gives ...381, on a
+    # derivative rounded twice (np.polyder) 1.0, and with np.polyval's
+    # complex products 0.9999999999999999.
+    (RationalFunction(Poly.zero(), Poly([77, -156, 61, 38, -20])), 1.0000000000000002),
+    (RationalFunction(Poly.zero(), Poly([63, -153, 115, -23, -2])), 1.0),
+])
+def test_radius_pinned_to_the_last_digit(rf, radius):
+    assert radius_of_convergence(rf) == radius
+
+
+def reaches_all_by_bfs(chain):
+    for start in range(chain.n):
+        seen, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            for v in range(chain.n):
+                if chain.rows[u][v] > 0 and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) < chain.n:
+            return False
+    return True
+
+
+def test_is_irreducible_matches_bfs():
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(120):
+        chain = random_sparse_chain(rng, int(rng.integers(1, 7)))
+        verdicts.append(chain.is_irreducible())
+        assert verdicts[-1] == reaches_all_by_bfs(chain)
+    assert any(verdicts) and not all(verdicts)
