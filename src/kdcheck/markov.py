@@ -7,7 +7,12 @@ first-return generating function ``Theta_{i,i}(r) = 1 - 1/P_{i,i}(r)``
 are computed over the integers, and a ``Fraction`` is built only when a
 value leaves the module.  A ``RationalFunction`` is canonical: coprime
 integer polynomials whose coefficients have gcd 1, with a positive
-leading coefficient in the denominator.  Only the radius of convergence
+leading coefficient in the denominator.  It is reduced by ``poly_gcd``, a
+primitive pseudo-remainder sequence over the integers (Collins 1967;
+Brown 1971) that returns a primitive integer polynomial, so by Gauss's
+lemma both divisions by the gcd stay in ints too.  Exact powers ``P^n``
+are refused before any is built when ``n * D.bit_length()`` exceeds
+``MAX_POWER_BITS``.  Only the radius of convergence
 (smallest pole magnitude) goes through floating point root finding,
 polished by Newton steps.
 
@@ -32,6 +37,11 @@ import numpy as np
 
 NEWTON_TOL = 1e-12
 NEWTON_STEPS = 60
+# Cap on n * D.bit_length() for an exact n-step power of a chain with
+# common denominator D: its entries reach D**n, and the work of building
+# them grows faster than their size.  The cap keeps every such Fraction
+# well under CPython's 4300-digit limit on int-to-str conversion.
+MAX_POWER_BITS = 2**13
 
 
 def _quo(a, b):
@@ -136,21 +146,49 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Greatest common divisor as a primitive integer polynomial (integer
+    coefficients with gcd 1) with a positive leading coefficient.
+
+    Both arguments are scaled to primitive integer polynomials, then reduced
+    by the primitive pseudo-remainder sequence (Collins 1967; Brown 1971):
+    each pseudo-remainder is computed in ints and divided by its content,
+    so no ``Fraction`` is built.  A zero argument gives the other one's
+    primitive part; two zeros give zero.
+    """
+    def primitive(p):
+        return p if p.is_zero() else _primitive(p)[0]
+
+    a, b = primitive(a), primitive(b)
+    if a.degree < b.degree:
+        a, b = b, a
     while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
+        a, b = b, primitive(_pseudo_rem(a, b))
+    return a
 
 
-def _primitive(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
-    """``num`` and ``den`` times the one rational that makes all their
-    coefficients integers with gcd 1 and ``den``'s leading one positive."""
-    cs = num.c + den.c
+def _pseudo_rem(a: Poly, b: Poly) -> Poly:
+    """Remainder of ``lc(b)**(deg a - deg b + 1) * a`` divided by ``b``, for
+    integer polynomials: every step stays in ints."""
+    rem, d = list(a.c), b.c
+    lead = d[-1]
+    for shift in reversed(range(len(rem) - len(d) + 1)):
+        coef = rem.pop()
+        rem = [x * lead for x in rem]
+        for i, x in enumerate(d[:-1]):
+            rem[shift + i] -= coef * x
+    return Poly(rem)
+
+
+def _primitive(*polys: Poly) -> Tuple[Poly, ...]:
+    """``polys`` times the one rational that makes all their coefficients
+    integers with gcd 1 and the last one's leading coefficient positive."""
+    cs = [x for p in polys for x in p.c]
     lcm = math.lcm(*(x.denominator for x in cs))
     g = math.gcd(*(x.numerator for x in cs))
-    if den.c[-1] < 0:
+    if polys[-1].c[-1] < 0:
         g = -g
     return tuple(Poly([x.numerator * (lcm // x.denominator) // g for x in p.c])
-                 for p in (num, den))
+                 for p in polys)
 
 
 def poly_str(p: Poly, var: str = "r") -> str:
@@ -330,11 +368,21 @@ def _mat_mul(a, b):
                  for i in range(n))
 
 
+def _check_power_bits(P: TransitionMatrix, n: int) -> None:
+    """Reject ``P^n`` before any power is built if ``D**n`` is too large."""
+    bits = n * P._scaled[0].bit_length()
+    if bits > MAX_POWER_BITS:
+        raise ValueError("%d steps of a chain with common denominator %d need "
+                         "%d-bit powers, over the cap of %d bits"
+                         % (n, P._scaled[0], bits, MAX_POWER_BITS))
+
+
 def n_step(P, n: int):
     """Exact ``n``-step transition matrix as nested Fraction tuples."""
     P = _as_matrix(P)
     if n < 0:
         raise ValueError("step count must be nonnegative")
+    _check_power_bits(P, n)
     d, base = P._scaled
     out = tuple(tuple(int(i == j) for j in range(P.n)) for i in range(P.n))
     k = n
@@ -361,6 +409,7 @@ def first_return(P, i: int, n_max: int) -> Tuple[Fraction, ...]:
         raise ValueError("state index out of range")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _check_power_bits(P, n_max)
     diag = [1] + [a[i][i] for a in P._powers(n_max)]
     theta = []
     for n in range(1, n_max + 1):
@@ -442,6 +491,7 @@ def period(P, i: int) -> int:
 def markov_report(P, i: int, series_terms: int = 8) -> dict:
     """Generating functions, series prefix, and pole radius for one state."""
     P = _as_matrix(P)
+    series = list(first_return(P, i, series_terms))
     pii = resolvent(P, i, i)
     theta = theta_gf(P, i)
     irreducible = P.is_irreducible()
@@ -449,7 +499,7 @@ def markov_report(P, i: int, series_terms: int = 8) -> dict:
         "state": i,
         "P_gf": pii.display(),
         "Theta_gf": theta.display(),
-        "theta_series": list(first_return(P, i, series_terms)),
+        "theta_series": series,
         "radius": radius_of_convergence(theta),
         "period": period(P, i),
         "irreducible": irreducible,

@@ -11,7 +11,10 @@ derived seeds or by quadrature in whitened coordinates,
 factor of Sigma and ``(z_k, w_k)`` is the d-fold tensor of the
 probabilists' Gauss-Hermite rule (Golub-Welsch, weights summing to 1).
 Every query point runs through one broadcast, in chunks of at most
-``CHUNK_ROWS`` (point, node) rows.  The error estimate is
+``CHUNK_ROWS`` (point, node) rows.  A chunk is laid out coordinate-major,
+one contiguous (point, node) plane per coordinate, and ``f`` receives the
+``(N, d)`` view of those planes, whose columns are contiguous.  The error
+estimate is
 ``max |Q_n - Q_{n/2}|`` over the points; by default the rule starts at
 ``HERMITE_NODES`` per dimension and doubles while the estimate exceeds
 ``ESTIMATE_TOL * max(1, max |Q_n|)``, up to ``MAX_RULE_NODES`` nodes per
@@ -318,17 +321,21 @@ def _average(f: Callable, pts: np.ndarray, offsets: np.ndarray,
 
     Points and nodes are broadcast together in blocks of at most
     ``CHUNK_ROWS`` (point, node) rows, so no temporary grows with the
-    point count.
+    point count.  A block is built coordinate-major, one contiguous
+    (point, node) plane per coordinate, and ``f`` gets the ``(N, d)``
+    view of those planes: the same values, with contiguous columns.
     """
     n_pts, d = pts.shape
     node_step = min(len(weights), CHUNK_ROWS)
     point_step = max(1, CHUNK_ROWS // node_step)
+    pts_t = np.ascontiguousarray(pts.T)
+    off_t = np.ascontiguousarray(offsets.T)
     out = np.zeros(n_pts)
     for i in range(0, n_pts, point_step):
-        block = pts[i:i + point_step]
+        block = pts_t[:, i:i + point_step]
         for j in range(0, len(weights), node_step):
-            rows = block[:, None, :] + offsets[None, j:j + node_step, :]
-            vals = _eval_f(f, rows.reshape(-1, d), d).reshape(len(block), -1)
+            planes = block[:, :, None] + off_t[:, None, j:j + node_step]
+            vals = _eval_f(f, planes.reshape(d, -1).T, d).reshape(block.shape[1], -1)
             out[i:i + point_step] += vals @ weights[j:j + node_step]
     return out
 

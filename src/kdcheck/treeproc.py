@@ -180,7 +180,9 @@ def simulate_ensemble(dim: int, eta: int, reps: int, seed: int = 0,
     _check_eta(eta)
     _check_args(dim, reps, mode)
     _check_cells("returned level", reps, eta, dim)
-    values = np.concatenate(list(_chunks(dim, eta, reps, seed, mode)), axis=0)
+    chunks = list(_chunks(dim, eta, reps, seed, mode))
+    # A lone chunk is already a fresh array; concatenating would copy it.
+    values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
     return PathEnsemble(dim, eta, values, mode, seed)
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kdcheck
 from kdcheck.cli import main
+from kdcheck.markov import MAX_POWER_BITS
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +82,33 @@ def test_markov_requires_input(capsys):
     code, _, err = run_cli(capsys, "markov", "--state", "0")
     assert code == 2
     assert "rows" in err
+
+
+def test_markov_refuses_oversized_powers_before_building_them():
+    # 2000 terms of a chain over D = 1994 need 22000-bit powers.  Without
+    # the up-front cap this call runs for minutes, so it gets its own
+    # process with a timeout.
+    src = str(Path(kdcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from kdcheck.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "markov", "--rows", "1/997,996/997;1/2,1/2", "--terms", "2000"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "%d bits" % MAX_POWER_BITS in proc.stderr
+
+
+def test_markov_admits_twelve_terms_of_a_six_state_chain(capsys):
+    # Row sums 54, 53, 49, 47, 43, 41 (entries 1..9) give a 34-bit common
+    # denominator, about the largest a six-state chain of that shape has.
+    raw = ([9, 9, 9, 9, 9, 9], [9, 9, 9, 9, 9, 8], [9, 9, 9, 9, 9, 4],
+           [9, 9, 9, 9, 9, 2], [9, 9, 9, 9, 6, 1], [9, 9, 9, 9, 4, 1])
+    rows = ";".join(",".join("%d/%d" % (v, sum(row)) for v in row) for row in raw)
+    rep = run_json(capsys, "markov", "--rows", rows, "--terms", "12")
+    assert len(rep["theta_series"]) == 12
 
 
 def test_quantum_lhl_random(capsys):

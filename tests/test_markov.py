@@ -168,6 +168,20 @@ def test_markov_report_fields():
     assert rep["period"] == 1
 
 
+def test_exact_powers_are_capped_before_any_is_built():
+    chain = TransitionMatrix.build([[frac(1, 997), frac(996, 997)],
+                                    [frac(1, 2), frac(1, 2)]])
+    steps = markov.MAX_POWER_BITS // (1994).bit_length()
+    with pytest.raises(ValueError, match="over the cap"):
+        markov_report(chain, 0, series_terms=steps + 1)
+    with pytest.raises(ValueError, match="over the cap"):
+        first_return(chain, 1, steps + 1)
+    with pytest.raises(ValueError, match="over the cap"):
+        n_step(chain, steps + 1)
+    assert "_power_memo" not in vars(chain)
+    assert sum(n_step(chain, steps)[0]) == 1
+
+
 def random_chain(raw, n):
     rows = []
     for i in range(n):
@@ -394,3 +408,88 @@ def test_is_irreducible_matches_bfs():
         verdicts.append(chain.is_irreducible())
         assert verdicts[-1] == reaches_all_by_bfs(chain)
     assert any(verdicts) and not all(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# Integer gcd: primitive pseudo-remainder sequence
+# ---------------------------------------------------------------------------
+
+def euclid_gcd(a, b):
+    """Reference: Euclid's algorithm over Q, made monic."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic() if not a.is_zero() else a
+
+
+def primitive_parts(*polys):
+    """Reference: ``polys`` scaled jointly to integers with gcd 1 and a
+    positive leading coefficient in the last one."""
+    cs = [Fraction(x) for p in polys for x in p.c]
+    scale = Fraction(math.lcm(*(x.denominator for x in cs)),
+                     math.gcd(*(x.numerator for x in cs)))
+    if polys[-1].c[-1] < 0:
+        scale = -scale
+    return tuple(Poly([int(x * scale) for x in p.c]) for p in polys)
+
+
+def random_int_poly(rng, degree):
+    coeffs = [int(v) for v in rng.integers(-9, 10, size=degree + 1)]
+    coeffs[-1] = coeffs[-1] or 1
+    return Poly(coeffs)
+
+
+def test_poly_gcd_recovers_planted_factor():
+    rng = np.random.default_rng(71)
+    checked = 0
+    while checked < 40:
+        # A factor with content 3 and a negative lead, so only its primitive
+        # part with a positive lead is the gcd.
+        factor = random_int_poly(rng, int(rng.integers(1, 4))) * -3
+        u, v = (random_int_poly(rng, int(rng.integers(0, 5))) for _ in range(2))
+        if euclid_gcd(u, v) != Poly.one():
+            continue  # the cofactors share a factor of their own
+        checked += 1
+        want, = primitive_parts(factor)
+        a, b = factor * u, factor * v
+        g = poly_gcd(a, b)
+        assert g == want and g.c[-1] > 0
+        assert all(type(c) is int for c in g.c)
+        assert poly_gcd(a * frac(2, 7), b * frac(-5, 3)) == want
+        assert poly_gcd(b, a) == want
+
+
+def test_poly_gcd_coprime_and_zero_arguments():
+    p = Poly([2, 4, -6])                    # 2 (1 + 2r - 3r^2)
+    assert poly_gcd(Poly([1, 1]), Poly([1, -1])) == Poly((1,))
+    assert poly_gcd(Poly([3]), p) == Poly((1,))
+    assert poly_gcd(p, Poly.zero()) == Poly([-1, -2, 3])
+    assert poly_gcd(Poly.zero(), p * frac(1, 4)) == Poly([-1, -2, 3])
+    assert poly_gcd(Poly.zero(), Poly.zero()).is_zero()
+
+
+def euclid_rational(num, den):
+    """Reference reduction: divide by the Euclid gcd, then scale jointly to
+    integers with gcd 1 and a positive leading denominator coefficient."""
+    if not num.is_zero():
+        g = euclid_gcd(num, den)
+        num, den = num.exact_div(g), den.exact_div(g)
+    rf = RationalFunction.__new__(RationalFunction)
+    rf.num, rf.den = primitive_parts(num, den)
+    return rf
+
+
+def test_reductions_match_euclid_over_q():
+    rng = np.random.default_rng(72)
+    chains = list(SPARSE_CHAINS.values())
+    chains += [random_sparse_chain(rng, int(rng.integers(2, 7))) for _ in range(50)]
+    for chain in chains:
+        det, adj = chain._det_adj
+        for i in range(chain.n):
+            for j in range(chain.n):
+                want = euclid_rational(adj[i][j], det)
+                got = resolvent(chain, i, j)
+                assert got == want and got.display() == want.display()
+            pii = euclid_rational(adj[i][i], det)
+            want = euclid_rational(pii.num - pii.den, pii.num)
+            got = theta_gf(chain, i)
+            assert got == want and got.display() == want.display()

@@ -334,3 +334,49 @@ def test_det_closed_matches_lu_random_d2(rho, v1, v2):
     spec = CovSpec(2, (v1, v2), (rho,))
     assert abs(determinant_closed(spec) - determinant_lu(spec)) \
         <= DET_TOL * max(1.0, abs(determinant_lu(spec)))
+
+
+def row_major_average(f, pts, offsets, weights, chunk_rows):
+    """Reference kernel: each block broadcast as (point, node, coordinate)."""
+    n_pts, d = pts.shape
+    node_step = min(len(weights), chunk_rows)
+    point_step = max(1, chunk_rows // node_step)
+    out = np.zeros(n_pts)
+    for i in range(0, n_pts, point_step):
+        block = pts[i:i + point_step]
+        for j in range(0, len(weights), node_step):
+            rows = block[:, None, :] + offsets[None, j:j + node_step, :]
+            vals = semigroup._eval_f(f, rows.reshape(-1, d), d).reshape(len(block), -1)
+            out[i:i + point_step] += vals @ weights[j:j + node_step]
+    return out
+
+
+@pytest.mark.parametrize("chunk_rows", [semigroup.CHUNK_ROWS, 64, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_coordinate_major_average_matches_row_major(monkeypatch, d, chunk_rows):
+    # The rule has 4**d nodes per point.  64 rows split the points into
+    # blocks for d = 2, 3 and each point's nodes for d = 4; 7 rows split the
+    # points for d = 1 and each point's nodes for d >= 2.  Both layouts add
+    # the same two numbers for each coordinate, so the sums agree bit for bit.
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((11, d))
+    spec = CovSpec(d, tuple(rng.uniform(0.5, 2.0, size=d)),
+                   tuple(rng.uniform(-0.3, 0.3, size=d * (d - 1) // 2)))
+    offsets, weights = semigroup._whitened_rule(semigroup._cholesky(spec), 0.6, 4)
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        cols = x.reshape(len(x), -1)
+        return np.cos(cols[:, 0]) * np.exp(-0.5 * np.sum(cols * cols, axis=1))
+
+    want = row_major_average(f, pts, offsets, weights, chunk_rows)
+    seen.clear()
+    monkeypatch.setattr(semigroup, "CHUNK_ROWS", chunk_rows)
+    got = semigroup._average(f, pts, offsets, weights)
+    assert np.array_equal(got, want)
+    assert len(seen) > 1 if chunk_rows < len(pts) * len(weights) else len(seen) == 1
+    for x in seen:
+        assert x.dtype == np.float64
+        assert x.shape == ((len(x),) if d == 1 else (len(x), d))
+        assert 0 < len(x) <= chunk_rows

@@ -143,6 +143,15 @@ def test_single_path_shape():
     assert p.path().shape == (len(p.times), 3)
 
 
+@pytest.mark.parametrize("reps", [3, 300])
+def test_ensemble_is_its_chunks_in_order(reps):
+    # One chunk is returned as drawn; two or more are concatenated.
+    ens = simulate_ensemble(2, 4, reps, seed=8)
+    chunks = list(treeproc._chunks(2, 4, reps, 8, "standard"))
+    assert len(chunks) == -(-reps // CHUNK)
+    assert np.array_equal(ens.values, np.concatenate(chunks))
+
+
 # Reference: the per-(gap, position) loop of the module docstring, one
 # normal draw per new grid point, gaps left to right.
 def _reference_refine(vals, eta_prev, eta, rng, mode):
