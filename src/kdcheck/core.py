@@ -404,38 +404,6 @@ def tensor_power(a, n: int):
     return out
 
 
-# Tensor powers grow exponentially; keep sweeps desk-scale.
-TENSOR_POWER_CAP = 6
-TENSOR_DIM_CAP = 4096
-
-
-def normalized_tensor_distance(rho, sigma, n: int, base: int | None = None) -> Scalar:
-    """``(1/(n*base)) * || rho^(x n) - sigma^(x n) ||_1``.
-
-    ``base`` defaults to the alphabet size for distributions and to the
-    operator dimension for states.  ``n`` is capped at 6 and the tensor
-    dimension at 4096.
-    """
-    if n < 1 or n > TENSOR_POWER_CAP:
-        raise ValueError("tensor copies must satisfy 1 <= n <= %d" % TENSOR_POWER_CAP)
-    if isinstance(rho, FiniteDistribution):
-        dim = rho.alphabet.num_symbols
-        if base is None:
-            base = rho.alphabet.size
-    elif isinstance(rho, StateDensity):
-        dim = rho.dim
-        if base is None:
-            base = rho.dim
-    else:
-        raise ValueError("expected a distribution or a state")
-    if dim**n > TENSOR_DIM_CAP:
-        raise ValueError(
-            "tensor dimension %d exceeds cap %d" % (dim**n, TENSOR_DIM_CAP)
-        )
-    d = trace_distance(tensor_power(rho, n), tensor_power(sigma, n))
-    return d / (n * base)
-
-
 # ---------------------------------------------------------------------------
 # JSON encoding
 # ---------------------------------------------------------------------------
@@ -466,15 +434,6 @@ def distribution_from_json(obj: dict) -> FiniteDistribution:
     except (KeyError, TypeError) as exc:
         raise ValueError("distribution JSON needs 'alphabet' and 'weights'") from exc
     return FiniteDistribution(alphabet, [_json_number(w) for w in raw])
-
-
-def state_to_json(s: StateDensity) -> dict:
-    if s.diag is not None:
-        return {"schema": 1, "dim": s.dim, "diag": [format_number(d) for d in s.diag]}
-    m = s.mat
-    rows = [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(s.dim)]
-            for i in range(s.dim)]
-    return {"schema": 1, "dim": s.dim, "matrix": rows}
 
 
 def state_from_json(obj: dict) -> StateDensity:

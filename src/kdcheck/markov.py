@@ -12,9 +12,10 @@ primitive pseudo-remainder sequence over the integers (Collins 1967;
 Brown 1971) that returns a primitive integer polynomial, so by Gauss's
 lemma both divisions by the gcd stay in ints too.  Exact powers ``P^n``
 are refused before any is built when ``n * D.bit_length()`` exceeds
-``MAX_POWER_BITS``.  Only the radius of convergence
-(smallest pole magnitude) goes through floating point root finding,
-polished by Newton steps.
+``MAX_POWER_BITS``, and the elimination below before it runs when
+``n**5 * D.bit_length()`` exceeds ``MAX_ELIMINATION_COST``.  Only the
+radius of convergence (smallest pole magnitude) goes through floating
+point root finding, polished by Newton steps.
 
 All resolvent entries of a chain come from one fraction-free
 Gauss-Jordan elimination (Bareiss 1968) of ``[D*I - rA | I]``, memoised
@@ -42,6 +43,12 @@ NEWTON_STEPS = 60
 # them grows faster than their size.  The cap keeps every such Fraction
 # well under CPython's 4300-digit limit on int-to-str conversion.
 MAX_POWER_BITS = 2**13
+# Cap on n**5 * D.bit_length() for the resolvent elimination of an
+# n-state chain: it makes on the order of n**5 integer products whose size
+# grows with D.  Calibrated on seeded dense chains of 5 to 18 states on a
+# 2-core host: one at the cap takes 0.5-1.5 s, and a 20-state chain with
+# an 87-bit D (17 times the cap) takes 14 s.
+MAX_ELIMINATION_COST = 2**24
 
 
 def _quo(a, b):
@@ -303,6 +310,12 @@ class TransitionMatrix:
 
     @cached_property
     def _det_adj(self) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
+        bits = self._scaled[0].bit_length()
+        if self.n**5 * bits > MAX_ELIMINATION_COST:
+            raise ValueError("the resolvent of a %d-state chain with a %d-bit "
+                             "common denominator costs n^5*bits = %d, over the "
+                             "cap of %d" % (self.n, bits, self.n**5 * bits,
+                                            MAX_ELIMINATION_COST))
         return _det_adjugate(self.rows)
 
     @cached_property

@@ -103,8 +103,8 @@ class Povm:
     """Measurement elements summing to the identity on ``support``.
 
     ``elements`` are diagonal tuples or dense Hermitian arrays.  When the
-    ensemble average is rank deficient the completeness check runs against
-    the support projector instead of the identity.
+    ensemble average is rank deficient they sum to its support projector
+    instead of the identity (``complete_on_support_only``).
     """
 
     dim: int
@@ -117,36 +117,6 @@ class Povm:
         if isinstance(e, tuple):
             return np.diag(np.array([float(v) for v in e], dtype=complex))
         return e
-
-
-def povm_completeness_residual(povm: Povm, average: Optional[StateDensity] = None):
-    """Largest deviation of ``sum_x Gamma_x`` from its completeness target.
-
-    The target is the identity, or the support projector of ``average``
-    when the POVM was built on a rank-deficient ensemble average.  Exact
-    zero Fraction on the exact path of a full-rank diagonal ensemble.
-    """
-    if povm.exact and all(isinstance(e, tuple) for e in povm.elements):
-        totals = [sum((e[i] for e in povm.elements), start=Fraction(0))
-                  for i in range(povm.dim)]
-        if povm.complete_on_support_only:
-            if average is None or not average.is_diagonal:
-                raise ValueError("support completeness needs the diagonal average")
-            target = [Fraction(0) if d == 0 else Fraction(1) for d in average.diag]
-        else:
-            target = [Fraction(1)] * povm.dim
-        return max(abs(t - g) for t, g in zip(target, totals))
-    total = np.zeros((povm.dim, povm.dim), dtype=complex)
-    for x in range(len(povm.elements)):
-        total += povm.element_matrix(x)
-    if povm.complete_on_support_only:
-        if average is None:
-            raise ValueError("support completeness needs the ensemble average")
-        m = average.to_matrix()
-        evals, vecs = np.linalg.eigh(m)
-        proj = (vecs * (evals > PINV_CUTOFF)) @ vecs.conj().T
-        return float(np.abs(total - proj).max())
-    return float(np.abs(total - np.eye(povm.dim)).max())
 
 
 def _commutes(mats: Sequence[np.ndarray], tol: float = COMMUTE_TOL) -> bool:

@@ -19,6 +19,8 @@ estimate is
 ``HERMITE_NODES`` per dimension and doubles while the estimate exceeds
 ``ESTIMATE_TOL * max(1, max |Q_n|)``, up to ``MAX_RULE_NODES`` nodes per
 point, and warns (``QuadratureWarning``) if it is still too large there.
+The rungs are 10 (compared against only), 20, 40, ... nodes per
+dimension, so the estimate, not the starting rung, decides the count.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ INV_CROSS_TOL = 1e-10
 DEFAULT_MC_SAMPLES = 10**6
 MC_SE_BOUND = 3.0  # Monte Carlo compositions pass below this many standard errors
 
-HERMITE_NODES = 40
+HERMITE_NODES = 20
 ESTIMATE_TOL = 1e-6
 CHUNK_ROWS = 2**16
 # Nodes per query point of the 8-sigma Gauss-Legendre box that the Hermite
@@ -345,8 +347,10 @@ def _hermite_average(f: Callable, t: float, chol: np.ndarray, pts: np.ndarray,
     """``(P_t f at pts, nodes per dimension, halving estimate)``.
 
     With ``nodes`` given the rule is fixed; otherwise it starts at
-    ``HERMITE_NODES`` and doubles while the estimate is too large, reusing
-    the previous result as the coarser rule.
+    ``HERMITE_NODES`` (compared with ``HERMITE_NODES // 2``) and doubles
+    while the estimate is too large, reusing the previous result as the
+    coarser rule.  Each rung costs ``2**-d`` of the next, so starting low
+    adds little to an integrand that needs more nodes.
     """
     d = chol.shape[0]
     n = HERMITE_NODES if nodes is None else nodes

@@ -95,7 +95,7 @@ def check_pgm_sandwich() -> dict:
     dense_tol = 1e-9
     violations = 0
     cases = 0
-    worst_gap = 0.0
+    worst_gap = -math.inf  # largest of eopt^2 - egen and egen - eopt; < 0 passes
     for trial in range(500):
         n_sym = int(rng.integers(2, 6))
         dim = int(rng.integers(2, 5))
@@ -107,12 +107,12 @@ def check_pgm_sandwich() -> dict:
             lo, hi = eopt * eopt - dense_tol, eopt + dense_tol
             if not (lo <= egen <= hi):
                 violations += 1
-            worst_gap = max(worst_gap, float(eopt * eopt - egen), float(egen - eopt))
         else:
             eopt = quantum.e_opt(ens)
             egen = quantum.e_gen(ens)
             if not (eopt * eopt <= egen <= eopt):
                 violations += 1
+        worst_gap = max(worst_gap, float(max(eopt * eopt - egen, egen - eopt)))
         cases += 1
     return {
         "passed": violations == 0,

@@ -29,3 +29,11 @@ def test_registry_is_complete():
     for check in CHECKS:
         assert check.anchor
         assert check.budget_seconds > 0
+
+
+def test_sandwich_reports_its_closest_case():
+    details = run_check(_BY_NAME["pgm-optimality-sandwich"])["details"]
+    # Every case passes, so the larger of eopt^2 - egen and egen - eopt is
+    # negative in each, and the closest case shows how close it came.
+    assert details["violations"] == 0
+    assert -1.0 < details["worst_signed_gap"] < 0.0

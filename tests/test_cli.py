@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import kdcheck
+from kdcheck import markov
 from kdcheck.cli import main
 from kdcheck.markov import MAX_POWER_BITS
 
@@ -99,6 +100,19 @@ def test_markov_refuses_oversized_powers_before_building_them():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "%d bits" % MAX_POWER_BITS in proc.stderr
+
+
+def test_markov_refuses_oversized_elimination_before_it_runs(capsys, monkeypatch):
+    def fail(rows):
+        raise AssertionError("eliminated a refused chain")
+    monkeypatch.setattr(markov, "_det_adjugate", fail)
+    # Row i holds 19 entries 1/(20+i): a 20-state chain over lcm(20..39).
+    rows = ";".join(",".join(["1/%d" % d] * 19 + ["%d/%d" % (d - 19, d)])
+                    for d in range(20, 40))
+    code, out, err = run_cli(capsys, "markov", "--rows", rows)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "%d" % markov.MAX_ELIMINATION_COST in err
 
 
 def test_markov_admits_twelve_terms_of_a_six_state_chain(capsys):
@@ -302,6 +316,30 @@ def test_verify_filter_lhl(capsys):
     assert len(lines) == 3
     assert all(l.startswith("PASS") for l in lines)
     assert all("lhl-" in l for l in lines)
+
+
+def test_verify_json_timings_are_opt_in(capsys):
+    argv = ("verify-all", "--filter", "lhl-collision", "--json")
+    first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+    assert first[0] == 0 and first == second
+    rep = json.loads(first[1])
+    assert "total_seconds" not in rep
+    assert [sorted(r) for r in rep["results"]] == [[
+        "budget_seconds", "details", "name", "paper_anchor", "passed", "schema"]]
+    timed = run_json(capsys, *argv, "--timings")
+    assert timed["total_seconds"] == timed["results"][0]["elapsed_seconds"] >= 0
+
+
+def test_verify_text_timings_are_opt_in(capsys):
+    code, out, _ = run_cli(capsys, "verify-all", "--filter", "lhl-collision")
+    assert code == 0
+    assert out.split() == ["PASS", "lhl-collision", "hashed-key", "collision",
+                           "probability", "bound"]
+    code, out, _ = run_cli(capsys, "verify-all", "--filter", "lhl-collision",
+                           "--timings")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("total ")
+    assert out.split()[2].endswith("s")
 
 
 def test_verify_budget_exceeded(capsys):

@@ -12,11 +12,9 @@ from kdcheck.core import (
     distribution_from_json,
     distribution_to_json,
     format_rational,
-    normalized_tensor_distance,
     parse_rational,
     schatten_norm,
     state_from_json,
-    state_to_json,
     tensor,
     tensor_power,
     total_variation,
@@ -173,30 +171,6 @@ def test_tensor_square_subadditive():
         assert lhs <= 2 * trace_distance(a, b)
 
 
-def test_normalized_tensor_distance_sequence():
-    rho = StateDensity.from_diag((Fraction(3, 4), Fraction(1, 4)))
-    sigma = StateDensity.from_diag((Fraction(1, 2), Fraction(1, 2)))
-    base_distance = trace_distance(rho, sigma)
-    for n in range(1, 5):
-        val = normalized_tensor_distance(rho, sigma, n, base=2)
-        # Kronecker expansion oracle
-        dr = np.diag([float(x) for x in rho.diag])
-        ds = np.diag([float(x) for x in sigma.diag])
-        rn, sn = dr.copy(), ds.copy()
-        for _ in range(n - 1):
-            rn, sn = np.kron(rn, dr), np.kron(sn, ds)
-        want = float(np.abs(np.diag(rn - sn)).sum()) / (n * 2)
-        assert abs(float(val) - want) < 1e-12
-        assert float(val) <= float(base_distance) / 2 + 1e-12
-
-
-def test_normalized_tensor_distance_caps():
-    rho = StateDensity.from_diag((Fraction(3, 4), Fraction(1, 4)))
-    sigma = StateDensity.from_diag((Fraction(1, 2), Fraction(1, 2)))
-    with pytest.raises(ValueError):
-        normalized_tensor_distance(rho, sigma, 7)
-
-
 def test_distribution_json_roundtrip():
     f = FiniteDistribution(Alphabet(2, 2),
                            (Fraction(1, 2), Fraction(1, 4),
@@ -207,12 +181,13 @@ def test_distribution_json_roundtrip():
 
 
 def test_state_json_roundtrip():
-    s = StateDensity.from_diag((Fraction(1, 3), Fraction(2, 3)))
-    t = state_from_json(state_to_json(s))
-    assert t.eigenvalues() == s.eigenvalues()
+    t = state_from_json({"schema": 1, "dim": 2, "diag": ["1/3", "2/3"]})
+    assert t.diag == (Fraction(1, 3), Fraction(2, 3))
     m = StateDensity.from_matrix(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
-    m2 = state_from_json(state_to_json(m))
-    assert np.allclose(m.to_matrix(), m2.to_matrix())
+    m2 = state_from_json({"schema": 1, "dim": 2,
+                          "matrix": [[[0.5, 0.0], [0.0, 0.25]],
+                                     [[0.0, -0.25], [0.5, 0.0]]]})
+    assert np.array_equal(m.to_matrix(), m2.to_matrix())
 
 
 @pytest.mark.parametrize("read,obj", [

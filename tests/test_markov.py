@@ -182,6 +182,44 @@ def test_exact_powers_are_capped_before_any_is_built():
     assert sum(n_step(chain, steps)[0]) == 1
 
 
+def chain_over(n, d):
+    """An n-state chain whose common denominator is exactly ``d``."""
+    return TransitionMatrix.build([
+        [frac(1, d)] * (n - 1) + [frac(d - n + 1, d)] for _ in range(n)])
+
+
+def refuse_elimination(monkeypatch):
+    def fail(rows):
+        raise AssertionError("eliminated a refused chain")
+    monkeypatch.setattr(markov, "_det_adjugate", fail)
+
+
+def test_elimination_is_capped_before_it_runs(monkeypatch):
+    # A seeded 20-state positive chain (entries k/row sum, k in 1..9).
+    rng = np.random.default_rng(20)
+    chain = random_chain([int(v) for v in rng.integers(1, 10, size=400)], 20)
+    assert 20**5 * chain._scaled[0].bit_length() > markov.MAX_ELIMINATION_COST
+    refuse_elimination(monkeypatch)
+    for call in (lambda: resolvent(chain, 0, 1), lambda: theta_gf(chain, 0),
+                 lambda: markov_report(chain, 0)):
+        with pytest.raises(ValueError, match="over the cap"):
+            call()
+    assert "_det_adj" not in vars(chain)
+
+
+def test_elimination_cap_boundary(monkeypatch):
+    # The largest denominator an 8-state chain may have, and one bit more.
+    bits = markov.MAX_ELIMINATION_COST // 8**5
+    admitted = chain_over(8, 2**(bits - 1) + 1)
+    refused = chain_over(8, 2**bits + 1)
+    assert admitted._scaled[0].bit_length() == bits
+    monkeypatch.setattr(markov, "_det_adjugate", lambda rows: "eliminated")
+    assert admitted._det_adj == "eliminated"
+    refuse_elimination(monkeypatch)
+    with pytest.raises(ValueError, match="%d-bit" % (bits + 1)):
+        refused._det_adj
+
+
 def random_chain(raw, n):
     rows = []
     for i in range(n):

@@ -17,7 +17,6 @@ from kdcheck.quantum import (
     hashed_joint_blocks,
     partial_trace,
     phi_report,
-    povm_completeness_residual,
     pretty_good_measurement,
     tripartite_distance,
     tripartite_report,
@@ -71,7 +70,8 @@ def test_basis_plus_mixed_average_is_maximally_mixed():
 def test_pgm_is_complete():
     ens = two_state_ensemble()
     povm = pretty_good_measurement(ens)
-    assert povm_completeness_residual(povm) == 0
+    assert povm.exact
+    assert [sum(e[i] for e in povm.elements) for i in range(2)] == [1, 1]
 
 
 def test_pgm_complete_on_random_qutrit_ensembles():
@@ -79,7 +79,8 @@ def test_pgm_complete_on_random_qutrit_ensembles():
     for _ in range(50):
         ens = rotate_ensemble(random_diagonal_ensemble(rng, 3, 3), rng)
         povm = pretty_good_measurement(ens)
-        assert povm_completeness_residual(povm) < 1e-9
+        total = sum(povm.element_matrix(x) for x in range(len(povm.elements)))
+        assert np.abs(total - np.eye(3)).max() < 1e-9
 
 
 def test_orthogonal_pure_states_perfectly_distinguished():

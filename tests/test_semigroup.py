@@ -285,23 +285,82 @@ def assert_rule_fields(rep, nodes):
 def test_composition_verify_functions(f, spec, s, t, pts):
     rep = check_semigroup(f, s, t, spec, pts)
     assert rep["max_abs_deviation"] < COMPOSE_TOL
-    assert_rule_fields(rep, semigroup.HERMITE_NODES)
+    assert_rule_fields(rep, 40)
 
 
 # Sup and L1 norms of P_t f from the 8-sigma Gauss-Legendre box rule that
 # the Hermite rule replaced (same window grids).
-@pytest.mark.parametrize("f, spec, t, window, sup_ptf, l1_ptf", [
+@pytest.mark.parametrize("f, spec, t, window, sup_ptf, l1_ptf, nodes", [
     (verify_wave, CovSpec(1, (0.8,)), 0.7, ((-6.0,), (6.0,)),
-     0.36466981092042744, 0.9408063840748062),
+     0.36466981092042744, 0.9408063840748062, 40),
     (verify_f2, VERIFY_SPEC2, 0.5, ((-6.0, -6.0), (6.0, 6.0)),
-     0.8558468179734393, 10.83388097883135),
+     0.8558468179734393, 10.83388097883135, 20),
 ], ids=["d1", "d2"])
-def test_contraction_matches_box_rule(f, spec, t, window, sup_ptf, l1_ptf):
+def test_contraction_matches_box_rule(f, spec, t, window, sup_ptf, l1_ptf, nodes):
     rep = check_contraction(f, t, spec, window)
     assert rep["sup_contracts"] and rep["l1_contracts"]
     assert abs(rep["sup_ptf"] - sup_ptf) < 1e-12
     assert abs(rep["l1_ptf"] - l1_ptf) < 1e-12
-    assert_rule_fields(rep, semigroup.HERMITE_NODES)
+    assert_rule_fields(rep, nodes)
+
+
+def contraction_window(spec, t, half_width):
+    """The L1 grid of ``check_contraction`` on ``[-half_width, half_width]^d``."""
+    d = spec.dim
+    pad = semigroup.WINDOW_SIGMAS * np.sqrt(t * np.diag(spec.sigma()))
+    pts, _ = tensor_rule(-half_width - pad, half_width + pad,
+                         semigroup.WINDOW_NODES[d])
+    return pts
+
+
+def two_rung_average(f, t, spec, pts, n):
+    """``(Q_n, n, max |Q_n - Q_{n/2}|)`` from the two rules alone."""
+    chol = semigroup._cholesky(spec)
+    fine = semigroup._average(f, pts, *semigroup._whitened_rule(chol, t, n))
+    coarse = semigroup._average(f, pts, *semigroup._whitened_rule(chol, t, n // 2))
+    return fine, n, float(np.abs(fine - coarse).max())
+
+
+SPEC1 = CovSpec(1, (0.8,))
+PTS1 = np.array([[-1.2], [-0.3], [0.0], [0.7], [1.5]])
+PTS2 = np.array([[0.0, 0.0], [0.5, -0.4], [-0.8, 0.3], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("f, t, spec, pts, rungs", [
+    (_FUNCTIONS["wave"], 1.0, CovSpec(2, (1.0, 1.0), (0.4,)),
+     np.random.default_rng(0).standard_normal((200, 2)), (10, 20, 40)),
+    (gauss_pdf(0.2, 0.5), 0.8, SPEC1, PTS1, (10, 20, 40)),
+    (verify_wave, 0.8, SPEC1, PTS1, (10, 20, 40)),
+    (verify_f2, 1.1, VERIFY_SPEC2, PTS2, (10, 20, 40)),
+    (verify_f2, 0.5, VERIFY_SPEC2, contraction_window(VERIFY_SPEC2, 0.5, 6.0),
+     (10, 20)),
+], ids=["cli-wave", "compose-d1-gauss", "compose-d1-wave", "compose-d2",
+        "window-d2"])
+def test_default_ladder_is_its_last_two_rungs(monkeypatch, f, t, spec, pts, rungs):
+    # The default result, count and estimate are exactly those of the last
+    # two rules the ladder built: a rung below them changes nothing.
+    want = two_rung_average(f, t, spec, pts, rungs[-1])
+    seen = []
+    rule = semigroup._whitened_rule
+    monkeypatch.setattr(semigroup, "_whitened_rule",
+                        lambda chol, t, n: seen.append(n) or rule(chol, t, n))
+    got, n, estimate = semigroup._hermite_average(
+        f, t, semigroup._cholesky(spec), pts, None)
+    assert tuple(seen) == rungs
+    assert np.array_equal(got, want[0])
+    assert (n, estimate) == want[1:]
+
+
+def test_d2_contraction_window_settles_at_20():
+    chol = semigroup._cholesky(VERIFY_SPEC2)
+    pts = contraction_window(VERIFY_SPEC2, 0.5, 6.0)
+    got, n, estimate = semigroup._hermite_average(verify_f2, 0.5, chol, pts, None)
+    assert n == 20
+    assert estimate <= semigroup.ESTIMATE_TOL
+    # Every ninth window point against the 80-node rule.
+    ref = semigroup._average(verify_f2, pts[::9],
+                             *semigroup._whitened_rule(chol, 0.5, 80))
+    assert np.abs(got[::9] - ref).max() <= estimate
 
 
 def test_bump_warns_in_two_dimensions():
