@@ -8,7 +8,8 @@ the command line tools.
 Exactness contract: whenever every input is rational (``fractions.Fraction``
 weights or diagonal entries), sums, distances with p in {1, inf}, and tensor
 products stay rational end to end.  Dense complex matrices always go through
-the float path.
+the float path.  Exact kernels elsewhere run on integers: each scales its
+rationals once with :func:`scale_to_integers`, the one place that does.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +72,14 @@ def format_number(x) -> Union[str, float, int]:
     if isinstance(x, (int, np.integer)):
         return int(x)
     return float(x)
+
+
+def scale_to_integers(values: Iterable[Rational]) -> Tuple[int, List[int]]:
+    """``(D, n)`` with ``values[i] == n[i] / D``: ``D`` is the lcm of the
+    denominators, so ``gcd(D, *n) == 1`` when the values are reduced."""
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ digit vectors (digit 0 is the least significant).  A family is its one
 only copy; ``HashFamily.maps`` rebuilds it as int tuples on each read, for
 reference code that indexes members one at a time.  Probabilities
 are integer sums: the input weights are scaled by their common
-denominator ``D``, each (key, member) cell of the joint law sums integer
-numerators over the one denominator ``|G| D``, and distances and
+denominator ``D`` (``core.scale_to_integers``), each (key, member) cell
+of the joint law sums integer numerators over ``|G| D``, and distances and
 collision probabilities are integer sums turned into a ``Fraction`` once.
 Bound comparisons are exact, with square-form comparisons used wherever
 the bound itself is an irrational square root.
@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Alphabet, FiniteDistribution
+from .core import Alphabet, FiniteDistribution, scale_to_integers
 
 # Family enumeration cap: q**(m*k) members for the all-linear kind.
 MAX_FAMILY_SIZE = 2**20
@@ -294,8 +294,7 @@ def joint_state(f: FiniteDistribution, family: HashFamily) -> JointKeyState:
     _require_exact(f)
     if f.alphabet.num_symbols != family.q**family.m:
         raise ValueError("distribution does not match the family input alphabet")
-    den = math.lcm(*(w.denominator for w in f.weights))
-    numerators = [w.numerator * (den // w.denominator) for w in f.weights]
+    den, numerators = scale_to_integers(f.weights)
     sums = _cell_sums(family.table, numerators, family.q**family.k)
     return JointKeyState(family.q, family.k, family.group_size,
                          tuple(map(tuple, sums.T.tolist())),

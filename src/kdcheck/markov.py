@@ -1,7 +1,7 @@
 """Return-time generating functions of finite Markov chains, exactly.
 
-A chain is held as ``P = A/D``: ``D`` is the lcm of the entry
-denominators and ``A`` an integer matrix.  The n-step and first-return
+A chain is held as ``P = A/D``: ``D`` is the least common denominator
+of the entries and ``A`` an integer matrix.  The n-step and first-return
 probabilities, the resolvent entries ``[(I - rP)^-1]_{i,j}`` and the
 first-return generating function ``Theta_{i,i}(r) = 1 - 1/P_{i,i}(r)``
 are computed over the integers, and a ``Fraction`` is built only when a
@@ -13,9 +13,10 @@ Brown 1971) that returns a primitive integer polynomial, so by Gauss's
 lemma both divisions by the gcd stay in ints too.  Exact powers ``P^n``
 are refused before any is built when ``n * D.bit_length()`` exceeds
 ``MAX_POWER_BITS``, and the elimination below before it runs when
-``n**5 * D.bit_length()`` exceeds ``MAX_ELIMINATION_COST``.  Only the
-radius of convergence (smallest pole magnitude) goes through floating
-point root finding, polished by Newton steps.
+``n**5 * D.bit_length()`` exceeds ``MAX_ELIMINATION_COST`` or ``D``
+itself has more than ``MAX_POWER_BITS`` bits.  Only the radius of
+convergence (smallest pole magnitude) goes through floating point root
+finding, polished by Newton steps.
 
 All resolvent entries of a chain come from one fraction-free
 Gauss-Jordan elimination (Bareiss 1968) of ``[D*I - rA | I]``, memoised
@@ -32,16 +33,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from .core import scale_to_integers
 
 NEWTON_TOL = 1e-12
 NEWTON_STEPS = 60
 # Cap on n * D.bit_length() for an exact n-step power of a chain with
 # common denominator D: its entries reach D**n, and the work of building
 # them grows faster than their size.  The cap keeps every such Fraction
-# well under CPython's 4300-digit limit on int-to-str conversion.
+# well under CPython's 4300-digit limit on int-to-str conversion.  It also
+# caps D's bits for the resolvent, whose cost grows faster than linearly in them.
 MAX_POWER_BITS = 2**13
 # Cap on n**5 * D.bit_length() for the resolvent elimination of an
 # n-state chain: it makes on the order of n**5 integer products whose size
@@ -189,13 +194,12 @@ def _pseudo_rem(a: Poly, b: Poly) -> Poly:
 def _primitive(*polys: Poly) -> Tuple[Poly, ...]:
     """``polys`` times the one rational that makes all their coefficients
     integers with gcd 1 and the last one's leading coefficient positive."""
-    cs = [x for p in polys for x in p.c]
-    lcm = math.lcm(*(x.denominator for x in cs))
-    g = math.gcd(*(x.numerator for x in cs))
+    _, n = scale_to_integers(x for p in polys for x in p.c)
+    g = math.gcd(*n)
     if polys[-1].c[-1] < 0:
         g = -g
-    return tuple(Poly([x.numerator * (lcm // x.denominator) // g for x in p.c])
-                 for p in polys)
+    it = (v // g for v in n)
+    return tuple(Poly(islice(it, len(p.c))) for p in polys)
 
 
 def poly_str(p: Poly, var: str = "r") -> str:
@@ -311,6 +315,9 @@ class TransitionMatrix:
     @cached_property
     def _det_adj(self) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
         bits = self._scaled[0].bit_length()
+        if bits > MAX_POWER_BITS:
+            raise ValueError("the resolvent of a chain with a %d-bit common denominator "
+                             "is over the cap of %d bits" % (bits, MAX_POWER_BITS))
         if self.n**5 * bits > MAX_ELIMINATION_COST:
             raise ValueError("the resolvent of a %d-state chain with a %d-bit "
                              "common denominator costs n^5*bits = %d, over the "
@@ -332,10 +339,9 @@ class TransitionMatrix:
 
 
 def _scale_rows(rows) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """``(D, A)`` with ``rows = A/D``: D the lcm of the entry denominators."""
-    d = math.lcm(*(p.denominator for row in rows for p in row))
-    return d, tuple(tuple(p.numerator * (d // p.denominator) for p in row)
-                    for row in rows)
+    """``(D, A)`` with ``rows = A/D``, from ``core.scale_to_integers``."""
+    d, a = scale_to_integers(p for row in rows for p in row)
+    return d, tuple(zip(*[iter(a)] * len(rows)))
 
 
 def _det_adjugate(rows) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:

@@ -4,21 +4,21 @@ An :class:`Ensemble` pairs a prior on symbols with one density operator
 per symbol.  The pretty-good measurement conjugates every weighted state
 by the inverse square root of the ensemble average; its success
 probability ``e_gen`` sandwiches the optimal guessing probability
-``e_opt`` via ``e_opt**2 <= e_gen <= e_opt``.  Diagonal ensembles with
-rational entries evaluate in exact Fraction arithmetic; commuting dense
-ensembles are rotated once into a verified common eigenbasis; ``e_opt``
-is defined on commuting ensembles only.
+``e_opt`` via ``e_opt**2 <= e_gen <= e_opt``.  A diagonal rational
+ensemble holds every ``p_x rho_x`` once as integer numerators over one
+denominator ``D``, and its exact path runs on those integers; commuting
+dense ensembles are rotated once into a verified common eigenbasis;
+``e_opt`` is defined on commuting ensembles only.
 
 Hashing a quantum side register: ``hashed_joint_blocks`` forms the
 subnormalized blocks ``(1/|G|) sum_{x: g(x)=kappa} T_x`` of the
 (key, member, side) state, and ``tripartite_report`` checks the exact
 distance of that state from (uniform key) x (member) x (side marginal)
 against ``q**-((h_plus - k)/2)``.  The blocks are diagonal in the
-ensemble's common eigenbasis.  On rational ensembles the diagonals of
-every ``p_x rho_x`` are scaled by their common denominator ``D`` and
-summed per (key, member) cell as integers over ``|G| D``, one key at a
-time as a masked product with the family's table; the side marginal and
-the distance are integer sums over that one denominator.  This
+ensemble's common eigenbasis.  On rational ensembles the integer
+numerators are summed per (key, member) cell over ``|G| D``, one key at
+a time as a masked product with the family's table; the side marginal
+and the distance are integer sums over that one denominator.  This
 pushforward is written apart from ``hashing.joint_state``, so that a
 trivial side register gives a second route to the classical distance.
 """
@@ -38,6 +38,7 @@ from .core import (
     FiniteDistribution,
     StateDensity,
     distribution_from_json,
+    scale_to_integers,
     state_from_json,
 )
 from .hashing import CHUNK_CELLS, HashFamily, _q_pow_neg, lhl_bound
@@ -47,9 +48,13 @@ PINV_CUTOFF = 1e-12
 
 
 class Ensemble:
-    """Prior plus one normalized state per symbol, all of one dimension."""
+    """Prior plus one normalized state per symbol, all of one dimension.
 
-    __slots__ = ("alphabet", "prior", "states", "dim", "exact")
+    An exact ensemble holds ``p_x rho_x[i] = numerators[x][i] / denominator``
+    in integers, built once; a float one holds None in both fields."""
+
+    __slots__ = ("alphabet", "prior", "states", "dim", "exact",
+                 "denominator", "numerators")
 
     def __init__(self, prior: FiniteDistribution, states: Sequence[StateDensity]):
         states = tuple(states)
@@ -64,34 +69,31 @@ class Ensemble:
         for s in states:
             if not s.is_normalized:
                 raise ValueError("ensemble states must have trace 1")
-        object.__setattr__(self, "alphabet", prior.alphabet)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "dim", dims.pop())
-        object.__setattr__(
-            self, "exact",
-            prior.exact and all(s.is_diagonal and s.exact for s in states),
-        )
+        dim = dims.pop()
+        exact = prior.exact and all(s.is_diagonal and s.exact for s in states)
+        den = numerators = None
+        if exact:
+            den, flat = scale_to_integers(
+                p * d for p, s in zip(prior.weights, states) for d in s.diag)
+            numerators = tuple(zip(*[iter(flat)] * dim))
+        for name, value in zip(self.__slots__, (prior.alphabet, prior, states,
+                                                dim, exact, den, numerators)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ensemble is immutable")
 
     def weighted(self, x: int):
         """Subnormalized operator ``p_x rho_x`` (diag tuple or dense array)."""
-        p = self.prior.weights[x]
-        s = self.states[x]
-        if s.is_diagonal and self.exact:
-            return tuple(p * d for d in s.diag)
-        return float(p) * s.to_matrix()
+        if self.exact:
+            return tuple(Fraction(n, self.denominator) for n in self.numerators[x])
+        return float(self.prior.weights[x]) * self.states[x].to_matrix()
 
     def average(self) -> StateDensity:
         """Ensemble average ``sum_x p_x rho_x``."""
         if self.exact:
-            acc = [Fraction(0)] * self.dim
-            for x in range(len(self.states)):
-                for i, d in enumerate(self.weighted(x)):
-                    acc[i] += d
-            return StateDensity.from_diag(acc)
+            return StateDensity.from_diag(
+                Fraction(sum(col), self.denominator) for col in zip(*self.numerators))
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for x in range(len(self.states)):
             total += self.weighted(x)
@@ -149,37 +151,30 @@ def _common_eigenbasis(mats: Sequence[np.ndarray]) -> np.ndarray:
     raise ValueError("failed to find a common eigenbasis within tolerance")
 
 
-def _diagonals_in_common_basis(ensemble: Ensemble):
-    """Weighted operators as diagonal vectors: exact Fractions or floats."""
-    if ensemble.exact:
-        return [ensemble.weighted(x) for x in range(len(ensemble.states))], None
+def _diagonals_in_common_basis(ensemble: Ensemble) -> list:
+    """Weighted operators of a float ensemble as diagonals in a common basis."""
     mats = [ensemble.weighted(x) for x in range(len(ensemble.states))]
-    if all(np.abs(m - np.diag(np.diag(m))).max() < COMMUTE_TOL for m in mats):
-        return [tuple(float(np.real(d)) for d in np.diag(m)) for m in mats], None
-    basis = _common_eigenbasis(mats)
-    out = []
-    for m in mats:
-        rot = basis.conj().T @ m @ basis
-        out.append(tuple(float(np.real(d)) for d in np.diag(rot)))
-    return out, basis
+    if not all(np.abs(m - np.diag(np.diag(m))).max() < COMMUTE_TOL for m in mats):
+        basis = _common_eigenbasis(mats)
+        mats = [basis.conj().T @ m @ basis for m in mats]
+    return [tuple(float(np.real(d)) for d in np.diag(m)) for m in mats]
 
 
 def pretty_good_measurement(ensemble: Ensemble) -> Povm:
     """PGM ``Gamma_x = T^(-1/2) (p_x rho_x) T^(-1/2)`` on the support of T.
 
-    Diagonal rational ensembles stay exact (entrywise division).  Dense
-    ensembles use an eigendecomposition with pseudo-inverse cutoff 1e-12.
+    Diagonal rational ensembles stay exact: ``Gamma_x[i] = W[x][i] / T_i``
+    on the numerators ``W`` and their column sums ``T`` (0 where
+    ``T_i = 0``).  Dense ensembles use an eigendecomposition with
+    pseudo-inverse cutoff 1e-12.
     """
     if ensemble.exact:
-        t = ensemble.average().diag
-        elements = []
-        for x in range(len(ensemble.states)):
-            wx = ensemble.weighted(x)
-            elements.append(tuple(
-                (d / ti if ti != 0 else Fraction(0)) for d, ti in zip(wx, t)
-            ))
-        rank_deficient = any(ti == 0 for ti in t)
-        return Povm(ensemble.dim, tuple(elements), exact=True,
+        t = [sum(col) for col in zip(*ensemble.numerators)]
+        elements = tuple(
+            tuple(Fraction(w, ti) if ti else Fraction(0) for w, ti in zip(row, t))
+            for row in ensemble.numerators)
+        rank_deficient = 0 in t
+        return Povm(ensemble.dim, elements, exact=True,
                     complete_on_support_only=rank_deficient)
     t = ensemble.average().to_matrix()
     evals, vecs = np.linalg.eigh(t)
@@ -198,17 +193,19 @@ def e_gen(ensemble: Ensemble, povm: Optional[Povm] = None):
     """Success probability ``sum_x tr((p_x rho_x) Gamma_x)`` of a measurement.
 
     Defaults to the pretty-good measurement.  Exact Fraction for diagonal
-    rational ensembles with an exact POVM.
+    rational ensembles with an exact POVM.  Raises ValueError unless the
+    POVM has one element per symbol and the ensemble's dimension.
     """
     if povm is None:
         povm = pretty_good_measurement(ensemble)
+    if len(povm.elements) != len(ensemble.states) or povm.dim != ensemble.dim:
+        raise ValueError("a POVM of %d elements in dimension %d does not fit %d states "
+                         "in dimension %d" % (len(povm.elements), povm.dim,
+                                              len(ensemble.states), ensemble.dim))
     if ensemble.exact and povm.exact:
-        acc = Fraction(0)
-        for x in range(len(ensemble.states)):
-            wx = ensemble.weighted(x)
-            gx = povm.elements[x]
-            acc += sum((a * b for a, b in zip(wx, gx)), start=Fraction(0))
-        return acc
+        total = sum(w * g for row, gx in zip(ensemble.numerators, povm.elements)
+                    for w, g in zip(row, gx))
+        return Fraction(total, ensemble.denominator)
     acc = 0.0
     for x in range(len(ensemble.states)):
         wx = ensemble.weighted(x)
@@ -226,12 +223,13 @@ def e_opt(ensemble: Ensemble):
     ``e_opt = sum_i max_x (p_x rho_x)_{ii}``.  Exact for diagonal rational
     ensembles; raises for non-commuting ensembles.
     """
-    diags, _ = _diagonals_in_common_basis(ensemble)
-    dim = ensemble.dim
-    zero = Fraction(0) if ensemble.exact else 0.0
-    total = zero
-    for i in range(dim):
-        total += max(d[i] for d in diags)
+    if ensemble.exact:
+        return Fraction(sum(map(max, zip(*ensemble.numerators))),
+                        ensemble.denominator)
+    diags = _diagonals_in_common_basis(ensemble)
+    total = 0.0
+    for col in zip(*diags):
+        total += max(col)
     return total
 
 
@@ -316,12 +314,7 @@ class CqKeyState:
                      for row in self.counts)
 
     def _side_counts(self) -> list:
-        acc = [0] * self.dim_q
-        for row in self.counts:
-            for b in row:
-                for i, c in enumerate(b):
-                    acc[i] += c
-        return acc
+        return [sum(col) for col in zip(*(b for row in self.counts for b in row))]
 
     def side_marginal(self) -> tuple:
         """``T_Q``: sum of all blocks, the trace-1 side-register diagonal."""
@@ -329,14 +322,8 @@ class CqKeyState:
 
     def member_blocks(self):
         """``T_GQ`` blocks per member: key register traced out."""
-        out = []
-        for g in range(self.group_size):
-            acc = [0] * self.dim_q
-            for row in self.counts:
-                for i, c in enumerate(row[g]):
-                    acc[i] += c
-            out.append(tuple(self._value(c) for c in acc))
-        return tuple(out)
+        return tuple(tuple(self._value(sum(col)) for col in zip(*keys))
+                     for keys in zip(*self.counts))
 
 
 def _key_blocks(table: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarray:
@@ -378,15 +365,13 @@ def hashed_joint_blocks(ensemble: Ensemble, family: HashFamily) -> CqKeyState:
     n_in = family.q**family.m
     if ensemble.alphabet.num_symbols != n_in:
         raise ValueError("ensemble alphabet does not match the family input")
-    diags, _ = _diagonals_in_common_basis(ensemble)
     size = family.group_size
     n_out = family.q**family.k
     if ensemble.exact:
-        den = math.lcm(*(v.denominator for d in diags for v in d))
-        numerators = [[v.numerator * (den // v.denominator) for v in d] for d in diags]
-        sums = _exact_key_blocks(family.table, numerators, n_out)
-        denominator = size * den
+        sums = _exact_key_blocks(family.table, ensemble.numerators, n_out)
+        denominator = size * ensemble.denominator
     else:
+        diags = _diagonals_in_common_basis(ensemble)
         sums = _key_blocks(family.table, np.array(diags, dtype=float), n_out)
         denominator = size
     counts = tuple(tuple(map(tuple, row)) for row in sums.tolist())

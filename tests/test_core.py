@@ -13,6 +13,7 @@ from kdcheck.core import (
     distribution_to_json,
     format_rational,
     parse_rational,
+    scale_to_integers,
     schatten_norm,
     state_from_json,
     tensor,
@@ -27,6 +28,34 @@ def test_parse_rational_roundtrip():
     assert parse_rational("-2") == Fraction(-2)
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(5)) == "5/1"
+
+
+def assert_canonical_scaling(values):
+    d, n = scale_to_integers(iter(values))
+    assert d >= 1 and math.gcd(d, *n) == 1
+    assert all(type(v) is int for v in n)
+    assert [Fraction(v, d) for v in n] == [Fraction(v) for v in values]
+    return d, n
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], (6, [3, 2, 1])),
+    ([3, -2, 0], (1, [3, -2, 0])),
+    ([Fraction(0), 0, Fraction(0)], (1, [0, 0, 0])),
+    ([Fraction(2, 3), Fraction(4, 9)], (9, [6, 4])),
+    ([Fraction(1, 2**64 + 13), Fraction(-7, 2**63 + 1), 1],
+     ((2**64 + 13) * (2**63 + 1),
+      [2**63 + 1, -7 * (2**64 + 13), (2**64 + 13) * (2**63 + 1)])),
+    ([], (1, [])),
+])
+def test_scale_to_integers_is_canonical(values, expected):
+    assert assert_canonical_scaling(values) == expected
+
+
+@seed(12)
+@given(st.lists(st.fractions(max_denominator=2**70), max_size=8))
+def test_scale_to_integers_recovers_every_value(values):
+    assert_canonical_scaling(values)
 
 
 def test_parse_rational_rejects_floats():

@@ -220,6 +220,31 @@ def test_elimination_cap_boundary(monkeypatch):
         refused._det_adj
 
 
+def test_resolvent_refuses_a_denominator_over_the_power_cap(monkeypatch):
+    # n**5 * bits is under MAX_ELIMINATION_COST here; eliminating a 2-state
+    # chain with a D this large took 3 s, and 16 s with generic numerators.
+    chain = chain_over(2, 2**499_999 + 1)
+    assert 2**5 * chain._scaled[0].bit_length() <= markov.MAX_ELIMINATION_COST
+    refuse_elimination(monkeypatch)
+    for call in (lambda: resolvent(chain, 0, 1), lambda: theta_gf(chain, 0)):
+        with pytest.raises(ValueError, match="500000-bit .* over the cap of %d bits"
+                           % markov.MAX_POWER_BITS):
+            call()
+    assert "_det_adj" not in vars(chain)
+
+
+def test_resolvent_power_cap_boundary(monkeypatch):
+    bits = markov.MAX_POWER_BITS
+    admitted = chain_over(2, 2**(bits - 1) + 1)
+    refused = chain_over(2, 2**bits + 1)
+    assert admitted._scaled[0].bit_length() == bits
+    monkeypatch.setattr(markov, "_det_adjugate", lambda rows: "eliminated")
+    assert admitted._det_adj == "eliminated"
+    refuse_elimination(monkeypatch)
+    with pytest.raises(ValueError, match="%d-bit" % (bits + 1)):
+        refused._det_adj
+
+
 def random_chain(raw, n):
     rows = []
     for i in range(n):

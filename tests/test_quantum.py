@@ -9,6 +9,7 @@ from kdcheck.core import Alphabet, FiniteDistribution, StateDensity
 from kdcheck.hashing import build_family, lhl_distance
 from kdcheck.quantum import (
     Ensemble,
+    Povm,
     basis_plus_mixed_ensemble,
     cond_min_entropy,
     e_gen,
@@ -358,3 +359,103 @@ def test_float_side_register_matches_exact():
     rotated = rotate_ensemble(ens, rng)
     dense = tripartite_distance(hashed_joint_blocks(rotated, fam))
     assert abs(dense - float(exact)) < DENSE_TOL
+
+
+# ---------------------------------------------------------------------------
+# Integer exact path against per-entry Fraction references
+# ---------------------------------------------------------------------------
+
+def ref_weighted(ens, x):
+    p = ens.prior.weights[x]
+    return tuple(p * d for d in ens.states[x].diag)
+
+
+def ref_average(ens):
+    acc = [Fraction(0)] * ens.dim
+    for x in range(len(ens.states)):
+        for i, d in enumerate(ref_weighted(ens, x)):
+            acc[i] += d
+    return tuple(acc)
+
+
+def ref_pgm(ens):
+    """PGM elements entry by entry, and whether the average is rank deficient."""
+    t = ref_average(ens)
+    elements = []
+    for x in range(len(ens.states)):
+        elements.append(tuple((d / ti if ti != 0 else Fraction(0))
+                              for d, ti in zip(ref_weighted(ens, x), t)))
+    return tuple(elements), any(ti == 0 for ti in t)
+
+
+def ref_e_gen(ens, elements):
+    acc = Fraction(0)
+    for x in range(len(ens.states)):
+        acc += sum((a * b for a, b in zip(ref_weighted(ens, x), elements[x])),
+                   start=Fraction(0))
+    return acc
+
+
+def ref_e_opt(ens):
+    total = Fraction(0)
+    for i in range(ens.dim):
+        total += max(ref_weighted(ens, x)[i] for x in range(len(ens.states)))
+    return total
+
+
+def argmax_povm(ens):
+    """Exact POVM guessing, per basis vector, the first symbol of largest weight."""
+    best = [col.index(max(col)) for col in
+            zip(*(ref_weighted(ens, x) for x in range(len(ens.states))))]
+    return Povm(ens.dim, tuple(tuple(Fraction(int(b == x)) for b in best)
+                               for x in range(len(ens.states))), exact=True)
+
+
+def exact_cases():
+    yield big_denominator_ensemble()
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        yield random_diagonal_ensemble(rng, int(rng.integers(2, 6)),
+                                       int(rng.integers(2, 5)))
+
+
+def test_integer_path_matches_fraction_reference():
+    for ens in exact_cases():
+        elements, rank_deficient = ref_pgm(ens)
+        povm = pretty_good_measurement(ens)
+        assert ens.average().diag == ref_average(ens)
+        assert povm.elements == elements
+        assert povm.complete_on_support_only == rank_deficient
+        assert e_gen(ens, povm) == ref_e_gen(ens, elements)
+        assert e_opt(ens) == ref_e_opt(ens)
+        assert e_gen(ens, argmax_povm(ens)) == e_opt(ens)
+
+
+def test_big_denominator_pgm_is_rank_deficient():
+    ens = big_denominator_ensemble()
+    assert ens.denominator > 2**63
+    povm = pretty_good_measurement(ens)
+    assert povm.complete_on_support_only
+    assert all(e[1] == 0 for e in povm.elements)
+    assert ens.average().diag[1] == 0
+
+
+def test_ensemble_denominator_is_the_lcm_of_its_weighted_entries():
+    fam = build_family("toeplitz", 2, 3, 2)
+    rng = np.random.default_rng(13)
+    for ens in (big_denominator_ensemble(), random_diagonal_ensemble(rng, 8, 3)):
+        den = math.lcm(*(v.denominator for x in range(8) for v in ref_weighted(ens, x)))
+        assert ens.denominator == den
+        assert hashed_joint_blocks(ens, fam).denominator == fam.group_size * den
+        assert all(ens.weighted(x) == ref_weighted(ens, x) for x in range(8))
+        dense = rotate_ensemble(ens, rng)
+        assert dense.denominator is None and dense.numerators is None
+
+
+def test_e_gen_rejects_a_povm_that_does_not_fit():
+    two = two_state_ensemble()
+    three = random_diagonal_ensemble(np.random.default_rng(14), 3, 3)
+    qutrits = Ensemble(two.prior, (diag_state(1, 0, 0), diag_state(0, 1, 0)))
+    for ens, other in ((two, three), (three, two), (two, qutrits), (qutrits, two)):
+        with pytest.raises(ValueError, match="does not fit"):
+            e_gen(ens, pretty_good_measurement(other))
