@@ -185,6 +185,7 @@ def cmd_quantum_lhl(args) -> int:
         with open(args.ensemble, "r", encoding="utf-8") as fh:
             ens = quantum.ensemble_from_json(json.load(fh))
     else:
+        quantum.check_block_count(family, args.dim_q)
         rng = np.random.default_rng(args.seed)
         ens = verify_mod.random_diagonal_ensemble(rng, args.q ** args.m,
                                                   args.dim_q)

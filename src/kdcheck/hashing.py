@@ -2,14 +2,15 @@
 
 Symbols are integers in ``[0, q**m)`` identified with little-endian base-q
 digit vectors (digit 0 is the least significant).  A family is its one
-``(|G|, q**m)`` lookup table, built for every member at once as
-``(hash matrices @ digit matrix) % q`` read back as keys and held as the
-only copy; ``HashFamily.maps`` rebuilds it as int tuples on each read, for
-reference code that indexes members one at a time.  Probabilities
-are integer sums: the input weights are scaled by their common
-denominator ``D`` (``core.scale_to_integers``), each (key, member) cell
-of the joint law sums integer numerators over ``|G| D``, and distances and
-collision probabilities are integer sums turned into a ``Fraction`` once.
+``(|G|, q**m)`` lookup table, built by linearity (the key digits of
+``x + d q**j`` are those of ``x`` plus ``d`` times matrix column ``j``, mod
+q) and held as the only copy; ``HashFamily.maps`` rebuilds it as int
+tuples on each read, for reference code.  Probabilities are integer sums:
+the input weights are scaled by their common denominator ``D``
+(``core.scale_to_integers``), each (key, member) cell of the joint law sums
+integer numerators over ``|G| D`` as float64 limbs small enough to be exact
+in any order (``_limbs``; Ozaki, Ogita, Oishi and Rump 2012), and distances
+and collision probabilities are integer sums turned into a ``Fraction`` once.
 Bound comparisons are exact, with square-form comparisons used wherever
 the bound itself is an irrational square root.
 """
@@ -31,25 +32,16 @@ from .core import Alphabet, FiniteDistribution, scale_to_integers
 MAX_FAMILY_SIZE = 2**20
 # Lookup-table cap for the enumerated kinds: |G| * q**m cells.
 MAX_TABLE_CELLS = 2**22
-# Table cells handled per step when building tables and pushing weights
-# forward, so that no temporary grows with the family.  Larger steps run
-# no faster on the Toeplitz (2, 8, 3) and (2, 10, 3) families and raise
-# peak memory.
+# Table cells per step of a pushforward, so that no temporary grows with the
+# family.  BLAS sums float side-register blocks in an order set by this step.
 CHUNK_CELLS = 2**12
-# Exact integer sums stay in int64 while the total fits.  Past it they run
-# on 31-bit limbs: a cell sums at most q**m < 2**32 of them, so every limb
-# sum fits int64.
-_INT64_MAX = 2**63 - 1
-_LIMB_BITS = 31
+# One-byte key digits made per step of a table build: Toeplitz (2, 10, 3)
+# builds ~10x faster than in steps of CHUNK_CELLS; larger steps gain little.
+_BUILD_DIGITS = 2**17
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            return False
-    return True
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 def _check_shape(q: int, m: int, k: int) -> None:
@@ -104,13 +96,9 @@ class HashFamily:
 
     @property
     def zeta(self) -> Optional[Fraction]:
-        g = self.group_size
         # Exact log_q |G| exists iff |G| is a power of q.
-        e = 0
-        while g % self.q == 0:
-            g //= self.q
-            e += 1
-        return Fraction(e) if g == 1 else None
+        e = round(math.log(self.group_size, self.q))
+        return Fraction(e) if self.q**e == self.group_size else None
 
 
 def _member_tables(kind: str, q: int, m: int, k: int, n_params: int) -> np.ndarray:
@@ -122,19 +110,28 @@ def _member_tables(kind: str, q: int, m: int, k: int, n_params: int) -> np.ndarr
     """
     n_in = q**m
     size = q**n_params
-    symbols = np.arange(n_in, dtype=np.int64)
-    digit_matrix = symbols // q ** np.arange(m)[:, None] % q       # (m, q**m)
     place = q ** np.arange(n_params - 1, -1, -1, dtype=np.int64)
-    key_place = q ** np.arange(k, dtype=np.int64)
     diagonals = np.arange(k)[:, None] - np.arange(m) + m - 1
+    digit = np.min_scalar_type(2 * q - 2)
     out = np.empty((size, n_in), dtype=np.min_scalar_type(q**k - 1))
-    step = max(1, CHUNK_CELLS // (k * n_in))
+    step = max(1, _BUILD_DIGITS // (k * n_in))
     for lo in range(0, size, step):
-        members = np.arange(lo, min(size, lo + step), dtype=np.int64)
-        params = members[:, None] // place % q
+        params = np.arange(lo, min(size, lo + step))[:, None] // place % q
         matrices = (params.reshape(-1, k, m) if kind == "linear"
-                    else params[:, diagonals])
-        out[lo:lo + len(members)] = key_place @ (matrices @ digit_matrix % q)
+                    else params[:, diagonals]).astype(digit)
+        digits = np.zeros((n_in, k, len(params)), dtype=digit)   # [x, i, g]
+        for j in range(m):
+            span, column = q**j, matrices[:, :, j].T
+            for d in range(1, q):
+                part = digits[d * span:(d + 1) * span]
+                np.add(digits[(d - 1) * span:d * span], column, out=part)
+                # Unsigned wrap-around: part - q is the smaller iff part >= q.
+                np.minimum(part, part - digit.type(q), out=part)
+        keys = digits[:, k - 1].astype(out.dtype)
+        for i in range(k - 2, -1, -1):
+            keys *= q
+            keys += digits[:, i]
+        out[lo:lo + len(params)] = keys.T
     out.flags.writeable = False  # HashFamily keeps it without a copy
     return out
 
@@ -258,31 +255,44 @@ def _require_exact(f: FiniteDistribution):
         )
 
 
-def _cell_sums(table: np.ndarray, values: Sequence[int], n_out: int) -> np.ndarray:
-    """``out[g, kappa] = sum_{x: table[g, x] = kappa} values[x]``, exact.
+def _limbs(values, n_terms: int) -> Tuple[np.ndarray, int]:
+    """Nonnegative ints as float64 limbs on a new last axis, and their width:
+    ``53 - (n_terms - 1).bit_length()`` bits, so that any sum of at most
+    ``n_terms`` limbs stays below ``2**53`` and is exact in any order."""
+    values = np.array(values, dtype=object)
+    bits = 53 - (n_terms - 1).bit_length()
+    n_limbs = max(1, -(-int(values.max()).bit_length() // bits))
+    return np.stack([((values >> (bits * j)) & ((1 << bits) - 1)).astype(float)
+                     for j in range(n_limbs)], axis=-1), bits
 
-    ``values`` are nonnegative ints.  They are summed in int64 when their
-    total fits, else as 31-bit limbs recombined into Python ints.
-    """
+
+def _join_limbs(sums: np.ndarray, bits: int) -> np.ndarray:
+    """Integers from limb sums: int64 for one limb, else Python ints made
+    one leading block at a time, so that their temporaries stay small."""
+    if sums.shape[-1] == 1:
+        return sums[..., 0].astype(np.int64)
+    out = np.empty(sums.shape[:-1], dtype=object)
+    for i, block in enumerate(sums):
+        out[i] = sum(block[..., j].astype(np.int64).astype(object) << (bits * j)
+                     for j in range(block.shape[-1]))
+    return out
+
+
+def _cell_sums(table: np.ndarray, values: Sequence[int], n_out: int) -> np.ndarray:
+    """``out[kappa, g] = sum_{x: table[g, x] = kappa} values[x]`` for nonnegative
+    ints, exact: one ``np.bincount`` of float64 limbs per limb and block of members."""
     size, n_in = table.shape
-    if sum(values) <= _INT64_MAX:
-        limbs = np.array(values, dtype=np.int64)[:, None]
-    else:
-        n_limbs = -(-max(values).bit_length() // _LIMB_BITS)
-        low = (1 << _LIMB_BITS) - 1
-        limbs = np.array([[(v >> (_LIMB_BITS * j)) & low for j in range(n_limbs)]
-                          for v in values], dtype=np.int64)
-    width = limbs.shape[1]
-    sums = np.zeros((size * n_out, width), dtype=np.int64)
-    step = max(1, CHUNK_CELLS // (n_in * width))
+    limbs, bits = _limbs(values, n_in)
+    sums = np.empty((n_out, size, limbs.shape[1]))
+    step = max(1, CHUNK_CELLS // n_in)
     for lo in range(0, size, step):
         rows = table[lo:lo + step]
-        cells = np.arange(lo, lo + len(rows))[:, None] * n_out + rows
-        np.add.at(sums, cells.ravel(), np.tile(limbs, (len(rows), 1)))
-    if width == 1:
-        return sums.reshape(size, n_out)
-    total = sum(sums[:, j].astype(object) << (_LIMB_BITS * j) for j in range(width))
-    return total.reshape(size, n_out)
+        cells = (rows + n_out * np.arange(len(rows))[:, None]).ravel()
+        for j, limb in enumerate(limbs.T):
+            sums[:, lo:lo + len(rows), j] = np.bincount(
+                cells, np.tile(limb, len(rows)), n_out * len(rows)
+            ).reshape(len(rows), n_out).T
+    return _join_limbs(sums, bits)
 
 
 def joint_state(f: FiniteDistribution, family: HashFamily) -> JointKeyState:
@@ -297,7 +307,7 @@ def joint_state(f: FiniteDistribution, family: HashFamily) -> JointKeyState:
     den, numerators = scale_to_integers(f.weights)
     sums = _cell_sums(family.table, numerators, family.q**family.k)
     return JointKeyState(family.q, family.k, family.group_size,
-                         tuple(map(tuple, sums.T.tolist())),
+                         tuple(map(tuple, sums.tolist())),
                          family.group_size * den)
 
 
@@ -322,13 +332,8 @@ def collision_bound(f: FiniteDistribution, family: HashFamily,
     Exact for integer ``h_plus`` or the default ``h_plus = h_min``.
     """
     _require_exact(f)
-    size = family.group_size
-    qk = Fraction(1, family.q**family.k)
-    if h_plus is None:
-        tail = Fraction(f.max_weight)
-    else:
-        tail = _q_pow_neg(family.q, h_plus, f)
-    return (qk + tail) / size
+    return (Fraction(1, family.q**family.k) + _q_pow_neg(family.q, h_plus, f)) \
+        / family.group_size
 
 
 def _q_pow_neg(q: int, h_plus, f: Optional[FiniteDistribution]) -> Fraction:
@@ -337,14 +342,9 @@ def _q_pow_neg(q: int, h_plus, f: Optional[FiniteDistribution]) -> Fraction:
         if f is None:
             raise ValueError("h_plus required without a distribution")
         return Fraction(f.max_weight)
-    if isinstance(h_plus, float):
-        if not h_plus.is_integer():
-            raise ValueError(
-                "exact comparison needs integer h_plus or the h_min default"
-            )
-        h_plus = int(h_plus)
-    frac = Fraction(h_plus)
-    if frac.denominator != 1:
+    whole = not isinstance(h_plus, float) or h_plus.is_integer()
+    frac = Fraction(h_plus) if whole else None
+    if frac is None or frac.denominator != 1:
         raise ValueError("exact comparison needs integer h_plus or the h_min default")
     e = frac.numerator
     return Fraction(1, q**e) if e >= 0 else Fraction(q**-e)

@@ -16,11 +16,11 @@ subnormalized blocks ``(1/|G|) sum_{x: g(x)=kappa} T_x`` of the
 distance of that state from (uniform key) x (member) x (side marginal)
 against ``q**-((h_plus - k)/2)``.  The blocks are diagonal in the
 ensemble's common eigenbasis.  On rational ensembles the integer
-numerators are summed per (key, member) cell over ``|G| D``, one key at
-a time as a masked product with the family's table; the side marginal
-and the distance are integer sums over that one denominator.  This
-pushforward is written apart from ``hashing.joint_state``, so that a
-trivial side register gives a second route to the classical distance.
+numerators are summed per (key, member) cell over ``|G| D``, as exact
+float64 limbs multiplied key by key by an indicator of the family's table;
+the side marginal and the distance are integer sums.  This pushforward is
+apart from ``hashing.joint_state`` (a scatter), so that a trivial side
+register gives a second route to the classical distance.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,7 +42,8 @@ from .core import (
     scale_to_integers,
     state_from_json,
 )
-from .hashing import CHUNK_CELLS, HashFamily, _q_pow_neg, lhl_bound
+from .hashing import (CHUNK_CELLS, MAX_TABLE_CELLS, HashFamily, _join_limbs, _limbs,
+                      _q_pow_neg, lhl_bound)
 
 COMMUTE_TOL = 1e-9
 PINV_CUTOFF = 1e-12
@@ -313,7 +315,13 @@ class CqKeyState:
         return tuple(tuple(tuple(self._value(c) for c in b) for b in row)
                      for row in self.counts)
 
-    def _side_counts(self) -> list:
+    def _key_arrays(self):  # exact counts, one (|G|, dim_q) object array per key
+        return (np.fromiter(chain.from_iterable(row), object, len(row) * self.dim_q)
+                .reshape(len(row), self.dim_q) for row in self.counts)
+
+    def _side_counts(self):
+        if self.exact:
+            return sum(block.sum(axis=0) for block in self._key_arrays())
         return [sum(col) for col in zip(*(b for row in self.counts for b in row))]
 
     def side_marginal(self) -> tuple:
@@ -340,33 +348,27 @@ def _key_blocks(table: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarra
 
 def _exact_key_blocks(table: np.ndarray, numerators: Sequence[Sequence[int]],
                       n_out: int) -> np.ndarray:
-    """Integer ``_key_blocks``: int64 while the total fits, else 31-bit limbs.
+    """Integer ``_key_blocks``, exact on float64 limbs (``hashing._limbs``)."""
+    limbs, bits = _limbs(numerators, table.shape[1])
+    n_in, dim, n_limbs = limbs.shape
+    sums = _key_blocks(table, limbs.reshape(n_in, dim * n_limbs), n_out)
+    return _join_limbs(sums.reshape(sums.shape[:2] + (dim, n_limbs)), bits)
 
-    A cell sums at most ``q**m`` limbs below ``2**31``, which stays far
-    inside int64; the limb sums are recombined in Python ints.
-    """
-    values = np.array(numerators, dtype=object)
-    if values.sum() < 2**63:
-        return _key_blocks(table, values.astype(np.int64), n_out)
-    n_limbs = -(-int(values.max()).bit_length() // 31)
-    limbs = [(values >> (31 * j)) & (2**31 - 1) for j in range(n_limbs)]
-    sums = _key_blocks(table, np.hstack(limbs).astype(np.int64), n_out)
-    dim = values.shape[1]
-    out = np.empty(sums.shape[:2] + (dim,), dtype=object)
-    for kappa, block in enumerate(sums):
-        # One key at a time keeps the Python-int temporaries small.
-        out[kappa] = sum(block[:, j * dim:(j + 1) * dim].astype(object) << (31 * j)
-                         for j in range(n_limbs))
-    return out
+
+def check_block_count(family: HashFamily, dim: int) -> None:
+    """Refuse a hashed state of more than ``MAX_TABLE_CELLS`` block entries."""
+    cells = family.q**family.k * family.group_size * dim
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError("side-register state of %d block entries (q**k |G| dim) "
+                         "exceeds cap %d" % (cells, MAX_TABLE_CELLS))
 
 
 def hashed_joint_blocks(ensemble: Ensemble, family: HashFamily) -> CqKeyState:
     """Apply every family member to the symbol register of an ensemble."""
-    n_in = family.q**family.m
-    if ensemble.alphabet.num_symbols != n_in:
+    if ensemble.alphabet.num_symbols != family.q**family.m:
         raise ValueError("ensemble alphabet does not match the family input")
-    size = family.group_size
-    n_out = family.q**family.k
+    check_block_count(family, ensemble.dim)
+    size, n_out = family.group_size, family.q**family.k
     if ensemble.exact:
         sums = _exact_key_blocks(family.table, ensemble.numerators, n_out)
         denominator = size * ensemble.denominator
@@ -374,7 +376,7 @@ def hashed_joint_blocks(ensemble: Ensemble, family: HashFamily) -> CqKeyState:
         diags = _diagonals_in_common_basis(ensemble)
         sums = _key_blocks(family.table, np.array(diags, dtype=float), n_out)
         denominator = size
-    counts = tuple(tuple(map(tuple, row)) for row in sums.tolist())
+    counts = tuple(tuple(map(tuple, block.tolist())) for block in sums)
     return CqKeyState(family.q, family.k, size, ensemble.dim, counts,
                       denominator, ensemble.exact)
 
@@ -385,14 +387,15 @@ def tripartite_distance(cq: CqKeyState):
     ``(1/q) sum_{kappa,g} || block(kappa,g) - q**-k (1/|G|) T_Q ||_1``;
     diagonal blocks make each trace norm a plain absolute sum.  With the
     side marginal's counts ``t``, an entry contributes
-    ``|q**k |G| c - t| / (q**k |G| denominator)``.
+    ``|q**k |G| c - t| / (q**k |G| denominator)``, summed key by key.
     """
     side = cq._side_counts()
     spread = cq.q**cq.k * cq.group_size
+    if cq.exact:
+        gap = sum(np.abs(spread * block - side).sum() for block in cq._key_arrays())
+        return Fraction(gap, cq.q * spread * cq.denominator)
     gap = sum(abs(spread * c - t)
               for row in cq.counts for b in row for c, t in zip(b, side))
-    if cq.exact:
-        return Fraction(gap, cq.q * spread * cq.denominator)
     return gap / (cq.q * spread * cq.denominator)
 
 

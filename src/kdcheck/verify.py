@@ -189,23 +189,18 @@ def check_tripartite() -> dict:
             inexact += 1
     # Trivial side register must reproduce the classical distance exactly.
     trivial_gap = Fraction(0)
-    trivial_cases = 10
-    for _ in range(trivial_cases):
+    for _ in range(10):
         prior = random_rational_distribution(rng, Alphabet(2, 2))
-        states = [StateDensity.from_diag((Fraction(1),))] * 4
-        ens = quantum.Ensemble(prior, states)
-        cq = quantum.hashed_joint_blocks(ens, family)
-        dist_q = quantum.tripartite_distance(cq)
-        dist_c = hashing.lhl_distance(prior, family)
-        trivial_gap = max(trivial_gap, abs(dist_q - dist_c))
+        ens = quantum.Ensemble(prior, [StateDensity.from_diag((Fraction(1),))] * 4)
+        dist_q = quantum.tripartite_distance(quantum.hashed_joint_blocks(ens, family))
+        trivial_gap = max(trivial_gap, abs(dist_q - hashing.lhl_distance(prior, family)))
     return {
-        "passed": violations == 0 and inexact == 0
-        and trivial_gap <= Fraction(1, 10**12),
+        "passed": violations == 0 and inexact == 0 and trivial_gap == 0,
         "cases": 50,
         "violations": violations,
         "inexact_comparisons": inexact,
         "trivial_side_register_gap": float(trivial_gap),
-        "trivial_tolerance": 1e-12,
+        "trivial_tolerance": 0,
         "tolerance": "exact rational comparison (squared form)",
     }
 

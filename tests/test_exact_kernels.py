@@ -1,0 +1,301 @@
+"""Exact hashed-key kernels against per-cell Python loops.
+
+The kernels sum integers as float64 limbs (``hashing._limbs``); every test
+here compares them with plain Python-int loops on seeded inputs that need
+one, two and three limbs.  The table builder is compared with a per-member
+``M @ digits % q`` product, and the float side-register path with a copy of
+its earlier code, kept below.
+"""
+
+import hashlib
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from kdcheck import hashing, quantum, verify
+from kdcheck.cli import main
+from kdcheck.core import Alphabet, FiniteDistribution, StateDensity
+from kdcheck.hashing import MAX_TABLE_CELLS, HashFamily, build_family
+from kdcheck.quantum import CqKeyState, Ensemble, hashed_joint_blocks, tripartite_distance
+from kdcheck.verify import random_diagonal_ensemble, rotate_ensemble
+
+
+# ---------------------------------------------------------------------------
+# Per-cell references
+# ---------------------------------------------------------------------------
+
+def ref_key_blocks(table, numerators, n_out):
+    """``out[kappa][g][i] = sum_{x: table[g, x] = kappa} numerators[x][i]``."""
+    dim = len(numerators[0])
+    out = [[[0] * dim for _ in range(len(table))] for _ in range(n_out)]
+    for g, row in enumerate(table.tolist()):
+        for x, kappa in enumerate(row):
+            for i, v in enumerate(numerators[x]):
+                out[kappa][g][i] += v
+    return out
+
+
+def ref_cell_sums(table, values, n_out):
+    return [[cell[0] for cell in row]
+            for row in ref_key_blocks(table, [(v,) for v in values], n_out)]
+
+
+def ref_tripartite(counts, q, k, denominator):
+    """``(1/q) sum || block - q**-k (1/|G|) T_Q ||_1`` on Fractions, cell by cell."""
+    size, dim = len(counts[0]), len(counts[0][0])
+    side = [sum(b[i] for row in counts for b in row) for i in range(dim)]
+    total = Fraction(0)
+    for row in counts:
+        for b in row:
+            for c, t in zip(b, side):
+                total += abs(Fraction(c, denominator)
+                             - Fraction(t, q**k * size * denominator))
+    return total / q
+
+
+def exact_state(counts, q, k, denominator):
+    return CqKeyState(q, k, len(counts[0]), len(counts[0][0]),
+                      tuple(tuple(map(tuple, row)) for row in counts),
+                      denominator, True)
+
+
+def sampled_family(q, m, k, members, rng):
+    """An explicit family of ``members`` random maps on ``q**m`` symbols."""
+    table = rng.integers(0, q**k, size=(members, q**m))
+    return HashFamily(q, m, k, "explicit", table)
+
+
+def limb_count(values, n_in):
+    return hashing._limbs(values, n_in)[0].shape[-1]
+
+
+def _draw(rng, n, dim, bits):
+    """``n`` tuples of ``dim`` random ints below ``2**bits``."""
+    def one():
+        return int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
+    return [tuple(one() for _ in range(dim)) for _ in range(n)]
+
+
+# (q, m, k, members, numerator bits, limbs).  A limb holds 52 bits for
+# q**m = 2, 46 bits for q**m in {81, 125} and 43 bits for q**m = 1024.
+CASES = [
+    # q**m = 2: one, two and three limbs of 52 bits
+    (2, 1, 1, 2, 40, 1), (2, 1, 1, 2, 90, 2), (2, 1, 1, 2, 140, 3),
+    # q**m = 1024: one, two and three limbs of 43 bits
+    (2, 10, 3, 12, 40, 1), (2, 10, 3, 12, 80, 2), (2, 10, 3, 12, 120, 3),
+    # odd primes, numerators above 2**63
+    (3, 4, 2, 20, 70, 2), (5, 3, 1, 9, 100, 3),
+]
+
+
+@pytest.mark.parametrize("q,m,k,members,bits,limbs", CASES)
+def test_exact_key_blocks_and_cell_sums_match_loops(q, m, k, members, bits, limbs):
+    rng = np.random.default_rng(bits * 1000 + q * 10 + m)
+    fam = sampled_family(q, m, k, members, rng)
+    n_in, n_out = q**m, q**k
+    numerators = _draw(rng, n_in, 3, bits)
+    numerators[1] = (0, 0, 0)                       # a symbol of weight zero
+    numerators = [(a, 0, c) for a, _, c in numerators]   # a zero column
+    assert limb_count(numerators, n_in) == limbs
+    got = quantum._exact_key_blocks(fam.table, numerators, n_out)
+    ref = ref_key_blocks(fam.table, numerators, n_out)
+    assert got.tolist() == ref
+    assert all(type(v) is int for row in got.tolist() for b in row for v in b)
+    values = [a for a, _, _ in numerators]
+    assert hashing._cell_sums(fam.table, values, n_out).tolist() \
+        == ref_cell_sums(fam.table, values, n_out)
+
+
+@pytest.mark.parametrize("values,limbs", [
+    ((2**52 + 5, 2**52 - 6), 2),      # one cell sums to 2**53 - 1
+    ((2**52 + 1, 2**52), 2),          # one cell sums to 2**53 + 1
+    ((2**52 - 1, 2**52 - 1), 1),      # largest one-limb pair: 2**53 - 2
+])
+def test_cell_sums_around_two_to_the_53(values, limbs):
+    # The zero map sends both symbols to key 0, so its cell holds the sum.
+    fam = build_family("linear", 2, 1, 1)
+    assert limb_count(values, 2) == limbs
+    sums = hashing._cell_sums(fam.table, values, 2).tolist()
+    assert sums == ref_cell_sums(fam.table, values, 2)
+    assert sum(values) in sums[0]
+    blocks = quantum._exact_key_blocks(fam.table, [(v,) for v in values], 2)
+    assert blocks.tolist() == ref_key_blocks(fam.table, [(v,) for v in values], 2)
+
+
+def test_full_width_limbs_at_1024_symbols():
+    # 1024 limbs of 2**43 - 1 each: the largest exact one-limb cell sum.
+    fam = HashFamily(2, 10, 1, "explicit", np.zeros((2, 1024), dtype=np.uint8))
+    for value, limbs in ((2**43 - 1, 1), (2**43, 2)):
+        values = [value] * 1024
+        assert limb_count(values, 1024) == limbs
+        sums = hashing._cell_sums(fam.table, values, 2).tolist()
+        assert sums == [[1024 * value] * 2, [0, 0]]
+        assert quantum._exact_key_blocks(fam.table, [(v,) for v in values], 2) \
+            .tolist() == [[[1024 * value]] * 2, [[0]] * 2]
+
+
+@pytest.mark.parametrize("q,m,k,members,bits,limbs", CASES)
+def test_side_register_readouts_match_loops(q, m, k, members, bits, limbs):
+    rng = np.random.default_rng(bits * 77 + q + m)
+    fam = sampled_family(q, m, k, members, rng)
+    numerators = [(a, 0, c) for a, _, c in _draw(rng, q**m, 3, bits)]
+    counts = ref_key_blocks(fam.table, numerators, q**k)
+    den = members * sum(map(sum, numerators))
+    cq = exact_state(counts, q, k, den)
+    assert tripartite_distance(cq) == ref_tripartite(counts, q, k, den)
+    side = [sum(b[i] for row in counts for b in row) for i in range(3)]
+    assert cq.side_marginal() == tuple(Fraction(t, den) for t in side)
+    assert side[1] == 0
+    assert cq.member_blocks() == tuple(
+        tuple(Fraction(sum(row[g][i] for row in counts), den) for i in range(3))
+        for g in range(members))
+
+
+def hash_scale_ensemble(seed=7, n=256, dim=3):
+    """A rational side-register ensemble drawn as the hash-scale benchmark draws its own."""
+    rng = np.random.default_rng(seed)
+    raw = [int(r) for r in rng.integers(1, 33, size=n)]
+    prior = FiniteDistribution(Alphabet(2, 8), tuple(Fraction(r, sum(raw)) for r in raw))
+    states = []
+    for _ in range(n):
+        s = [int(r) for r in rng.integers(1, 16, size=dim)]
+        states.append(StateDensity.from_diag(tuple(Fraction(r, sum(s)) for r in s)))
+    return Ensemble(prior, states)
+
+
+def test_hash_scale_ensemble_matches_loops():
+    ens = hash_scale_ensemble()
+    assert 63 < ens.denominator.bit_length() <= 86      # two 45-bit limbs
+    assert limb_count(ens.numerators, 256) == 2
+    full = build_family("toeplitz", 2, 8, 3)
+    fam = HashFamily(2, 8, 3, "explicit", full.table[::16])   # 64 of 1024 members
+    cq = hashed_joint_blocks(ens, fam)
+    counts = ref_key_blocks(fam.table, ens.numerators, 8)
+    assert cq.counts == tuple(tuple(map(tuple, row)) for row in counts)
+    assert cq.denominator == 64 * ens.denominator
+    assert tripartite_distance(cq) == ref_tripartite(counts, 2, 3, cq.denominator)
+    assert cq.side_marginal() == ens.average().diag
+    # A trivial side register reproduces the classical distance on the full family.
+    trivial = Ensemble(ens.prior, [StateDensity.from_diag((Fraction(1),))] * 256)
+    assert tripartite_distance(hashed_joint_blocks(trivial, full)) \
+        == hashing.lhl_distance(ens.prior, full)
+
+
+# ---------------------------------------------------------------------------
+# Tables: per-member product reference
+# ---------------------------------------------------------------------------
+
+def ref_member_tables(kind, q, m, k):
+    """Each member's table as ``key_place @ (M @ digits % q)``, member by member."""
+    n_params = m * k if kind == "linear" else m + k - 1
+    symbols = np.arange(q**m)
+    digits = symbols // q ** np.arange(m)[:, None] % q
+    key_place = q ** np.arange(k)
+    rows = []
+    for params in itertools.product(range(q), repeat=n_params):
+        if kind == "linear":
+            mat = np.array(params).reshape(k, m)
+        else:
+            mat = np.array([[params[i - j + m - 1] for j in range(m)] for i in range(k)])
+        rows.append(key_place @ (mat @ digits % q))
+    return np.array(rows, dtype=np.min_scalar_type(q**k - 1))
+
+
+@pytest.mark.parametrize("kind,q,m,k", [
+    ("linear", 2, 3, 2), ("linear", 2, 3, 3), ("linear", 3, 2, 2), ("linear", 5, 2, 1),
+    ("linear", 7, 2, 1), ("toeplitz", 2, 8, 3), ("toeplitz", 3, 5, 2),
+    ("toeplitz", 5, 3, 2), ("toeplitz", 7, 3, 2), ("toeplitz", 7, 2, 2),
+])
+def test_member_tables_match_per_member_product(kind, q, m, k):
+    n_params = m * k if kind == "linear" else m + k - 1
+    got = hashing._member_tables(kind, q, m, k, n_params)
+    ref = ref_member_tables(kind, q, m, k)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_toeplitz_table_at_the_cell_cap_is_unchanged():
+    fam = build_family("toeplitz", 2, 10, 3)
+    assert fam.table.size == MAX_TABLE_CELLS
+    digest = hashlib.sha1(fam.table.tobytes()).hexdigest()
+    assert digest == hashlib.sha1(ref_member_tables("toeplitz", 2, 10, 3).tobytes()).hexdigest()
+    assert digest == "b0566d3d367593caff2f9091d02b1881e3b72bbc"
+
+
+# ---------------------------------------------------------------------------
+# Float side-register path: unchanged, compared with its earlier code
+# ---------------------------------------------------------------------------
+
+def earlier_float_blocks(ensemble, family):
+    """The float branch of ``hashed_joint_blocks`` as written before limbs."""
+    table = family.table
+    weights = np.array(quantum._diagonals_in_common_basis(ensemble), dtype=float)
+    size, n_in = table.shape
+    n_out = family.q**family.k
+    out = np.zeros((n_out, size, weights.shape[1]))
+    step = max(1, 2**12 // n_in)
+    for lo in range(0, size, step):
+        rows = table[lo:lo + step]
+        for kappa in range(n_out):
+            out[kappa, lo:lo + step] = (rows == kappa).astype(float) @ weights
+    return tuple(tuple(map(tuple, row)) for row in out.tolist())
+
+
+def earlier_float_distance(counts, q, k, size):
+    side = [sum(col) for col in zip(*(b for row in counts for b in row))]
+    spread = q**k * size
+    gap = sum(abs(spread * c - t) for row in counts for b in row for c, t in zip(b, side))
+    return gap / (q * spread * size), side
+
+
+@pytest.mark.parametrize("kind,q,m,k,dim", [
+    ("linear", 2, 2, 1, 3), ("toeplitz", 3, 3, 2, 2), ("toeplitz", 2, 6, 2, 4),
+    ("toeplitz", 2, 8, 3, 3),
+])
+def test_float_path_is_unchanged(kind, q, m, k, dim):
+    rng = np.random.default_rng(q * 100 + m * 10 + dim)
+    fam = build_family(kind, q, m, k)
+    dense = rotate_ensemble(random_diagonal_ensemble(rng, q**m, dim), rng)
+    assert not dense.exact
+    cq = hashed_joint_blocks(dense, fam)
+    counts = earlier_float_blocks(dense, fam)
+    assert cq.counts == counts
+    dist, side = earlier_float_distance(counts, q, k, fam.group_size)
+    assert tripartite_distance(cq) == dist
+    assert cq.side_marginal() == tuple(t / fam.group_size for t in side)
+
+
+# ---------------------------------------------------------------------------
+# Block-count cap and check 5
+# ---------------------------------------------------------------------------
+
+def test_block_count_cap_checked_before_any_sum(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("summed past the block-count cap")
+
+    fam = build_family("linear", 2, 4, 4)          # q**k |G| = 2**20
+    quantum.check_block_count(fam, 4)               # 2**22 entries: at the cap
+    monkeypatch.setattr(quantum, "_key_blocks", forbidden)
+    monkeypatch.setattr(quantum, "_exact_key_blocks", forbidden)
+    ens = random_diagonal_ensemble(np.random.default_rng(3), 16, 5)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        hashed_joint_blocks(ens, fam)
+
+
+def test_cli_refuses_block_count_before_drawing(monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("ensemble drawn past the block-count cap")
+
+    monkeypatch.setattr(verify, "random_diagonal_ensemble", forbidden)
+    code = main(["quantum-lhl", "--q", "2", "--m", "8", "--k", "3",
+                 "--family", "toeplitz", "--dim-q", "513"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and "exceeds cap" in err
+
+
+def test_check_five_requires_equal_trivial_distances():
+    res = verify.check_tripartite()
+    assert res["passed"]
+    assert res["trivial_side_register_gap"] == 0 and res["trivial_tolerance"] == 0
