@@ -9,8 +9,9 @@ tuples on each read, for reference code.  Probabilities are integer sums:
 the input weights are scaled by their common denominator ``D``
 (``core.scale_to_integers``), each (key, member) cell of the joint law sums
 integer numerators over ``|G| D`` as float64 limbs small enough to be exact
-in any order (``_limbs``; Ozaki, Ogita, Oishi and Rump 2012), and distances
-and collision probabilities are integer sums turned into a ``Fraction`` once.
+in any order (``_limbs``; Ozaki, Ogita, Oishi and Rump 2012), the cells are
+held as one read-only array of Python ints, and distances and collision
+probabilities are integer sums turned into a ``Fraction`` once.
 Bound comparisons are exact, with square-form comparisons used wherever
 the bound itself is an irrational square root.
 """
@@ -196,30 +197,34 @@ def is_universal(family: HashFamily) -> bool:
     return verify_universality(family) <= Fraction(1, family.q**family.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointKeyState:
     """Exact joint law of (hashed key, family member).
 
     ``table[kappa][g] = (1/|G|) sum_{x: g(x)=kappa} P_X(x)``, held as integer
-    ``counts[kappa][g]`` over one ``denominator``.  The member marginal is
-    uniform by construction; validated on creation.
+    ``counts[kappa, g]`` over one ``denominator``: a read-only ``(q**k, |G|)``
+    array of Python ints.  The member marginal is uniform by construction;
+    validated on creation.
     """
 
     q: int
     k: int
-    group_size: int
-    counts: Tuple[Tuple[int, ...], ...]
+    counts: np.ndarray
     denominator: int
 
     def __post_init__(self):
-        if any(c < 0 for row in self.counts for c in row):
+        counts = _set_counts(self, object, 2)
+        if (counts < 0).any():
             raise ValueError("joint weights must be nonnegative")
-        per_g = [sum(col) for col in zip(*self.counts)]
-        if sum(per_g) != self.denominator:
+        per_g = counts.sum(axis=0)
+        if per_g.sum() != self.denominator:
             raise ValueError("joint weights must sum to exactly 1")
-        if len(per_g) != self.group_size or any(
-                self.group_size * s != self.denominator for s in per_g):
+        if (self.group_size * per_g != self.denominator).any():
             raise ValueError("member marginal must be exactly uniform")
+
+    @property
+    def group_size(self) -> int:
+        return self.counts.shape[1]
 
     @cached_property
     def table(self) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -227,7 +232,7 @@ class JointKeyState:
                      for row in self.counts)
 
     def key_marginal(self) -> FiniteDistribution:
-        weights = [Fraction(sum(row), self.denominator) for row in self.counts]
+        weights = [Fraction(row.sum(), self.denominator) for row in self.counts]
         return FiniteDistribution(Alphabet(self.q, self.k), weights)
 
     def distance(self) -> Fraction:
@@ -238,13 +243,27 @@ class JointKeyState:
         """
         n_out = self.q**self.k
         share = self.denominator // self.group_size
-        gap = sum(abs(n_out * c - share) for row in self.counts for c in row)
+        gap = sum(np.abs(n_out * row - share).sum() for row in self.counts)
         return Fraction(gap, self.q * n_out * self.denominator)
 
     def collision_probability(self) -> Fraction:
         """``sum_{kappa,g} P_KG(kappa,g)**2``."""
-        squares = sum(c * c for row in self.counts for c in row)
+        squares = sum((row * row).sum() for row in self.counts)
         return Fraction(squares, self.denominator**2)
+
+
+def _set_counts(state, dtype, ndim: int) -> np.ndarray:
+    """Set ``state.counts`` to a read-only ``dtype`` array of ``ndim`` axes and one
+    row per key: kept if it already is one that owns its data, else copied."""
+    counts = np.asarray(state.counts)
+    if counts.dtype != dtype or counts.flags.writeable or not counts.flags.owndata:
+        counts = counts.astype(dtype)
+    counts.flags.writeable = False
+    if counts.ndim != ndim or len(counts) != state.q**state.k:
+        raise ValueError("counts need %d axes and one row per key, got shape %s"
+                         % (ndim, counts.shape))
+    object.__setattr__(state, "counts", counts)
+    return counts
 
 
 def _require_exact(f: FiniteDistribution):
@@ -267,14 +286,13 @@ def _limbs(values, n_terms: int) -> Tuple[np.ndarray, int]:
 
 
 def _join_limbs(sums: np.ndarray, bits: int) -> np.ndarray:
-    """Integers from limb sums: int64 for one limb, else Python ints made
-    one leading block at a time, so that their temporaries stay small."""
-    if sums.shape[-1] == 1:
-        return sums[..., 0].astype(np.int64)
+    """Python ints from limb sums, made one leading block at a time, so that
+    their temporaries stay small."""
     out = np.empty(sums.shape[:-1], dtype=object)
     for i, block in enumerate(sums):
-        out[i] = sum(block[..., j].astype(np.int64).astype(object) << (bits * j)
-                     for j in range(block.shape[-1]))
+        limbs = block.astype(np.int64).astype(object)
+        out[i] = sum((limbs[..., j] << (bits * j) for j in range(1, limbs.shape[-1])),
+                     limbs[..., 0])
     return out
 
 
@@ -306,9 +324,8 @@ def joint_state(f: FiniteDistribution, family: HashFamily) -> JointKeyState:
         raise ValueError("distribution does not match the family input alphabet")
     den, numerators = scale_to_integers(f.weights)
     sums = _cell_sums(family.table, numerators, family.q**family.k)
-    return JointKeyState(family.q, family.k, family.group_size,
-                         tuple(map(tuple, sums.tolist())),
-                         family.group_size * den)
+    sums.flags.writeable = False  # JointKeyState keeps it without a copy
+    return JointKeyState(family.q, family.k, sums, family.group_size * den)
 
 
 def lhl_distance(f: FiniteDistribution, family: HashFamily) -> Fraction:

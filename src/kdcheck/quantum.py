@@ -18,9 +18,9 @@ against ``q**-((h_plus - k)/2)``.  The blocks are diagonal in the
 ensemble's common eigenbasis.  On rational ensembles the integer
 numerators are summed per (key, member) cell over ``|G| D``, as exact
 float64 limbs multiplied key by key by an indicator of the family's table;
-the side marginal and the distance are integer sums.  This pushforward is
-apart from ``hashing.joint_state`` (a scatter), so that a trivial side
-register gives a second route to the classical distance.
+both paths reduce the blocks alike, up to the last division.  This
+pushforward is apart from ``hashing.joint_state`` (a scatter), so that a
+trivial side register gives a second route to the classical distance.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -43,7 +42,7 @@ from .core import (
     state_from_json,
 )
 from .hashing import (CHUNK_CELLS, MAX_TABLE_CELLS, HashFamily, _join_limbs, _limbs,
-                      _q_pow_neg, lhl_bound)
+                      _q_pow_neg, _set_counts, lhl_bound)
 
 COMMUTE_TOL = 1e-9
 PINV_CUTOFF = 1e-12
@@ -123,18 +122,10 @@ class Povm:
         return e
 
 
-def _commutes(mats: Sequence[np.ndarray], tol: float = COMMUTE_TOL) -> bool:
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            if np.abs(comm).max() > tol:
-                return False
-    return True
-
-
 def _common_eigenbasis(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Unitary diagonalizing every matrix of a commuting family at once."""
-    if not _commutes(mats):
+    if any(np.abs(a @ b - b @ a).max() > COMMUTE_TOL
+           for i, a in enumerate(mats) for b in mats[i + 1:]):
         raise ValueError("ensemble states do not commute within 1e-9")
     dim = mats[0].shape[0]
     rng = np.random.default_rng(0x5EED)
@@ -153,13 +144,13 @@ def _common_eigenbasis(mats: Sequence[np.ndarray]) -> np.ndarray:
     raise ValueError("failed to find a common eigenbasis within tolerance")
 
 
-def _diagonals_in_common_basis(ensemble: Ensemble) -> list:
-    """Weighted operators of a float ensemble as diagonals in a common basis."""
+def _diagonals_in_common_basis(ensemble: Ensemble) -> np.ndarray:
+    """Weighted float operators' diagonals in a common basis, ``(symbols, dim)``."""
     mats = [ensemble.weighted(x) for x in range(len(ensemble.states))]
     if not all(np.abs(m - np.diag(np.diag(m))).max() < COMMUTE_TOL for m in mats):
         basis = _common_eigenbasis(mats)
         mats = [basis.conj().T @ m @ basis for m in mats]
-    return [tuple(float(np.real(d)) for d in np.diag(m)) for m in mats]
+    return np.array([np.real(np.diag(m)) for m in mats], dtype=float)
 
 
 def pretty_good_measurement(ensemble: Ensemble) -> Povm:
@@ -228,11 +219,8 @@ def e_opt(ensemble: Ensemble):
     if ensemble.exact:
         return Fraction(sum(map(max, zip(*ensemble.numerators))),
                         ensemble.denominator)
-    diags = _diagonals_in_common_basis(ensemble)
-    total = 0.0
-    for col in zip(*diags):
-        total += max(col)
-    return total
+    # Summed in basis order from 0.0, one Python float addition at a time.
+    return _diagonals_in_common_basis(ensemble).max(axis=0).sum(dtype=object, initial=0.0)
 
 
 def cond_min_entropy(ensemble: Ensemble, base: Optional[int] = None) -> float:
@@ -257,9 +245,7 @@ def partial_trace(state, dims: Sequence[int], traced: Union[int, Sequence[int]])
         raise ValueError("traced subsystem index out of range")
     if len(traced) == len(dims):
         raise ValueError("cannot trace out every subsystem")
-    total = 1
-    for d in dims:
-        total *= d
+    total = math.prod(dims)
     if isinstance(state, StateDensity) and state.is_diagonal:
         if total != state.dim:
             raise ValueError("declared dims do not match the state dimension")
@@ -273,7 +259,7 @@ def partial_trace(state, dims: Sequence[int], traced: Union[int, Sequence[int]])
     for ax in sorted(traced, reverse=True):
         half = t.ndim // 2
         t = np.trace(t, axis1=ax, axis2=ax + half)
-    keep = int(np.prod([d for i, d in enumerate(dims) if i not in traced]))
+    keep = math.prod(d for i, d in enumerate(dims) if i not in traced)
     out = t.reshape(keep, keep)
     if isinstance(state, StateDensity):
         return StateDensity.from_matrix(out)
@@ -284,45 +270,51 @@ def partial_trace(state, dims: Sequence[int], traced: Union[int, Sequence[int]])
 # Hashed key with a quantum side register
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqKeyState:
     """Blocks of the (key, member, side register) state.
 
     ``blocks[kappa][g]`` is the subnormalized side-register operator
     ``(1/|G|) sum_{x: g(x)=kappa} p_x rho_x`` as its diagonal in the
-    ensemble's common eigenbasis, held as ``counts[kappa][g]`` over one
-    ``denominator``: integer counts over ``|G| D`` on the exact path,
-    float sums over ``|G|`` otherwise.  Block-diagonal structure over the
-    classical registers means Schatten-1 norms decompose as sums over
-    blocks.
+    ensemble's common eigenbasis, held as ``counts[kappa, g]`` over one
+    ``denominator``: a read-only ``(q**k, |G|, dim_q)`` array of Python-int
+    counts over ``|G| D`` on the exact path, of float sums over ``|G|``
+    otherwise.  Readouts sum Python objects in (key, member) order from 0,
+    as Python's ``sum`` does, so only ``_value`` tells the paths apart.
+    Block-diagonal structure over the classical registers means Schatten-1
+    norms decompose as sums over blocks.
     """
 
     q: int
     k: int
-    group_size: int
-    dim_q: int
-    counts: Tuple
+    counts: np.ndarray
     denominator: int
     exact: bool
 
-    def _value(self, count):
+    def __post_init__(self):
+        _set_counts(self, object if self.exact else float, 3)
+
+    @property
+    def group_size(self) -> int:
+        return self.counts.shape[1]
+
+    @property
+    def dim_q(self) -> int:
+        return self.counts.shape[2]
+
+    def _value(self, count, scale: int = 1):
+        """``count / (scale * denominator)``: a Fraction on the exact path."""
         if self.exact:
-            return Fraction(count, self.denominator)
-        return count / self.denominator
+            return Fraction(count, scale * self.denominator)
+        return count / (scale * self.denominator)
 
     @cached_property
     def blocks(self) -> Tuple:
         return tuple(tuple(tuple(self._value(c) for c in b) for b in row)
-                     for row in self.counts)
+                     for row in self.counts.tolist())
 
-    def _key_arrays(self):  # exact counts, one (|G|, dim_q) object array per key
-        return (np.fromiter(chain.from_iterable(row), object, len(row) * self.dim_q)
-                .reshape(len(row), self.dim_q) for row in self.counts)
-
-    def _side_counts(self):
-        if self.exact:
-            return sum(block.sum(axis=0) for block in self._key_arrays())
-        return [sum(col) for col in zip(*(b for row in self.counts for b in row))]
+    def _side_counts(self) -> np.ndarray:
+        return self.counts.reshape(-1, self.dim_q).sum(axis=0, dtype=object, initial=0)
 
     def side_marginal(self) -> tuple:
         """``T_Q``: sum of all blocks, the trace-1 side-register diagonal."""
@@ -330,8 +322,8 @@ class CqKeyState:
 
     def member_blocks(self):
         """``T_GQ`` blocks per member: key register traced out."""
-        return tuple(tuple(self._value(sum(col)) for col in zip(*keys))
-                     for keys in zip(*self.counts))
+        return tuple(tuple(self._value(c) for c in b)
+                     for b in self.counts.sum(axis=0, dtype=object, initial=0))
 
 
 def _key_blocks(table: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarray:
@@ -373,12 +365,10 @@ def hashed_joint_blocks(ensemble: Ensemble, family: HashFamily) -> CqKeyState:
         sums = _exact_key_blocks(family.table, ensemble.numerators, n_out)
         denominator = size * ensemble.denominator
     else:
-        diags = _diagonals_in_common_basis(ensemble)
-        sums = _key_blocks(family.table, np.array(diags, dtype=float), n_out)
+        sums = _key_blocks(family.table, _diagonals_in_common_basis(ensemble), n_out)
         denominator = size
-    counts = tuple(tuple(map(tuple, block.tolist())) for block in sums)
-    return CqKeyState(family.q, family.k, size, ensemble.dim, counts,
-                      denominator, ensemble.exact)
+    sums.flags.writeable = False  # CqKeyState keeps it without a copy
+    return CqKeyState(family.q, family.k, sums, denominator, ensemble.exact)
 
 
 def tripartite_distance(cq: CqKeyState):
@@ -391,12 +381,10 @@ def tripartite_distance(cq: CqKeyState):
     """
     side = cq._side_counts()
     spread = cq.q**cq.k * cq.group_size
-    if cq.exact:
-        gap = sum(np.abs(spread * block - side).sum() for block in cq._key_arrays())
-        return Fraction(gap, cq.q * spread * cq.denominator)
-    gap = sum(abs(spread * c - t)
-              for row in cq.counts for b in row for c, t in zip(b, side))
-    return gap / (cq.q * spread * cq.denominator)
+    gap = 0
+    for block in cq.counts:
+        gap = np.abs(spread * block - side).sum(dtype=object, initial=gap)
+    return cq._value(gap, cq.q * spread)
 
 
 def tripartite_report(ensemble: Ensemble, family: HashFamily,

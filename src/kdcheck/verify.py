@@ -30,11 +30,6 @@ from . import treeproc
 # Random object generators (deterministic per seed)
 # ---------------------------------------------------------------------------
 
-def random_rational_distribution(rng: np.random.Generator, alphabet: Alphabet,
-                                 max_weight: int = 32) -> FiniteDistribution:
-    return FiniteDistribution.random_rational(alphabet, rng, max_weight)
-
-
 def random_diagonal_ensemble(rng: np.random.Generator, n_symbols: int,
                              dim: int) -> quantum.Ensemble:
     """Exact rational ensemble of diagonal states."""
@@ -135,7 +130,7 @@ def _classical_sweep() -> Tuple[dict, ...]:
     for m, k in ((2, 1), (3, 1), (3, 2)):
         family = hashing.build_family("linear", 2, m, k)
         for _ in range(100):
-            f = random_rational_distribution(rng, Alphabet(2, m))
+            f = FiniteDistribution.random_rational(Alphabet(2, m), rng)
             reports.append(hashing.lhl_report(f, family))
     return tuple(reports)
 
@@ -190,7 +185,7 @@ def check_tripartite() -> dict:
     # Trivial side register must reproduce the classical distance exactly.
     trivial_gap = Fraction(0)
     for _ in range(10):
-        prior = random_rational_distribution(rng, Alphabet(2, 2))
+        prior = FiniteDistribution.random_rational(Alphabet(2, 2), rng)
         ens = quantum.Ensemble(prior, [StateDensity.from_diag((Fraction(1),))] * 4)
         dist_q = quantum.tripartite_distance(quantum.hashed_joint_blocks(ens, family))
         trivial_gap = max(trivial_gap, abs(dist_q - hashing.lhl_distance(prior, family)))
@@ -416,8 +411,8 @@ def check_entropy_suite() -> dict:
     for trial in range(200):
         n = int(rng.integers(2, 9))
         alphabet = Alphabet(n)
-        f = random_rational_distribution(rng, alphabet)
-        g = random_rational_distribution(rng, alphabet)
+        f = FiniteDistribution.random_rational(alphabet, rng)
+        g = FiniteDistribution.random_rational(alphabet, rng)
         hs = [ent.renyi_entropy(f, a) for a in orders]
         if any(hs[i] < hs[i + 1] - mono_tol for i in range(len(hs) - 1)):
             mono_bad += 1
@@ -442,7 +437,7 @@ def check_entropy_suite() -> dict:
     aep_gauss_gap = abs(ent.aep_estimate(gauss, 10**4, seed=7) - target)
     aep_disc_gap = 0.0
     for s in range(3):
-        f8 = random_rational_distribution(rng, Alphabet(8))
+        f8 = FiniteDistribution.random_rational(Alphabet(8), rng)
         h_nats = ent.shannon_entropy(f8, base=math.e)
         aep_disc_gap = max(aep_disc_gap,
                            abs(ent.aep_estimate(f8, 10**4, seed=100 + s) - h_nats))

@@ -3,8 +3,10 @@
 The kernels sum integers as float64 limbs (``hashing._limbs``); every test
 here compares them with plain Python-int loops on seeded inputs that need
 one, two and three limbs.  The table builder is compared with a per-member
-``M @ digits % q`` product, and the float side-register path with a copy of
-its earlier code, kept below.
+``M @ digits % q`` product, and the float side-register path (blocks,
+diagonals, readouts and ``e_opt``, with dimension 1 among the cases) with a
+copy of its earlier code, kept below, by ``==``.  The state classes hold
+their counts as one read-only array and read their sizes from its shape.
 """
 
 import hashlib
@@ -56,9 +58,7 @@ def ref_tripartite(counts, q, k, denominator):
 
 
 def exact_state(counts, q, k, denominator):
-    return CqKeyState(q, k, len(counts[0]), len(counts[0][0]),
-                      tuple(tuple(map(tuple, row)) for row in counts),
-                      denominator, True)
+    return CqKeyState(q, k, np.array(counts, dtype=object), denominator, True)
 
 
 def sampled_family(q, m, k, members, rng):
@@ -173,7 +173,8 @@ def test_hash_scale_ensemble_matches_loops():
     fam = HashFamily(2, 8, 3, "explicit", full.table[::16])   # 64 of 1024 members
     cq = hashed_joint_blocks(ens, fam)
     counts = ref_key_blocks(fam.table, ens.numerators, 8)
-    assert cq.counts == tuple(tuple(map(tuple, row)) for row in counts)
+    assert cq.counts.tolist() == counts
+    assert not cq.counts.flags.writeable
     assert cq.denominator == 64 * ens.denominator
     assert tripartite_distance(cq) == ref_tripartite(counts, 2, 3, cq.denominator)
     assert cq.side_marginal() == ens.average().diag
@@ -227,10 +228,26 @@ def test_toeplitz_table_at_the_cell_cap_is_unchanged():
 # Float side-register path: unchanged, compared with its earlier code
 # ---------------------------------------------------------------------------
 
+def earlier_diagonals(ensemble):
+    """``quantum._diagonals_in_common_basis`` as written before, as tuples."""
+    mats = [ensemble.weighted(x) for x in range(len(ensemble.states))]
+    if not all(np.abs(m - np.diag(np.diag(m))).max() < quantum.COMMUTE_TOL for m in mats):
+        basis = quantum._common_eigenbasis(mats)
+        mats = [basis.conj().T @ m @ basis for m in mats]
+    return [tuple(float(np.real(d)) for d in np.diag(m)) for m in mats]
+
+
+def earlier_e_opt(ensemble):
+    total = 0.0
+    for col in zip(*earlier_diagonals(ensemble)):
+        total += max(col)
+    return total
+
+
 def earlier_float_blocks(ensemble, family):
     """The float branch of ``hashed_joint_blocks`` as written before limbs."""
     table = family.table
-    weights = np.array(quantum._diagonals_in_common_basis(ensemble), dtype=float)
+    weights = np.array(earlier_diagonals(ensemble), dtype=float)
     size, n_in = table.shape
     n_out = family.q**family.k
     out = np.zeros((n_out, size, weights.shape[1]))
@@ -239,7 +256,7 @@ def earlier_float_blocks(ensemble, family):
         rows = table[lo:lo + step]
         for kappa in range(n_out):
             out[kappa, lo:lo + step] = (rows == kappa).astype(float) @ weights
-    return tuple(tuple(map(tuple, row)) for row in out.tolist())
+    return out.tolist()
 
 
 def earlier_float_distance(counts, q, k, size):
@@ -251,7 +268,7 @@ def earlier_float_distance(counts, q, k, size):
 
 @pytest.mark.parametrize("kind,q,m,k,dim", [
     ("linear", 2, 2, 1, 3), ("toeplitz", 3, 3, 2, 2), ("toeplitz", 2, 6, 2, 4),
-    ("toeplitz", 2, 8, 3, 3),
+    ("toeplitz", 2, 8, 3, 3), ("toeplitz", 2, 6, 2, 1),
 ])
 def test_float_path_is_unchanged(kind, q, m, k, dim):
     rng = np.random.default_rng(q * 100 + m * 10 + dim)
@@ -260,10 +277,55 @@ def test_float_path_is_unchanged(kind, q, m, k, dim):
     assert not dense.exact
     cq = hashed_joint_blocks(dense, fam)
     counts = earlier_float_blocks(dense, fam)
-    assert cq.counts == counts
+    assert cq.counts.tolist() == counts
+    assert not cq.counts.flags.writeable
     dist, side = earlier_float_distance(counts, q, k, fam.group_size)
     assert tripartite_distance(cq) == dist
     assert cq.side_marginal() == tuple(t / fam.group_size for t in side)
+    assert cq.member_blocks() == tuple(
+        tuple(sum(row[g][i] for row in counts) / fam.group_size for i in range(dim))
+        for g in range(fam.group_size))
+    assert quantum._diagonals_in_common_basis(dense).tolist() \
+        == [list(d) for d in earlier_diagonals(dense)]
+    assert quantum.e_opt(dense) == earlier_e_opt(dense)
+
+
+# ---------------------------------------------------------------------------
+# State arrays: read-only, sized by their shape
+# ---------------------------------------------------------------------------
+
+def test_joint_counts_are_a_read_only_array():
+    fam = build_family("toeplitz", 2, 6, 2)
+    f = FiniteDistribution.random_rational(Alphabet(2, 6), np.random.default_rng(5))
+    js = hashing.joint_state(f, fam)
+    assert js.counts.shape == (4, fam.group_size) and js.group_size == fam.group_size
+    assert not js.counts.flags.writeable
+    assert all(type(c) is int for row in js.counts.tolist() for c in row)
+    with pytest.raises(ValueError):
+        js.counts[0, 0] = 0
+
+
+def test_joint_state_needs_one_row_per_key():
+    # Read without its zero row, the same law would give a distance of 1/4.
+    with pytest.raises(ValueError, match="one row per key"):
+        hashing.JointKeyState(2, 1, ((1,),), 1)
+    own = np.array([[1], [0]])
+    js = hashing.JointKeyState(2, 1, own, 1)
+    assert js.group_size == 1 and js.distance() == Fraction(1, 2)
+    # A caller's writeable array is copied, not frozen.
+    assert own.flags.writeable and not np.shares_memory(js.counts, own)
+
+
+def test_side_register_state_reads_its_sizes_from_counts():
+    # A stated group size of 5 would read a distance of 0.4 from the same blocks.
+    cq = CqKeyState(2, 1, (((0.75,),), ((0.25,),)), 1, False)
+    assert (cq.group_size, cq.dim_q) == (1, 1)
+    assert cq.counts.dtype == float and not cq.counts.flags.writeable
+    assert tripartite_distance(cq) == 0.25
+    with pytest.raises(ValueError, match="one row per key"):
+        CqKeyState(2, 1, (((1.0,),),), 1, False)
+    with pytest.raises(ValueError, match="one row per key"):
+        exact_state([[[1]]], 2, 1, 1)
 
 
 # ---------------------------------------------------------------------------
