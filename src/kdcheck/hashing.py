@@ -33,6 +33,11 @@ from .core import Alphabet, FiniteDistribution, scale_to_integers
 MAX_FAMILY_SIZE = 2**20
 # Lookup-table cap for the enumerated kinds: |G| * q**m cells.
 MAX_TABLE_CELLS = 2**22
+# Largest |h_plus| * log2(q) admitted as an entropy floor.  A squared bound
+# adds at most q**k <= 2**22 (MAX_TABLE_CELLS), so every floor q**-h_plus,
+# bound and square stays below 2**1024: a finite float, and a Fraction well
+# inside CPython's 4300-digit limit on printing an int.
+MAX_FLOOR_BITS = 1000
 # Table cells per step of a pushforward, so that no temporary grows with the
 # family.  BLAS sums float side-register blocks in an order set by this step.
 CHUNK_CELLS = 2**12
@@ -349,22 +354,39 @@ def collision_bound(f: FiniteDistribution, family: HashFamily,
     Exact for integer ``h_plus`` or the default ``h_plus = h_min``.
     """
     _require_exact(f)
-    return (Fraction(1, family.q**family.k) + _q_pow_neg(family.q, h_plus, f)) \
-        / family.group_size
-
-
-def _q_pow_neg(q: int, h_plus, f: Optional[FiniteDistribution]) -> Fraction:
-    """``q**-h_plus`` as an exact Fraction when possible."""
-    if h_plus is None:
-        if f is None:
-            raise ValueError("h_plus required without a distribution")
-        return Fraction(f.max_weight)
-    whole = not isinstance(h_plus, float) or h_plus.is_integer()
-    frac = Fraction(h_plus) if whole else None
-    if frac is None or frac.denominator != 1:
+    floor, _, exact = _entropy_floor(family.q, h_plus, Fraction(f.max_weight))
+    if not exact:
         raise ValueError("exact comparison needs integer h_plus or the h_min default")
-    e = frac.numerator
-    return Fraction(1, q**e) if e >= 0 else Fraction(q**-e)
+    return (Fraction(1, family.q**family.k) + floor) / family.group_size
+
+
+def _entropy_floor(q: int, h_plus, default) -> Tuple[object, float, bool]:
+    """``(q**-h_plus, h_plus as a float, exact)`` for an entropy floor.
+
+    ``default`` is the exact ``q**-h_min`` taken when ``h_plus`` is None.  An
+    integer ``h_plus`` gives a ``Fraction``, any other value a float.
+    ``|h_plus| log2 q`` above ``MAX_FLOOR_BITS`` is refused.
+    """
+    if h_plus is None:
+        return (default, -math.log(float(default)) / math.log(q),
+                isinstance(default, Fraction))
+    if not abs(h_plus) <= MAX_FLOOR_BITS / math.log2(q):
+        raise ValueError("h_plus=%s out of range: |h_plus| log2(q) exceeds %d"
+                         % (h_plus, MAX_FLOOR_BITS))
+    whole = Fraction(h_plus)
+    if whole.denominator == 1:
+        return Fraction(q) ** -whole.numerator, float(h_plus), True
+    return float(q) ** -float(h_plus), float(h_plus), False
+
+
+def _bound_verdict(dist, q: int, k: int, floor) -> Tuple[bool, bool]:
+    """``(dist**2 <= q**k * floor, exact)``: ``dist`` against ``q**-((h_plus-k)/2)``.
+
+    Exact when ``dist`` and ``floor`` are both Fractions, else in floats.
+    """
+    exact = isinstance(dist, Fraction) and isinstance(floor, Fraction)
+    bound_sq = Fraction(q**k) * floor if exact else float(q**k) * float(floor)
+    return bool(dist * dist <= bound_sq), exact
 
 
 def lhl_bound(q: int, k: int, h_plus) -> float:
@@ -415,29 +437,16 @@ def lhl_report(f: FiniteDistribution, family: HashFamily,
     _require_exact(f)
     q, k = family.q, family.k
     size = family.group_size
+    max_w = Fraction(f.max_weight)
+    floor, h_val, _ = _entropy_floor(q, h_plus, max_w)
     js = joint_state(f, family)
     dist = js.distance()
     pcol = js.collision_probability()
     qk = Fraction(1, q**k)
-    max_w = Fraction(f.max_weight)
-    try:
-        q_pow_neg_h = _q_pow_neg(q, h_plus, f)
-        exact_cmp = True
-    except ValueError:
-        # Non-integer entropy floor: comparisons fall back to floats.
-        q_pow_neg_h = float(q) ** (-float(h_plus))
-        exact_cmp = False
-    precondition_met = q_pow_neg_h >= max_w  # q**-h_plus >= max P  <=>  h_plus <= h_min
+    satisfied, exact = _bound_verdict(dist, q, k, floor)
     # Chain middle term, squared: q**(k-2) * (|G| P_col - q**-k).
     mid_sq = Fraction(q**k, q**2) * (size * pcol - qk)
-    bound_sq = Fraction(q**k, q**2) * q_pow_neg_h if exact_cmp \
-        else float(q) ** (k - 2) * q_pow_neg_h
-    cs_ok = dist * dist <= mid_sq
-    tail_ok = mid_sq <= bound_sq
-    final_sq = Fraction(q**k) * q_pow_neg_h if exact_cmp \
-        else float(q) ** k * q_pow_neg_h  # (q**-((h_plus-k)/2))**2
-    satisfied = dist * dist <= final_sq
-    col_bound = (qk + q_pow_neg_h) / size
+    col_bound = (qk + floor) / size
     return {
         "q": q,
         "m": family.m,
@@ -446,14 +455,14 @@ def lhl_report(f: FiniteDistribution, family: HashFamily,
         "group_size": size,
         "zeta": family.zeta,
         "distance": dist,
-        "bound": lhl_bound(q, k, float(h_plus) if h_plus is not None
-                           else -math.log(float(max_w)) / math.log(q)),
+        "bound": lhl_bound(q, k, h_val),
         "satisfied": satisfied,
         "collision_probability": pcol,
         "collision_bound": col_bound,
         "collision_satisfied": pcol <= col_bound,
-        "chain_cauchy_schwarz": cs_ok,
-        "chain_tail": tail_ok,
-        "precondition_met": precondition_met,
-        "exact_comparison": exact_cmp,
+        "chain_cauchy_schwarz": dist * dist <= mid_sq,
+        "chain_tail": mid_sq <= Fraction(q**k, q**2) * floor,
+        # q**-h_plus >= max P  <=>  h_plus <= h_min
+        "precondition_met": floor >= max_w,
+        "exact_comparison": exact,
     }

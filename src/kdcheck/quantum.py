@@ -41,8 +41,8 @@ from .core import (
     scale_to_integers,
     state_from_json,
 )
-from .hashing import (CHUNK_CELLS, MAX_TABLE_CELLS, HashFamily, _join_limbs, _limbs,
-                      _q_pow_neg, _set_counts, lhl_bound)
+from .hashing import (CHUNK_CELLS, MAX_TABLE_CELLS, HashFamily, _bound_verdict,
+                      _entropy_floor, _join_limbs, _limbs, _set_counts, lhl_bound)
 
 COMMUTE_TOL = 1e-9
 PINV_CUTOFF = 1e-12
@@ -398,20 +398,8 @@ def tripartite_report(ensemble: Ensemble, family: HashFamily,
     dist = tripartite_distance(cq)
     q, k = family.q, family.k
     eopt = e_opt(ensemble)
-    if h_plus is None:
-        q_pow_neg_h = eopt  # q**-h_min(X|Q), exact on the rational path
-        h_val = -math.log(float(eopt)) / math.log(q)
-    else:
-        try:
-            q_pow_neg_h = _q_pow_neg(q, h_plus, None)
-        except ValueError:
-            q_pow_neg_h = float(q) ** (-float(h_plus))
-        h_val = float(h_plus)
-    bound_sq = (Fraction(q**k) * q_pow_neg_h
-                if isinstance(q_pow_neg_h, Fraction) and isinstance(dist, Fraction)
-                else float(q**k) * float(q_pow_neg_h))
-    satisfied = dist * dist <= bound_sq
-    precondition_met = q_pow_neg_h >= eopt  # h_plus <= h_min(X|Q)
+    floor, h_val, _ = _entropy_floor(q, h_plus, eopt)  # default q**-h_min(X|Q)
+    satisfied, exact = _bound_verdict(dist, q, k, floor)
     return {
         "q": q,
         "m": family.m,
@@ -420,12 +408,11 @@ def tripartite_report(ensemble: Ensemble, family: HashFamily,
         "dim_q": ensemble.dim,
         "distance": dist,
         "bound": lhl_bound(q, k, h_val),
-        "satisfied": bool(satisfied),
+        "satisfied": satisfied,
         "h_min_cond": h_val,
         "e_opt": eopt,
-        "precondition_met": bool(precondition_met),
-        "exact_comparison": isinstance(dist, Fraction)
-        and isinstance(q_pow_neg_h, Fraction),
+        "precondition_met": bool(floor >= eopt),  # h_plus <= h_min(X|Q)
+        "exact_comparison": exact,
     }
 
 

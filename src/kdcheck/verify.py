@@ -2,8 +2,9 @@
 
 Each check runs one claim end to end at its stated tolerance and returns a
 dict with a boolean ``passed``, the measured quantities, and the tolerance
-it enforced.  The registry order follows the claim list; budgets are
-advisory per-check seconds used by the command line runner.
+it enforced.  The registry order follows the claim list.  Per-check
+``budget_seconds`` are asserted only by the acceptance tests; the command
+line runner enforces just its total budget (300 s by default).
 """
 
 from __future__ import annotations
@@ -95,18 +96,13 @@ def check_pgm_sandwich() -> dict:
         n_sym = int(rng.integers(2, 6))
         dim = int(rng.integers(2, 5))
         ens = random_diagonal_ensemble(rng, n_sym, dim)
+        tol = dense_tol if trial % 2 else 0
         if trial % 2:
             ens = rotate_ensemble(ens, rng)
-            eopt = quantum.e_opt(ens)
-            egen = quantum.e_gen(ens)
-            lo, hi = eopt * eopt - dense_tol, eopt + dense_tol
-            if not (lo <= egen <= hi):
-                violations += 1
-        else:
-            eopt = quantum.e_opt(ens)
-            egen = quantum.e_gen(ens)
-            if not (eopt * eopt <= egen <= eopt):
-                violations += 1
+        eopt = quantum.e_opt(ens)
+        egen = quantum.e_gen(ens)
+        if not (eopt * eopt - tol <= egen <= eopt + tol):
+            violations += 1
         worst_gap = max(worst_gap, float(max(eopt * eopt - egen, egen - eopt)))
         cases += 1
     return {
