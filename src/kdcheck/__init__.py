@@ -14,14 +14,10 @@ from .core import (
     format_rational,
     parse_rational,
     schatten_norm,
-    tensor,
-    tensor_power,
-    total_variation,
     trace_distance,
 )
 from .entropy import (
     ContinuousDensity,
-    aep_convergence,
     aep_estimate,
     differential_entropy,
     divergence_report,
@@ -36,12 +32,10 @@ from .hashing import (
     build_family,
     collision_bound,
     collision_probability,
-    is_universal,
     joint_state,
     lhl_bound,
     lhl_distance,
     lhl_report,
-    max_key_length,
     verify_universality,
 )
 from .markov import (
@@ -64,7 +58,6 @@ from .quantum import (
     e_gen,
     e_opt,
     hashed_joint_blocks,
-    partial_trace,
     phi_report,
     pretty_good_measurement,
     tripartite_distance,
@@ -96,20 +89,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "FiniteDistribution", "StateDensity", "format_rational",
-    "parse_rational", "schatten_norm", "tensor", "tensor_power",
-    "total_variation", "trace_distance",
-    "ContinuousDensity", "aep_convergence", "aep_estimate",
+    "parse_rational", "schatten_norm", "trace_distance",
+    "ContinuousDensity", "aep_estimate",
     "differential_entropy", "divergence_report", "entropy_report",
     "min_entropy", "renyi_divergence", "renyi_entropy", "shannon_entropy",
     "HashFamily", "build_family", "collision_bound",
-    "collision_probability", "is_universal", "joint_state", "lhl_bound",
-    "lhl_distance", "lhl_report", "max_key_length", "verify_universality",
+    "collision_probability", "joint_state", "lhl_bound",
+    "lhl_distance", "lhl_report", "verify_universality",
     "Poly", "RationalFunction", "TransitionMatrix", "first_return",
     "markov_report", "n_step", "radius_of_convergence", "resolvent",
     "theta_gf",
     "CqKeyState", "Ensemble", "Povm", "basis_plus_mixed_ensemble",
     "cond_min_entropy", "e_gen", "e_opt", "hashed_joint_blocks",
-    "partial_trace", "phi_report", "pretty_good_measurement",
+    "phi_report", "pretty_good_measurement",
     "tripartite_distance", "tripartite_report",
     "CovSpec", "QuadratureWarning", "apply", "build_sigma",
     "check_contraction", "check_semigroup", "determinant_closed",

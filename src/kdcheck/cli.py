@@ -213,10 +213,9 @@ def cmd_markov(args) -> int:
     if args.matrix is not None:
         with open(args.matrix, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        try:
-            raw_rows = data["rows"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError("matrix JSON needs a 'rows' list") from exc
+        raw_rows = data.get("rows") if isinstance(data, dict) else None
+        if not isinstance(raw_rows, list) or not all(isinstance(r, list) for r in raw_rows):
+            raise ValueError("matrix JSON needs a 'rows' list")
         rows = [[parse_rational(c) for c in row] for row in raw_rows]
     elif args.rows is not None:
         rows = _parse_rows(args.rows)

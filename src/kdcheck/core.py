@@ -2,12 +2,12 @@
 
 Finite alphabets, probability weight vectors with an exact-rational or a
 float backend, density operators with a diagonal fast path, Schatten
-p-norms, trace distance, tensor products, and the JSON encoding used by
-the command line tools.
+p-norms, trace distance, and the JSON encoding used by the command line
+tools.
 
 Exactness contract: whenever every input is rational (``fractions.Fraction``
-weights or diagonal entries), sums, distances with p in {1, inf}, and tensor
-products stay rational end to end.  Dense complex matrices always go through
+weights or diagonal entries), sums and distances with p in {1, inf} stay
+rational end to end.  Dense complex matrices always go through
 the float path.  Exact kernels elsewhere run on integers: each scales its
 rationals once with :func:`scale_to_integers`, the one place that does.
 """
@@ -169,15 +169,6 @@ class FiniteDistribution:
         return cls(alphabet, [Fraction(1, n)] * n)
 
     @classmethod
-    def point_mass(cls, alphabet: Alphabet, symbol: int) -> "FiniteDistribution":
-        n = alphabet.num_symbols
-        if not 0 <= symbol < n:
-            raise ValueError("symbol %d out of range [0, %d)" % (symbol, n))
-        w = [Fraction(0)] * n
-        w[symbol] = Fraction(1)
-        return cls(alphabet, w)
-
-    @classmethod
     def random_rational(
         cls,
         alphabet: Alphabet,
@@ -210,8 +201,7 @@ class StateDensity:
 
     Diagonal operators keep their entries as a tuple (exact rationals or
     floats); general operators are dense Hermitian ``complex128`` arrays.
-    Construct through :meth:`from_diag`, :meth:`from_matrix`, or
-    :meth:`from_distribution`.
+    Construct through :meth:`from_diag` or :meth:`from_matrix`.
     """
 
     __slots__ = ("dim", "diag", "mat", "exact")
@@ -267,10 +257,6 @@ class StateDensity:
             raise ValueError("trace %g exceeds 1 beyond tolerance" % tr)
         return cls(m.shape[0], mat=m, exact=False)
 
-    @classmethod
-    def from_distribution(cls, f: FiniteDistribution) -> "StateDensity":
-        return cls.from_diag(f.weights)
-
     @property
     def is_diagonal(self) -> bool:
         return self.diag is not None
@@ -291,16 +277,6 @@ class StateDensity:
         if self.diag is not None:
             return np.diag(np.array([float(d) for d in self.diag], dtype=complex))
         return self.mat.copy()
-
-    def eigenvalues(self) -> tuple:
-        """Ascending eigenvalues; exact Fractions on the exact diagonal path."""
-        if self.diag is not None:
-            if self.exact:
-                return tuple(sorted(self.diag))
-            vals = sorted(float(d) for d in self.diag)
-            return tuple(0.0 if -PSD_TOL < v < 0 else v for v in vals)
-        vals = np.linalg.eigvalsh(self.mat)
-        return tuple(0.0 if -PSD_TOL < v < 0 else float(v) for v in vals)
 
     def __sub__(self, other: "StateDensity"):
         """Difference as a diagonal tuple (both diagonal) or dense array."""
@@ -377,40 +353,6 @@ def trace_distance(a, b, p: float = 1) -> Scalar:
     if isinstance(a, StateDensity) and isinstance(b, StateDensity):
         return schatten_norm(a - b, p)
     raise ValueError("trace_distance expects two distributions or two states")
-
-
-def total_variation(a, b) -> Scalar:
-    """Half the Schatten-1 distance."""
-    return trace_distance(a, b) / 2
-
-
-def tensor(a, b):
-    """Tensor product of two distributions or two states.
-
-    Distributions must share the alphabet base size; the result lives on
-    the power-summed alphabet.  Diagonal rational states stay exact.
-    """
-    if isinstance(a, FiniteDistribution) and isinstance(b, FiniteDistribution):
-        if a.alphabet.size != b.alphabet.size:
-            raise ValueError("tensor requires a common alphabet base size")
-        alphabet = Alphabet(a.alphabet.size, a.alphabet.power + b.alphabet.power)
-        weights = [x * y for x in a.weights for y in b.weights]
-        return FiniteDistribution(alphabet, weights)
-    if isinstance(a, StateDensity) and isinstance(b, StateDensity):
-        if a.diag is not None and b.diag is not None:
-            entries = [x * y for x in a.diag for y in b.diag]
-            return StateDensity.from_diag(entries)
-        return StateDensity.from_matrix(np.kron(a.to_matrix(), b.to_matrix()))
-    raise ValueError("tensor expects two distributions or two states")
-
-
-def tensor_power(a, n: int):
-    if n < 1:
-        raise ValueError("tensor power requires n >= 1")
-    out = a
-    for _ in range(n - 1):
-        out = tensor(out, a)
-    return out
 
 
 # ---------------------------------------------------------------------------

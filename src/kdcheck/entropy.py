@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -372,8 +372,3 @@ def aep_estimate(f, n: int, seed: int = 0) -> float:
         vals = np.asarray(f.pdf(xs), dtype=float)
         return float(-np.mean(np.log(vals)))
     raise ValueError("expected a FiniteDistribution or ContinuousDensity")
-
-
-def aep_convergence(f, seed: int = 0, sizes: Sequence[int] = (100, 1000, 10000)) -> dict:
-    """AEP estimates at increasing sample sizes, for convergence reports."""
-    return {int(n): aep_estimate(f, int(n), seed=seed) for n in sizes}

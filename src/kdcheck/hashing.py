@@ -19,7 +19,6 @@ the bound itself is an irrational square root.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -198,10 +197,6 @@ def verify_universality(family: HashFamily) -> Fraction:
     return Fraction(hits, family.group_size)
 
 
-def is_universal(family: HashFamily) -> bool:
-    return verify_universality(family) <= Fraction(1, family.q**family.k)
-
-
 @dataclass(frozen=True, eq=False)
 class JointKeyState:
     """Exact joint law of (hashed key, family member).
@@ -365,18 +360,22 @@ def _entropy_floor(q: int, h_plus, default) -> Tuple[object, float, bool]:
 
     ``default`` is the exact ``q**-h_min`` taken when ``h_plus`` is None.  An
     integer ``h_plus`` gives a ``Fraction``, any other value a float.
-    ``|h_plus| log2 q`` above ``MAX_FLOOR_BITS`` is refused.
     """
     if h_plus is None:
         return (default, -math.log(float(default)) / math.log(q),
                 isinstance(default, Fraction))
-    if not abs(h_plus) <= MAX_FLOOR_BITS / math.log2(q):
-        raise ValueError("h_plus=%s out of range: |h_plus| log2(q) exceeds %d"
-                         % (h_plus, MAX_FLOOR_BITS))
+    _check_h_plus(q, h_plus)
     whole = Fraction(h_plus)
     if whole.denominator == 1:
         return Fraction(q) ** -whole.numerator, float(h_plus), True
     return float(q) ** -float(h_plus), float(h_plus), False
+
+
+def _check_h_plus(q: int, h_plus) -> None:
+    """Refuse ``|h_plus| log2 q`` above ``MAX_FLOOR_BITS``, NaN and infinities."""
+    if not abs(h_plus) <= MAX_FLOOR_BITS / math.log2(q):
+        raise ValueError("h_plus=%s out of range: |h_plus| log2(q) exceeds %d"
+                         % (h_plus, MAX_FLOOR_BITS))
 
 
 def _bound_verdict(dist, q: int, k: int, floor) -> Tuple[bool, bool]:
@@ -390,33 +389,10 @@ def _bound_verdict(dist, q: int, k: int, floor) -> Tuple[bool, bool]:
 
 
 def lhl_bound(q: int, k: int, h_plus) -> float:
-    """Float value of ``q**-((h_plus - k)/2)``."""
+    """Float value of ``q**-((h_plus - k)/2)``; refuses the ``h_plus`` that
+    the entropy floor refuses."""
+    _check_h_plus(q, h_plus)
     return float(q) ** (-(float(h_plus) - k) / 2.0)
-
-
-def max_key_length(h_plus, epsilon, q: int, mode: str = "default") -> int:
-    """Largest key length whose uniformity distance stays below ``epsilon``.
-
-    default: ``floor(h_plus + 2 log_q epsilon)`` (the bound inverted for
-    ``q**-((h_plus-k)/2) <= epsilon``).  mode="paper-literal" computes
-    ``floor(h_plus - 2 log_q epsilon)`` instead, which grows as epsilon
-    shrinks and is kept only for comparison.  Negative results clamp to 0
-    with a warning.
-    """
-    eps = float(epsilon)
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    log_eps = math.log(eps) / math.log(q)
-    if mode == "default":
-        raw = math.floor(float(h_plus) + 2.0 * log_eps)
-    elif mode == "paper-literal":
-        raw = math.floor(float(h_plus) - 2.0 * log_eps)
-    else:
-        raise ValueError("mode must be 'default' or 'paper-literal'")
-    if raw < 0:
-        warnings.warn("requested distance unreachable: key length clamps to 0")
-        return 0
-    return raw
 
 
 def lhl_report(f: FiniteDistribution, family: HashFamily,

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -229,41 +229,6 @@ def cond_min_entropy(ensemble: Ensemble, base: Optional[int] = None) -> float:
     if not b > 1:
         raise ValueError("logarithm base must exceed 1")
     return -math.log(float(e_opt(ensemble))) / math.log(b)
-
-
-def partial_trace(state, dims: Sequence[int], traced: Union[int, Sequence[int]]):
-    """Trace out the ``traced`` tensor factor(s) of a composite operator.
-
-    ``dims`` declares the factorization; ``traced`` indexes into it.
-    Diagonal states reduce exactly; dense inputs return a dense result.
-    """
-    dims = tuple(int(d) for d in dims)
-    if isinstance(traced, (int, np.integer)):
-        traced = (int(traced),)
-    traced = tuple(sorted(set(int(t) for t in traced)))
-    if any(not 0 <= t < len(dims) for t in traced):
-        raise ValueError("traced subsystem index out of range")
-    if len(traced) == len(dims):
-        raise ValueError("cannot trace out every subsystem")
-    total = math.prod(dims)
-    if isinstance(state, StateDensity) and state.is_diagonal:
-        if total != state.dim:
-            raise ValueError("declared dims do not match the state dimension")
-        arr = np.array(state.diag, dtype=object).reshape(dims)
-        arr = arr.sum(axis=traced)
-        return StateDensity.from_diag(tuple(arr.ravel()))
-    m = state.to_matrix() if isinstance(state, StateDensity) else np.asarray(state, dtype=complex)
-    if m.shape != (total, total):
-        raise ValueError("declared dims do not match the operator shape")
-    t = m.reshape(dims + dims)
-    for ax in sorted(traced, reverse=True):
-        half = t.ndim // 2
-        t = np.trace(t, axis1=ax, axis2=ax + half)
-    keep = math.prod(d for i, d in enumerate(dims) if i not in traced)
-    out = t.reshape(keep, keep)
-    if isinstance(state, StateDensity):
-        return StateDensity.from_matrix(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -552,6 +552,8 @@ def run_all(filter_substr: Optional[str] = None,
             budget: float = 300.0) -> dict:
     selected = [c for c in CHECKS
                 if filter_substr is None or filter_substr in c.name]
+    if not selected:
+        raise ValueError("filter %r selects no check" % filter_substr)
     results = []
     total = 0.0
     exceeded = False

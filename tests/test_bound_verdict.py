@@ -189,7 +189,9 @@ def test_floor_cap_edges(q, admitted, refused, sign):
     assert math.isfinite(float(rep["collision_bound"]))
     assert rep["exact_comparison"] is float(admitted).is_integer()
     assert math.isfinite(tripartite_report(ens, family, h_plus=sign * admitted)["bound"])
+    assert 0 < lhl_bound(q, 1, sign * admitted) < math.inf
     for call in (lambda: lhl_report(f, family, h_plus=sign * refused),
+                 lambda: lhl_bound(q, 1, sign * refused),
                  lambda: tripartite_report(ens, family, h_plus=sign * refused),
                  lambda: collision_bound(f, family, sign * refused)):
         with pytest.raises(ValueError, match="h_plus"):
@@ -202,6 +204,8 @@ def test_floor_cap_refuses_non_finite_and_huge(h_plus):
     family = build_family("linear", 2, 2, 1)
     with pytest.raises(ValueError, match="h_plus"):
         lhl_report(FiniteDistribution.uniform(Alphabet(2, 2)), family, h_plus=h_plus)
+    with pytest.raises(ValueError, match="h_plus"):
+        lhl_bound(2, 1, h_plus)
 
 
 @pytest.mark.parametrize("admitted,refused", [

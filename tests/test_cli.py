@@ -85,6 +85,15 @@ def test_markov_requires_input(capsys):
     assert "rows" in err
 
 
+@pytest.mark.parametrize("data", [{"rows": 5}, {"rows": [5]}, {"rows": "01"}, [["1"]]])
+def test_markov_malformed_matrix_exits_two(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "markov", "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: matrix JSON needs a 'rows' list\n"
+
+
 def test_markov_refuses_oversized_powers_before_building_them():
     # 2000 terms of a chain over D = 1994 need 22000-bit powers.  Without
     # the up-front cap this call runs for minutes, so it gets its own
@@ -356,6 +365,13 @@ def test_verify_json_shape(capsys):
     assert rep["all_passed"] is True
     assert rep["results"][0]["name"] == "pgm-success-table"
     assert rep["results"][0]["paper_anchor"]
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["table", "json"])
+def test_verify_empty_filter_exits_two(capsys, json_flag):
+    code, out, err = run_cli(capsys, "verify-all", "--filter", "nosuchcheck", *json_flag)
+    assert code == 2 and out == ""
+    assert err == "error: filter 'nosuchcheck' selects no check\n"
 
 
 @pytest.mark.parametrize("argv", [

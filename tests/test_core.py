@@ -16,9 +16,6 @@ from kdcheck.core import (
     scale_to_integers,
     schatten_norm,
     state_from_json,
-    tensor,
-    tensor_power,
-    total_variation,
     trace_distance,
 )
 
@@ -91,14 +88,14 @@ def test_distribution_float_tolerance():
 def test_uniform_and_point_mass():
     u = FiniteDistribution.uniform(Alphabet(2, 2))
     assert u.weights == (Fraction(1, 4),) * 4
-    p = FiniteDistribution.point_mass(Alphabet(2, 2), 3)
-    assert p.weights[3] == 1 and sum(p.weights) == 1
+    p = FiniteDistribution(Alphabet(2, 2), (0, 0, 0, 1))
+    assert p.exact and p.weights[3] == 1 and p.support == (3,)
 
 
 def test_total_variation_oracle():
     f = FiniteDistribution(Alphabet(2), (Fraction(3, 4), Fraction(1, 4)))
     u = FiniteDistribution.uniform(Alphabet(2))
-    assert total_variation(f, u) == Fraction(1, 4)
+    assert trace_distance(f, u) / 2 == Fraction(1, 4)
 
 
 @seed(7)
@@ -108,15 +105,15 @@ def test_total_variation_bounds(raw):
     f = FiniteDistribution(Alphabet(len(raw)),
                            tuple(Fraction(r, tot) for r in raw))
     u = FiniteDistribution.uniform(Alphabet(len(raw)))
-    tv = total_variation(f, u)
+    tv = trace_distance(f, u) / 2
     assert 0 <= tv <= 1
-    assert total_variation(f, f) == 0
+    assert trace_distance(f, f) == 0
 
 
 def test_state_from_diag_exact():
     s = StateDensity.from_diag((Fraction(1, 2), Fraction(1, 2)))
     assert s.trace() == 1
-    assert s.eigenvalues() == (Fraction(1, 2), Fraction(1, 2))
+    assert s.exact and s.diag == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_state_from_matrix_checks():
@@ -132,10 +129,9 @@ def test_state_from_matrix_checks():
 def test_trace_distance_diagonal_matches_tv():
     f = FiniteDistribution(Alphabet(2), (Fraction(3, 4), Fraction(1, 4)))
     u = FiniteDistribution.uniform(Alphabet(2))
-    sf = StateDensity.from_distribution(f)
-    su = StateDensity.from_distribution(u)
+    sf = StateDensity.from_diag(f.weights)
+    su = StateDensity.from_diag(u.weights)
     assert trace_distance(sf, su) == trace_distance(f, u) == Fraction(1, 2)
-    assert total_variation(f, u) == trace_distance(f, u) / 2
 
 
 def test_trace_distance_dense_oracle():
@@ -153,24 +149,6 @@ def test_schatten_norms():
     assert abs(schatten_norm(v, 2) - 5.0) < 1e-12
     with pytest.raises(ValueError, match="p >= 1"):
         schatten_norm(v, 0.5)
-
-
-def test_tensor_and_power():
-    f = FiniteDistribution(Alphabet(2), (Fraction(3, 4), Fraction(1, 4)))
-    ff = tensor(f, f)
-    assert ff.alphabet.power == 2
-    assert ff.weights[0] == Fraction(9, 16)
-    f3 = tensor_power(f, 3)
-    assert f3.alphabet.num_symbols == 8
-    assert sum(f3.weights) == 1
-
-
-def test_tensor_exact_states():
-    a = StateDensity.from_diag((Fraction(1, 2), Fraction(1, 2)))
-    b = StateDensity.from_diag((Fraction(1, 4), Fraction(3, 4)))
-    ab = tensor(a, b)
-    assert ab.eigenvalues() == (Fraction(1, 8), Fraction(1, 8),
-                                Fraction(3, 8), Fraction(3, 8))
 
 
 def test_schatten_one_matches_eigenvalue_oracle():
@@ -196,7 +174,9 @@ def test_tensor_square_subadditive():
             FiniteDistribution.random_rational(Alphabet(3), rng).weights)
         b = StateDensity.from_diag(
             FiniteDistribution.random_rational(Alphabet(3), rng).weights)
-        lhs = trace_distance(tensor(a, a), tensor(b, b))
+        aa = StateDensity.from_diag([x * y for x in a.diag for y in a.diag])
+        bb = StateDensity.from_diag([x * y for x in b.diag for y in b.diag])
+        lhs = trace_distance(aa, bb)
         assert lhs <= 2 * trace_distance(a, b)
 
 

@@ -14,12 +14,10 @@ from kdcheck.hashing import (
     build_family,
     collision_bound,
     collision_probability,
-    is_universal,
     joint_state,
     lhl_bound,
     lhl_distance,
     lhl_report,
-    max_key_length,
     verify_universality,
 )
 
@@ -46,17 +44,14 @@ def test_families_are_universal():
                           ("linear", 3, 2, 1), ("toeplitz", 2, 3, 1),
                           ("toeplitz", 3, 2, 2), ("toeplitz", 5, 2, 1)):
         fam = build_family(kind, q, m, k)
-        worst = verify_universality(fam)
-        assert worst <= Fraction(1, q**k)
-        assert is_universal(fam)
+        assert verify_universality(fam) <= Fraction(1, q**k)
 
 
 def test_explicit_family_and_rejection():
     # both maps send inputs 0 and 1 to the same key: that pair always collides
     maps = [[0, 0, 0, 1], [0, 0, 1, 0]]
     fam = build_family("explicit", 2, 2, 1, maps=maps)
-    assert not is_universal(fam)
-    assert verify_universality(fam) == 1
+    assert verify_universality(fam) == 1 > Fraction(1, 2)
 
 
 def test_non_prime_alphabet_rejected():
@@ -139,17 +134,6 @@ def test_lhl_report_float_h_plus_falls_back():
     assert rep["satisfied"]
 
 
-def test_max_key_length_modes():
-    assert max_key_length(3, Fraction(1, 2), 2) == 1
-    assert max_key_length(3, Fraction(1, 2), 2, mode="paper-literal") == 5
-    assert max_key_length(10, Fraction(1, 4), 2) == 6
-
-
-def test_max_key_length_clamps_to_zero():
-    with pytest.warns(UserWarning):
-        assert max_key_length(1, Fraction(1, 8), 2) == 0
-
-
 @seed(21)
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=32), min_size=8, max_size=8))
@@ -194,7 +178,7 @@ def test_float_distribution_rejected():
 def test_point_mass_has_zero_entropy_margin():
     # distance can reach the trivial regime when the input is deterministic
     fam = build_family("linear", 2, 2, 1)
-    f = FiniteDistribution.point_mass(Alphabet(2, 2), 1)
+    f = FiniteDistribution(Alphabet(2, 2), (0, 1, 0, 0))
     rep = lhl_report(f, fam)
     assert rep["bound"] >= 1.0
     assert rep["satisfied"]

@@ -16,7 +16,6 @@ from kdcheck.quantum import (
     e_opt,
     ensemble_from_json,
     hashed_joint_blocks,
-    partial_trace,
     phi_report,
     pretty_good_measurement,
     tripartite_distance,
@@ -153,36 +152,6 @@ def test_cond_min_entropy_uniform_prior():
 def test_cond_min_entropy_two_state_oracle():
     h = cond_min_entropy(two_state_ensemble(), base=2)
     assert abs(h + math.log2(0.75)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Partial trace
-# ---------------------------------------------------------------------------
-
-def test_partial_trace_product_state():
-    a = np.diag([0.7, 0.3]).astype(complex)
-    b = np.diag([0.5, 0.5]).astype(complex)
-    joint = np.kron(a, b)
-    out = partial_trace(joint, (2, 2), 1)
-    assert np.allclose(out, a)
-    out0 = partial_trace(joint, (2, 2), 0)
-    assert np.allclose(out0, b)
-
-
-def test_partial_trace_exact_diag():
-    joint = diag_state(Fraction(1, 4), Fraction(1, 4),
-                       Fraction(1, 4), Fraction(1, 4))
-    out = partial_trace(joint, (2, 2), 1)
-    assert out.diag == (Fraction(1, 2), Fraction(1, 2))
-
-
-def test_partial_trace_entangled():
-    # maximally entangled pair reduces to the maximally mixed state
-    v = np.zeros(4)
-    v[0] = v[3] = 1.0 / math.sqrt(2.0)
-    joint = np.outer(v, v)
-    out = partial_trace(joint, (2, 2), 1)
-    assert np.allclose(out, np.eye(2) / 2.0)
 
 
 # ---------------------------------------------------------------------------
