@@ -82,15 +82,16 @@ def emit(report: dict, anchor: str, check: Optional[str] = None) -> None:
 def _print_csv(header: str, columns: Sequence[np.ndarray]) -> None:
     """Print a header and the float columns side by side, each value as ``%.17g``.
 
-    Rows are stacked, formatted and written in blocks of ``CSV_BLOCK_ROWS``,
-    so no whole-table copy or text of a level-16 path is held at once.
+    Rows are stacked and written in blocks of ``CSV_BLOCK_ROWS``, each
+    formatted by one ``%`` over the flattened block, so no whole-table copy
+    or text of a level-16 path is held at once.
     """
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     out = sys.stdout
     out.write(header + "\n")
     for b in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         block = np.column_stack([c[b:b + CSV_BLOCK_ROWS] for c in columns])
-        out.write("".join([row % tuple(r) for r in block.tolist()]))
+        out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _parse_number(tok: str):
@@ -315,7 +316,7 @@ def cmd_semigroup(args) -> int:
 
 
 def cmd_treesim(args) -> int:
-    # Checked before simulating; a bad --reps is named by simulate_ensemble.
+    # Checked before the level; a bad --reps is named by treeproc.
     if not args.stats and args.reps >= 1 and not 0 <= args.rep < args.reps:
         raise ValueError("rep index out of range")
     eta = args.eta
@@ -328,17 +329,19 @@ def cmd_treesim(args) -> int:
         if args.keep_eta > eta:
             raise ValueError("keep_eta cannot exceed the simulated level")
         eta = args.keep_eta
-    ens = treeproc.simulate_ensemble(args.dim, eta, args.reps,
-                                     seed=args.seed, mode=args.mode)
     if args.stats:
+        ens = treeproc.simulate_ensemble(args.dim, eta, args.reps,
+                                         seed=args.seed, mode=args.mode)
         rep = treeproc.increment_stats(ens)
         w1 = ens.values[:, -1, :]
         rep["variance_at_one"] = [float(v) for v in w1.var(axis=0, ddof=1)]
         rep["mode"] = ens.mode
         emit(rep, "increment statistics of bridge-refined paths")
         return EXIT_OK
+    ens = treeproc.simulate(args.dim, eta, seed=args.seed, mode=args.mode,
+                            reps=args.reps, rep=args.rep)
     header = "time," + ",".join("w%d" % (i + 1) for i in range(ens.dim))
-    _print_csv(header, [ens.times, *ens.values[args.rep].T])
+    _print_csv(header, [ens.times, *ens.path().T])
     return EXIT_OK
 
 

@@ -364,18 +364,19 @@ def _entropy_floor(q: int, h_plus, default) -> Tuple[object, float, bool]:
     if h_plus is None:
         return (default, -math.log(float(default)) / math.log(q),
                 isinstance(default, Fraction))
-    _check_h_plus(q, h_plus)
+    _check_bits(q, "h_plus", h_plus)
     whole = Fraction(h_plus)
     if whole.denominator == 1:
         return Fraction(q) ** -whole.numerator, float(h_plus), True
     return float(q) ** -float(h_plus), float(h_plus), False
 
 
-def _check_h_plus(q: int, h_plus) -> None:
-    """Refuse ``|h_plus| log2 q`` above ``MAX_FLOOR_BITS``, NaN and infinities."""
-    if not abs(h_plus) <= MAX_FLOOR_BITS / math.log2(q):
-        raise ValueError("h_plus=%s out of range: |h_plus| log2(q) exceeds %d"
-                         % (h_plus, MAX_FLOOR_BITS))
+def _check_bits(q: int, name: str, value) -> None:
+    """Refuse an exponent ``name`` of ``q`` with ``|value| log2 q`` above
+    ``MAX_FLOOR_BITS``, NaN and infinities."""
+    if not abs(value) <= MAX_FLOOR_BITS / math.log2(q):
+        raise ValueError("%s=%s out of range: |%s| log2(q) exceeds %d"
+                         % (name, value, name, MAX_FLOOR_BITS))
 
 
 def _bound_verdict(dist, q: int, k: int, floor) -> Tuple[bool, bool]:
@@ -390,8 +391,12 @@ def _bound_verdict(dist, q: int, k: int, floor) -> Tuple[bool, bool]:
 
 def lhl_bound(q: int, k: int, h_plus) -> float:
     """Float value of ``q**-((h_plus - k)/2)``; refuses the ``h_plus`` that
-    the entropy floor refuses."""
-    _check_h_plus(q, h_plus)
+    the entropy floor refuses, and a ``k`` that is not an integer >= 1 or
+    whose ``k log2 q`` exceeds ``MAX_FLOOR_BITS``."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError("k=%s out of range: need an integer k >= 1" % (k,))
+    _check_bits(q, "k", k)
+    _check_bits(q, "h_plus", h_plus)
     return float(q) ** (-(float(h_plus) - k) / 2.0)
 
 

@@ -30,8 +30,12 @@ for bit: a coarse level is the slice ``values[:, ::f(eta) // f(k)]`` of
 a finer one, and each call simulates one level only.
 Replications are simulated in fixed chunks of 256, each chunk seeded by
 ``SeedSequence(seed).spawn``, so results are identical for a fixed
-(seed, reps).  Path arrays are capped at ``MAX_PATH_CELLS`` values, both
-per chunk and as returned, and the cap is checked before simulating.
+(seed, reps).  ``simulate`` returns one repetition of such an ensemble:
+it simulates only the chunk that holds it, and since each draw spans the
+chunk's repetitions it still draws every normal of that chunk, but fills
+and keeps only the one path.  Path arrays are capped at ``MAX_PATH_CELLS``
+values, both per chunk and as returned (for ``simulate``, as its whole
+ensemble would be), and the cap is checked before simulating.
 """
 
 from __future__ import annotations
@@ -96,14 +100,19 @@ class PathEnsemble:
         return self.values[rep]
 
 
-def _refine(vals: np.ndarray, eta_prev: int, eta: int,
-            rng: np.random.Generator, mode: str) -> np.ndarray:
-    """One refinement step: (reps, P_prev, d) -> (reps, P_new, d)."""
+def _refine(vals: np.ndarray, eta_prev: int, eta: int, rng: np.random.Generator,
+            mode: str, reps: int, keep: slice) -> np.ndarray:
+    """One refinement step: (kept, P_prev, d) -> (kept, P_new, d).
+
+    Normals are drawn for all ``reps`` paths of the chunk, so the random
+    stream is the whole chunk's; only the paths ``keep`` selects, which
+    ``vals`` holds, are filled.
+    """
     f_prev = grid_factor(eta_prev)
     f_new = grid_factor(eta)
     ratio = f_new // f_prev
-    reps, _, d = vals.shape
-    out = np.empty((reps, f_new + 1, d))
+    kept, _, d = vals.shape
+    out = np.empty((kept, f_new + 1, d))
     out[:, ::ratio, :] = vals
     prefac = 1.0 / math.factorial(eta)
     innov = 1.0 / f_new
@@ -116,7 +125,7 @@ def _refine(vals: np.ndarray, eta_prev: int, eta: int,
         right = out[:, (g0 + 1) * ratio:g1 * ratio + 1:ratio, :]
         k = np.arange(g0, g1)[None, :, None] * (ratio - 1)
         for p in range(1, ratio):
-            noise = z[:, p - 1].transpose(1, 0, 2)
+            noise = z[:, p - 1, keep].transpose(1, 0, 2)
             if mode == "standard":
                 # Sequential bridge fill, left to right inside the gap; times
                 # in units of 1/f_new, variance scales accordingly.
@@ -131,12 +140,17 @@ def _refine(vals: np.ndarray, eta_prev: int, eta: int,
 
 
 def _simulate_chunk(dim: int, eta: int, reps: int, rng: np.random.Generator,
-                    mode: str) -> np.ndarray:
-    """Level-``eta`` paths of one chunk, refined up from level 0."""
-    vals = np.zeros((reps, 2, dim))
-    vals[:, 1, :] = rng.standard_normal((reps, dim))
+                    mode: str, keep: slice) -> np.ndarray:
+    """Level-``eta`` paths of one chunk, refined up from level 0.
+
+    Every normal of the chunk's ``reps`` paths is drawn; only the paths
+    ``keep`` selects are filled and returned.
+    """
+    w1 = rng.standard_normal((reps, dim))[keep]
+    vals = np.zeros((len(w1), 2, dim))
+    vals[:, 1, :] = w1
     for e in range(2, eta + 1, 2):
-        vals = _refine(vals, e - 2, e, rng, mode)
+        vals = _refine(vals, e - 2, e, rng, mode, reps, keep)
     return vals
 
 
@@ -156,22 +170,40 @@ def _check_cells(what: str, reps: int, eta: int, dim: int):
                          % (what, cells, MAX_PATH_CELLS))
 
 
-def _chunks(dim: int, eta: int, reps: int, seed: int, mode: str):
+def _chunks(dim: int, eta: int, reps: int, seed: int, mode: str,
+            rep: Optional[int] = None):
     """Level-``eta`` paths in fixed chunks, each simulated when it is reached.
 
-    The working-level cap is checked here, before any chunk is drawn.
+    With ``rep`` given, only the chunk that holds repetition ``rep`` is
+    simulated, and it returns that one path.  The working-level cap is
+    checked here, before any chunk is drawn.
     """
     _check_cells("working level", min(reps, CHUNK), eta, dim)
     sizes = [CHUNK] * (reps // CHUNK) + [reps % CHUNK] * (reps % CHUNK > 0)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    return (_simulate_chunk(dim, eta, size, np.random.default_rng(s), mode)
-            for size, s in zip(sizes, seeds))
+    plan = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
+    keep = slice(None)
+    if rep is not None:
+        chunk, row = divmod(rep, CHUNK)
+        plan, keep = plan[chunk:chunk + 1], slice(row, row + 1)
+    return (_simulate_chunk(dim, eta, size, np.random.default_rng(s), mode, keep)
+            for size, s in plan)
 
 
-def simulate(dim: int, eta: int, seed: int = 0, mode: str = "standard"
-             ) -> PathEnsemble:
-    """Single path on the level-``eta`` grid."""
-    return simulate_ensemble(dim, eta, 1, seed=seed, mode=mode)
+def simulate(dim: int, eta: int, seed: int = 0, mode: str = "standard",
+             reps: int = 1, rep: int = 0) -> PathEnsemble:
+    """Repetition ``rep`` of a ``reps``-path ensemble, as a one-path ensemble.
+
+    The path is bit for bit ``simulate_ensemble(dim, eta, reps, seed,
+    mode).path(rep)``, and the same calls are refused, but only the chunk
+    that holds it is simulated and only the path itself is stored.
+    """
+    _check_eta(eta)
+    _check_args(dim, reps, mode)
+    if not 0 <= rep < reps:
+        raise ValueError("rep index out of range")
+    _check_cells("returned level", reps, eta, dim)
+    values = next(_chunks(dim, eta, reps, seed, mode, rep))
+    return PathEnsemble(dim, eta, values, mode, seed)
 
 
 def simulate_ensemble(dim: int, eta: int, reps: int, seed: int = 0,

@@ -208,6 +208,23 @@ def test_floor_cap_refuses_non_finite_and_huge(h_plus):
         lhl_bound(2, 1, h_plus)
 
 
+@pytest.mark.parametrize("q,admitted,refused", [
+    (2, MAX_FLOOR_BITS, MAX_FLOOR_BITS + 1), (3, 630, 631)])
+def test_lhl_bound_key_length_cap(q, admitted, refused):
+    # The reports pass a built family's k; only a direct caller reaches this.
+    for h_plus in (0, admitted, -admitted):
+        assert 0 < lhl_bound(q, admitted, h_plus) < math.inf
+        with pytest.raises(ValueError, match="^k=%d out of range" % refused):
+            lhl_bound(q, refused, h_plus)
+
+
+@pytest.mark.parametrize("k", [0, -1, -5000, 1.5, 2.0, Fraction(3), math.nan,
+                               math.inf, pytest.param(10**400, id="10**400")])
+def test_lhl_bound_refuses_bad_key_length(k):
+    with pytest.raises(ValueError, match="^k="):
+        lhl_bound(2, k, 0)
+
+
 @pytest.mark.parametrize("admitted,refused", [
     ("1000", "1001"), ("-1000", "-1001"),
     ("1000.0", "1000.0000000000001"), ("-1000.0", "-1000.0000000000001"),

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kdcheck
@@ -290,13 +293,53 @@ def test_late_failure_removes_only_a_regular_output(capsys, monkeypatch,
         assert drained == ["partial report\n"]
 
 
+def _per_row_csv(header, columns):
+    """The CSV writer that formatted one row per ``%``: the byte reference."""
+    from kdcheck import cli
+
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    out = sys.stdout
+    out.write(header + "\n")
+    for b in range(0, len(columns[0]), cli.CSV_BLOCK_ROWS):
+        block = np.column_stack([c[b:b + cli.CSV_BLOCK_ROWS] for c in columns])
+        out.write("".join([row % tuple(r) for r in block.tolist()]))
+
+
 @pytest.mark.parametrize("argv", CSV_ARGV, ids=["treesim", "semigroup"])
 def test_csv_blocks_do_not_change_bytes(capsys, monkeypatch, argv):
     from kdcheck import cli
 
-    whole = run_cli(capsys, *argv)
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
-    assert run_cli(capsys, *argv) == whole and whole[1].count("\n") > 7
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_print_csv", _per_row_csv)
+        whole = run_cli(capsys, *argv)
+    assert whole[1].count("\n") > 7
+    for block in (cli.CSV_BLOCK_ROWS, 7, 1):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        assert run_cli(capsys, *argv) == whole
+
+
+# Signed zero, the smallest subnormal, values whose %.17g takes exponent
+# form or needs all 17 digits, the largest float, NaN and both infinities.
+SPECIAL = [-0.0, 5e-324, 1e-5, 1e16, 1e17, 1.7976931348623157e308, math.nan,
+           math.inf, -math.inf, 0.1, 1 / 3, -2.5e-300, 123456789012345678.0]
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("columns", [
+    [SPECIAL, SPECIAL[::-1], [-v for v in SPECIAL]],
+    [SPECIAL],
+    [[-0.0], [math.nan], [1e17]],
+], ids=["three-columns", "one-column", "one-row"])
+def test_print_csv_matches_per_row_writer(capsys, monkeypatch, block, columns):
+    from kdcheck import cli
+
+    columns = [np.array(c, dtype=float) for c in columns]
+    if block is not None:
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    _per_row_csv("a,b", columns)
+    want = capsys.readouterr().out
+    cli._print_csv("a,b", columns)
+    assert capsys.readouterr().out == want and "e+17" in want
 
 
 def test_mc_compose_judged_in_standard_errors(capsys, monkeypatch):
@@ -476,14 +519,66 @@ def test_treesim_keep_eta_admitted_past_working_cap(capsys, monkeypatch, eta, ke
     levels = []
     refine = treeproc._refine
 
-    def spy(vals, eta_prev, eta_new, rng, mode):
+    def spy(vals, eta_prev, eta_new, rng, mode, reps, keep):
         levels.append(eta_new)
-        return refine(vals, eta_prev, eta_new, rng, mode)
+        return refine(vals, eta_prev, eta_new, rng, mode, reps, keep)
     monkeypatch.setattr(treeproc, "_refine", spy)
     rep = run_json(capsys, "treesim", "--eta", eta, "--reps", "256",
                    "--keep-eta", keep, "--stats")
     assert rep["eta"] == int(keep)
     assert max(levels) == int(keep)
+
+
+@pytest.mark.parametrize("stats,chunks,rows", [
+    ([], 1, {1}), (["--stats"], 3, {256, 88})], ids=["csv", "stats"])
+def test_treesim_csv_fills_only_the_printed_path(capsys, monkeypatch, stats,
+                                                 chunks, rows):
+    # CSV output simulates the chunk that holds --rep and fills that path
+    # alone; --stats still fills every repetition.
+    from kdcheck import treeproc
+
+    calls, refined = [], set()
+    simulate_chunk, refine = treeproc._simulate_chunk, treeproc._refine
+
+    def chunk_spy(*args, **kwargs):
+        calls.append(args)
+        return simulate_chunk(*args, **kwargs)
+
+    def refine_spy(vals, *args):
+        refined.add(len(vals))
+        return refine(vals, *args)
+    monkeypatch.setattr(treeproc, "_simulate_chunk", chunk_spy)
+    monkeypatch.setattr(treeproc, "_refine", refine_spy)
+    code, out, _ = run_cli(capsys, "treesim", "--eta", "4", "--reps", "600",
+                           "--rep", "599", *stats)
+    assert code == 0 and out
+    assert len(calls) == chunks and refined == rows
+
+
+# sha256 of CSV output as printed from the whole ensemble by the per-row
+# writer; identical arguments must keep printing these bytes.  The
+# semigroup digest also rests on numpy's exp and cos.
+PINNED_CSV = [
+    (["treesim", "--eta", "10", "--reps", "300", "--rep", "299", "--mode",
+      "paper-literal", "--seed", "4"],
+     "30ca14959f9e2ada7c74bd4ce9c9b06ad354a1a8e21928a6d60b76d63ce1de22"),
+    (["treesim", "--dim", "2", "--eta", "8", "--seed", "1"],
+     "ae90c7686ed4be1d5a02cf508f3018e7ff888c4be450fc1e44bfd6d9d611614c"),
+    (["treesim", "--eta", "10", "--keep-eta", "4", "--reps", "300", "--rep", "7"],
+     "3ff901328cfe45739a68a62a23e9e07dea6162854cad122c03d43c9e053dd84b"),
+    (["semigroup", "--function", "wave", "--variances", "1,2", "--correlations",
+      "0.3", "--points=" + ";".join("%d,%g" % (i - 5, 0.25 * i) for i in range(12))],
+     "7f694fc8b041eff8fcbe50bd49840d86e063d6a3ef33a2109f2e81cd8874604f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_CSV,
+                         ids=["treesim-chunk-edge", "treesim-2d", "treesim-keep-eta",
+                              "semigroup-wave"])
+def test_csv_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -504,7 +599,7 @@ def test_treesim_rep_checked_before_simulating(capsys, monkeypatch, rep):
 
     def refuse(*args, **kwargs):
         raise AssertionError("simulated with a bad --rep")
-    monkeypatch.setattr(treeproc, "simulate_ensemble", refuse)
+    monkeypatch.setattr(treeproc, "_simulate_chunk", refuse)
     code, out, err = run_cli(capsys, "treesim", "--reps", "3", "--rep", rep)
     assert code == 2 and out == ""
     assert err == "error: rep index out of range\n"

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -203,13 +204,43 @@ def test_blocked_kernel_matches_reference(monkeypatch, block, mode, dim, eta,
     assert np.array_equal(ens.values, _reference_paths(dim, eta, reps, seed, mode))
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_path(dim, eta, reps, seed, mode, rep):
+    return _reference_paths(dim, eta, reps, seed, mode)[rep]
+
+
+@pytest.mark.parametrize("block", [1, None])
+@pytest.mark.parametrize("reps,rep", [(1, 0), (257, 256), (300, 299), (600, 599)])
+@pytest.mark.parametrize("eta", [0, 2, 10])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["standard", "paper-literal"])
+def test_one_path_is_its_row_of_the_ensemble(monkeypatch, block, reps, rep, eta,
+                                             dim, mode):
+    # simulate fills only the printed path, but draws the whole chunk's normals.
+    if block is not None:
+        monkeypatch.setattr(treeproc, "_BLOCK_NORMALS", block)
+    one = simulate(dim, eta, seed=5, mode=mode, reps=reps, rep=rep)
+    assert one.values.shape == (1, grid_factor(eta) + 1, dim)
+    assert np.array_equal(one.path(), _reference_path(dim, eta, reps, 5, mode, rep))
+
+
+@pytest.mark.parametrize("reps,rep", [(3, 3), (3, -1), (1, 1), (300, 300)])
+def test_one_path_rep_checked_before_simulating(no_simulation, reps, rep):
+    with pytest.raises(ValueError, match="rep index out of range"):
+        simulate(1, 4, reps=reps, rep=rep)
+
+
 @pytest.mark.parametrize("block", [1, None])
 @pytest.mark.parametrize("mode", ["standard", "paper-literal"])
 def test_refinement_delta_matches_reference_kernel(monkeypatch, block, mode):
     if block is not None:
         monkeypatch.setattr(treeproc, "_BLOCK_NORMALS", block)
     got = refinement_delta(2, [2, 4, 6], seed=3, reps=260, mode=mode)
-    monkeypatch.setattr(treeproc, "_refine", _reference_refine)
+
+    def reference(vals, eta_prev, eta, rng, mode, reps, keep):
+        assert len(vals) == reps  # refinement_delta keeps every path
+        return _reference_refine(vals, eta_prev, eta, rng, mode)
+    monkeypatch.setattr(treeproc, "_refine", reference)
     want = refinement_delta(2, [2, 4, 6], seed=3, reps=260, mode=mode)
     assert np.array_equal(got, want)
 
@@ -238,6 +269,9 @@ def no_simulation(monkeypatch):
     lambda: refinement_delta(1, [14], reps=256),        # working level only
     lambda: simulate_ensemble(1, 12, 400),              # returned level only
     lambda: refinement_delta(1, [16], reps=2),
+    lambda: simulate(1, 16, reps=256, rep=255),         # one path, as its ensemble
+    lambda: simulate(1, 12, reps=400, rep=0),
+    lambda: simulate(2, 16),
 ])
 def test_path_cap_checked_before_simulating(no_simulation, call):
     with pytest.raises(ValueError, match="path cells exceeds cap %d" % MAX_PATH_CELLS):
@@ -248,6 +282,8 @@ def test_path_cap_checked_before_simulating(no_simulation, call):
     lambda: simulate_ensemble(1, 12, 256),              # 11.8M cells
     lambda: simulate_ensemble(1, 16, 1),                # 10.3M cells
     lambda: refinement_delta(1, [16], reps=1),
+    lambda: simulate(1, 12, reps=256, rep=255),
+    lambda: simulate(1, 16),
 ])
 def test_path_cap_admits_desk_sizes(no_simulation, call):
     with pytest.raises(_Simulated):
