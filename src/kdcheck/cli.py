@@ -79,18 +79,23 @@ def emit(report: dict, anchor: str, check: Optional[str] = None) -> None:
     print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
 
 
-def _print_csv(header: str, columns: Sequence[np.ndarray]) -> None:
+def _print_csv(header: str, columns: Sequence[np.ndarray],
+               time_factor: Optional[int] = None) -> None:
     """Print a header and the float columns side by side, each value as ``%.17g``.
 
     Rows are stacked and written in blocks of ``CSV_BLOCK_ROWS``, each
     formatted by one ``%`` over the flattened block, so no whole-table copy
-    or text of a level-16 path is held at once.
+    or text of a level-16 path is held at once; ``time_factor`` prepends
+    the grid time ``j / time_factor`` of each row ``j``, block by block.
     """
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    row = ",".join(["%.17g"] * (len(columns) + (time_factor is not None))) + "\n"
     out = sys.stdout
     out.write(header + "\n")
     for b in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = np.column_stack([c[b:b + CSV_BLOCK_ROWS] for c in columns])
+        cells = [c[b:b + CSV_BLOCK_ROWS] for c in columns]
+        if time_factor is not None:
+            cells.insert(0, np.arange(b, b + len(cells[0])) / time_factor)
+        block = np.column_stack(cells)
         out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -341,7 +346,7 @@ def cmd_treesim(args) -> int:
     ens = treeproc.simulate(args.dim, eta, seed=args.seed, mode=args.mode,
                             reps=args.reps, rep=args.rep)
     header = "time," + ",".join("w%d" % (i + 1) for i in range(ens.dim))
-    _print_csv(header, [ens.times, *ens.path().T])
+    _print_csv(header, ens.path().T, time_factor=ens.factor)
     return EXIT_OK
 
 

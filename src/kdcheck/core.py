@@ -30,8 +30,16 @@ TRACE_TOL = 1e-9
 SUM_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 MAX_SYMBOLS = 2**20  # random distributions draw one weight per symbol
+MAX_MC_SAMPLES = 2**22  # one (samples, 4) float array is 128 MiB
 
 Scalar = Union[Fraction, float]
+
+
+def check_mc_samples(n: int) -> None:
+    """Refuse a Monte Carlo sample count above ``MAX_MC_SAMPLES``."""
+    if n > MAX_MC_SAMPLES:
+        raise ValueError("%d Monte Carlo samples exceed MAX_MC_SAMPLES = %d"
+                         % (n, MAX_MC_SAMPLES))
 
 
 def _is_rational(x) -> bool:

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import Alphabet, FiniteDistribution
+from .core import Alphabet, FiniteDistribution, check_mc_samples
 from .quadrature import tensor_rule
 
 # Orders within KL_WINDOW of 1 use the KL limit form; orders above
@@ -362,6 +362,7 @@ def aep_estimate(f, n: int, seed: int = 0) -> float:
     """
     if n < 1:
         raise ValueError("sample size must be positive")
+    check_mc_samples(n)
     rng = np.random.default_rng(seed)
     if isinstance(f, FiniteDistribution):
         w = f.as_floats()

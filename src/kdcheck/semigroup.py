@@ -32,6 +32,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import check_mc_samples
 from .quadrature import MAX_TOTAL_NODES, tensor_rule
 
 DET_CROSS_TOL = 1e-10
@@ -372,6 +373,15 @@ def _hermite_average(f: Callable, t: float, chol: np.ndarray, pts: np.ndarray,
     return fine, n, estimate
 
 
+def _mc_rows(rng: np.random.Generator, out: np.ndarray, d: int,
+             leg: Callable) -> None:
+    """Fill ``out[rows] = leg(rows, z)`` in blocks of at most ``CHUNK_ROWS`` rows;
+    the blocks' normals ``z`` are the stream of one ``(len(out), d)`` draw."""
+    for i in range(0, len(out), CHUNK_ROWS):
+        rows = slice(i, min(i + CHUNK_ROWS, len(out)))
+        out[rows] = leg(rows, rng.standard_normal((rows.stop - i, d)))
+
+
 def apply(
     f: Callable,
     t: float,
@@ -418,13 +428,14 @@ def apply(
     if method == "mc":
         if samples < 1:
             raise ValueError("Monte Carlo needs samples >= 1, got %d" % samples)
+        check_mc_samples(samples)
         scaled = math.sqrt(t) * _cholesky(spec)
         seeds = np.random.SeedSequence(seed).spawn(pts.shape[0])
-        out = np.empty(pts.shape[0])
+        out, vals = np.empty(pts.shape[0]), np.empty(samples)
         for i, x in enumerate(pts):
-            rng = np.random.default_rng(seeds[i])
-            z = rng.standard_normal((samples, d))
-            out[i] = float(np.mean(_eval_f(f, x[None, :] + z @ scaled.T, d)))
+            _mc_rows(np.random.default_rng(seeds[i]), vals, d,
+                     lambda _, z: _eval_f(f, x[None, :] + z @ scaled.T, d))
+            out[i] = float(np.mean(vals))
         return out
     raise ValueError("method must be 'quadrature' or 'mc'")
 
@@ -481,18 +492,21 @@ def check_semigroup(
         if samples < 2:
             raise ValueError("a Monte Carlo standard error needs samples >= 2, got %d"
                              % samples)
+        check_mc_samples(samples)
         chol = _cholesky(spec)
         seeds = np.random.SeedSequence(seed).spawn(pts.shape[0])
         max_dev_se = 0.0
         max_dev = 0.0
+        first, v1, v2 = np.empty((samples, d)), np.empty(samples), np.empty(samples)
         for i, x in enumerate(pts):
             rng = np.random.default_rng(seeds[i])
-            z1 = rng.standard_normal((samples, d))
-            z2 = rng.standard_normal((samples, d))
-            y = x[None, :] + math.sqrt(s) * (z1 @ chol.T) + math.sqrt(t) * (z2 @ chol.T)
-            v1 = _eval_f(f, y, d)
-            z3 = rng.standard_normal((samples, d))
-            v2 = _eval_f(f, x[None, :] + math.sqrt(s + t) * (z3 @ chol.T), d)
+            # z1's normals all precede z2's in the stream, so the first leg
+            # x + A is stored whole; adding B to it rounds as x + A + B does.
+            _mc_rows(rng, first, d, lambda _, z: x[None, :] + math.sqrt(s) * (z @ chol.T))
+            _mc_rows(rng, v1, d, lambda rows, z: _eval_f(
+                f, first[rows] + math.sqrt(t) * (z @ chol.T), d))
+            _mc_rows(rng, v2, d, lambda _, z: _eval_f(
+                f, x[None, :] + math.sqrt(s + t) * (z @ chol.T), d))
             dev = abs(float(v1.mean() - v2.mean()))
             se = math.sqrt(v1.var(ddof=1) / samples + v2.var(ddof=1) / samples)
             max_dev = max(max_dev, dev)

@@ -12,6 +12,7 @@ import pytest
 import kdcheck
 from kdcheck import markov
 from kdcheck.cli import main
+from kdcheck.core import MAX_MC_SAMPLES
 from kdcheck.markov import MAX_POWER_BITS
 
 
@@ -293,10 +294,15 @@ def test_late_failure_removes_only_a_regular_output(capsys, monkeypatch,
         assert drained == ["partial report\n"]
 
 
-def _per_row_csv(header, columns):
-    """The CSV writer that formatted one row per ``%``: the byte reference."""
+def _per_row_csv(header, columns, time_factor=None):
+    """The CSV writer that formatted one row per ``%``: the byte reference.
+
+    A time column is built whole, as ``PathEnsemble.times`` builds it.
+    """
     from kdcheck import cli
 
+    if time_factor is not None:
+        columns = [np.arange(len(columns[0])) / time_factor, *columns]
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     out = sys.stdout
     out.write(header + "\n")
@@ -316,6 +322,17 @@ def test_csv_blocks_do_not_change_bytes(capsys, monkeypatch, argv):
     for block in (cli.CSV_BLOCK_ROWS, 7, 1):
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
         assert run_cli(capsys, *argv) == whole
+
+
+def test_treesim_csv_builds_no_time_column(capsys, monkeypatch):
+    from kdcheck import treeproc
+
+    def refuse(self):
+        raise AssertionError("built the whole time column")
+    monkeypatch.setattr(treeproc.PathEnsemble, "times", property(refuse))
+    code, out, _ = run_cli(capsys, "treesim", "--eta", "8", "--seed", "2")
+    assert code == 0 and out.count("\n") == treeproc.grid_factor(8) + 2
+    assert out.splitlines()[-1].startswith("1,")
 
 
 # Signed zero, the smallest subnormal, values whose %.17g takes exponent
@@ -581,6 +598,23 @@ def test_csv_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+MC_ARGV = ["semigroup", "--variances", "1,0.8,1.2", "--correlations", "0.2,-0.1,0.3",
+           "--function", "gauss", "--points=0,0,0;0.5,-0.5,0.2", "--method", "mc",
+           "--samples", "70000"]
+
+
+# Digests of whole-draw Monte Carlo; 70 000 samples span two CHUNK_ROWS blocks.
+@pytest.mark.parametrize("argv,digest", [
+    (MC_ARGV, "2f13c65af95c00f5c797043f6bb86d0f3e86ac9965643811436d26d3e9bcde6f"),
+    (MC_ARGV + ["--compose", "0.3,0.6"],
+     "eb66e58e8596b6063deeb2efd02247ffe495c7f2edd5923ac275a1c476bf6a38"),
+], ids=["apply", "compose"])
+def test_mc_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--eta", "5"], "level must be even and lie in 0..16, got 5"),
     (["--eta", "18", "--keep-eta", "4"], "level must be even and lie in 0..16, got 18"),
@@ -605,19 +639,37 @@ def test_treesim_rep_checked_before_simulating(capsys, monkeypatch, rep):
     assert err == "error: rep index out of range\n"
 
 
+SG_MC = ["semigroup", "--variances", "1", "--method", "mc", "--points", "0"]
+AEP = ["entropy", "--weights", "1/2,1/4,1/4", "--aep-samples"]
+MC_CAP = "%d Monte Carlo samples exceed MAX_MC_SAMPLES = %d"
+DRAWN = "drew samples"
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["--samples", "1", "--compose", "0.3,0.5", "--assert-bounds"],
+    (SG_MC + ["--samples", "1", "--compose", "0.3,0.5", "--assert-bounds"],
      "a Monte Carlo standard error needs samples >= 2, got 1"),
-    (["--samples", "0"], "Monte Carlo needs samples >= 1, got 0"),
+    (SG_MC + ["--samples", "0"], "Monte Carlo needs samples >= 1, got 0"),
+    (SG_MC + ["--samples", str(MAX_MC_SAMPLES)], DRAWN),
+    (SG_MC + ["--samples", str(MAX_MC_SAMPLES), "--compose", "0.3,0.5"], DRAWN),
+    (AEP + [str(MAX_MC_SAMPLES)], DRAWN),
+    (SG_MC + ["--samples", str(MAX_MC_SAMPLES + 1)],
+     MC_CAP % (MAX_MC_SAMPLES + 1, MAX_MC_SAMPLES)),
+    (SG_MC + ["--samples", str(MAX_MC_SAMPLES + 1), "--compose", "0.3,0.5"],
+     MC_CAP % (MAX_MC_SAMPLES + 1, MAX_MC_SAMPLES)),
+    (SG_MC + ["--samples", "1000000000000"], MC_CAP % (10**12, MAX_MC_SAMPLES)),
+    (AEP + [str(MAX_MC_SAMPLES + 1)], MC_CAP % (MAX_MC_SAMPLES + 1, MAX_MC_SAMPLES)),
+    (["entropy", "--gaussian", "0,1", "--aep-samples", str(MAX_MC_SAMPLES + 1)],
+     MC_CAP % (MAX_MC_SAMPLES + 1, MAX_MC_SAMPLES)),
 ])
 def test_mc_sample_count_checked_before_drawing(capsys, monkeypatch, argv, message):
+    # Every generator is refused: a count past the checks reaches it and
+    # exits 2 with DRAWN, so the largest admitted count costs no draw.
     import numpy as np
 
     def refuse(*args, **kwargs):
-        raise AssertionError("drew samples with a bad --samples")
+        raise ValueError(DRAWN)
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    code, out, err = run_cli(capsys, "semigroup", "--variances", "1", "--method", "mc",
-                             "--points", "0", *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 

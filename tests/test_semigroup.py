@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -439,3 +440,114 @@ def test_coordinate_major_average_matches_row_major(monkeypatch, d, chunk_rows):
         assert x.dtype == np.float64
         assert x.shape == ((len(x),) if d == 1 else (len(x), d))
         assert 0 < len(x) <= chunk_rows
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo in CHUNK_ROWS blocks
+# ---------------------------------------------------------------------------
+
+MC_SPECS = {
+    1: CovSpec(1, (0.8,)),
+    2: CovSpec(2, (1.0, 0.7), (0.4,)),
+    3: CovSpec(3, (1.0, 0.8, 1.2), (0.2, -0.1, 0.3)),
+}
+MC_POINTS = {1: [0.0, -0.7], 2: [[0.0, 0.0], [0.6, -0.3]],
+             3: [[0.0, 0.0, 0.0], [0.5, -0.5, 0.2]]}
+MC_SAMPLES = [2, semigroup.CHUNK_ROWS - 1, semigroup.CHUNK_ROWS,
+              semigroup.CHUNK_ROWS + 1, 200_000]
+
+
+def whole_array_apply_mc(f, t, spec, points, seed, samples):
+    """Reference: Monte Carlo ``apply`` with one ``(samples, d)`` draw per point."""
+    d = spec.dim
+    pts = semigroup._as_points(points, d)
+    scaled = math.sqrt(t) * semigroup._cholesky(spec)
+    seeds = np.random.SeedSequence(seed).spawn(pts.shape[0])
+    out = np.empty(pts.shape[0])
+    for i, x in enumerate(pts):
+        z = np.random.default_rng(seeds[i]).standard_normal((samples, d))
+        out[i] = float(np.mean(semigroup._eval_f(f, x[None, :] + z @ scaled.T, d)))
+    return out
+
+
+def whole_array_compose_mc(f, s, t, spec, points, seed, samples):
+    """Reference: ``(max_abs_deviation, max_deviation_in_se)`` from whole draws."""
+    d = spec.dim
+    pts = semigroup._as_points(points, d)
+    chol = semigroup._cholesky(spec)
+    seeds = np.random.SeedSequence(seed).spawn(pts.shape[0])
+    max_dev_se = max_dev = 0.0
+    for i, x in enumerate(pts):
+        rng = np.random.default_rng(seeds[i])
+        z1 = rng.standard_normal((samples, d))
+        z2 = rng.standard_normal((samples, d))
+        y = x[None, :] + math.sqrt(s) * (z1 @ chol.T) + math.sqrt(t) * (z2 @ chol.T)
+        v1 = semigroup._eval_f(f, y, d)
+        z3 = rng.standard_normal((samples, d))
+        v2 = semigroup._eval_f(f, x[None, :] + math.sqrt(s + t) * (z3 @ chol.T), d)
+        dev = abs(float(v1.mean() - v2.mean()))
+        se = math.sqrt(v1.var(ddof=1) / samples + v2.var(ddof=1) / samples)
+        max_dev = max(max_dev, dev)
+        if se > 0:
+            max_dev_se = max(max_dev_se, dev / se)
+    return max_dev, max_dev_se
+
+
+@pytest.mark.parametrize("samples", [1] + MC_SAMPLES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocked_mc_apply_matches_whole_draw(d, samples):
+    f = _FUNCTIONS["wave"]
+    got = apply(f, 0.6, MC_SPECS[d], MC_POINTS[d], method="mc", seed=9,
+                samples=samples)
+    want = whole_array_apply_mc(f, 0.6, MC_SPECS[d], MC_POINTS[d], 9, samples)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("samples", MC_SAMPLES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocked_mc_composition_matches_whole_draw(d, samples):
+    f = _FUNCTIONS["gauss"]
+    rep = check_semigroup(f, 0.3, 0.6, MC_SPECS[d], MC_POINTS[d], method="mc",
+                          seed=88, samples=samples)
+    want = whole_array_compose_mc(f, 0.3, 0.6, MC_SPECS[d], MC_POINTS[d], 88, samples)
+    assert (rep["max_abs_deviation"], rep["max_deviation_in_se"]) == want
+
+
+def test_mc_f_never_sees_more_than_chunk_rows():
+    seen = []
+
+    def f(x):
+        seen.append(len(x))
+        return _FUNCTIONS["gauss"](x)
+
+    spec, pts = MC_SPECS[3], MC_POINTS[3]
+    apply(f, 0.5, spec, pts, method="mc", samples=200_000)
+    check_semigroup(f, 0.3, 0.6, spec, pts, method="mc", samples=200_000)
+    # 200 000 = 3 * 65 536 + 3 392: three full blocks and a partial one per
+    # point, for the apply leg and the composition's two f legs.
+    assert seen == ([semigroup.CHUNK_ROWS] * 3 + [3392]) * len(pts) * 3
+
+
+def traced_peak(call):
+    """Peak bytes that ``call`` allocates beyond what is live when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_peak_memory_is_bounded():
+    # One whole (samples, d) draw per leg peaks at about 34 MB (composition)
+    # and 16 MB (apply) here; blocked draws keep 8 bytes per sample per leg,
+    # plus 8 d for the first leg, and about 5 MB of block temporaries.
+    f, spec, pts = _FUNCTIONS["gauss"], MC_SPECS[3], MC_POINTS[3]
+    compose = traced_peak(lambda: check_semigroup(f, 0.3, 0.6, spec, pts,
+                                                  method="mc", samples=200_000))
+    single = traced_peak(lambda: apply(f, 0.5, spec, pts, method="mc",
+                                       samples=200_000))
+    assert compose < 16e6
+    assert single < 8e6
