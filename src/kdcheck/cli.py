@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Alphabet, FiniteDistribution, StateDensity, parse_rational
+from .core import Alphabet, FiniteDistribution, StateDensity, format_rational, parse_rational
 from . import entropy as ent
 from . import hashing
 from . import markov
@@ -47,7 +47,7 @@ CSV_BLOCK_ROWS = 2**16
 def jsonable(obj):
     """Recursively convert report values into JSON-safe primitives."""
     if isinstance(obj, Fraction):
-        return "%d/%d" % (obj.numerator, obj.denominator)
+        return format_rational(obj)
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (np.bool_,)):
@@ -139,28 +139,25 @@ def _float_list(text: str):
 def cmd_entropy(args) -> int:
     if args.gaussian is not None:
         mean, var = _float_list(args.gaussian)
-        density = ent.ContinuousDensity.gaussian(mean, var)
-        rep = dict(ent.differential_entropy(density, report=True))
+        source = ent.ContinuousDensity.gaussian(mean, var)
+        rep = dict(ent.differential_entropy(source, report=True))
         rep["kind"] = "differential"
         rep["log_base"] = "e"
-        if args.aep_samples:
-            rep["aep_estimate"] = ent.aep_estimate(density, args.aep_samples,
-                                                   seed=args.seed)
-            rep["aep_samples"] = args.aep_samples
-        emit(rep, "differential entropy by quadrature")
-        return EXIT_OK
-    f = _distribution(args)
-    if args.other is not None:
-        g = FiniteDistribution(f.alphabet, _parse_weights(args.other))
-        rep = ent.divergence_report(f, g, args.order, base=args.base)
-        emit(rep, "divergence of two distributions at one order")
-        return EXIT_OK
-    rep = ent.entropy_report(f, args.order, base=args.base)
+        title = "differential entropy by quadrature"
+    else:
+        source = _distribution(args)
+        if args.other is not None:
+            g = FiniteDistribution(source.alphabet, _parse_weights(args.other))
+            rep = ent.divergence_report(source, g, args.order, base=args.base)
+            emit(rep, "divergence of two distributions at one order")
+            return EXIT_OK
+        rep = ent.entropy_report(source, args.order, base=args.base)
+        title = "entropy of one distribution at one order"
     if args.aep_samples:
-        rep["aep_estimate"] = ent.aep_estimate(f, args.aep_samples,
+        rep["aep_estimate"] = ent.aep_estimate(source, args.aep_samples,
                                                seed=args.seed)
         rep["aep_samples"] = args.aep_samples
-    emit(rep, "entropy of one distribution at one order")
+    emit(rep, title)
     return EXIT_OK
 
 
@@ -233,17 +230,6 @@ def cmd_markov(args) -> int:
     return EXIT_OK
 
 
-_FUNCTIONS = {}
-
-
-def _register(name):
-    def deco(fn):
-        _FUNCTIONS[name] = fn
-        return fn
-    return deco
-
-
-@_register("gauss")
 def _fn_gauss(x):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -253,7 +239,6 @@ def _fn_gauss(x):
     return np.exp(-0.5 * sq) / (2.0 * math.pi) ** (d / 2.0)
 
 
-@_register("wave")
 def _fn_wave(x):
     x = np.asarray(x, dtype=float)
     first = x if x.ndim == 1 else x[:, 0]
@@ -261,11 +246,13 @@ def _fn_wave(x):
     return np.exp(-0.25 * sq) * np.cos(2.0 * first)
 
 
-@_register("bump")
 def _fn_bump(x):
     x = np.asarray(x, dtype=float)
     sq = x ** 2 if x.ndim == 1 else (x ** 2).sum(axis=1)
     return 1.0 / (1.0 + sq)
+
+
+_FUNCTIONS = {"gauss": _fn_gauss, "wave": _fn_wave, "bump": _fn_bump}
 
 
 def _cov_spec(args) -> sg.CovSpec:

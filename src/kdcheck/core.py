@@ -2,7 +2,7 @@
 
 Finite alphabets, probability weight vectors with an exact-rational or a
 float backend, density operators with a diagonal fast path, Schatten
-p-norms, trace distance, and the JSON encoding used by the command line
+p-norms, trace distance, and the JSON readers used by the command line
 tools.
 
 Exactness contract: whenever every input is rational (``fractions.Fraction``
@@ -71,15 +71,6 @@ def format_rational(x: Fraction) -> str:
     """Canonical ``"num/den"`` string, denominator always present."""
     f = Fraction(x)
     return "%d/%d" % (f.numerator, f.denominator)
-
-
-def format_number(x) -> Union[str, float, int]:
-    """JSON-friendly scalar: rationals as "num/den", floats unchanged."""
-    if _is_rational(x) and not isinstance(x, int):
-        return format_rational(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return float(x)
 
 
 def scale_to_integers(values: Iterable[Rational]) -> Tuple[int, List[int]]:
@@ -364,16 +355,8 @@ def trace_distance(a, b, p: float = 1) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding
+# JSON readers
 # ---------------------------------------------------------------------------
-
-def distribution_to_json(f: FiniteDistribution) -> dict:
-    return {
-        "schema": 1,
-        "alphabet": {"size": f.alphabet.size, "power": f.alphabet.power},
-        "weights": [format_number(w) for w in f.weights],
-    }
-
 
 def _json_number(x) -> Scalar:
     """A JSON weight: "num/den" strings and ints exact, other numbers float."""
@@ -385,7 +368,7 @@ def _json_number(x) -> Scalar:
 
 
 def distribution_from_json(obj: dict) -> FiniteDistribution:
-    """Inverse of :func:`distribution_to_json`; floats allowed for the float backend."""
+    """Read an ``{"alphabet", "weights"}`` object; floats allowed for the float backend."""
     try:
         alpha = obj["alphabet"]
         alphabet = Alphabet(int(alpha["size"]), int(alpha.get("power", 1)))

@@ -233,6 +233,8 @@ class ContinuousDensity:
             raise ValueError("densities are supported up to dimension 3")
         if any(u <= l for l, u in zip(lower, upper)):
             raise ValueError("window must have positive volume")
+        if not all(map(math.isfinite, lower + upper)):
+            raise ValueError("window must be finite")
         self.pdf = pdf
         self.dim = dim
         self.lower = lower

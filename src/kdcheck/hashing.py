@@ -141,46 +141,35 @@ def _member_tables(kind: str, q: int, m: int, k: int, n_params: int) -> np.ndarr
     return out
 
 
-def build_family(kind: str, q, m: int, k: int,
-                 maps: Optional[Sequence[Sequence[int]]] = None) -> HashFamily:
-    """Construct a hash family.
+def build_family(kind: str, q, m: int, k: int) -> HashFamily:
+    """Enumerate a hash family.
 
     Parameters
     ----------
-    kind : {"linear", "toeplitz", "explicit"}
+    kind : {"linear", "toeplitz"}
         "linear" enumerates every k x m matrix over GF(q); "toeplitz"
-        enumerates the q**(m+k-1) Toeplitz matrices; "explicit" wraps the
-        given lookup tables.  The enumerated kinds are capped at
+        enumerates the q**(m+k-1) Toeplitz matrices.  Both are capped at
         ``MAX_FAMILY_SIZE`` members and ``MAX_TABLE_CELLS`` table cells.
     q : int or Alphabet
         Prime base alphabet size.
     m, k : int
         Input and output string lengths, m >= k >= 1.
-    maps : sequence, optional
-        Lookup tables for the explicit kind, maps[g][x] = kappa.
     """
     if isinstance(q, Alphabet):
         q = q.size
     q = int(q)
-    if kind in ("linear", "toeplitz"):
-        _check_shape(q, m, k)
-        n_params = m * k if kind == "linear" else m + k - 1
-        size = q**n_params
-        label = "all-linear" if kind == "linear" else "Toeplitz"
-        if size > MAX_FAMILY_SIZE:
-            raise ValueError("%s family of size %d exceeds cap" % (label, size))
-        if size * q**m > MAX_TABLE_CELLS:
-            raise ValueError("%s family table of %d cells exceeds cap %d"
-                             % (label, size * q**m, MAX_TABLE_CELLS))
-        return HashFamily(q, m, k, kind, _member_tables(kind, q, m, k, n_params))
-    if kind == "explicit":
-        if maps is None:
-            raise ValueError("explicit kind requires lookup tables")
-        _check_shape(q, m, k)
-        if any(len(t) != q**m for t in maps):
-            raise ValueError("each map needs %d entries" % q**m)
-        return HashFamily(q, m, k, "explicit", np.array(maps))
-    raise ValueError("unknown family kind %r" % kind)
+    if kind not in ("linear", "toeplitz"):
+        raise ValueError("unknown family kind %r" % kind)
+    _check_shape(q, m, k)
+    n_params = m * k if kind == "linear" else m + k - 1
+    size = q**n_params
+    label = "all-linear" if kind == "linear" else "Toeplitz"
+    if size > MAX_FAMILY_SIZE:
+        raise ValueError("%s family of size %d exceeds cap" % (label, size))
+    if size * q**m > MAX_TABLE_CELLS:
+        raise ValueError("%s family table of %d cells exceeds cap %d"
+                         % (label, size * q**m, MAX_TABLE_CELLS))
+    return HashFamily(q, m, k, kind, _member_tables(kind, q, m, k, n_params))
 
 
 def verify_universality(family: HashFamily) -> Fraction:

@@ -56,9 +56,14 @@ def tensor_rule(
             "quadrature grid %d^%d exceeds the node cap; lower the node count"
             % (per_dim, d)
         )
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    return _tensor_grid([a[0] for a in axes], [a[1] for a in axes])
+
+
+def _tensor_grid(points, weights) -> Tuple[np.ndarray, np.ndarray]:
+    """Tensor product of 1-D rules: ``(N, d)`` points, ``(N,)`` weights."""
+    grids = np.meshgrid(*points, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = axes[0][1]
-    for j in range(1, d):
-        wts = np.multiply.outer(wts, axes[j][1])
+    wts = weights[0]
+    for w in weights[1:]:
+        wts = np.multiply.outer(wts, w)
     return pts, wts.ravel()

@@ -46,6 +46,10 @@ from .hashing import (CHUNK_CELLS, MAX_TABLE_CELLS, HashFamily, _bound_verdict,
 
 COMMUTE_TOL = 1e-9
 PINV_CUTOFF = 1e-12
+# Largest basis-plus-mixed dimension: its ~n**2 exact entries make the PGM
+# table grow faster than n**2 in time; n = 200 takes about a second on a
+# 2-core host.
+MAX_PHI_DIM = 200
 
 
 class Ensemble:
@@ -393,6 +397,8 @@ def basis_plus_mixed_ensemble(n: int) -> Ensemble:
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
+    if n > MAX_PHI_DIM:
+        raise ValueError("dimension %d exceeds MAX_PHI_DIM = %d" % (n, MAX_PHI_DIM))
     prior = FiniteDistribution.uniform(Alphabet(n + 1))
     states = []
     for xi in range(n):

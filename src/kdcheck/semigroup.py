@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import check_mc_samples
-from .quadrature import MAX_TOTAL_NODES, tensor_rule
+from .quadrature import MAX_TOTAL_NODES, _tensor_grid, tensor_rule
 
 DET_CROSS_TOL = 1e-10
 INV_CROSS_TOL = 1e-10
@@ -83,6 +83,8 @@ class CovSpec:
             raise ValueError("need one variance per coordinate")
         if any(v <= 0 for v in self.variances):
             raise ValueError("variances must be positive")
+        if not all(map(math.isfinite, self.variances)):
+            raise ValueError("variances must be finite")
         n_corr = self.dim * (self.dim - 1) // 2
         if len(self.correlations) != n_corr:
             raise ValueError("need %d correlations for dimension %d"
@@ -93,12 +95,6 @@ class CovSpec:
             np.linalg.cholesky(self.sigma())
         except np.linalg.LinAlgError:
             raise ValueError("assembled covariance is not positive definite")
-
-    @classmethod
-    def identity(cls, dim: int) -> "CovSpec":
-        """Unit heat-flow covariance: Sigma = I."""
-        n_corr = dim * (dim - 1) // 2
-        return cls(dim, (1.0,) * dim, (0.0,) * n_corr)
 
     def corr(self, i: int, j: int) -> float:
         if i == j:
@@ -270,6 +266,14 @@ def _eval_f(f: Callable, pts: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(f(x), dtype=float).reshape(pts.shape[0])
 
 
+def _check_time(t: float) -> None:
+    """Reject a negative or non-finite time before any rule is built."""
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    if not math.isfinite(t):
+        raise ValueError("time must be finite")
+
+
 def _check_nodes(nodes: Optional[int], dim: int) -> None:
     """Reject a node count before any rule is built."""
     if nodes is None:
@@ -310,11 +314,7 @@ def _whitened_rule(chol: np.ndarray, t: float,
     """Offsets ``sqrt(t) L z_k`` and weights of the d-fold Hermite tensor."""
     d = chol.shape[0]
     z1, w1 = _hermite_1d(n)
-    grids = np.meshgrid(*([z1] * d), indexing="ij")
-    z = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = w1
-    for _ in range(d - 1):
-        weights = np.multiply.outer(weights, w1).ravel()
+    z, weights = _tensor_grid([z1] * d, [w1] * d)
     return math.sqrt(t) * (z @ chol.T), weights
 
 
@@ -416,8 +416,7 @@ def apply(
     samples : int
         Monte Carlo sample count per query point.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     d = spec.dim
     _check_nodes(nodes, d)
     pts = _as_points(points, d)
@@ -468,6 +467,8 @@ def check_semigroup(
     """
     if s <= 0 or t <= 0:
         raise ValueError("both times must be positive")
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise ValueError("both times must be finite")
     d = spec.dim
     _check_nodes(nodes, d)
     pts = _as_points(points, d)
@@ -538,6 +539,7 @@ def check_contraction(
     8-sigma radius, on a fixed Gauss-Legendre grid (``WINDOW_NODES``).
     ``nodes`` is the Gauss-Hermite node count of ``P_t``, as in ``apply``.
     """
+    _check_time(t)
     d = spec.dim
     _check_nodes(nodes, d)
     lows, highs = (np.atleast_1d(np.asarray(w, dtype=float)) for w in window)

@@ -218,10 +218,9 @@ def simulate_ensemble(dim: int, eta: int, reps: int, seed: int = 0,
     return PathEnsemble(dim, eta, values, mode, seed)
 
 
-def increment_stats(ensemble: PathEnsemble, eta: Optional[int] = None) -> dict:
+def increment_stats(ensemble: PathEnsemble) -> dict:
     """Mean, variance, and pairwise correlation of disjoint grid increments.
 
-    ``eta`` selects a coarser subgrid of the ensemble (default: its own).
     Correlations are computed across all increment-coordinate series;
     entries beyond ``4/sqrt(reps)`` in absolute value are counted as
     violations.
@@ -230,12 +229,7 @@ def increment_stats(ensemble: PathEnsemble, eta: Optional[int] = None) -> dict:
         raise ValueError("increment statistics attach to standard mode only")
     if ensemble.reps < 2:
         raise ValueError("increment statistics need at least 2 replications")
-    eta = ensemble.eta if eta is None else eta
-    _check_eta(eta)
-    ratio = grid_factor(ensemble.eta) // grid_factor(eta)
-    if grid_factor(eta) * ratio != grid_factor(ensemble.eta):
-        raise ValueError("requested level is not a subgrid")
-    vals = ensemble.values[:, ::ratio, :]
+    vals = ensemble.values
     reps, n_pts, d = vals.shape
     inc = np.diff(vals, axis=1)  # (reps, n_inc, d)
     n_inc = n_pts - 1
@@ -247,7 +241,7 @@ def increment_stats(ensemble: PathEnsemble, eta: Optional[int] = None) -> dict:
     off = corr[np.triu_indices(n_inc * d, k=1)]
     threshold = 4.0 / math.sqrt(reps)
     return {
-        "eta": eta,
+        "eta": ensemble.eta,
         "reps": reps,
         "n_increments": n_inc,
         "dt": dt,

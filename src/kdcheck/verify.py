@@ -25,6 +25,7 @@ from . import markov
 from . import quantum
 from . import semigroup as sg
 from . import treeproc
+from .quadrature import tensor_rule
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +238,21 @@ def check_markov_gf() -> dict:
             powers.append(_mat_mul(powers[-1], chain.rows))
         if powers[-1] != markov.n_step(chain, n_terms):
             failures.append(("powers", idx))
+        diagonal = []
         for i in range(size):
             for j in range(size):
-                rf = markov.resolvent(chain, i, j)
-                series = rf.series(n_terms)
+                series = markov.resolvent(chain, i, j).series(n_terms)
+                if i == j:
+                    diagonal.append(series)
                 for n in range(n_terms + 1):
                     if series[n] != powers[n][i][j]:
                         failures.append(("series", idx, i, j, n))
-        for i in range(size):
+        for i, p_series in enumerate(diagonal):
             theta = markov.theta_gf(chain, i)
             t_series = theta.series(n_terms)
             recursion = markov.first_return(chain, i, n_terms)
             if t_series[0] != 0 or tuple(t_series[1:]) != recursion:
                 failures.append(("recursion", idx, i))
-            p_series = markov.resolvent(chain, i, i).series(n_terms)
             for n in range(1, n_terms + 1):
                 conv = sum((t_series[m] * p_series[n - m] for m in range(1, n + 1)),
                            start=Fraction(0))
@@ -319,11 +321,10 @@ def check_covariance_forms() -> dict:
             failures += 1
     # Kernel normalization for the printed two-dimensional cases.
     worst_mass = 0.0
+    pts, wts = tensor_rule((-8.0, -8.0), (8.0, 8.0), 101)
     for rho in (0.0, 0.3, -0.3, 0.7, -0.7):
         spec = sg.CovSpec(2, (1.0, 1.0), (rho,))
         pdf = sg.kernel_pdf(spec, 1.0)
-        from .quadrature import tensor_rule
-        pts, wts = tensor_rule((-8.0, -8.0), (8.0, 8.0), 101)
         mass = float(np.dot(wts, pdf(pts)))
         worst_mass = max(worst_mass, abs(mass - 1.0))
     return {

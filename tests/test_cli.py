@@ -14,6 +14,7 @@ from kdcheck import markov
 from kdcheck.cli import main
 from kdcheck.core import MAX_MC_SAMPLES
 from kdcheck.markov import MAX_POWER_BITS
+from kdcheck.quantum import MAX_PHI_DIM
 
 
 def run_cli(capsys, *argv):
@@ -679,3 +680,31 @@ def test_random_distribution_symbol_cap_exits_two(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "exceeds MAX_SYMBOLS" in err
+
+
+def test_phi_dimension_cap(capsys):
+    rep = run_json(capsys, "phi", "--n", str(MAX_PHI_DIM), "--assert-bounds")
+    assert rep["n"] == MAX_PHI_DIM and rep["matches_closed_form"] is True
+    code, out, err = run_cli(capsys, "phi", "--n", str(MAX_PHI_DIM + 1))
+    assert (code, out, err) == (2, "", "error: dimension %d exceeds MAX_PHI_DIM = %d\n"
+                                % (MAX_PHI_DIM + 1, MAX_PHI_DIM))
+
+
+SG1 = ["semigroup", "--variances", "1", "--points=1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["semigroup", "--variances", "inf", "--points=1"], "variances must be finite"),
+    (["semigroup", "--variances", "nan", "--points=1"], "variances must be finite"),
+    (SG1 + ["--time", "inf"], "time must be finite"),
+    (SG1 + ["--time", "nan"], "time must be finite"),
+    (SG1 + ["--contract", "--time", "-1"], "time must be nonnegative"),
+    (SG1 + ["--contract", "--time", "inf"], "time must be finite"),
+    (SG1 + ["--compose", "0.5,inf", "--assert-bounds"], "both times must be finite"),
+    (SG1 + ["--compose", "nan,0.5"], "both times must be finite"),
+    (["entropy", "--gaussian", "0,inf"], "window must be finite"),
+    (["entropy", "--gaussian", "nan,1"], "window must be finite"),
+])
+def test_non_finite_gaussian_parameters_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)

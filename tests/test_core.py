@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, strategies as st
 
+from kdcheck.cli import jsonable
 from kdcheck.core import (
     Alphabet,
     FiniteDistribution,
     StateDensity,
     distribution_from_json,
-    distribution_to_json,
     format_rational,
     parse_rational,
     scale_to_integers,
@@ -184,7 +185,10 @@ def test_distribution_json_roundtrip():
     f = FiniteDistribution(Alphabet(2, 2),
                            (Fraction(1, 2), Fraction(1, 4),
                             Fraction(1, 8), Fraction(1, 8)))
-    data = distribution_to_json(f)
+    # The CLI's writer: Fractions go out as "num/den" strings.
+    data = json.loads(json.dumps(jsonable(
+        {"schema": 1, "alphabet": {"size": 2, "power": 2}, "weights": f.weights})))
+    assert data["weights"] == ["1/2", "1/4", "1/8", "1/8"]
     g = distribution_from_json(data)
     assert g.weights == f.weights and g.alphabet == f.alphabet
 

@@ -235,6 +235,24 @@ def test_uniform_density_entropy():
     assert abs(differential_entropy(d) - math.log(2.0)) < 1e-6
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ContinuousDensity(lambda x: np.exp(-np.abs(x)) / 2, -math.inf, math.inf),
+    lambda: ContinuousDensity(lambda x: np.full(np.shape(x), 0.5), (0.0, math.nan), (2.0, 1.0)),
+    lambda: ContinuousDensity.gaussian(0.0, math.inf),
+    lambda: ContinuousDensity.gaussian(math.nan, 1.0),
+    lambda: ContinuousDensity.gaussian(0.0, math.nan),
+], ids=["window-inf", "window-nan", "gaussian-var-inf", "gaussian-mean-nan",
+        "gaussian-var-nan"])
+def test_non_finite_window_refused_before_any_rule(monkeypatch, make):
+    from kdcheck import quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a rule")
+    monkeypatch.setattr(quadrature, "gauss_legendre_1d", refuse)
+    with pytest.raises(ValueError, match="^window must be finite$"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # Sampling estimators
 # ---------------------------------------------------------------------------

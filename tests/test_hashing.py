@@ -50,7 +50,7 @@ def test_families_are_universal():
 def test_explicit_family_and_rejection():
     # both maps send inputs 0 and 1 to the same key: that pair always collides
     maps = [[0, 0, 0, 1], [0, 0, 1, 0]]
-    fam = build_family("explicit", 2, 2, 1, maps=maps)
+    fam = hashing.HashFamily(2, 2, 1, "explicit", maps)
     assert verify_universality(fam) == 1 > Fraction(1, 2)
 
 
@@ -284,7 +284,7 @@ def test_joint_law_exact_past_int64():
 def test_explicit_maps_exact():
     maps = [[0, 1, 2, 0, 1, 2, 0, 1, 2], [2, 2, 2, 1, 1, 1, 0, 0, 0],
             [0, 0, 1, 1, 2, 2, 0, 1, 2], [1, 0, 2, 2, 0, 1, 0, 2, 1]]
-    fam = build_family("explicit", 3, 2, 1, maps=maps)
+    fam = hashing.HashFamily(3, 2, 1, "explicit", maps)
     assert fam.maps == tuple(map(tuple, maps))
     assert fam.table.tolist() == maps
     # A caller's writeable array is copied: writing it later leaves the
@@ -301,15 +301,15 @@ def test_explicit_maps_exact():
 
 
 @pytest.mark.parametrize("maps", [[[0, 1, 2, 0]], [[0, -1, 0, 1]], [[0, 0.5, 0, 1]],
-                                  [[0, 1, 0]]])
+                                  [[0, 1, 0]], [[0, 1, 0, 1], [0, 1]]])
 def test_explicit_maps_rejected(maps):
     with pytest.raises(ValueError):
-        build_family("explicit", 2, 2, 1, maps=maps)
+        hashing.HashFamily(2, 2, 1, "explicit", maps)
 
 
-def test_explicit_ragged_maps_name_the_length():
-    with pytest.raises(ValueError, match="each map needs 4 entries"):
-        build_family("explicit", 2, 2, 1, maps=[[0, 1, 0, 1], [0, 1]])
+def test_explicit_kind_is_not_built():
+    with pytest.raises(ValueError, match="unknown family kind 'explicit'"):
+        build_family("explicit", 2, 2, 1)
 
 
 @pytest.mark.parametrize("kind,q,m,k", [

@@ -7,7 +7,9 @@ from hypothesis import given, seed, settings, strategies as st
 
 from kdcheck.core import Alphabet, FiniteDistribution, StateDensity
 from kdcheck.hashing import build_family, lhl_distance
+from kdcheck import quantum
 from kdcheck.quantum import (
+    MAX_PHI_DIM,
     Ensemble,
     Povm,
     basis_plus_mixed_ensemble,
@@ -55,6 +57,21 @@ def test_phi_closed_form_through_six():
         rep = phi_report(n)
         assert rep["phi"] == Fraction(n * n + 1, (n + 1) ** 2)
         assert rep["matches_closed_form"]
+
+
+def test_phi_at_the_dimension_cap():
+    rep = phi_report(MAX_PHI_DIM)
+    assert rep["phi"] == Fraction(MAX_PHI_DIM**2 + 1, (MAX_PHI_DIM + 1) ** 2)
+    assert rep["matches_closed_form"]
+
+
+def test_phi_past_the_dimension_cap_builds_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a Fraction")
+    monkeypatch.setattr(quantum, "Fraction", refuse)
+    with pytest.raises(ValueError, match="^dimension %d exceeds MAX_PHI_DIM = %d$"
+                       % (MAX_PHI_DIM + 1, MAX_PHI_DIM)):
+        phi_report(MAX_PHI_DIM + 1)
 
 
 def test_basis_plus_mixed_average_is_maximally_mixed():

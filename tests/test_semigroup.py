@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from kdcheck import semigroup
+from kdcheck import quadrature, semigroup
 from kdcheck.cli import _FUNCTIONS
-from kdcheck.quadrature import gauss_legendre_1d, tensor_rule
+from kdcheck.quadrature import MAX_TOTAL_NODES, PANEL_ORDER, gauss_legendre_1d, tensor_rule
 from kdcheck.semigroup import (
     CovSpec,
     QuadratureWarning,
@@ -43,6 +43,53 @@ def test_gauss_legendre_polynomial_exact():
     # degree-7 polynomial integrates exactly
     val = float(np.dot(wts, pts ** 7 + 2 * pts ** 2))
     assert abs(val - 4.0 / 3.0) < 1e-13
+
+
+def separate_tensor_rule(lows, highs, nodes):
+    """The Gauss-Legendre box rule as built before it shared its tensor step."""
+    axes = [gauss_legendre_1d(float(lo), float(hi), nodes) for lo, hi in zip(lows, highs)]
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    wts = axes[0][1]
+    for j in range(1, len(axes)):
+        wts = np.multiply.outer(wts, axes[j][1])
+    return pts, wts.ravel()
+
+
+def separate_whitened_rule(chol, t, n):
+    """The whitened Hermite rule as built before it shared its tensor step."""
+    d = chol.shape[0]
+    z1, w1 = semigroup._hermite_1d(n)
+    grids = np.meshgrid(*([z1] * d), indexing="ij")
+    z = np.stack([g.ravel() for g in grids], axis=-1)
+    weights = w1
+    for _ in range(d - 1):
+        weights = np.multiply.outer(weights, w1).ravel()
+    return math.sqrt(t) * (z @ chol.T), weights
+
+
+def assert_same_arrays(got, ref):
+    for a, b in zip(got, ref, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d,nodes", [
+    (d, n) for d in (1, 2, 3, 4) for n in (1, 24, 25, 49)
+    if (PANEL_ORDER * math.ceil(n / PANEL_ORDER)) ** d <= MAX_TOTAL_NODES])
+def test_tensor_rule_matches_reference_rule(d, nodes):
+    lows, highs = (-1.0, 0.0, -3.0, 2.0)[:d], (1.0, 3.0, 0.5, 2.25)[:d]
+    assert_same_arrays(tensor_rule(lows, highs, nodes),
+                       separate_tensor_rule(lows, highs, nodes))
+
+
+@pytest.mark.parametrize("d,n", [
+    (d, n) for d in (1, 2, 3, 4) for n in (2, 7, 20, 40) if n**d <= 200_000])
+def test_whitened_rule_matches_reference_rule(d, n):
+    spec = CovSpec(d, (1.0, 0.8, 1.2, 0.5)[:d], (0.2, -0.1, 0.3, 0.1, 0.0, -0.2)[:d * (d - 1) // 2])
+    chol = semigroup._cholesky(spec)
+    assert_same_arrays(semigroup._whitened_rule(chol, 0.6, n),
+                       separate_whitened_rule(chol, 0.6, n))
 
 
 def test_tensor_rule_volume():
@@ -551,3 +598,37 @@ def test_mc_peak_memory_is_bounded():
                                        samples=200_000))
     assert compose < 16e6
     assert single < 8e6
+
+
+def refuse_rules(monkeypatch):
+    """Make building any quadrature rule fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a rule")
+    monkeypatch.setattr(quadrature, "gauss_legendre_1d", refuse)
+    monkeypatch.setattr(semigroup, "_hermite_1d", refuse)
+
+
+UNIT = CovSpec(1, (1.0,))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: CovSpec(1, (math.inf,)), "variances must be finite"),
+    (lambda: CovSpec(2, (1.0, math.nan), (0.0,)), "variances must be finite"),
+    (lambda: apply(_FUNCTIONS["gauss"], math.inf, UNIT, [1.0]), "time must be finite"),
+    (lambda: apply(_FUNCTIONS["gauss"], math.nan, UNIT, [1.0]), "time must be finite"),
+    (lambda: check_contraction(_FUNCTIONS["gauss"], -1.0, UNIT, ([-4.0], [4.0])),
+     "time must be nonnegative"),
+    (lambda: check_contraction(_FUNCTIONS["gauss"], math.inf, UNIT, ([-4.0], [4.0])),
+     "time must be finite"),
+    (lambda: check_semigroup(_FUNCTIONS["gauss"], 0.5, math.inf, UNIT, [1.0]),
+     "both times must be finite"),
+    (lambda: check_semigroup(_FUNCTIONS["gauss"], math.nan, 0.5, UNIT, [1.0]),
+     "both times must be finite"),
+    (lambda: check_semigroup(_FUNCTIONS["gauss"], math.inf, 0.5, UNIT, [1.0], method="mc"),
+     "both times must be finite"),
+], ids=["variance-inf", "variance-nan", "apply-inf", "apply-nan", "contract-negative",
+        "contract-inf", "compose-t-inf", "compose-s-nan", "compose-mc-s-inf"])
+def test_non_finite_parameters_refused_before_any_rule(monkeypatch, call, message):
+    refuse_rules(monkeypatch)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()

@@ -98,8 +98,14 @@ def test_covariance_matches_min_of_times():
 
 
 def test_increment_stats_standard():
-    ens = simulate_ensemble(2, 6, REPS, seed=2)
-    stats = increment_stats(ens, eta=4)
+    # Levels nest: the level-4 grid of a level-6 ensemble is the level-4
+    # simulation, so the statistics of either describe both.
+    ens = simulate_ensemble(2, 4, REPS, seed=2)
+    fine = simulate_ensemble(2, 6, REPS, seed=2)
+    ratio = grid_factor(6) // grid_factor(4)
+    assert np.array_equal(fine.values[:, ::ratio], ens.values)
+    stats = increment_stats(ens)
+    assert stats["eta"] == 4 and stats["n_increments"] == grid_factor(4)
     assert stats["corr_violations"] == 0
     assert abs(stats["var_min"] - stats["expected_var"]) < 0.02
     assert abs(stats["var_max"] - stats["expected_var"]) < 0.02
