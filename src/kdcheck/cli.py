@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Alphabet, FiniteDistribution, StateDensity, format_rational, parse_rational
+from .core import Alphabet, FiniteDistribution, format_rational, parse_rational
 from . import entropy as ent
 from . import hashing
 from . import markov
@@ -115,7 +115,7 @@ def _parse_rows(text: str):
             for row in text.split(";")]
 
 
-def _distribution(args, rng_seed_attr: str = "seed") -> FiniteDistribution:
+def _distribution(args) -> FiniteDistribution:
     if args.weights is not None:
         weights = _parse_weights(args.weights)
         size = args.alphabet_size or len(weights)
@@ -123,7 +123,7 @@ def _distribution(args, rng_seed_attr: str = "seed") -> FiniteDistribution:
         return FiniteDistribution(Alphabet(size, power), weights)
     if args.random is None:
         raise ValueError("provide --weights or --random")
-    rng = np.random.default_rng(getattr(args, rng_seed_attr))
+    rng = np.random.default_rng(args.seed)
     return FiniteDistribution.random_rational(
         Alphabet(args.random, args.alphabet_power), rng)
 
@@ -140,7 +140,7 @@ def cmd_entropy(args) -> int:
     if args.gaussian is not None:
         mean, var = _float_list(args.gaussian)
         source = ent.ContinuousDensity.gaussian(mean, var)
-        rep = dict(ent.differential_entropy(source, report=True))
+        rep = ent.differential_entropy(source)
         rep["kind"] = "differential"
         rep["log_base"] = "e"
         title = "differential entropy by quadrature"

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -27,6 +27,11 @@ from .quadrature import tensor_rule
 # INF_THRESHOLD use the max-ratio form.
 KL_WINDOW = 1e-9
 INF_THRESHOLD = 1e9
+# A continuous density is integrated with DENSITY_NODES composite
+# Gauss-Legendre nodes per dimension, and its window mass may deviate
+# from 1 by at most MASS_TOL.
+DENSITY_NODES = 201
+MASS_TOL = 1e-6
 
 
 def _order_value(order) -> float:
@@ -205,7 +210,8 @@ def shannon_entropy(f: FiniteDistribution, base=None) -> float:
 # ---------------------------------------------------------------------------
 
 class ContinuousDensity:
-    """Probability density on a box, with a fixed quadrature configuration.
+    """Probability density on a box, integrated with ``DENSITY_NODES``
+    composite Gauss-Legendre nodes per dimension.
 
     Parameters
     ----------
@@ -213,17 +219,12 @@ class ContinuousDensity:
         Vectorized density.  For ``dim == 1`` it maps an (N,) array to
         (N,); for ``dim > 1`` an (N, dim) array to (N,).
     lower, upper : float or sequence of float
-        Integration window, which must carry all but ~1e-8 of the mass.
-    nodes : int
-        Quadrature nodes per dimension (composite Gauss-Legendre).
-    tol : float
-        Allowed deviation of the window mass from 1.
+        Integration window, whose mass must lie within ``MASS_TOL`` of 1.
     """
 
-    __slots__ = ("pdf", "dim", "lower", "upper", "nodes", "rule", "tol", "mass")
+    __slots__ = ("pdf", "dim", "lower", "upper", "mass")
 
-    def __init__(self, pdf: Callable, lower, upper, nodes: int = 201,
-                 tol: float = 1e-6):
+    def __init__(self, pdf: Callable, lower, upper):
         lower = tuple(float(x) for x in np.atleast_1d(lower))
         upper = tuple(float(x) for x in np.atleast_1d(upper))
         if len(lower) != len(upper):
@@ -239,18 +240,15 @@ class ContinuousDensity:
         self.dim = dim
         self.lower = lower
         self.upper = upper
-        self.nodes = int(nodes)
-        self.rule = "composite-gauss-legendre"
-        self.tol = float(tol)
-        pts, wts = tensor_rule(lower, upper, self.nodes)
+        pts, wts = tensor_rule(lower, upper, DENSITY_NODES)
         vals = self._eval(pts)
         if vals.min() < -1e-12:
             raise ValueError("density is negative on the window")
         self.mass = float(np.dot(wts, np.clip(vals, 0.0, None)))
-        if abs(self.mass - 1.0) > self.tol:
+        if abs(self.mass - 1.0) > MASS_TOL:
             raise ValueError(
                 "window mass %.3g deviates from 1 beyond tol %.1g"
-                % (self.mass, self.tol)
+                % (self.mass, MASS_TOL)
             )
 
     def _eval(self, pts: np.ndarray) -> np.ndarray:
@@ -258,26 +256,33 @@ class ContinuousDensity:
         return np.asarray(self.pdf(x), dtype=float)
 
     @classmethod
-    def gaussian(cls, mean=0.0, var=1.0, nodes: int = 201) -> "ContinuousDensity":
-        """Scalar normal density on the +/- 8 sigma window."""
+    def gaussian(cls, mean=0.0, var=1.0) -> "ContinuousDensity":
+        """Scalar normal density on the +/- 8 sigma window.
+
+        A non-finite mean or variance is refused before the window is formed.
+        """
         mean = float(mean)
         var = float(var)
+        if not math.isfinite(mean):
+            raise ValueError("mean must be finite, got %r" % mean)
         if var <= 0:
             raise ValueError("variance must be positive")
+        if not math.isfinite(var):
+            raise ValueError("variance must be finite, got %r" % var)
         sd = math.sqrt(var)
         norm = 1.0 / math.sqrt(2.0 * math.pi * var)
 
         def pdf(x):
             return norm * np.exp(-0.5 * (np.asarray(x) - mean) ** 2 / var)
 
-        return cls(pdf, mean - 8 * sd, mean + 8 * sd, nodes=nodes)
+        return cls(pdf, mean - 8 * sd, mean + 8 * sd)
 
 
-def differential_entropy(density: ContinuousDensity, report: bool = False):
+def differential_entropy(density: ContinuousDensity) -> dict:
     """``-integral f ln f`` in nats over the density's window.
 
-    With ``report=True`` returns a dict carrying the value and a
-    node-doubling error estimate.
+    Returns the ``value``, a node-halving ``error_estimate``, the ``rule``
+    and its ``nodes`` per dimension.
     """
 
     def entropy_at(nodes: int) -> float:
@@ -286,17 +291,13 @@ def differential_entropy(density: ContinuousDensity, report: bool = False):
         mask = vals > 0
         return float(-np.dot(wts[mask], vals[mask] * np.log(vals[mask])))
 
-    value = entropy_at(density.nodes)
-    coarse = entropy_at(max(8, density.nodes // 2))
-    err = abs(value - coarse)
-    if report:
-        return {
-            "value": value,
-            "error_estimate": err,
-            "rule": density.rule,
-            "nodes": density.nodes,
-        }
-    return value
+    value = entropy_at(DENSITY_NODES)
+    return {
+        "value": value,
+        "error_estimate": abs(value - entropy_at(DENSITY_NODES // 2)),
+        "rule": "composite-gauss-legendre",
+        "nodes": DENSITY_NODES,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -190,7 +189,7 @@ def verify_universality(family: HashFamily) -> Fraction:
 class JointKeyState:
     """Exact joint law of (hashed key, family member).
 
-    ``table[kappa][g] = (1/|G|) sum_{x: g(x)=kappa} P_X(x)``, held as integer
+    ``P_KG(kappa, g) = (1/|G|) sum_{x: g(x)=kappa} P_X(x)``, held as integer
     ``counts[kappa, g]`` over one ``denominator``: a read-only ``(q**k, |G|)``
     array of Python ints.  The member marginal is uniform by construction;
     validated on creation.
@@ -214,15 +213,6 @@ class JointKeyState:
     @property
     def group_size(self) -> int:
         return self.counts.shape[1]
-
-    @cached_property
-    def table(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(c, self.denominator) for c in row)
-                     for row in self.counts)
-
-    def key_marginal(self) -> FiniteDistribution:
-        weights = [Fraction(row.sum(), self.denominator) for row in self.counts]
-        return FiniteDistribution(Alphabet(self.q, self.k), weights)
 
     def distance(self) -> Fraction:
         """``(1/q) sum_{kappa,g} |P_KG(kappa,g) - q**-k/|G||``.
@@ -331,33 +321,19 @@ def collision_probability(f: FiniteDistribution, family: HashFamily) -> Fraction
     return joint_state(f, family).collision_probability()
 
 
-def collision_bound(f: FiniteDistribution, family: HashFamily,
-                    h_plus: Optional[Fraction] = None) -> Fraction:
-    """``q**-k/|G| + q**-h_plus/|G|`` with ``q**-h_plus = max_x P_X(x)`` by default.
+def _entropy_floor(q: int, h_plus, default) -> Tuple[object, float]:
+    """``(q**-h_plus, h_plus as a float)`` for an entropy floor.
 
-    Exact for integer ``h_plus`` or the default ``h_plus = h_min``.
-    """
-    _require_exact(f)
-    floor, _, exact = _entropy_floor(family.q, h_plus, Fraction(f.max_weight))
-    if not exact:
-        raise ValueError("exact comparison needs integer h_plus or the h_min default")
-    return (Fraction(1, family.q**family.k) + floor) / family.group_size
-
-
-def _entropy_floor(q: int, h_plus, default) -> Tuple[object, float, bool]:
-    """``(q**-h_plus, h_plus as a float, exact)`` for an entropy floor.
-
-    ``default`` is the exact ``q**-h_min`` taken when ``h_plus`` is None.  An
+    ``default`` is the ``q**-h_min`` taken when ``h_plus`` is None.  An
     integer ``h_plus`` gives a ``Fraction``, any other value a float.
     """
     if h_plus is None:
-        return (default, -math.log(float(default)) / math.log(q),
-                isinstance(default, Fraction))
+        return default, -math.log(float(default)) / math.log(q)
     _check_bits(q, "h_plus", h_plus)
     whole = Fraction(h_plus)
     if whole.denominator == 1:
-        return Fraction(q) ** -whole.numerator, float(h_plus), True
-    return float(q) ** -float(h_plus), float(h_plus), False
+        return Fraction(q) ** -whole.numerator, float(h_plus)
+    return float(q) ** -float(h_plus), float(h_plus)
 
 
 def _check_bits(q: int, name: str, value) -> None:
@@ -408,7 +384,7 @@ def lhl_report(f: FiniteDistribution, family: HashFamily,
     q, k = family.q, family.k
     size = family.group_size
     max_w = Fraction(f.max_weight)
-    floor, h_val, _ = _entropy_floor(q, h_plus, max_w)
+    floor, h_val = _entropy_floor(q, h_plus, max_w)
     js = joint_state(f, family)
     dist = js.distance()
     pcol = js.collision_probability()

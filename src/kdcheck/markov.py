@@ -78,10 +78,6 @@ class Poly:
         self.c = tuple(c)
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
 
@@ -94,9 +90,6 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.c, other.c
@@ -141,17 +134,12 @@ class Poly:
             raise ValueError("polynomial division left a remainder")
         return q
 
-    def eval(self, r):
-        out = Fraction(0) if isinstance(r, (int, Fraction)) else 0.0
+    def eval(self, r) -> Fraction:
+        """Exact value at a rational ``r``, by Horner's rule."""
+        out = Fraction(0)
         for c in reversed(self.c):
-            out = out * r + (c if isinstance(r, (int, Fraction)) else float(c))
+            out = out * r + c
         return out
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.c[-1]
-        return Poly([_quo(x, lead) for x in self.c])
 
     def __repr__(self) -> str:
         return "Poly(%s)" % (poly_str(self),)
@@ -202,7 +190,7 @@ def _primitive(*polys: Poly) -> Tuple[Poly, ...]:
     return tuple(Poly(islice(it, len(p.c))) for p in polys)
 
 
-def poly_str(p: Poly, var: str = "r") -> str:
+def poly_str(p: Poly) -> str:
     """Compact display like ``1-r/2+r^2``."""
     if p.is_zero():
         return "0"
@@ -215,7 +203,7 @@ def poly_str(p: Poly, var: str = "r") -> str:
             s = str(a)
         else:  # like 3r^2/4, with a numerator or denominator of 1 left out
             s = ("%d" % a.numerator if a.numerator != 1 else "") \
-                + (var if k == 1 else "%s^%d" % (var, k)) \
+                + ("r" if k == 1 else "r^%d" % k) \
                 + ("/%d" % a.denominator if a.denominator != 1 else "")
         out += ("-" if c < 0 else "+" if out else "") + s
     return out
@@ -263,14 +251,14 @@ class RationalFunction:
             raise ValueError("pole at r=%s" % (r,))
         return self.num.eval(r) / d
 
-    def display(self, var: str = "r") -> str:
+    def display(self) -> str:
         """Human form with the denominator scaled to constant term 1, or to
         leading coefficient 1 when its constant term is 0."""
         scale = Fraction(1, self.den.c[0] or self.den.c[-1])
         num, den = self.num * scale, self.den * scale
         if den == Poly.one():
-            return poly_str(num, var)
-        return "(%s)/(%s)" % (poly_str(num, var), poly_str(den, var))
+            return poly_str(num)
+        return "(%s)/(%s)" % (poly_str(num), poly_str(den))
 
     def __repr__(self) -> str:
         return "RationalFunction(%s)" % self.display()

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -243,7 +242,7 @@ def cond_min_entropy(ensemble: Ensemble, base: Optional[int] = None) -> float:
 class CqKeyState:
     """Blocks of the (key, member, side register) state.
 
-    ``blocks[kappa][g]`` is the subnormalized side-register operator
+    Block ``(kappa, g)`` is the subnormalized side-register operator
     ``(1/|G|) sum_{x: g(x)=kappa} p_x rho_x`` as its diagonal in the
     ensemble's common eigenbasis, held as ``counts[kappa, g]`` over one
     ``denominator``: a read-only ``(q**k, |G|, dim_q)`` array of Python-int
@@ -271,28 +270,15 @@ class CqKeyState:
     def dim_q(self) -> int:
         return self.counts.shape[2]
 
-    def _value(self, count, scale: int = 1):
+    def _value(self, count, scale: int):
         """``count / (scale * denominator)``: a Fraction on the exact path."""
         if self.exact:
             return Fraction(count, scale * self.denominator)
         return count / (scale * self.denominator)
 
-    @cached_property
-    def blocks(self) -> Tuple:
-        return tuple(tuple(tuple(self._value(c) for c in b) for b in row)
-                     for row in self.counts.tolist())
-
     def _side_counts(self) -> np.ndarray:
+        """Counts of ``T_Q``, the sum of all blocks: the side-register diagonal."""
         return self.counts.reshape(-1, self.dim_q).sum(axis=0, dtype=object, initial=0)
-
-    def side_marginal(self) -> tuple:
-        """``T_Q``: sum of all blocks, the trace-1 side-register diagonal."""
-        return tuple(self._value(c) for c in self._side_counts())
-
-    def member_blocks(self):
-        """``T_GQ`` blocks per member: key register traced out."""
-        return tuple(tuple(self._value(c) for c in b)
-                     for b in self.counts.sum(axis=0, dtype=object, initial=0))
 
 
 def _key_blocks(table: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarray:
@@ -367,7 +353,7 @@ def tripartite_report(ensemble: Ensemble, family: HashFamily,
     dist = tripartite_distance(cq)
     q, k = family.q, family.k
     eopt = e_opt(ensemble)
-    floor, h_val, _ = _entropy_floor(q, h_plus, eopt)  # default q**-h_min(X|Q)
+    floor, h_val = _entropy_floor(q, h_plus, eopt)  # default q**-h_min(X|Q)
     satisfied, exact = _bound_verdict(dist, q, k, floor)
     return {
         "q": q,

@@ -274,6 +274,13 @@ def _check_time(t: float) -> None:
         raise ValueError("time must be finite")
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Reject a NaN or infinite entry of ``values`` before any rule is built."""
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError("%s must be finite, got %r" % (name, float(bad[0])))
+
+
 def _check_nodes(nodes: Optional[int], dim: int) -> None:
     """Reject a node count before any rule is built."""
     if nodes is None:
@@ -403,7 +410,7 @@ def apply(
     spec : CovSpec
         Covariance specification for the averaging kernel.
     points : array-like
-        Query points, shape (N,) for dim 1 or (N, dim).
+        Finite query points, shape (N,) for dim 1 or (N, dim).
     method : {"quadrature", "mc"}
         Gauss-Hermite in whitened coordinates with a halving error
         estimate, or Monte Carlo with a derived seed per query point.
@@ -420,6 +427,7 @@ def apply(
     d = spec.dim
     _check_nodes(nodes, d)
     pts = _as_points(points, d)
+    _check_finite("query points", pts)
     if t == 0:
         return _eval_f(f, pts, d)
     if method == "quadrature":
@@ -456,7 +464,7 @@ def check_semigroup(
     samples: int = 200_000,
     tol: float = 1e-6,
 ) -> dict:
-    """Compare ``P_s(P_t f)`` with ``P_{s+t} f`` at the query points.
+    """Compare ``P_s(P_t f)`` with ``P_{s+t} f`` at finite query points.
 
     Quadrature mode settles the node count (and its halving estimate) on
     the direct route ``P_{s+t} f``, then nests the two averaging sums at
@@ -472,6 +480,7 @@ def check_semigroup(
     d = spec.dim
     _check_nodes(nodes, d)
     pts = _as_points(points, d)
+    _check_finite("query points", pts)
     if method == "quadrature":
         chol = _cholesky(spec)
         rhs, n, estimate = _hermite_average(f, s + t, chol, pts, nodes)
@@ -536,16 +545,23 @@ def check_contraction(
 
     The window should contain the essential support of ``f``; the L1
     integral of ``P_t f`` runs over the window expanded by the kernel's
-    8-sigma radius, on a fixed Gauss-Legendre grid (``WINDOW_NODES``).
+    8-sigma radius, on a fixed Gauss-Legendre grid (``WINDOW_NODES``).  A
+    window that is not finite, or whose widened bounds or width overflow,
+    is refused.
     ``nodes`` is the Gauss-Hermite node count of ``P_t``, as in ``apply``.
     """
     _check_time(t)
     d = spec.dim
     _check_nodes(nodes, d)
     lows, highs = (np.atleast_1d(np.asarray(w, dtype=float)) for w in window)
-    half = WINDOW_SIGMAS * np.sqrt(t * np.diag(spec.sigma()))
-    pts_out, wts_out = tensor_rule(lows - half, highs + half,
-                                   WINDOW_NODES.get(d, 41))
+    _check_finite("window", np.concatenate([lows, highs]))
+    with np.errstate(over="ignore"):
+        half = WINDOW_SIGMAS * np.sqrt(t * np.diag(spec.sigma()))
+        lows, highs = lows - half, highs + half
+        _check_finite("the bounds and width of the window widened by %g kernel "
+                      "standard deviations" % WINDOW_SIGMAS,
+                      np.concatenate([lows, highs, highs - lows]))
+    pts_out, wts_out = tensor_rule(lows, highs, WINDOW_NODES.get(d, 41))
     f_out = _eval_f(f, pts_out, d)
     ptf_out, n, estimate = _hermite_average(f, t, _cholesky(spec), pts_out,
                                             nodes)

@@ -17,7 +17,6 @@ from kdcheck.core import Alphabet, FiniteDistribution
 from kdcheck.hashing import (
     MAX_FLOOR_BITS,
     build_family,
-    collision_bound,
     joint_state,
     lhl_bound,
     lhl_report,
@@ -157,15 +156,19 @@ def test_tripartite_report_matches_earlier_verdict(q, k, rotated):
 
 
 def test_collision_bound_needs_an_integer_floor():
+    # The report's collision bound is an exact Fraction only for an integer
+    # or default floor; any other floor gives a float.
     rng = np.random.default_rng(5)
     family = build_family("linear", 3, 2, 1)
     f = FiniteDistribution.random_rational(Alphabet(3, 2), rng)
     for h_plus in (None, 2, 2.0, -1, Fraction(4, 2)):
         want = (Fraction(1, 3) + earlier_q_pow_neg(3, h_plus, f)) / family.group_size
-        assert collision_bound(f, family, h_plus) == want
+        got = lhl_report(f, family, h_plus)["collision_bound"]
+        assert type(got) is Fraction and got == want
     for h_plus in (2.5, Fraction(3, 2), -0.5):
-        with pytest.raises(ValueError, match="integer h_plus"):
-            collision_bound(f, family, h_plus)
+        got = lhl_report(f, family, h_plus)["collision_bound"]
+        assert type(got) is float
+        assert got == (1 / 3 + 3.0 ** -float(h_plus)) / family.group_size
 
 
 # Largest admitted and smallest refused floors at q = 2 (log2 q = 1) and
@@ -192,8 +195,7 @@ def test_floor_cap_edges(q, admitted, refused, sign):
     assert 0 < lhl_bound(q, 1, sign * admitted) < math.inf
     for call in (lambda: lhl_report(f, family, h_plus=sign * refused),
                  lambda: lhl_bound(q, 1, sign * refused),
-                 lambda: tripartite_report(ens, family, h_plus=sign * refused),
-                 lambda: collision_bound(f, family, sign * refused)):
+                 lambda: tripartite_report(ens, family, h_plus=sign * refused)):
         with pytest.raises(ValueError, match="h_plus"):
             call()
 

@@ -599,6 +599,21 @@ def test_csv_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of JSON reports whose producers lost their one-value parameters
+# (the density's node count and tolerance, differential_entropy's report
+# flag, the display variable); the reports must keep these bytes.
+@pytest.mark.parametrize("argv,digest", [
+    (["entropy", "--gaussian", "5,4", "--aep-samples", "5000", "--seed", "3"],
+     "0655ca125e9ca61c539d8b123543f8ab6d8bfc5faadc01147b5fa4b7cc655af1"),
+    (["markov", "--rows", "1/2,1/2;1/3,2/3", "--terms", "12"],
+     "cef8e1b693a4b4b9fef46407b4483eed20711d33f8c6c3e218cd9e09b45159e8"),
+], ids=["entropy-gaussian", "markov-rows"])
+def test_json_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 MC_ARGV = ["semigroup", "--variances", "1,0.8,1.2", "--correlations", "0.2,-0.1,0.3",
            "--function", "gauss", "--points=0,0,0;0.5,-0.5,0.2", "--method", "mc",
            "--samples", "70000"]
@@ -702,8 +717,27 @@ SG1 = ["semigroup", "--variances", "1", "--points=1"]
     (SG1 + ["--contract", "--time", "inf"], "time must be finite"),
     (SG1 + ["--compose", "0.5,inf", "--assert-bounds"], "both times must be finite"),
     (SG1 + ["--compose", "nan,0.5"], "both times must be finite"),
-    (["entropy", "--gaussian", "0,inf"], "window must be finite"),
-    (["entropy", "--gaussian", "nan,1"], "window must be finite"),
+    (["entropy", "--gaussian", "0,inf"], "variance must be finite, got inf"),
+    (["entropy", "--gaussian", "nan,1"], "mean must be finite, got nan"),
+    (["entropy", "--gaussian", "inf,1"], "mean must be finite, got inf"),
+    (["entropy", "--gaussian", "0,nan"], "variance must be finite, got nan"),
+    (["semigroup", "--variances", "1", "--points=nan", "--compose", "0.5,0.5",
+      "--assert-bounds"], "query points must be finite, got nan"),
+    (["semigroup", "--variances", "1", "--points=0;inf", "--compose", "0.5,0.5",
+      "--method", "mc"], "query points must be finite, got inf"),
+    (["semigroup", "--variances", "1", "--points=nan"], "query points must be finite, got nan"),
+    (["semigroup", "--variances", "1", "--points=nan", "--method", "mc"],
+     "query points must be finite, got nan"),
+    (["semigroup", "--variances", "1,1", "--correlations", "0.3", "--points=0,0;1,-inf",
+      "--time", "0"],
+     "query points must be finite, got -inf"),
+    (["semigroup", "--variances", "1", "--contract", "--window", "inf"],
+     "window must be finite, got -inf"),
+    (["semigroup", "--variances", "1", "--contract", "--window", "nan"],
+     "window must be finite, got nan"),
+    (["semigroup", "--variances", "1", "--contract", "--window", "1e308"],
+     "the bounds and width of the window widened by 8 kernel standard deviations "
+     "must be finite, got inf"),
 ])
 def test_non_finite_gaussian_parameters_exit_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

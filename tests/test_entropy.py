@@ -7,6 +7,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from kdcheck.core import Alphabet, FiniteDistribution
 from kdcheck.entropy import (
+    DENSITY_NODES,
+    MASS_TOL,
     ContinuousDensity,
     aep_estimate,
     differential_entropy,
@@ -206,50 +208,61 @@ def test_collision_entropy_dominates_min_entropy(raw):
 
 def test_gaussian_differential_entropy():
     d = ContinuousDensity.gaussian(0.0, 1.0)
-    assert abs(differential_entropy(d) - GAUSS_ENTROPY) < 1e-6
+    assert abs(differential_entropy(d)["value"] - GAUSS_ENTROPY) < 1e-6
 
 
 def test_differential_entropy_translation_invariant():
-    a = differential_entropy(ContinuousDensity.gaussian(0.0, 1.0))
-    b = differential_entropy(ContinuousDensity.gaussian(5.0, 1.0))
+    a = differential_entropy(ContinuousDensity.gaussian(0.0, 1.0))["value"]
+    b = differential_entropy(ContinuousDensity.gaussian(5.0, 1.0))["value"]
     assert abs(a - b) < 1e-9
 
 
 def test_differential_entropy_scaling():
     # h(aX) = h(X) + ln a; variance 4 doubles the width
-    a = differential_entropy(ContinuousDensity.gaussian(0.0, 1.0))
-    b = differential_entropy(ContinuousDensity.gaussian(0.0, 4.0))
+    a = differential_entropy(ContinuousDensity.gaussian(0.0, 1.0))["value"]
+    b = differential_entropy(ContinuousDensity.gaussian(0.0, 4.0))["value"]
     assert abs(b - a - math.log(2.0)) < 1e-6
 
 
 def test_differential_entropy_report_fields():
-    rep = differential_entropy(ContinuousDensity.gaussian(0.0, 1.0),
-                               report=True)
+    rep = differential_entropy(ContinuousDensity.gaussian(0.0, 1.0))
     assert rep["error_estimate"] < 1e-8
-    assert rep["nodes"] >= 8
+    assert rep["nodes"] == DENSITY_NODES >= 8
+    assert rep["rule"] == "composite-gauss-legendre"
 
 
 def test_uniform_density_entropy():
     d = ContinuousDensity(lambda x: np.where(np.abs(x) <= 1.0, 0.5, 0.0),
                           lower=(-1.0,), upper=(1.0,))
-    assert abs(differential_entropy(d) - math.log(2.0)) < 1e-6
+    assert abs(differential_entropy(d)["value"] - math.log(2.0)) < 1e-6
 
 
-@pytest.mark.parametrize("make", [
-    lambda: ContinuousDensity(lambda x: np.exp(-np.abs(x)) / 2, -math.inf, math.inf),
-    lambda: ContinuousDensity(lambda x: np.full(np.shape(x), 0.5), (0.0, math.nan), (2.0, 1.0)),
-    lambda: ContinuousDensity.gaussian(0.0, math.inf),
-    lambda: ContinuousDensity.gaussian(math.nan, 1.0),
-    lambda: ContinuousDensity.gaussian(0.0, math.nan),
+@pytest.mark.parametrize("scale", [1 - 2 * MASS_TOL, 1 + 2 * MASS_TOL])
+def test_window_mass_beyond_mass_tol_refused(scale):
+    ContinuousDensity(lambda x: np.full(np.shape(x), 0.5 * (1 + MASS_TOL / 2)), -1.0, 1.0)
+    with pytest.raises(ValueError, match="deviates from 1 beyond tol 1e-06"):
+        ContinuousDensity(lambda x: np.full(np.shape(x), 0.5 * scale), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: ContinuousDensity(lambda x: np.exp(-np.abs(x)) / 2, -math.inf, math.inf),
+     "window must be finite"),
+    (lambda: ContinuousDensity(lambda x: np.full(np.shape(x), 0.5), (0.0, math.nan),
+                               (2.0, 1.0)), "window must be finite"),
+    (lambda: ContinuousDensity.gaussian(0.0, math.inf), "variance must be finite, got inf"),
+    (lambda: ContinuousDensity.gaussian(math.nan, 1.0), "mean must be finite, got nan"),
+    (lambda: ContinuousDensity.gaussian(0.0, math.nan), "variance must be finite, got nan"),
+    (lambda: ContinuousDensity.gaussian(math.inf, 1.0), "mean must be finite, got inf"),
+    (lambda: ContinuousDensity.gaussian(-math.inf, 1.0), "mean must be finite, got -inf"),
 ], ids=["window-inf", "window-nan", "gaussian-var-inf", "gaussian-mean-nan",
-        "gaussian-var-nan"])
-def test_non_finite_window_refused_before_any_rule(monkeypatch, make):
+        "gaussian-var-nan", "gaussian-mean-inf", "gaussian-mean-minus-inf"])
+def test_non_finite_window_refused_before_any_rule(monkeypatch, make, message):
     from kdcheck import quadrature
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a rule")
     monkeypatch.setattr(quadrature, "gauss_legendre_1d", refuse)
-    with pytest.raises(ValueError, match="^window must be finite$"):
+    with pytest.raises(ValueError, match="^%s$" % message):
         make()
 
 

@@ -146,11 +146,8 @@ def test_side_register_readouts_match_loops(q, m, k, members, bits, limbs):
     cq = exact_state(counts, q, k, den)
     assert tripartite_distance(cq) == ref_tripartite(counts, q, k, den)
     side = [sum(b[i] for row in counts for b in row) for i in range(3)]
-    assert cq.side_marginal() == tuple(Fraction(t, den) for t in side)
+    assert cq._side_counts().tolist() == side
     assert side[1] == 0
-    assert cq.member_blocks() == tuple(
-        tuple(Fraction(sum(row[g][i] for row in counts), den) for i in range(3))
-        for g in range(members))
 
 
 def hash_scale_ensemble(seed=7, n=256, dim=3):
@@ -177,7 +174,8 @@ def test_hash_scale_ensemble_matches_loops():
     assert not cq.counts.flags.writeable
     assert cq.denominator == 64 * ens.denominator
     assert tripartite_distance(cq) == ref_tripartite(counts, 2, 3, cq.denominator)
-    assert cq.side_marginal() == ens.average().diag
+    assert tuple(Fraction(t, cq.denominator) for t in cq._side_counts()) \
+        == ens.average().diag
     # A trivial side register reproduces the classical distance on the full family.
     trivial = Ensemble(ens.prior, [StateDensity.from_diag((Fraction(1),))] * 256)
     assert tripartite_distance(hashed_joint_blocks(trivial, full)) \
@@ -281,10 +279,7 @@ def test_float_path_is_unchanged(kind, q, m, k, dim):
     assert not cq.counts.flags.writeable
     dist, side = earlier_float_distance(counts, q, k, fam.group_size)
     assert tripartite_distance(cq) == dist
-    assert cq.side_marginal() == tuple(t / fam.group_size for t in side)
-    assert cq.member_blocks() == tuple(
-        tuple(sum(row[g][i] for row in counts) / fam.group_size for i in range(dim))
-        for g in range(fam.group_size))
+    assert cq._side_counts().tolist() == side
     assert quantum._diagonals_in_common_basis(dense).tolist() \
         == [list(d) for d in earlier_diagonals(dense)]
     assert quantum.e_opt(dense) == earlier_e_opt(dense)

@@ -12,7 +12,6 @@ from kdcheck.hashing import (
     MAX_FAMILY_SIZE,
     MAX_TABLE_CELLS,
     build_family,
-    collision_bound,
     collision_probability,
     joint_state,
     lhl_bound,
@@ -78,20 +77,21 @@ def test_collision_probability_m2_uniform_oracle():
     fam = build_family("linear", 2, 2, 1)
     u = FiniteDistribution.uniform(Alphabet(2, 2))
     assert collision_probability(u, fam) == Fraction(5, 32)
-    assert collision_bound(u, fam) == Fraction(3, 16)
+    assert lhl_report(u, fam)["collision_bound"] == Fraction(3, 16)
 
 
 def test_joint_state_uniform_oracle():
     fam = build_family("linear", 2, 3, 1)
     js = joint_state(UNIFORM8, fam)
-    assert js.key_marginal().weights == (Fraction(9, 16), Fraction(7, 16))
+    key_marginal = [Fraction(row.sum(), js.denominator) for row in js.counts]
+    assert key_marginal == [Fraction(9, 16), Fraction(7, 16)]
     assert lhl_distance(UNIFORM8, fam) == Fraction(1, 16)
 
 
 def test_collision_probability_oracle():
     fam = build_family("linear", 2, 3, 1)
     assert collision_probability(UNIFORM8, fam) == Fraction(9, 128)
-    assert collision_bound(UNIFORM8, fam) == Fraction(5, 64)
+    assert lhl_report(UNIFORM8, fam)["collision_bound"] == Fraction(5, 64)
 
 
 def test_single_bit_collision():
@@ -100,7 +100,7 @@ def test_single_bit_collision():
     # maps are the zero map and the identity; joint (key, seed) collision
     # mass is 1/4 + 1/16 + 1/16
     assert collision_probability(u, fam) == Fraction(3, 8)
-    assert collision_bound(u, fam) == Fraction(1, 2)
+    assert lhl_report(u, fam)["collision_bound"] == Fraction(1, 2)
 
 
 def test_lhl_bound_value():
@@ -164,7 +164,7 @@ def test_joint_state_sums_to_one():
     rng = np.random.default_rng(9)
     f = FiniteDistribution.random_rational(Alphabet(3, 2), rng)
     js = joint_state(f, fam)
-    total = sum(sum(row) for row in js.table)
+    total = sum(Fraction(c, js.denominator) for row in js.counts for c in row)
     assert total == 1
 
 
@@ -235,7 +235,7 @@ def brute_universality(family):
 def assert_joint_exact(f, family):
     ref = brute_joint(f.weights, family)
     js = joint_state(f, family)
-    assert js.table == tuple(tuple(row) for row in ref)
+    assert [[Fraction(c, js.denominator) for c in row] for row in js.counts] == ref
     assert lhl_distance(f, family) == brute_distance(ref, family.q, family.k)
     assert collision_probability(f, family) == brute_collision(ref)
     assert isinstance(lhl_distance(f, family), Fraction)

@@ -39,7 +39,7 @@ def test_poly_arithmetic():
     assert (p * q).c == (frac(0), frac(1), frac(2))
     assert (p + q).c == (frac(1), frac(3))
     assert (p - p).is_zero()
-    assert p.degree == 1 and Poly.zero().degree == -1
+    assert p.degree == 1 and Poly().degree == -1
 
 
 def test_poly_divmod_and_gcd():
@@ -49,13 +49,13 @@ def test_poly_divmod_and_gcd():
     quo, rem = p.divmod(d)
     assert rem.is_zero() and quo.c == (frac(1), frac(1))
     g = poly_gcd(p, d)
-    assert g.monic().c == d.monic().c
+    assert monic(g).c == monic(d).c
 
 
 def test_poly_eval():
     p = Poly([frac(1), frac(-1, 2)])
     assert p.eval(frac(1, 2)) == frac(3, 4)
-    assert abs(p.eval(0.5) - 0.75) < 1e-15
+    assert p.eval(2) == 0 and type(p.eval(2)) is Fraction
 
 
 def test_rational_function_reduces():
@@ -442,8 +442,8 @@ SIX = chain_of([2, 1, 3, 1, 1, 1], [1, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6],
     # Newton on the non-monic integer denominator gives ...381, on a
     # derivative rounded twice (np.polyder) 1.0, and with np.polyval's
     # complex products 0.9999999999999999.
-    (RationalFunction(Poly.zero(), Poly([77, -156, 61, 38, -20])), 1.0000000000000002),
-    (RationalFunction(Poly.zero(), Poly([63, -153, 115, -23, -2])), 1.0),
+    (RationalFunction(Poly(), Poly([77, -156, 61, 38, -20])), 1.0000000000000002),
+    (RationalFunction(Poly(), Poly([63, -153, 115, -23, -2])), 1.0),
 ])
 def test_radius_pinned_to_the_last_digit(rf, radius):
     assert radius_of_convergence(rf) == radius
@@ -477,11 +477,16 @@ def test_is_irreducible_matches_bfs():
 # Integer gcd: primitive pseudo-remainder sequence
 # ---------------------------------------------------------------------------
 
+def monic(p):
+    """``p`` divided by its leading coefficient; zero stays zero."""
+    return Poly([Fraction(x) / p.c[-1] for x in p.c]) if not p.is_zero() else p
+
+
 def euclid_gcd(a, b):
     """Reference: Euclid's algorithm over Q, made monic."""
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
+    return monic(a)
 
 
 def primitive_parts(*polys):
@@ -525,9 +530,9 @@ def test_poly_gcd_coprime_and_zero_arguments():
     p = Poly([2, 4, -6])                    # 2 (1 + 2r - 3r^2)
     assert poly_gcd(Poly([1, 1]), Poly([1, -1])) == Poly((1,))
     assert poly_gcd(Poly([3]), p) == Poly((1,))
-    assert poly_gcd(p, Poly.zero()) == Poly([-1, -2, 3])
-    assert poly_gcd(Poly.zero(), p * frac(1, 4)) == Poly([-1, -2, 3])
-    assert poly_gcd(Poly.zero(), Poly.zero()).is_zero()
+    assert poly_gcd(p, Poly()) == Poly([-1, -2, 3])
+    assert poly_gcd(Poly(), p * frac(1, 4)) == Poly([-1, -2, 3])
+    assert poly_gcd(Poly(), Poly()).is_zero()
 
 
 def euclid_rational(num, den):

@@ -185,17 +185,24 @@ def test_trivial_side_register_matches_classical():
         assert tripartite_distance(cq) == lhl_distance(prior, fam)
 
 
+def block_values(cq):
+    """The blocks of a hashed exact state, ``counts / denominator``, as nested lists."""
+    return [[[Fraction(c, cq.denominator) for c in b] for b in row]
+            for row in cq.counts.tolist()]
+
+
 def test_key_sum_per_seed_is_scaled_side_state():
     # summing the joint blocks over keys must give (1/|G|) T_Q per seed
     rng = np.random.default_rng(48)
     fam = build_family("linear", 2, 2, 1)
     ens = random_diagonal_ensemble(rng, 4, 3)
     cq = hashed_joint_blocks(ens, fam)
+    blocks = block_values(cq)
     avg = ens.average().diag
     for g in range(cq.group_size):
         acc = [Fraction(0)] * cq.dim_q
         for kappa in range(cq.q ** cq.k):
-            for i, v in enumerate(cq.blocks[kappa][g]):
+            for i, v in enumerate(blocks[kappa][g]):
                 acc[i] += v
         assert tuple(acc) == tuple(a / cq.group_size for a in avg)
 
@@ -226,7 +233,9 @@ def test_side_marginal_is_average_state():
     ens = random_diagonal_ensemble(rng, 4, 3)
     cq = hashed_joint_blocks(ens, fam)
     avg = ens.average()
-    assert cq.side_marginal() == avg.diag
+    side = [sum(b[i] for row in block_values(cq) for b in row) for i in range(cq.dim_q)]
+    assert tuple(side) == avg.diag
+    assert cq._side_counts().tolist() == [t * cq.denominator for t in side]
 
 
 def test_ensemble_from_json_roundtrip():
@@ -294,11 +303,9 @@ def test_hashed_blocks_exact_past_int64():
     fam = build_family("toeplitz", 2, 3, 2)
     cq = hashed_joint_blocks(ens, fam)
     ref = brute_blocks(ens, fam)
-    assert cq.blocks == tuple(tuple(tuple(b) for b in row) for row in ref)
-    assert cq.side_marginal() == ens.average().diag
-    assert cq.member_blocks() == tuple(
-        tuple(sum((ref[kappa][g][i] for kappa in range(4)), start=Fraction(0))
-              for i in range(3)) for g in range(fam.group_size))
+    assert block_values(cq) == ref
+    assert tuple(Fraction(t, cq.denominator) for t in cq._side_counts()) \
+        == ens.average().diag
     dist = tripartite_distance(cq)
     assert isinstance(dist, Fraction)
     assert dist == brute_tripartite(ref, 2, 2)
@@ -340,7 +347,8 @@ def test_float_side_register_matches_exact():
     cq = hashed_joint_blocks(floats, fam)
     exact = tripartite_distance(hashed_joint_blocks(ens, fam))
     assert abs(tripartite_distance(cq) - float(exact)) < 1e-12
-    assert np.allclose(cq.side_marginal(), [float(v) for v in ens.average().diag])
+    assert np.allclose(np.array(cq._side_counts(), dtype=float) / cq.denominator,
+                       [float(v) for v in ens.average().diag])
     # Dense states, diagonal only in a rotated common basis.
     rotated = rotate_ensemble(ens, rng)
     dense = tripartite_distance(hashed_joint_blocks(rotated, fam))

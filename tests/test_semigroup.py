@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -632,3 +633,42 @@ def test_non_finite_parameters_refused_before_any_rule(monkeypatch, call, messag
     refuse_rules(monkeypatch)
     with pytest.raises(ValueError, match="^%s$" % message):
         call()
+
+
+GAUSS = _FUNCTIONS["gauss"]
+WIDENED = ("the bounds and width of the window widened by 8 kernel standard "
+           "deviations must be finite, got %s")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: apply(GAUSS, 1.0, UNIT, [0.0, math.nan]), "query points must be finite, got nan"),
+    (lambda: apply(GAUSS, 0.0, UNIT, [math.inf]), "query points must be finite, got inf"),
+    (lambda: apply(GAUSS, 1.0, UNIT, [math.nan], method="mc"),
+     "query points must be finite, got nan"),
+    (lambda: apply(GAUSS, 1.0, CovSpec(2, (1.0, 1.0), (0.3,)), [[0.0, 0.0], [1.0, -math.inf]]),
+     "query points must be finite, got -inf"),
+    (lambda: check_semigroup(GAUSS, 0.5, 0.5, UNIT, [math.nan]),
+     "query points must be finite, got nan"),
+    (lambda: check_semigroup(GAUSS, 0.5, 0.5, UNIT, [1.0, math.inf], method="mc"),
+     "query points must be finite, got inf"),
+    (lambda: check_contraction(GAUSS, 1.0, UNIT, ([-math.inf], [4.0])),
+     "window must be finite, got -inf"),
+    (lambda: check_contraction(GAUSS, 1.0, UNIT, ([-4.0], [math.nan])),
+     "window must be finite, got nan"),
+    (lambda: check_contraction(GAUSS, 1.0, UNIT, ([-1e308], [1e308])), WIDENED % "inf"),
+    (lambda: check_contraction(GAUSS, 1e308, CovSpec(1, (10.0,)), ([-4.0], [4.0])),
+     WIDENED % "-inf"),
+], ids=["apply-nan", "apply-t0-inf", "apply-mc-nan", "apply-d2-minus-inf", "compose-nan",
+        "compose-mc-inf", "contract-window-minus-inf", "contract-window-nan",
+        "contract-width-overflows", "contract-half-overflows"])
+def test_non_finite_points_and_windows_refused_before_any_rule(monkeypatch, call, message):
+    refuse_rules(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("made a generator")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            call()
