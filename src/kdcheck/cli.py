@@ -242,8 +242,15 @@ def _fn_gauss(x):
 def _fn_wave(x):
     x = np.asarray(x, dtype=float)
     first = x if x.ndim == 1 else x[:, 0]
-    sq = x ** 2 if x.ndim == 1 else (x ** 2).sum(axis=1)
-    return np.exp(-0.25 * sq) * np.cos(2.0 * first)
+    # Where the Gaussian factor is 0 so is the function, even where x**2 or
+    # 2x overflows and cos(2x) is not finite.
+    with np.errstate(over="ignore"):
+        sq = x ** 2 if x.ndim == 1 else (x ** 2).sum(axis=1)
+    gauss = np.exp(-0.25 * sq)
+    out = np.zeros_like(gauss)
+    live = gauss != 0
+    out[live] = gauss[live] * np.cos(2.0 * first[live])
+    return out
 
 
 def _fn_bump(x):

@@ -12,19 +12,23 @@ primitive pseudo-remainder sequence over the integers (Collins 1967;
 Brown 1971) that returns a primitive integer polynomial, so by Gauss's
 lemma both divisions by the gcd stay in ints too.  Exact powers ``P^n``
 are refused before any is built when ``n * D.bit_length()`` exceeds
-``MAX_POWER_BITS``, and the elimination below before it runs when
-``n**5 * D.bit_length()`` exceeds ``MAX_ELIMINATION_COST`` or ``D``
-itself has more than ``MAX_POWER_BITS`` bits.  Only the radius of
-convergence (smallest pole magnitude) goes through floating point root
-finding, polished by Newton steps.
+``MAX_POWER_BITS``, and the resolvent below before it runs when
+``n**3 * (D.bit_length() + (n + 1).bit_length())`` exceeds
+``MAX_ELIMINATION_COST`` or ``D`` itself has more than ``MAX_POWER_BITS``
+bits.  Only the radius of convergence (smallest pole magnitude) goes
+through floating point root finding, polished by Newton steps.
 
-All resolvent entries of a chain come from one fraction-free
-Gauss-Jordan elimination (Bareiss 1968) of ``[D*I - rA | I]``, memoised
-on the immutable ``TransitionMatrix``.  Matrix powers (``n_step``,
-``first_return``, ``period``, ``is_irreducible``) never use it, so the
-series of a resolvent can be checked against powers computed
-independently.  The last three read ``A, A^2, ...``, which each chain
-grows once from one running product ``A^m = A^(m-1) A`` and memoises.
+All resolvent entries of a chain come from ``det(D*I - rA)`` and
+``adj(D*I - rA)``, memoised on the immutable ``TransitionMatrix``.  They
+are evaluated at the ``n + 1`` points ``r = k/(n + 1)``, each by one
+scalar fraction-free Gauss-Jordan elimination over the integers (Bareiss
+1968), and interpolated from those values by Newton's forward differences,
+which stay integers at integer points (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 5).  Every division is checked to be exact.  Matrix
+powers (``n_step``, ``first_return``, ``period``, ``is_irreducible``)
+never use the resolvent, so its series can be checked against powers
+computed independently.  The last three read ``A, A^2, ...``, which each
+chain grows once from one running product ``A^m = A^(m-1) A`` and memoises.
 """
 
 from __future__ import annotations
@@ -46,14 +50,17 @@ NEWTON_STEPS = 60
 # common denominator D: its entries reach D**n, and the work of building
 # them grows faster than their size.  The cap keeps every such Fraction
 # well under CPython's 4300-digit limit on int-to-str conversion.  It also
-# caps D's bits for the resolvent, whose cost grows faster than linearly in them.
+# caps D's bits for the resolvent.
 MAX_POWER_BITS = 2**13
-# Cap on n**5 * D.bit_length() for the resolvent elimination of an
-# n-state chain: it makes on the order of n**5 integer products whose size
-# grows with D.  Calibrated on seeded dense chains of 5 to 18 states on a
-# 2-core host: one at the cap takes 0.5-1.5 s, and a 20-state chain with
-# an 87-bit D (17 times the cap) takes 14 s.
-MAX_ELIMINATION_COST = 2**24
+# Cap on n**3 * (D.bit_length() + (n + 1).bit_length()) for the resolvent
+# of an n-state chain.  Its elimination makes on the order of n**4 integer
+# products of up to n * (D.bit_length() + (n + 1).bit_length()) bits, and
+# the cost of a product, and of reducing the resulting polynomials, grows
+# about with the square of that size.  Calibrated on whole ``kdcheck markov``
+# calls on a 2-core host: seeded chains of 5 to 36 states at the cap, with
+# generic numerators or sparse rows, take 0.7-1.6 s; a 20-state chain with a
+# 60-bit D (a third over the cap) took 1.9 s.
+MAX_ELIMINATION_COST = 3 * 2**17
 
 
 def _quo(a, b):
@@ -104,15 +111,8 @@ class Poly:
         return Poly([-x for x in self.c])
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([x * other for x in self.c])
-        out = [0] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(out)
+        """Product with a rational scalar."""
+        return Poly([x * other for x in self.c])
 
     __rmul__ = __mul__
 
@@ -182,7 +182,9 @@ def _pseudo_rem(a: Poly, b: Poly) -> Poly:
 def _primitive(*polys: Poly) -> Tuple[Poly, ...]:
     """``polys`` times the one rational that makes all their coefficients
     integers with gcd 1 and the last one's leading coefficient positive."""
-    _, n = scale_to_integers(x for p in polys for x in p.c)
+    n = [x for p in polys for x in p.c]
+    if not all(type(x) is int for x in n):
+        _, n = scale_to_integers(n)
     g = math.gcd(*n)
     if polys[-1].c[-1] < 0:
         g = -g
@@ -306,11 +308,13 @@ class TransitionMatrix:
         if bits > MAX_POWER_BITS:
             raise ValueError("the resolvent of a chain with a %d-bit common denominator "
                              "is over the cap of %d bits" % (bits, MAX_POWER_BITS))
-        if self.n**5 * bits > MAX_ELIMINATION_COST:
+        extra = (self.n + 1).bit_length()
+        cost = self.n**3 * (bits + extra)
+        if cost > MAX_ELIMINATION_COST:
             raise ValueError("the resolvent of a %d-state chain with a %d-bit "
-                             "common denominator costs n^5*bits = %d, over the "
-                             "cap of %d" % (self.n, bits, self.n**5 * bits,
-                                            MAX_ELIMINATION_COST))
+                             "common denominator costs n^3*(bits+%d) = %d, over "
+                             "the cap of %d" % (self.n, bits, extra, cost,
+                                                MAX_ELIMINATION_COST))
         return _det_adjugate(self.rows)
 
     @cached_property
@@ -334,33 +338,83 @@ def _scale_rows(rows) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
 
 def _det_adjugate(rows) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
     """``det(D*I - rA)`` and ``D * adj(D*I - rA)``, whose quotient is
-    ``(I - rP)^-1``, from one fraction-free elimination over the integers.
+    ``(I - rP)^-1``, by evaluation and interpolation over the integers.
 
-    Bareiss's Gauss-Jordan form reduces ``[D*I - rA | I]`` to
-    ``[det * I | adj]``; every division is exact.  No pivoting is needed:
-    the k-th pivot is the k-th leading principal minor of ``D*I - rA``,
-    which is ``D**k`` at ``r = 0`` and so never the zero polynomial.
+    With ``M = n + 1``, the integer matrix ``C_k = D*M*I - kA`` is ``M``
+    times ``D*I - rA`` at ``r = k/M``, so ``det C_k`` and ``adj C_k`` are
+    the wanted polynomials at that point, scaled by ``M**n`` and
+    ``M**(n-1)``.  They come from one scalar Gauss-Jordan elimination per
+    ``k = 0..n``; each entry is then interpolated in ``k``.
     """
     d, a = _scale_rows(rows)
     n = len(a)
-    m = [
-        [Poly((d * (i == j), -a[i][j])) for j in range(n)]
-        + [Poly((int(i == j),)) for j in range(n)]
-        for i in range(n)
-    ]
-    prev = Poly.one()
-    for k in range(n):
-        pivot = m[k][k]
-        for i in range(n):
-            if i == k:
-                continue
-            factor = m[i][k]
-            m[i] = [
-                (pivot * m[i][j] - factor * m[k][j]).exact_div(prev)
-                for j in range(2 * n)
-            ]
+    m = n + 1
+    dets, adjs = [], []
+    for k in range(n + 1):
+        det, adj = _gauss_jordan([[d * m * (i == j) - k * a[i][j] for j in range(n)]
+                                  for i in range(n)])
+        dets.append([det])
+        adjs.append([x for row in adj for x in row])
+    det = Poly([c[0] for c in _interpolate(dets, m)])
+    adj = _interpolate(adjs[:n], m)
+    return det, tuple(tuple(Poly([c[i * n + j] * d for c in adj]) for j in range(n))
+                      for i in range(n))
+
+
+def _exact_quotients(values: List[int], divisor: int) -> List[int]:
+    """``[v // divisor for v in values]``, or ``ArithmeticError`` unless every
+    division is exact."""
+    q = [v // divisor for v in values]
+    # Floor division leaves remainders of one sign: they all vanish iff their sum does.
+    if sum(values) != divisor * sum(q):
+        raise ArithmeticError("an exact division by %d left a remainder" % divisor)
+    return q
+
+
+def _gauss_jordan(c: List[List[int]]) -> Tuple[int, List[List[int]]]:
+    """``det(c)`` and ``adj(c)`` of an integer matrix by fraction-free
+    Gauss-Jordan elimination (Bareiss 1968), in place: once column ``k`` is
+    eliminated it holds column ``k`` of the adjugate.
+
+    No pivoting is needed for the matrices of ``_det_adjugate``: they are
+    ``D*M`` times ``I - rP`` with ``0 <= r < 1``, whose leading principal
+    submatrices are strictly diagonally dominant (Levy-Desplanques), so
+    every pivot, a leading principal minor, is nonzero.
+    """
+    prev = 1
+    for k, pivot_row in enumerate(c):
+        pivot = pivot_row[k]
+        for i, row in enumerate(c):
+            if i != k:
+                factor = row[k]
+                c[i] = _exact_quotients([pivot * x - factor * y
+                                         for x, y in zip(row, pivot_row)], prev)
+                c[i][k] = -factor
+        pivot_row[k] = prev
         prev = pivot
-    return prev, tuple(tuple(p * d for p in row[n:]) for row in m)
+    return prev, c
+
+
+def _interpolate(values: List[List[int]], m: int) -> List[List[int]]:
+    """Coefficients ``c_0..c_deg`` (each a vector, like the values) of the
+    integer polynomials ``p`` with ``values[k] = m**deg * p(k/m)`` for
+    ``k = 0..deg``.
+
+    Newton's forward differences ``Delta^j q(0) / j!`` of ``q(k) = m**deg
+    p(k/m)``, an integer polynomial, are integers; the falling factorial
+    form expands to ``q``'s coefficients ``c_j * m**(deg-j)`` by Horner's rule.
+    """
+    deg = len(values) - 1
+    b = list(values)
+    for j in range(1, deg + 1):
+        for i in range(deg, j - 1, -1):
+            b[i] = [x - y for x, y in zip(b[i], b[i - 1])]
+    b = [_exact_quotients(v, math.factorial(j)) for j, v in enumerate(b)]
+    q = [b[deg]]
+    for j in reversed(range(deg)):  # q <- q * (k - j) + b[j]
+        q = [[x - j * y for x, y in zip(lo, hi)]
+             for lo, hi in zip([b[j]] + q, q)] + [q[-1]]
+    return [_exact_quotients(v, m**(deg - t)) for t, v in enumerate(q)]
 
 
 def _as_matrix(P) -> TransitionMatrix:
@@ -428,9 +482,9 @@ def first_return(P, i: int, n_max: int) -> Tuple[Fraction, ...]:
 def resolvent(P, i: int, j: int) -> RationalFunction:
     """Entry ``[(I - rP)^-1]_{i,j}`` as a reduced rational function of ``r``.
 
-    Both parts of the entry come from a single fraction-free elimination
-    per ``TransitionMatrix``, memoised on the object, so a sweep over all
-    entries of one chain eliminates once.
+    Both parts of the entry come from one determinant and adjugate per
+    ``TransitionMatrix`` (``_det_adjugate``), memoised on the object, so a
+    sweep over all entries of one chain computes them once.
     """
     P = _as_matrix(P)
     if not (0 <= i < P.n and 0 <= j < P.n):

@@ -473,6 +473,8 @@ def check_semigroup(
     standard error.  ``value``, ``bound`` and ``passed`` give the verdict
     against ``tol`` (quadrature) or ``MC_SE_BOUND`` (Monte Carlo).
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and nonnegative, got %r" % tol)
     if s <= 0 or t <= 0:
         raise ValueError("both times must be positive")
     if not (math.isfinite(s) and math.isfinite(t)):
@@ -567,8 +569,9 @@ def check_contraction(
                                             nodes)
     sup_f = float(np.abs(f_out).max())
     sup_ptf = float(np.abs(ptf_out).max())
-    l1_f = float(np.dot(wts_out, np.abs(f_out)))
-    l1_ptf = float(np.dot(wts_out, np.abs(ptf_out)))
+    # fsum, not a BLAS dot, so the bytes do not depend on the thread count.
+    l1_f = math.fsum(wts_out * np.abs(f_out))
+    l1_ptf = math.fsum(wts_out * np.abs(ptf_out))
     return {
         "sup_f": sup_f,
         "sup_ptf": sup_ptf,

@@ -204,11 +204,16 @@ def _random_positive_chain(rng: np.random.Generator, n: int) -> markov.Transitio
 
 
 def _mat_mul(a, b):
-    """Exact product of two square matrices of Fractions, as nested tuples."""
-    n = len(b)
-    return tuple(tuple(sum((row[k] * b[k][j] for k in range(n)), start=Fraction(0))
-                       for j in range(n))
+    """Exact product of two square integer matrices, as nested tuples."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
                  for row in a)
+
+
+def _scaled(x: Fraction, scale: int) -> Optional[int]:
+    """``x * scale`` when it is an integer, else None."""
+    q, r = divmod(scale, x.denominator)
+    return None if r else x.numerator * q
 
 
 def check_markov_gf() -> dict:
@@ -224,12 +229,19 @@ def check_markov_gf() -> dict:
     failures = []
     for idx, chain in enumerate(chains):
         size = chain.n
-        # One running product P^n = P^(n-1) P, pinned to binary powering at
-        # the last term; neither route touches the resolvent elimination.
-        powers = [markov.n_step(chain, 0)]
+        # One running product N^n = N^(n-1) N of the integer matrix N = D P,
+        # pinned to binary powering at the last term; neither route touches
+        # the resolvent elimination.  P^n is N^n / D^n.
+        d = math.lcm(*(p.denominator for row in chain.rows for p in row))
+        scale = [d**n for n in range(n_terms + 1)]
+        base = tuple(tuple(p.numerator * (d // p.denominator) for p in row)
+                     for row in chain.rows)
+        powers = [tuple(tuple(int(i == j) for j in range(size)) for i in range(size))]
         for _ in range(n_terms):
-            powers.append(_mat_mul(powers[-1], chain.rows))
-        if powers[-1] != markov.n_step(chain, n_terms):
+            powers.append(_mat_mul(powers[-1], base))
+        pinned = markov.n_step(chain, n_terms)
+        if any(x.numerator * scale[-1] != y * x.denominator
+               for xs, ys in zip(pinned, powers[-1]) for x, y in zip(xs, ys)):
             failures.append(("powers", idx))
         diagonal = []
         for i in range(size):
@@ -238,7 +250,7 @@ def check_markov_gf() -> dict:
                 if i == j:
                     diagonal.append(series)
                 for n in range(n_terms + 1):
-                    if series[n] != powers[n][i][j]:
+                    if series[n].numerator * scale[n] != powers[n][i][j] * series[n].denominator:
                         failures.append(("series", idx, i, j, n))
         for i, p_series in enumerate(diagonal):
             theta = markov.theta_gf(chain, i)
@@ -246,11 +258,15 @@ def check_markov_gf() -> dict:
             recursion = markov.first_return(chain, i, n_terms)
             if t_series[0] != 0 or tuple(t_series[1:]) != recursion:
                 failures.append(("recursion", idx, i))
-            for n in range(1, n_terms + 1):
-                conv = sum((t_series[m] * p_series[n - m] for m in range(1, n + 1)),
-                           start=Fraction(0))
-                if conv != p_series[n]:
-                    failures.append(("convolution", idx, i, n))
+            # The renewal convolution on the series scaled by D^n, in ints.
+            p_int = [_scaled(x, c) for x, c in zip(p_series, scale)]
+            t_int = [_scaled(x, c) for x, c in zip(t_series, scale)]
+            if None in p_int or None in t_int:
+                failures.append(("scale", idx, i))
+            else:
+                for n in range(1, n_terms + 1):
+                    if sum(t_int[m] * p_int[n - m] for m in range(1, n + 1)) != p_int[n]:
+                        failures.append(("convolution", idx, i, n))
             if theta.eval(Fraction(1)) != 1:
                 failures.append(("unit-sum", idx, i))
             rad = markov.radius_of_convergence(theta)
@@ -318,7 +334,7 @@ def check_covariance_forms() -> dict:
     for rho in (0.0, 0.3, -0.3, 0.7, -0.7):
         spec = sg.CovSpec(2, (1.0, 1.0), (rho,))
         pdf = sg.kernel_pdf(spec, 1.0)
-        mass = float(np.dot(wts, pdf(pts)))
+        mass = math.fsum(wts * pdf(pts))  # independent of the BLAS thread count
         worst_mass = max(worst_mass, abs(mass - 1.0))
     return {
         "passed": failures == 0 and worst_det <= 1e-10 and worst_inv <= 1e-10

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -742,3 +743,23 @@ SG1 = ["semigroup", "--variances", "1", "--points=1"]
 def test_non_finite_gaussian_parameters_exit_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tol_exits_two(capsys, tol):
+    code, out, err = run_cli(capsys, "semigroup", "--variances", "1", "--compose", "0.5,0.5",
+                             "--points=0", "--tol", tol, "--assert-bounds")
+    assert (code, out) == (2, "")
+    assert err == "error: tol must be finite and nonnegative, got %r\n" % float(tol)
+
+
+@pytest.mark.parametrize("extra", [[], ["--compose", "0.5,0.5"], ["--method", "mc"]])
+def test_wave_at_a_huge_point_is_zero(capsys, extra):
+    # exp(-x^2/4) is 0 there, so the closed form is 0 to double precision,
+    # though x^2 and 2x overflow and cos(2x) is not finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "semigroup", "--variances", "1", "--function", "wave",
+                                 "--points=1e308;-1e308;1e200", *extra)
+    assert code == 0 and err == ""
+    assert "nan" not in out

@@ -36,7 +36,7 @@ def frac(a, b=1):
 def test_poly_arithmetic():
     p = Poly([frac(1), frac(2)])          # 1 + 2r
     q = Poly([frac(0), frac(1)])          # r
-    assert (p * q).c == (frac(0), frac(1), frac(2))
+    assert (p * 3).c == (3, 6) and (frac(1, 2) * p).c == (frac(1, 2), 1)
     assert (p + q).c == (frac(1), frac(3))
     assert (p - p).is_zero()
     assert p.degree == 1 and Poly().degree == -1
@@ -198,7 +198,7 @@ def test_elimination_is_capped_before_it_runs(monkeypatch):
     # A seeded 20-state positive chain (entries k/row sum, k in 1..9).
     rng = np.random.default_rng(20)
     chain = random_chain([int(v) for v in rng.integers(1, 10, size=400)], 20)
-    assert 20**5 * chain._scaled[0].bit_length() > markov.MAX_ELIMINATION_COST
+    assert 20**3 * (chain._scaled[0].bit_length() + 5) > markov.MAX_ELIMINATION_COST
     refuse_elimination(monkeypatch)
     for call in (lambda: resolvent(chain, 0, 1), lambda: theta_gf(chain, 0),
                  lambda: markov_report(chain, 0)):
@@ -208,8 +208,9 @@ def test_elimination_is_capped_before_it_runs(monkeypatch):
 
 
 def test_elimination_cap_boundary(monkeypatch):
-    # The largest denominator an 8-state chain may have, and one bit more.
-    bits = markov.MAX_ELIMINATION_COST // 8**5
+    # The largest denominator an 8-state chain may have, and one bit more:
+    # n**3 * (bits + (n + 1).bit_length()) is at most the cap.
+    bits = markov.MAX_ELIMINATION_COST // 8**3 - 4
     admitted = chain_over(8, 2**(bits - 1) + 1)
     refused = chain_over(8, 2**bits + 1)
     assert admitted._scaled[0].bit_length() == bits
@@ -221,13 +222,13 @@ def test_elimination_cap_boundary(monkeypatch):
 
 
 def test_resolvent_refuses_a_denominator_over_the_power_cap(monkeypatch):
-    # n**5 * bits is under MAX_ELIMINATION_COST here; eliminating a 2-state
-    # chain with a D this large took 3 s, and 16 s with generic numerators.
-    chain = chain_over(2, 2**499_999 + 1)
-    assert 2**5 * chain._scaled[0].bit_length() <= markov.MAX_ELIMINATION_COST
+    # n**3 * (bits + 2) is under MAX_ELIMINATION_COST here, so only the cap
+    # on the bits of D refuses this chain.
+    chain = chain_over(2, 2**39_999 + 1)
+    assert 2**3 * (chain._scaled[0].bit_length() + 2) <= markov.MAX_ELIMINATION_COST
     refuse_elimination(monkeypatch)
     for call in (lambda: resolvent(chain, 0, 1), lambda: theta_gf(chain, 0)):
-        with pytest.raises(ValueError, match="500000-bit .* over the cap of %d bits"
+        with pytest.raises(ValueError, match="40000-bit .* over the cap of %d bits"
                            % markov.MAX_POWER_BITS):
             call()
     assert "_det_adj" not in vars(chain)
@@ -397,6 +398,48 @@ def random_sparse_chain(rng, n):
     return TransitionMatrix.build(rows)
 
 
+def fraction_inverse(m):
+    """Reference: the inverse of a square Fraction matrix by Gauss-Jordan
+    elimination with row swaps, over Q."""
+    n = len(m)
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k] != 0)
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+def test_det_adjugate_matches_an_independent_inverse():
+    # adj(r)/det(r) from evaluation and interpolation equals (I - rP)^-1,
+    # computed over Q at rationals |r| < 1 and at r = 0.
+    rng = np.random.default_rng(22)
+    chains = list(SPARSE_CHAINS.values()) + [SWAP, LAZY]
+    for n in range(2, 9):
+        chains.append(random_chain([int(v) for v in rng.integers(1, 10, size=n * n)], n))
+        chains.append(random_sparse_chain(rng, n))
+    for chain in chains:
+        det, adj = markov._det_adjugate(chain.rows)
+        assert det.degree <= chain.n and all(p.degree < chain.n for row in adj for p in row)
+        for r in (frac(0), frac(1, 3), frac(-1, 2), frac(5, 7), frac(-9, 10), frac(99, 100)):
+            want = fraction_inverse([[int(i == j) - r * p for j, p in enumerate(row)]
+                                     for i, row in enumerate(chain.rows)])
+            d = det.eval(r)
+            assert [[q.eval(r) / d for q in row] for row in adj] == want
+
+
+def test_exact_quotients_refuse_any_remainder():
+    assert markov._exact_quotients([6, -4, 0], 2) == [3, -2, 0]
+    assert markov._exact_quotients([-6, 9], -3) == [2, -3]
+    # [1, 1] sums to a multiple of 2, and [-3, 3] to 0: each entry must divide.
+    for values, divisor in (([7], 2), ([1, 1], 2), ([-3, 3], 2), ([5, 1], -3)):
+        with pytest.raises(ArithmeticError, match="left a remainder"):
+            markov._exact_quotients(values, divisor)
+
+
 def test_integer_elimination_and_powers():
     # The kernels run on P = A/D: every coefficient and every memoised
     # power entry is a Python int, never a Fraction.
@@ -500,6 +543,15 @@ def primitive_parts(*polys):
     return tuple(Poly([int(x * scale) for x in p.c]) for p in polys)
 
 
+def poly_mul(a, b):
+    """Reference: the product of two polynomials, by the schoolbook rule."""
+    out = [0] * (len(a.c) + len(b.c) - 1)
+    for i, x in enumerate(a.c):
+        for j, y in enumerate(b.c):
+            out[i + j] += x * y
+    return Poly(out)
+
+
 def random_int_poly(rng, degree):
     coeffs = [int(v) for v in rng.integers(-9, 10, size=degree + 1)]
     coeffs[-1] = coeffs[-1] or 1
@@ -518,7 +570,7 @@ def test_poly_gcd_recovers_planted_factor():
             continue  # the cofactors share a factor of their own
         checked += 1
         want, = primitive_parts(factor)
-        a, b = factor * u, factor * v
+        a, b = poly_mul(factor, u), poly_mul(factor, v)
         g = poly_gcd(a, b)
         assert g == want and g.c[-1] > 0
         assert all(type(c) is int for c in g.c)

@@ -672,3 +672,16 @@ def test_non_finite_points_and_windows_refused_before_any_rule(monkeypatch, call
         warnings.simplefilter("error")  # no numpy overflow warning on the way
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             call()
+
+
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_bad_tolerance_refused_before_any_rule(monkeypatch, method, tol):
+    refuse_rules(monkeypatch)
+    with pytest.raises(ValueError, match="^tol must be finite and nonnegative, got "):
+        check_semigroup(GAUSS, 0.5, 0.5, UNIT, [0.0], method=method, tol=tol)
+
+
+def test_zero_tolerance_is_admitted():
+    rep = check_semigroup(GAUSS, 0.5, 0.5, UNIT, [0.0], tol=0.0)
+    assert rep["bound"] == 0.0 and rep["passed"] == (rep["value"] == 0.0)
