@@ -30,7 +30,6 @@ from .entropy import (
 from .hashing import (
     HashFamily,
     build_family,
-    collision_probability,
     joint_state,
     lhl_bound,
     lhl_distance,
@@ -92,8 +91,7 @@ __all__ = [
     "ContinuousDensity", "aep_estimate",
     "differential_entropy", "divergence_report", "entropy_report",
     "min_entropy", "renyi_divergence", "renyi_entropy", "shannon_entropy",
-    "HashFamily", "build_family", "collision_probability",
-    "joint_state", "lhl_bound",
+    "HashFamily", "build_family", "joint_state", "lhl_bound",
     "lhl_distance", "lhl_report", "verify_universality",
     "Poly", "RationalFunction", "TransitionMatrix", "first_return",
     "markov_report", "n_step", "radius_of_convergence", "resolvent",

@@ -20,16 +20,16 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import Alphabet, FiniteDistribution, check_mc_samples
-from .quadrature import tensor_rule
+from .core import FiniteDistribution, check_mc_samples
+from .quadrature import gauss_legendre_1d
 
 # Orders within KL_WINDOW of 1 use the KL limit form; orders above
 # INF_THRESHOLD use the max-ratio form.
 KL_WINDOW = 1e-9
 INF_THRESHOLD = 1e9
 # A continuous density is integrated with DENSITY_NODES composite
-# Gauss-Legendre nodes per dimension, and its window mass may deviate
-# from 1 by at most MASS_TOL.
+# Gauss-Legendre nodes, and its window mass may deviate from 1 by at most
+# MASS_TOL.
 DENSITY_NODES = 201
 MASS_TOL = 1e-6
 
@@ -49,8 +49,6 @@ def _log_base(x: float, base: float) -> float:
 def _resolve_base(base, default: float) -> float:
     if base is None:
         return float(default)
-    if isinstance(base, Alphabet):
-        return float(base.size)
     b = float(base)
     if not b > 1:
         raise ValueError("logarithm base must exceed 1")
@@ -131,7 +129,7 @@ def renyi_divergence(
     order : float
         ``alpha >= 0``; ``math.inf`` gives the max-ratio order.  Orders
         within 1e-9 of 1 dispatch to the KL limit.
-    base : Alphabet, int, float, optional
+    base : int or float, optional
         Logarithm base; defaults to the alphabet size.
 
     Returns
@@ -210,38 +208,30 @@ def shannon_entropy(f: FiniteDistribution, base=None) -> float:
 # ---------------------------------------------------------------------------
 
 class ContinuousDensity:
-    """Probability density on a box, integrated with ``DENSITY_NODES``
-    composite Gauss-Legendre nodes per dimension.
+    """Probability density on an interval, integrated with
+    ``DENSITY_NODES`` composite Gauss-Legendre nodes.
 
     Parameters
     ----------
     pdf : callable
-        Vectorized density.  For ``dim == 1`` it maps an (N,) array to
-        (N,); for ``dim > 1`` an (N, dim) array to (N,).
-    lower, upper : float or sequence of float
+        Vectorized density, mapping an (N,) array to (N,).
+    lower, upper : float
         Integration window, whose mass must lie within ``MASS_TOL`` of 1.
     """
 
-    __slots__ = ("pdf", "dim", "lower", "upper", "mass")
+    __slots__ = ("pdf", "lower", "upper", "mass")
 
-    def __init__(self, pdf: Callable, lower, upper):
-        lower = tuple(float(x) for x in np.atleast_1d(lower))
-        upper = tuple(float(x) for x in np.atleast_1d(upper))
-        if len(lower) != len(upper):
-            raise ValueError("lower and upper must have equal length")
-        dim = len(lower)
-        if dim > 3:
-            raise ValueError("densities are supported up to dimension 3")
-        if any(u <= l for l, u in zip(lower, upper)):
+    def __init__(self, pdf: Callable, lower: float, upper: float):
+        lower, upper = float(lower), float(upper)
+        if upper <= lower:
             raise ValueError("window must have positive volume")
-        if not all(map(math.isfinite, lower + upper)):
+        if not (math.isfinite(lower) and math.isfinite(upper)):
             raise ValueError("window must be finite")
         self.pdf = pdf
-        self.dim = dim
         self.lower = lower
         self.upper = upper
-        pts, wts = tensor_rule(lower, upper, DENSITY_NODES)
-        vals = self._eval(pts)
+        pts, wts = gauss_legendre_1d(lower, upper, DENSITY_NODES)
+        vals = np.asarray(pdf(pts), dtype=float)
         if vals.min() < -1e-12:
             raise ValueError("density is negative on the window")
         self.mass = float(np.dot(wts, np.clip(vals, 0.0, None)))
@@ -250,10 +240,6 @@ class ContinuousDensity:
                 "window mass %.3g deviates from 1 beyond tol %.1g"
                 % (self.mass, MASS_TOL)
             )
-
-    def _eval(self, pts: np.ndarray) -> np.ndarray:
-        x = pts[:, 0] if self.dim == 1 else pts
-        return np.asarray(self.pdf(x), dtype=float)
 
     @classmethod
     def gaussian(cls, mean=0.0, var=1.0) -> "ContinuousDensity":
@@ -282,12 +268,12 @@ def differential_entropy(density: ContinuousDensity) -> dict:
     """``-integral f ln f`` in nats over the density's window.
 
     Returns the ``value``, a node-halving ``error_estimate``, the ``rule``
-    and its ``nodes`` per dimension.
+    and its ``nodes``.
     """
 
     def entropy_at(nodes: int) -> float:
-        pts, wts = tensor_rule(density.lower, density.upper, nodes)
-        vals = np.clip(density._eval(pts), 0.0, None)
+        pts, wts = gauss_legendre_1d(density.lower, density.upper, nodes)
+        vals = np.clip(np.asarray(density.pdf(pts), dtype=float), 0.0, None)
         mask = vals > 0
         return float(-np.dot(wts[mask], vals[mask] * np.log(vals[mask])))
 
@@ -343,10 +329,8 @@ _CDF_GRID = 4097
 def sample_continuous(
     density: ContinuousDensity, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``n`` scalars by tabulated inverse-CDF inversion (dim 1 only)."""
-    if density.dim != 1:
-        raise ValueError("continuous sampling is implemented for dimension 1")
-    xs = np.linspace(density.lower[0], density.upper[0], _CDF_GRID)
+    """Draw ``n`` scalars by tabulated inverse-CDF inversion."""
+    xs = np.linspace(density.lower, density.upper, _CDF_GRID)
     fx = np.clip(np.asarray(density.pdf(xs), dtype=float), 0.0, None)
     cdf = np.concatenate([[0.0], np.cumsum((fx[1:] + fx[:-1]) * 0.5 * np.diff(xs))])
     cdf /= cdf[-1]
@@ -360,7 +344,7 @@ def aep_estimate(f, n: int, seed: int = 0) -> float:
     """Empirical entropy-rate estimate ``-(1/n) sum ln f(X_i)`` in nats.
 
     ``f`` may be a :class:`FiniteDistribution` (alias-method sampling) or a
-    1-D :class:`ContinuousDensity` (inverse-CDF sampling).  Deterministic
+    :class:`ContinuousDensity` (inverse-CDF sampling).  Deterministic
     for a fixed seed.
     """
     if n < 1:

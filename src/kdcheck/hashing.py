@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Alphabet, FiniteDistribution, scale_to_integers
+from .core import FiniteDistribution, scale_to_integers
 
 # Family enumeration cap: q**(m*k) members for the all-linear kind.
 MAX_FAMILY_SIZE = 2**20
@@ -140,7 +140,7 @@ def _member_tables(kind: str, q: int, m: int, k: int, n_params: int) -> np.ndarr
     return out
 
 
-def build_family(kind: str, q, m: int, k: int) -> HashFamily:
+def build_family(kind: str, q: int, m: int, k: int) -> HashFamily:
     """Enumerate a hash family.
 
     Parameters
@@ -149,13 +149,11 @@ def build_family(kind: str, q, m: int, k: int) -> HashFamily:
         "linear" enumerates every k x m matrix over GF(q); "toeplitz"
         enumerates the q**(m+k-1) Toeplitz matrices.  Both are capped at
         ``MAX_FAMILY_SIZE`` members and ``MAX_TABLE_CELLS`` table cells.
-    q : int or Alphabet
+    q : int
         Prime base alphabet size.
     m, k : int
         Input and output string lengths, m >= k >= 1.
     """
-    if isinstance(q, Alphabet):
-        q = q.size
     q = int(q)
     if kind not in ("linear", "toeplitz"):
         raise ValueError("unknown family kind %r" % kind)
@@ -314,11 +312,6 @@ def lhl_distance(f: FiniteDistribution, family: HashFamily) -> Fraction:
     prefactor is the inverse alphabet size carried by the norm convention.
     """
     return joint_state(f, family).distance()
-
-
-def collision_probability(f: FiniteDistribution, family: HashFamily) -> Fraction:
-    """``sum_{kappa,g} P_KG(kappa,g)**2``, exact."""
-    return joint_state(f, family).collision_probability()
 
 
 def _entropy_floor(q: int, h_plus, default) -> Tuple[object, float]:

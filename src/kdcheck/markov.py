@@ -14,8 +14,9 @@ lemma both divisions by the gcd stay in ints too.  Exact powers ``P^n``
 are refused before any is built when ``n * D.bit_length()`` exceeds
 ``MAX_POWER_BITS``, and the resolvent below before it runs when
 ``n**3 * (D.bit_length() + (n + 1).bit_length())`` exceeds
-``MAX_ELIMINATION_COST`` or ``D`` itself has more than ``MAX_POWER_BITS``
-bits.  Only the radius of convergence (smallest pole magnitude) goes
+``MAX_ELIMINATION_COST`` or ``n * (D.bit_length() + 2) + 1``, a bound on
+the bits of every integer its report prints, exceeds ``MAX_PRINTED_BITS``.
+Only the radius of convergence (smallest pole magnitude) goes
 through floating point root finding, polished by Newton steps.
 
 All resolvent entries of a chain come from ``det(D*I - rA)`` and
@@ -49,9 +50,13 @@ NEWTON_STEPS = 60
 # Cap on n * D.bit_length() for an exact n-step power of a chain with
 # common denominator D: its entries reach D**n, and the work of building
 # them grows faster than their size.  The cap keeps every such Fraction
-# well under CPython's 4300-digit limit on int-to-str conversion.  It also
-# caps D's bits for the resolvent.
+# well under CPython's 4300-digit limit on int-to-str conversion.
 MAX_POWER_BITS = 2**13
+# Cap on the bits of every integer that the resolvent of a chain puts in a
+# report.  Every int of at most 14 284 bits has at most 4300 decimal
+# digits, CPython's default limit on int-to-str conversion; the cap is that
+# default, whatever limit the running interpreter was given.
+MAX_PRINTED_BITS = 14_284
 # Cap on n**3 * (D.bit_length() + (n + 1).bit_length()) for the resolvent
 # of an n-state chain.  Its elimination makes on the order of n**4 integer
 # products of up to n * (D.bit_length() + (n + 1).bit_length()) bits, and
@@ -63,30 +68,18 @@ MAX_POWER_BITS = 2**13
 MAX_ELIMINATION_COST = 3 * 2**17
 
 
-def _quo(a, b):
-    """``a / b`` exactly, kept an int when ``b`` divides the int ``a``."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return Fraction(a, b)
-
-
 class Poly:
-    """Univariate polynomial, ascending order; int coefficients stay ints
-    and any other coefficient is held as a Fraction."""
+    """Univariate polynomial with int coefficients, ascending order."""
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: Sequence = ()):
-        c = [x if isinstance(x, int) else Fraction(x) for x in coeffs]
+    def __init__(self, coeffs: Sequence[int] = ()):
+        c = list(coeffs)
+        if not all(isinstance(x, int) for x in c):
+            raise TypeError("polynomial coefficients must be ints")
         while c and c[-1] == 0:
             c.pop()
         self.c = tuple(c)
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
 
     def is_zero(self) -> bool:
         return not self.c
@@ -110,29 +103,22 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly([-x for x in self.c])
 
-    def __mul__(self, other) -> "Poly":
-        """Product with a rational scalar."""
-        return Poly([x * other for x in self.c])
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "Poly") -> Tuple["Poly", "Poly"]:
+    def exact_div(self, other: "Poly") -> "Poly":
+        """Quotient by a polynomial that divides this one over the integers,
+        by long division; ``ArithmeticError`` on any remainder."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem, d = list(self.c), other.c
         q = [0] * max(0, len(rem) - len(d) + 1)
         for shift in reversed(range(len(q))):
-            coef = q[shift] = _quo(rem[-1], d[-1])
-            for i, b in enumerate(d):
-                rem[shift + i] -= coef * b
-            rem.pop()
-        return Poly(q), Poly(rem)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("polynomial division left a remainder")
-        return q
+            # The leading coefficient's own remainder stays in ``rem``.
+            top = shift + len(d) - 1
+            q[shift], rem[top] = divmod(rem[top], d[-1])
+            for i, b in enumerate(d[:-1]):
+                rem[shift + i] -= q[shift] * b
+        if any(rem):
+            raise ArithmeticError("polynomial division left a remainder")
+        return Poly(q)
 
     def eval(self, r) -> Fraction:
         """Exact value at a rational ``r``, by Horner's rule."""
@@ -142,17 +128,17 @@ class Poly:
         return out
 
     def __repr__(self) -> str:
-        return "Poly(%s)" % (poly_str(self),)
+        return "Poly(%s)" % (poly_str(self.c),)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Greatest common divisor as a primitive integer polynomial (integer
     coefficients with gcd 1) with a positive leading coefficient.
 
-    Both arguments are scaled to primitive integer polynomials, then reduced
-    by the primitive pseudo-remainder sequence (Collins 1967; Brown 1971):
-    each pseudo-remainder is computed in ints and divided by its content,
-    so no ``Fraction`` is built.  A zero argument gives the other one's
+    Both arguments are made primitive, then reduced by the primitive
+    pseudo-remainder sequence (Collins 1967; Brown 1971): each
+    pseudo-remainder is computed in ints and divided by its content, so no
+    ``Fraction`` is built.  A zero argument gives the other one's
     primitive part; two zeros give zero.
     """
     def primitive(p):
@@ -180,11 +166,9 @@ def _pseudo_rem(a: Poly, b: Poly) -> Poly:
 
 
 def _primitive(*polys: Poly) -> Tuple[Poly, ...]:
-    """``polys`` times the one rational that makes all their coefficients
-    integers with gcd 1 and the last one's leading coefficient positive."""
+    """``polys`` divided by the one integer that leaves all their coefficients
+    with gcd 1 and the last one's leading coefficient positive."""
     n = [x for p in polys for x in p.c]
-    if not all(type(x) is int for x in n):
-        _, n = scale_to_integers(n)
     g = math.gcd(*n)
     if polys[-1].c[-1] < 0:
         g = -g
@@ -192,12 +176,10 @@ def _primitive(*polys: Poly) -> Tuple[Poly, ...]:
     return tuple(Poly(islice(it, len(p.c))) for p in polys)
 
 
-def poly_str(p: Poly) -> str:
-    """Compact display like ``1-r/2+r^2``."""
-    if p.is_zero():
-        return "0"
+def poly_str(coeffs: Sequence) -> str:
+    """Compact display like ``1-r/2+r^2`` of rational coefficients, ascending."""
     out = ""
-    for k, c in enumerate(p.c):
+    for k, c in enumerate(coeffs):
         if c == 0:
             continue
         a = abs(c)
@@ -208,7 +190,7 @@ def poly_str(p: Poly) -> str:
                 + ("r" if k == 1 else "r^%d" % k) \
                 + ("/%d" % a.denominator if a.denominator != 1 else "")
         out += ("-" if c < 0 else "+" if out else "") + s
-    return out
+    return out or "0"
 
 
 class RationalFunction:
@@ -256,11 +238,11 @@ class RationalFunction:
     def display(self) -> str:
         """Human form with the denominator scaled to constant term 1, or to
         leading coefficient 1 when its constant term is 0."""
-        scale = Fraction(1, self.den.c[0] or self.den.c[-1])
-        num, den = self.num * scale, self.den * scale
-        if den == Poly.one():
-            return poly_str(num)
-        return "(%s)/(%s)" % (poly_str(num), poly_str(den))
+        scale = self.den.c[0] or self.den.c[-1]
+        num, den = (poly_str([Fraction(c, scale) for c in p.c]) for p in (self.num, self.den))
+        if self.den.degree == 0:
+            return num
+        return "(%s)/(%s)" % (num, den)
 
     def __repr__(self) -> str:
         return "RationalFunction(%s)" % self.display()
@@ -305,9 +287,24 @@ class TransitionMatrix:
     @cached_property
     def _det_adj(self) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
         bits = self._scaled[0].bit_length()
-        if bits > MAX_POWER_BITS:
-            raise ValueError("the resolvent of a chain with a %d-bit common denominator "
-                             "is over the cap of %d bits" % (bits, MAX_POWER_BITS))
+        # Every integer printed from the resolvent is below 2**printed.  By
+        # the triangle inequality for products, the absolute coefficient sum
+        # of det(D*I - rA) is at most the permanent of the entries' sums
+        # (D + A_ii on the diagonal, A_ij off it), so at most the product of
+        # its row sums, (2D)**n; that of D*adj(D*I - rA) is at most
+        # D*(2D)**(n-1).  A factor of degree m of an integer polynomial f
+        # has absolute coefficient sum at most 2**m ||f||_2 (Mignotte), so
+        # the reduced num and den of P_ii have sums of at most 4**n D**n.
+        # They are coprime with joint content 1, so Theta = (num - den)/num
+        # needs no further reduction and its sums are at most 2 * 4**n D**n.
+        # Each printed numerator, denominator and value at 1 is bounded by a
+        # sum, and D < 2**bits.
+        printed = self.n * (bits + 2) + 1
+        if printed > MAX_PRINTED_BITS:
+            raise ValueError("the resolvent of a %d-state chain with a %d-bit common "
+                             "denominator prints integers of up to n*(bits+2)+1 = %d "
+                             "bits, over the cap of %d bits"
+                             % (self.n, bits, printed, MAX_PRINTED_BITS))
         extra = (self.n + 1).bit_length()
         cost = self.n**3 * (bits + extra)
         if cost > MAX_ELIMINATION_COST:
@@ -417,12 +414,6 @@ def _interpolate(values: List[List[int]], m: int) -> List[List[int]]:
     return [_exact_quotients(v, m**(deg - t)) for t, v in enumerate(q)]
 
 
-def _as_matrix(P) -> TransitionMatrix:
-    if isinstance(P, TransitionMatrix):
-        return P
-    return TransitionMatrix.build(P)
-
-
 def _mat_mul(a, b):
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
@@ -438,9 +429,8 @@ def _check_power_bits(P: TransitionMatrix, n: int) -> None:
                          % (n, P._scaled[0], bits, MAX_POWER_BITS))
 
 
-def n_step(P, n: int):
+def n_step(P: TransitionMatrix, n: int):
     """Exact ``n``-step transition matrix as nested Fraction tuples."""
-    P = _as_matrix(P)
     if n < 0:
         raise ValueError("step count must be nonnegative")
     _check_power_bits(P, n)
@@ -457,7 +447,7 @@ def n_step(P, n: int):
     return tuple(tuple(Fraction(x, scale) for x in row) for row in out)
 
 
-def first_return(P, i: int, n_max: int) -> Tuple[Fraction, ...]:
+def first_return(P: TransitionMatrix, i: int, n_max: int) -> Tuple[Fraction, ...]:
     """First-return probabilities ``theta^(1..n_max)`` to state ``i``, exact.
 
     Computed by peeling the renewal identity: the n-step return splits
@@ -465,7 +455,6 @@ def first_return(P, i: int, n_max: int) -> Tuple[Fraction, ...]:
     ``theta^(n) = P^n_{i,i} - sum_{m=1}^{n-1} theta^(m) P^(n-m)_{i,i}``.
     Scaled by ``D**n``, it runs on the integer diagonals of ``A^n``.
     """
-    P = _as_matrix(P)
     if not 0 <= i < P.n:
         raise ValueError("state index out of range")
     if n_max < 1:
@@ -479,23 +468,26 @@ def first_return(P, i: int, n_max: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(t, d**n) for n, t in enumerate(theta, start=1))
 
 
-def resolvent(P, i: int, j: int) -> RationalFunction:
+def resolvent(P: TransitionMatrix, i: int, j: int) -> RationalFunction:
     """Entry ``[(I - rP)^-1]_{i,j}`` as a reduced rational function of ``r``.
 
     Both parts of the entry come from one determinant and adjugate per
     ``TransitionMatrix`` (``_det_adjugate``), memoised on the object, so a
     sweep over all entries of one chain computes them once.
     """
-    P = _as_matrix(P)
     if not (0 <= i < P.n and 0 <= j < P.n):
         raise ValueError("state index out of range")
     det, adj = P._det_adj
     return RationalFunction(adj[i][j], det)
 
 
-def theta_gf(P, i: int) -> RationalFunction:
+def theta_gf(P: TransitionMatrix, i: int) -> RationalFunction:
     """First-return generating function ``Theta_{i,i}(r) = 1 - 1/P_{i,i}(r)``."""
-    pii = resolvent(P, i, i)
+    return _theta(resolvent(P, i, i))
+
+
+def _theta(pii: RationalFunction) -> RationalFunction:
+    """``1 - 1/P_{i,i}(r)`` from the reduced ``P_{i,i}``."""
     return RationalFunction(pii.num - pii.den, pii.num)
 
 
@@ -532,14 +524,13 @@ def radius_of_convergence(rf: RationalFunction) -> float:
     return best
 
 
-def period(P, i: int) -> int:
+def period(P: TransitionMatrix, i: int) -> int:
     """gcd of feasible return times to ``i``; 0 when no return occurs.
 
     Simple cycles through ``i`` have length at most the state count and
     generate the semigroup of return times, so scanning that many powers
     is sufficient.
     """
-    P = _as_matrix(P)
     if not 0 <= i < P.n:
         raise ValueError("state index out of range")
     g = 0
@@ -549,12 +540,11 @@ def period(P, i: int) -> int:
     return g
 
 
-def markov_report(P, i: int, series_terms: int = 8) -> dict:
+def markov_report(P: TransitionMatrix, i: int, series_terms: int = 8) -> dict:
     """Generating functions, series prefix, and pole radius for one state."""
-    P = _as_matrix(P)
     series = list(first_return(P, i, series_terms))
     pii = resolvent(P, i, i)
-    theta = theta_gf(P, i)
+    theta = _theta(pii)
     irreducible = P.is_irreducible()
     report = {
         "state": i,

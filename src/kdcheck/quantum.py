@@ -87,17 +87,12 @@ class Ensemble:
     def __setattr__(self, name, value):
         raise AttributeError("Ensemble is immutable")
 
-    def weighted(self, x: int):
-        """Subnormalized operator ``p_x rho_x`` (diag tuple or dense array)."""
-        if self.exact:
-            return tuple(Fraction(n, self.denominator) for n in self.numerators[x])
+    def weighted(self, x: int) -> np.ndarray:
+        """Subnormalized operator ``p_x rho_x`` as a dense float array."""
         return float(self.prior.weights[x]) * self.states[x].to_matrix()
 
     def average(self) -> StateDensity:
-        """Ensemble average ``sum_x p_x rho_x``."""
-        if self.exact:
-            return StateDensity.from_diag(
-                Fraction(sum(col), self.denominator) for col in zip(*self.numerators))
+        """Ensemble average ``sum_x p_x rho_x``, dense and float."""
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for x in range(len(self.states)):
             total += self.weighted(x)
@@ -204,10 +199,7 @@ def e_gen(ensemble: Ensemble, povm: Optional[Povm] = None):
         return Fraction(total, ensemble.denominator)
     acc = 0.0
     for x in range(len(ensemble.states)):
-        wx = ensemble.weighted(x)
-        if isinstance(wx, tuple):
-            wx = np.diag([float(v) for v in wx]).astype(complex)
-        acc += float(np.real(np.trace(wx @ povm.element_matrix(x))))
+        acc += float(np.real(np.trace(ensemble.weighted(x) @ povm.element_matrix(x))))
     return acc
 
 

@@ -3,8 +3,7 @@
 Level ``eta`` (even, up to 16) carries the uniform grid with
 ``f(eta) = (eta/2)! * 2**(eta/2)`` steps on [0, 1]; consecutive levels
 nest because ``f(eta+2)/f(eta) = (eta/2 + 1) * 2`` is an integer.  Point
-``j`` sits at time ``j / f(eta)``: ``PathEnsemble.times`` holds these as
-correctly rounded floats and ``PathEnsemble.time(j)`` as an exact Fraction.
+``j`` sits at time ``j / f(eta)``.
 
 Standard mode inserts each new grid point by sequential bridge sampling:
 given the current left anchor (a, W_a) and the enclosing right anchor
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,20 +71,10 @@ class PathEnsemble:
     eta: int
     values: np.ndarray
     mode: str
-    seed: int
 
     @property
     def factor(self) -> int:
         return grid_factor(self.eta)
-
-    @property
-    def times(self) -> np.ndarray:
-        """Grid times ``j / factor`` as correctly rounded floats."""
-        return np.arange(self.factor + 1) / self.factor
-
-    def time(self, j: int) -> Fraction:
-        """Exact time of grid point ``j``."""
-        return Fraction(j, self.factor)
 
     @property
     def reps(self) -> int:
@@ -203,7 +191,7 @@ def simulate(dim: int, eta: int, seed: int = 0, mode: str = "standard",
         raise ValueError("rep index out of range")
     _check_cells("returned level", reps, eta, dim)
     values = next(_chunks(dim, eta, reps, seed, mode, rep))
-    return PathEnsemble(dim, eta, values, mode, seed)
+    return PathEnsemble(dim, eta, values, mode)
 
 
 def simulate_ensemble(dim: int, eta: int, reps: int, seed: int = 0,
@@ -215,7 +203,7 @@ def simulate_ensemble(dim: int, eta: int, reps: int, seed: int = 0,
     chunks = list(_chunks(dim, eta, reps, seed, mode))
     # A lone chunk is already a fresh array; concatenating would copy it.
     values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
-    return PathEnsemble(dim, eta, values, mode, seed)
+    return PathEnsemble(dim, eta, values, mode)
 
 
 def increment_stats(ensemble: PathEnsemble) -> dict:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -128,6 +129,42 @@ def test_markov_refuses_oversized_elimination_before_it_runs(capsys, monkeypatch
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "%d" % markov.MAX_ELIMINATION_COST in err
+
+
+def generic_chain_file(path, n, bits):
+    """A ``--matrix`` file: ``n`` states with distinct odd numerators over
+    ``D = 2**(bits - 1)``, so that no entry reduces."""
+    d = 2**(bits - 1)
+    rows = []
+    for i in range(n):
+        row = [d // (i + j + 2) | 1 for j in range(n - 1)]
+        rows.append(["%d/%d" % (v, d) for v in row + [d - sum(row)]])
+    path.write_text(json.dumps({"rows": rows}))
+    return str(path)
+
+
+def test_markov_refuses_a_report_past_the_digit_limit(capsys, monkeypatch, tmp_path):
+    # A 3-state chain over an 8192-bit D: its P_gf and Theta_gf coefficients
+    # have about 2 * 8192 bits, past CPython's 4300-digit limit on printing
+    # an int, so it is refused before the elimination runs.
+    path = generic_chain_file(tmp_path / "big.json", 3, 8192)
+
+    def fail(rows):
+        raise AssertionError("eliminated a refused chain")
+    monkeypatch.setattr(markov, "_det_adjugate", fail)
+    code, out, err = run_cli(capsys, "markov", "--matrix", path, "--terms", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: the resolvent of a 3-state chain with a 8192-bit common "
+                   "denominator prints integers of up to n*(bits+2)+1 = 24583 bits, "
+                   "over the cap of %d bits\n" % markov.MAX_PRINTED_BITS)
+
+
+def test_markov_prints_a_chain_just_under_the_digit_cap(capsys, tmp_path):
+    bits = (markov.MAX_PRINTED_BITS - 1) // 2 - 2
+    path = generic_chain_file(tmp_path / "under.json", 2, bits)
+    rep = run_json(capsys, "markov", "--matrix", path, "--terms", "1")
+    digits = [len(t) for t in re.findall(r"\d+", rep["P_gf"] + rep["Theta_gf"])]
+    assert 2000 < max(digits) <= 4300
 
 
 def test_markov_admits_twelve_terms_of_a_six_state_chain(capsys):
@@ -299,7 +336,7 @@ def test_late_failure_removes_only_a_regular_output(capsys, monkeypatch,
 def _per_row_csv(header, columns, time_factor=None):
     """The CSV writer that formatted one row per ``%``: the byte reference.
 
-    A time column is built whole, as ``PathEnsemble.times`` builds it.
+    A time column is built whole, as ``np.arange(n) / time_factor``.
     """
     from kdcheck import cli
 
@@ -327,14 +364,23 @@ def test_csv_blocks_do_not_change_bytes(capsys, monkeypatch, argv):
 
 
 def test_treesim_csv_builds_no_time_column(capsys, monkeypatch):
-    from kdcheck import treeproc
+    # A PathEnsemble holds no times; the CSV writer makes each block's own,
+    # so no time array is longer than a block.
+    from kdcheck import cli, treeproc
 
-    def refuse(self):
-        raise AssertionError("built the whole time column")
-    monkeypatch.setattr(treeproc.PathEnsemble, "times", property(refuse))
+    assert not hasattr(treeproc.PathEnsemble, "times")
+    sizes, arange = [], np.arange
+
+    def spy(*args, **kwargs):
+        out = arange(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 64)
+    monkeypatch.setattr(np, "arange", spy)
     code, out, _ = run_cli(capsys, "treesim", "--eta", "8", "--seed", "2")
     assert code == 0 and out.count("\n") == treeproc.grid_factor(8) + 2
     assert out.splitlines()[-1].startswith("1,")
+    assert sizes and max(sizes) <= 64
 
 
 # Signed zero, the smallest subnormal, values whose %.17g takes exponent

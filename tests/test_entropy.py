@@ -233,7 +233,7 @@ def test_differential_entropy_report_fields():
 
 def test_uniform_density_entropy():
     d = ContinuousDensity(lambda x: np.where(np.abs(x) <= 1.0, 0.5, 0.0),
-                          lower=(-1.0,), upper=(1.0,))
+                          lower=-1.0, upper=1.0)
     assert abs(differential_entropy(d)["value"] - math.log(2.0)) < 1e-6
 
 
@@ -247,8 +247,8 @@ def test_window_mass_beyond_mass_tol_refused(scale):
 @pytest.mark.parametrize("make,message", [
     (lambda: ContinuousDensity(lambda x: np.exp(-np.abs(x)) / 2, -math.inf, math.inf),
      "window must be finite"),
-    (lambda: ContinuousDensity(lambda x: np.full(np.shape(x), 0.5), (0.0, math.nan),
-                               (2.0, 1.0)), "window must be finite"),
+    (lambda: ContinuousDensity(lambda x: np.full(np.shape(x), 0.5), math.nan, 2.0),
+     "window must be finite"),
     (lambda: ContinuousDensity.gaussian(0.0, math.inf), "variance must be finite, got inf"),
     (lambda: ContinuousDensity.gaussian(math.nan, 1.0), "mean must be finite, got nan"),
     (lambda: ContinuousDensity.gaussian(0.0, math.nan), "variance must be finite, got nan"),
@@ -257,11 +257,12 @@ def test_window_mass_beyond_mass_tol_refused(scale):
 ], ids=["window-inf", "window-nan", "gaussian-var-inf", "gaussian-mean-nan",
         "gaussian-var-nan", "gaussian-mean-inf", "gaussian-mean-minus-inf"])
 def test_non_finite_window_refused_before_any_rule(monkeypatch, make, message):
-    from kdcheck import quadrature
+    from kdcheck import entropy
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a rule")
-    monkeypatch.setattr(quadrature, "gauss_legendre_1d", refuse)
+    # The name that ContinuousDensity calls, bound in entropy.
+    monkeypatch.setattr(entropy, "gauss_legendre_1d", refuse)
     with pytest.raises(ValueError, match="^%s$" % message):
         make()
 

@@ -175,7 +175,8 @@ def test_hash_scale_ensemble_matches_loops():
     assert cq.denominator == 64 * ens.denominator
     assert tripartite_distance(cq) == ref_tripartite(counts, 2, 3, cq.denominator)
     assert tuple(Fraction(t, cq.denominator) for t in cq._side_counts()) \
-        == ens.average().diag
+        == tuple(map(sum, zip(*(tuple(p * d for d in st.diag)
+                                for p, st in zip(ens.prior.weights, ens.states)))))
     # A trivial side register reproduces the classical distance on the full family.
     trivial = Ensemble(ens.prior, [StateDensity.from_diag((Fraction(1),))] * 256)
     assert tripartite_distance(hashed_joint_blocks(trivial, full)) \

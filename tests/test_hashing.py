@@ -12,7 +12,6 @@ from kdcheck.hashing import (
     MAX_FAMILY_SIZE,
     MAX_TABLE_CELLS,
     build_family,
-    collision_probability,
     joint_state,
     lhl_bound,
     lhl_distance,
@@ -76,7 +75,7 @@ def test_collision_probability_m2_uniform_oracle():
     # (1/16) * (1 + 3/2) = 5/32, bound (1/2 + 1/4)/4 = 3/16
     fam = build_family("linear", 2, 2, 1)
     u = FiniteDistribution.uniform(Alphabet(2, 2))
-    assert collision_probability(u, fam) == Fraction(5, 32)
+    assert joint_state(u, fam).collision_probability() == Fraction(5, 32)
     assert lhl_report(u, fam)["collision_bound"] == Fraction(3, 16)
 
 
@@ -90,7 +89,7 @@ def test_joint_state_uniform_oracle():
 
 def test_collision_probability_oracle():
     fam = build_family("linear", 2, 3, 1)
-    assert collision_probability(UNIFORM8, fam) == Fraction(9, 128)
+    assert joint_state(UNIFORM8, fam).collision_probability() == Fraction(9, 128)
     assert lhl_report(UNIFORM8, fam)["collision_bound"] == Fraction(5, 64)
 
 
@@ -99,7 +98,7 @@ def test_single_bit_collision():
     u = FiniteDistribution.uniform(Alphabet(2))
     # maps are the zero map and the identity; joint (key, seed) collision
     # mass is 1/4 + 1/16 + 1/16
-    assert collision_probability(u, fam) == Fraction(3, 8)
+    assert joint_state(u, fam).collision_probability() == Fraction(3, 8)
     assert lhl_report(u, fam)["collision_bound"] == Fraction(1, 2)
 
 
@@ -237,7 +236,7 @@ def assert_joint_exact(f, family):
     js = joint_state(f, family)
     assert [[Fraction(c, js.denominator) for c in row] for row in js.counts] == ref
     assert lhl_distance(f, family) == brute_distance(ref, family.q, family.k)
-    assert collision_probability(f, family) == brute_collision(ref)
+    assert joint_state(f, family).collision_probability() == brute_collision(ref)
     assert isinstance(lhl_distance(f, family), Fraction)
 
 

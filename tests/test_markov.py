@@ -33,43 +33,56 @@ def frac(a, b=1):
 # Polynomial layer
 # ---------------------------------------------------------------------------
 
+def scaled(p, k):
+    """``k * p`` for an integer ``k``."""
+    return Poly([k * x for x in p.c])
+
+
 def test_poly_arithmetic():
-    p = Poly([frac(1), frac(2)])          # 1 + 2r
-    q = Poly([frac(0), frac(1)])          # r
-    assert (p * 3).c == (3, 6) and (frac(1, 2) * p).c == (frac(1, 2), 1)
-    assert (p + q).c == (frac(1), frac(3))
+    p = Poly([1, 2])          # 1 + 2r
+    q = Poly([0, 1])          # r
+    assert (p + q).c == (1, 3) and (-p).c == (-1, -2)
     assert (p - p).is_zero()
     assert p.degree == 1 and Poly().degree == -1
+    assert Poly([1, 0, 0]).c == (1,)
+    for coeffs in ([frac(1, 2)], [frac(1)], [1.0], [1, 0.5]):
+        with pytest.raises(TypeError, match="coefficients must be ints"):
+            Poly(coeffs)
 
 
 def test_poly_divmod_and_gcd():
     # (1 - r^2) = (1 - r)(1 + r)
-    p = Poly([frac(1), frac(0), frac(-1)])
-    d = Poly([frac(1), frac(-1)])
-    quo, rem = p.divmod(d)
-    assert rem.is_zero() and quo.c == (frac(1), frac(1))
-    g = poly_gcd(p, d)
-    assert monic(g).c == monic(d).c
+    p = Poly([1, 0, -1])
+    d = Poly([1, -1])
+    assert p.exact_div(d).c == (1, 1)
+    assert p.exact_div(p).c == (1,) and Poly().exact_div(d).is_zero()
+    # 2 does not divide the leading 1; 1 - r^2 = (2 - r)(2 + r) - 3.
+    for divisor in (Poly([1, 2]), Poly([2, -1]), Poly([0, 1, 0, 1])):
+        with pytest.raises(ArithmeticError, match="left a remainder"):
+            p.exact_div(divisor)
+    with pytest.raises(ZeroDivisionError):
+        p.exact_div(Poly())
+    assert poly_gcd(p, d) == Poly([-1, 1])
 
 
 def test_poly_eval():
-    p = Poly([frac(1), frac(-1, 2)])
-    assert p.eval(frac(1, 2)) == frac(3, 4)
+    p = Poly([2, -1])
+    assert p.eval(frac(1, 2)) == frac(3, 2)
     assert p.eval(2) == 0 and type(p.eval(2)) is Fraction
 
 
 def test_rational_function_reduces():
     # (1 - r^2)/(1 - r) reduces to 1 + r
-    num = Poly([frac(1), frac(0), frac(-1)])
-    den = Poly([frac(1), frac(-1)])
+    num = Poly([1, 0, -1])
+    den = Poly([1, -1])
     rf = RationalFunction(num, den)
-    assert rf.den == Poly.one() or rf.den.degree == 0
+    assert rf.num == Poly([1, 1]) and rf.den == Poly([1])
     assert rf.eval(frac(1, 3)) == frac(4, 3)
 
 
 def test_rational_function_series_geometric():
     # 1/(1 - r)
-    rf = RationalFunction(Poly.one(), Poly([frac(1), frac(-1)]))
+    rf = RationalFunction(Poly([1]), Poly([1, -1]))
     assert rf.series(5) == (frac(1),) * 6
 
 
@@ -223,27 +236,30 @@ def test_elimination_cap_boundary(monkeypatch):
 
 def test_resolvent_refuses_a_denominator_over_the_power_cap(monkeypatch):
     # n**3 * (bits + 2) is under MAX_ELIMINATION_COST here, so only the cap
-    # on the bits of D refuses this chain.
+    # on the printed bits, n * (bits + 2) + 1, refuses this chain.
     chain = chain_over(2, 2**39_999 + 1)
     assert 2**3 * (chain._scaled[0].bit_length() + 2) <= markov.MAX_ELIMINATION_COST
     refuse_elimination(monkeypatch)
     for call in (lambda: resolvent(chain, 0, 1), lambda: theta_gf(chain, 0)):
-        with pytest.raises(ValueError, match="40000-bit .* over the cap of %d bits"
-                           % markov.MAX_POWER_BITS):
+        with pytest.raises(ValueError, match="40000-bit .* = 80005 bits, over the cap "
+                           "of %d bits" % markov.MAX_PRINTED_BITS):
             call()
     assert "_det_adj" not in vars(chain)
 
 
 def test_resolvent_power_cap_boundary(monkeypatch):
-    bits = markov.MAX_POWER_BITS
-    admitted = chain_over(2, 2**(bits - 1) + 1)
-    refused = chain_over(2, 2**bits + 1)
-    assert admitted._scaled[0].bit_length() == bits
-    monkeypatch.setattr(markov, "_det_adjugate", lambda rows: "eliminated")
-    assert admitted._det_adj == "eliminated"
-    refuse_elimination(monkeypatch)
-    with pytest.raises(ValueError, match="%d-bit" % (bits + 1)):
-        refused._det_adj
+    # For each size, the largest denominator whose printed bits
+    # n * (bits + 2) + 1 are at most MAX_PRINTED_BITS, and one bit more.
+    for n in (2, 3, 5):
+        bits = (markov.MAX_PRINTED_BITS - 1) // n - 2
+        admitted = chain_over(n, 2**(bits - 1) + 1)
+        refused = chain_over(n, 2**bits + 1)
+        assert admitted._scaled[0].bit_length() == bits
+        monkeypatch.setattr(markov, "_det_adjugate", lambda rows: "eliminated")
+        assert admitted._det_adj == "eliminated"
+        refuse_elimination(monkeypatch)
+        with pytest.raises(ValueError, match="%d-bit" % (bits + 1)):
+            refused._det_adj
 
 
 def random_chain(raw, n):
@@ -357,6 +373,22 @@ def test_one_elimination_per_chain(monkeypatch):
     assert len(calls) == 1
 
 
+def test_markov_report_reduces_each_function_once(monkeypatch):
+    # One gcd for P_ii and one for Theta, which is built from that P_ii.
+    gcds = []
+    real = markov.poly_gcd
+
+    def counted(a, b):
+        gcds.append(1)
+        return real(a, b)
+    monkeypatch.setattr(markov, "poly_gcd", counted)
+    chain = TransitionMatrix(SPARSE_CHAINS["cycle6"].rows)
+    rep = markov_report(chain, 0, series_terms=6)
+    assert len(gcds) == 2
+    assert rep["P_gf"] == resolvent(chain, 0, 0).display()
+    assert rep["Theta_gf"] == theta_gf(chain, 0).display()
+
+
 @pytest.mark.parametrize("i, j", [(5, 0), (0, 5), (-1, 0), (0, -1)])
 def test_resolvent_state_out_of_range(i, j):
     with pytest.raises(ValueError):
@@ -456,10 +488,14 @@ def test_integer_elimination_and_powers():
 
 
 def test_rational_function_canonical_form():
-    p = Poly([frac(1), frac(-1, 2), frac(3, 4)])
-    q = Poly([frac(2), frac(0), frac(-5, 3), frac(1, 6)])
-    forms = [RationalFunction(p * 2, q * 2), RationalFunction(p * frac(1, 3), q * frac(1, 3)),
-             RationalFunction(-p, -q), RationalFunction(p, q)]
+    # 3p/2q in lowest terms, with p = 4 - 2r + 3r^2 and q = 12 - 10r^2 + r^3.
+    p = Poly([4, -2, 3])
+    q = Poly([12, 0, -10, 1])
+    forms = [RationalFunction(scaled(p, 6), scaled(q, 4)),
+             RationalFunction(scaled(p, -3), scaled(q, -2)),
+             RationalFunction(scaled(p, 15), scaled(q, 10)), RationalFunction(p, q)]
+    assert forms[-1] != forms[0]
+    forms.pop()
     assert all(rf == forms[0] for rf in forms)
     for rf in forms:
         coeffs = rf.num.c + rf.den.c
@@ -472,8 +508,11 @@ def test_rational_function_canonical_form():
 def test_display_with_zero_constant_term():
     # The denominator is scaled to leading coefficient 1 when den(0) = 0.
     assert RationalFunction(Poly([1]), Poly([0, 2])).display() == "(1/2)/(r)"
-    assert (RationalFunction(Poly([frac(1, 3), 1]), Poly([0, 0, frac(3, 2)])).display()
+    assert (RationalFunction(Poly([2, 6]), Poly([0, 0, 9])).display()
             == "(2/9+2r/3)/(r^2)")
+    # A constant denominator prints the numerator alone.
+    assert RationalFunction(Poly([2, 4, 0, -6]), Poly([4])).display() == "1/2+r-3r^3/2"
+    assert RationalFunction(Poly(), Poly([3])).display() == "0"
 
 
 SIX = chain_of([2, 1, 3, 1, 1, 1], [1, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6],
@@ -520,27 +559,38 @@ def test_is_irreducible_matches_bfs():
 # Integer gcd: primitive pseudo-remainder sequence
 # ---------------------------------------------------------------------------
 
-def monic(p):
-    """``p`` divided by its leading coefficient; zero stays zero."""
-    return Poly([Fraction(x) / p.c[-1] for x in p.c]) if not p.is_zero() else p
+def rational_divmod(a, b):
+    """Reference: quotient and remainder over Q of ascending coefficient
+    lists, the remainder without trailing zeros."""
+    rem, quo = [Fraction(x) for x in a], []
+    for shift in reversed(range(len(a) - len(b) + 1)):
+        coef = rem.pop() / b[-1]
+        quo.insert(0, coef)
+        for i, x in enumerate(b[:-1]):
+            rem[shift + i] -= coef * x
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
 
 
 def euclid_gcd(a, b):
-    """Reference: Euclid's algorithm over Q, made monic."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return monic(a)
+    """Reference: Euclid's algorithm over Q on nonzero coefficient lists,
+    made monic."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, rational_divmod(a, b)[1]
+    return [Fraction(x) / a[-1] for x in a]
 
 
-def primitive_parts(*polys):
-    """Reference: ``polys`` scaled jointly to integers with gcd 1 and a
-    positive leading coefficient in the last one."""
-    cs = [Fraction(x) for p in polys for x in p.c]
+def primitive_parts(*coeffs):
+    """Reference: coefficient lists scaled jointly to integer polynomials
+    with gcd 1 and a positive leading coefficient in the last one."""
+    cs = [Fraction(x) for c in coeffs for x in c]
     scale = Fraction(math.lcm(*(x.denominator for x in cs)),
                      math.gcd(*(x.numerator for x in cs)))
-    if polys[-1].c[-1] < 0:
+    if coeffs[-1][-1] < 0:
         scale = -scale
-    return tuple(Poly([int(x * scale) for x in p.c]) for p in polys)
+    return tuple(Poly([int(x * scale) for x in c]) for c in coeffs)
 
 
 def poly_mul(a, b):
@@ -564,17 +614,17 @@ def test_poly_gcd_recovers_planted_factor():
     while checked < 40:
         # A factor with content 3 and a negative lead, so only its primitive
         # part with a positive lead is the gcd.
-        factor = random_int_poly(rng, int(rng.integers(1, 4))) * -3
+        factor = scaled(random_int_poly(rng, int(rng.integers(1, 4))), -3)
         u, v = (random_int_poly(rng, int(rng.integers(0, 5))) for _ in range(2))
-        if euclid_gcd(u, v) != Poly.one():
+        if euclid_gcd(u.c, v.c) != [1]:
             continue  # the cofactors share a factor of their own
         checked += 1
-        want, = primitive_parts(factor)
+        want, = primitive_parts(factor.c)
         a, b = poly_mul(factor, u), poly_mul(factor, v)
         g = poly_gcd(a, b)
         assert g == want and g.c[-1] > 0
         assert all(type(c) is int for c in g.c)
-        assert poly_gcd(a * frac(2, 7), b * frac(-5, 3)) == want
+        assert poly_gcd(scaled(a, 14), scaled(b, -15)) == want
         assert poly_gcd(b, a) == want
 
 
@@ -583,16 +633,17 @@ def test_poly_gcd_coprime_and_zero_arguments():
     assert poly_gcd(Poly([1, 1]), Poly([1, -1])) == Poly((1,))
     assert poly_gcd(Poly([3]), p) == Poly((1,))
     assert poly_gcd(p, Poly()) == Poly([-1, -2, 3])
-    assert poly_gcd(Poly(), p * frac(1, 4)) == Poly([-1, -2, 3])
+    assert poly_gcd(Poly(), scaled(p, -5)) == Poly([-1, -2, 3])
     assert poly_gcd(Poly(), Poly()).is_zero()
 
 
 def euclid_rational(num, den):
     """Reference reduction: divide by the Euclid gcd, then scale jointly to
     integers with gcd 1 and a positive leading denominator coefficient."""
-    if not num.is_zero():
+    num, den = num.c, den.c
+    if num:
         g = euclid_gcd(num, den)
-        num, den = num.exact_div(g), den.exact_div(g)
+        num, den = rational_divmod(num, g)[0], rational_divmod(den, g)[0]
     rf = RationalFunction.__new__(RationalFunction)
     rf.num, rf.den = primitive_parts(num, den)
     return rf

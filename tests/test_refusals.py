@@ -1,0 +1,222 @@
+"""Input refusals, one table per module: each entry is a call and the whole
+message of the ``ValueError`` (or the named error) it must raise."""
+
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from kdcheck import entropy, hashing, markov, quadrature, quantum, semigroup, treeproc
+from kdcheck.cli import main
+from kdcheck.core import (
+    Alphabet,
+    FiniteDistribution,
+    StateDensity,
+    distribution_from_json,
+    parse_rational,
+    state_from_json,
+)
+
+F2 = FiniteDistribution(Alphabet(2), (Fraction(1, 2), Fraction(1, 2)))
+F4 = FiniteDistribution.uniform(Alphabet(2, 2))
+SWAP = markov.TransitionMatrix.build([[0, 1], [1, 0]])
+SPEC1 = semigroup.CovSpec(1, (1.0,))
+SPEC2 = semigroup.CovSpec(2, (1.0, 1.0), (0.3,))
+
+
+def gauss(x):
+    return np.exp(-0.5 * np.asarray(x) ** 2)
+
+
+def check_table(call, message, error=ValueError):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call()
+
+
+def ids(table):
+    return [message[:40] for _, message in table]
+
+
+CORE = [
+    (lambda: parse_rational("1/0"), "cannot parse '1/0' as a rational"),
+    (lambda: parse_rational("a/b"), "cannot parse 'a/b' as a rational"),
+    (lambda: parse_rational(0.5),
+     "exact rational expected; got float 0.5 (write it as 'num/den')"),
+    (lambda: parse_rational(None), "cannot parse None as a rational"),
+    (lambda: FiniteDistribution(Alphabet(2), (Fraction(1),)),
+     "expected 2 weights for this alphabet, got 1"),
+    (lambda: FiniteDistribution(Alphabet(2), (Fraction(3, 2), Fraction(-1, 2))),
+     "weights must be nonnegative"),
+    (lambda: FiniteDistribution(Alphabet(2), (1.5, -0.5)), "weights must be nonnegative"),
+    (lambda: StateDensity.from_diag(()), "state must have dimension >= 1"),
+    (lambda: StateDensity.from_diag((Fraction(3, 2), Fraction(-1, 2))),
+     "diagonal entries must be nonnegative"),
+    (lambda: StateDensity.from_diag((Fraction(3, 4), Fraction(3, 4))), "trace 3/2 exceeds 1"),
+    (lambda: StateDensity.from_diag((1.5, -0.5)),
+     "diagonal entry below -1e-10: not positive semidefinite"),
+    (lambda: StateDensity.from_diag((0.75, 0.75)), "trace exceeds 1 beyond tolerance"),
+    (lambda: StateDensity.from_matrix(np.zeros((2, 3))), "state matrix must be square"),
+    (lambda: StateDensity.from_matrix([[0.5, 0.5], [0.0, 0.5]]),
+     "state matrix is not Hermitian within 1e-10"),
+    (lambda: StateDensity.from_matrix([[1.0, 0.0], [0.0, -1.0]]),
+     "state matrix has eigenvalue -1 below -1e-10: not positive semidefinite"),
+    (lambda: StateDensity.from_matrix([[1.0, 0.0], [0.0, 1.0]]),
+     "trace 2 exceeds 1 beyond tolerance"),
+    (lambda: distribution_from_json({"weights": ["1"]}),
+     "distribution JSON needs 'alphabet' and 'weights'"),
+    (lambda: state_from_json({"dim": 2}), "state JSON needs either 'diag' or 'matrix'"),
+]
+
+
+@pytest.mark.parametrize("call,message", CORE, ids=ids(CORE))
+def test_core_refusals(call, message):
+    check_table(call, message)
+
+
+ENTROPY = [
+    (lambda: entropy.renyi_entropy(F2, 2.0, base=1), "logarithm base must exceed 1"),
+    (lambda: entropy.renyi_divergence(F2, F4, 2.0), "divergence needs a common alphabet"),
+    (lambda: entropy.ContinuousDensity(gauss, 1.0, 1.0), "window must have positive volume"),
+    (lambda: entropy.ContinuousDensity(lambda x: x - 0.5, 0.0, 2.0),
+     "density is negative on the window"),
+    (lambda: entropy.ContinuousDensity.gaussian(0.0, 0.0), "variance must be positive"),
+    (lambda: entropy.aep_estimate(F2, 0), "sample size must be positive"),
+    (lambda: entropy.aep_estimate([0.5, 0.5], 10),
+     "expected a FiniteDistribution or ContinuousDensity"),
+]
+
+
+@pytest.mark.parametrize("call,message", ENTROPY, ids=ids(ENTROPY))
+def test_entropy_refusals(call, message):
+    check_table(call, message)
+
+
+HASHING = [
+    (lambda: hashing.HashFamily(2, 2, 1, "linear", np.zeros((0, 4), dtype=np.uint8)),
+     "family must be nonempty"),
+    (lambda: hashing.build_family("linear", 2, 5, 5),
+     "all-linear family of size 33554432 exceeds cap"),
+    (lambda: hashing.JointKeyState(2, 1, np.array([[-1], [2]], dtype=object), 1),
+     "joint weights must be nonnegative"),
+    (lambda: hashing.JointKeyState(2, 1, np.array([[1], [1]], dtype=object), 3),
+     "joint weights must sum to exactly 1"),
+    (lambda: hashing.JointKeyState(2, 1, np.array([[1, 0], [1, 0]], dtype=object), 2),
+     "member marginal must be exactly uniform"),
+    (lambda: hashing.joint_state(F2, hashing.build_family("linear", 2, 2, 1)),
+     "distribution does not match the family input alphabet"),
+]
+
+
+@pytest.mark.parametrize("call,message", HASHING, ids=ids(HASHING))
+def test_hashing_refusals(call, message):
+    check_table(call, message)
+
+
+def rational(num, den):
+    return markov.RationalFunction(markov.Poly(num), markov.Poly(den))
+
+
+MARKOV = [
+    (lambda: rational([1], []), "rational function with zero denominator", ZeroDivisionError),
+    (lambda: rational([1], [0, 1]).series(3), "series expansion needs den(0) != 0", ValueError),
+    (lambda: rational([1], [1, -1]).eval(1), "pole at r=1", ValueError),
+    (lambda: markov.TransitionMatrix(()), "transition matrix must be nonempty", ValueError),
+    (lambda: markov.TransitionMatrix.build([[1, 0]]), "transition matrix must be square",
+     ValueError),
+    (lambda: markov.n_step(SWAP, -1), "step count must be nonnegative", ValueError),
+    (lambda: markov.first_return(SWAP, 2, 3), "state index out of range", ValueError),
+    (lambda: markov.first_return(SWAP, 0, 0), "n_max must be >= 1", ValueError),
+]
+
+
+@pytest.mark.parametrize("call,message,error", MARKOV, ids=[m[:40] for _, m, _ in MARKOV])
+def test_markov_refusals(call, message, error):
+    check_table(call, message, error)
+
+
+QUADRATURE = [
+    (lambda: quadrature.gauss_legendre_1d(1.0, 1.0, 5), "empty interval [1, 1]"),
+    (lambda: quadrature.gauss_legendre_1d(0.0, 1.0, 0), "node count must be positive"),
+    (lambda: quadrature.tensor_rule((0.0, 0.0), (1.0,), 5),
+     "lows and highs must have equal length"),
+    (lambda: quadrature.tensor_rule((0.0,) * 3, (1.0,) * 3, 200),
+     "quadrature grid 216^3 exceeds the node cap; lower the node count"),
+]
+
+
+@pytest.mark.parametrize("call,message", QUADRATURE, ids=ids(QUADRATURE))
+def test_quadrature_refusals(call, message):
+    check_table(call, message)
+
+
+def qubit_ensemble(n_symbols):
+    prior = FiniteDistribution.uniform(Alphabet(n_symbols))
+    return quantum.Ensemble(prior, [StateDensity.from_diag((Fraction(1), Fraction(0)))]
+                            * n_symbols)
+
+
+QUANTUM = [
+    (lambda: quantum.Ensemble(F2, [StateDensity.from_diag((Fraction(1),))]),
+     "need one state per symbol: 1 states for 2 symbols"),
+    (lambda: quantum.hashed_joint_blocks(qubit_ensemble(2),
+                                         hashing.build_family("linear", 2, 2, 1)),
+     "ensemble alphabet does not match the family input"),
+    (lambda: quantum.basis_plus_mixed_ensemble(1), "dimension must be >= 2"),
+    (lambda: quantum.ensemble_from_json({"states": []}),
+     "ensemble JSON needs 'prior' and 'states'"),
+]
+
+
+@pytest.mark.parametrize("call,message", QUANTUM, ids=ids(QUANTUM))
+def test_quantum_refusals(call, message):
+    check_table(call, message)
+
+
+SEMIGROUP = [
+    (lambda: semigroup.CovSpec(5, (1.0,) * 5), "dimension must lie in 1..4"),
+    (lambda: semigroup.CovSpec(2, (1.0,), (0.0,)), "need one variance per coordinate"),
+    (lambda: semigroup.kernel_pdf(SPEC1, 0.0), "kernel time must be positive"),
+    (lambda: semigroup.apply(gauss, 1.0, SPEC2, [[0.0, 0.0, 0.0]]),
+     "query points must have 2 coordinates"),
+    (lambda: semigroup.apply(gauss, 1.0, SPEC1, [0.0], method="simpson"),
+     "method must be 'quadrature' or 'mc'"),
+    (lambda: semigroup.check_semigroup(gauss, 0.0, 0.5, SPEC1, [0.0]),
+     "both times must be positive"),
+    (lambda: semigroup.check_semigroup(gauss, 0.5, 0.5, SPEC1, [0.0], method="simpson"),
+     "method must be 'quadrature' or 'mc'"),
+]
+
+
+@pytest.mark.parametrize("call,message", SEMIGROUP, ids=ids(SEMIGROUP))
+def test_semigroup_refusals(call, message):
+    check_table(call, message)
+
+
+TREEPROC = [
+    (lambda: treeproc.simulate_ensemble(1, 2, 4, mode="exact"),
+     "mode must be 'standard' or 'paper-literal'"),
+    (lambda: treeproc.increment_stats(treeproc.simulate(1, 2)),
+     "increment statistics need at least 2 replications"),
+    (lambda: treeproc.refinement_delta(1, []), "need at least one level"),
+    (lambda: treeproc.refinement_delta(1, [0, 2]), "refinement levels start at 2"),
+]
+
+
+@pytest.mark.parametrize("call,message", TREEPROC, ids=ids(TREEPROC))
+def test_treeproc_refusals(call, message):
+    check_table(call, message)
+
+
+CLI = [
+    (["entropy", "--order", "2"], "provide --weights or --random"),
+    (["semigroup", "--variances", "1,1", "--correlations", "0.2", "--points=0;1"],
+     "point has 1 coordinates, expected 2"),
+]
+
+
+@pytest.mark.parametrize("argv,message", CLI, ids=ids(CLI))
+def test_cli_refusals(capsys, argv, message):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: %s\n" % message

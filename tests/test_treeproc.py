@@ -29,8 +29,9 @@ def test_grid_factor_oracles():
 
 
 def _exact_times(eta):
-    ens = simulate(1, eta)
-    return tuple(ens.time(j) for j in range(ens.factor + 1))
+    """Times ``j / n`` of the ``n + 1`` points of a simulated level-``eta`` path."""
+    n = simulate(1, eta).values.shape[1] - 1
+    return tuple(Fraction(j, n) for j in range(n + 1))
 
 
 def test_grid_contents():
@@ -50,12 +51,16 @@ def test_grids_nest_exactly():
 
 
 @pytest.mark.parametrize("eta", range(0, 12, 2))
-def test_times_are_rounded_exact_times(eta):
+def test_times_are_rounded_exact_times(capsys, eta):
+    # The time column of a treesim CSV holds each j / f(eta) correctly rounded.
+    from kdcheck import cli
+
     f = grid_factor(eta)
-    ens = simulate(1, eta)
-    assert ens.factor == f
-    assert np.array_equal(ens.times, [float(Fraction(j, f)) for j in range(f + 1)])
-    assert all(ens.time(j) == Fraction(j, f) for j in range(f + 1))
+    assert simulate(1, eta).factor == f
+    assert cli.main(["treesim", "--eta", str(eta)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [float(Fraction(j, f))
+                                                      for j in range(f + 1)]
 
 
 def test_odd_or_large_eta_rejected():
@@ -88,7 +93,7 @@ def test_terminal_variance_near_one():
 
 def test_covariance_matches_min_of_times():
     ens = simulate_ensemble(1, 6, REPS, seed=1)
-    times = [float(t) for t in ens.times]
+    times = [j / ens.factor for j in range(ens.factor + 1)]
     vals = ens.values[:, :, 0]
     idx = [len(times) // 4, len(times) // 2, len(times) - 1]
     for a in idx:
@@ -147,7 +152,7 @@ def test_literal_mode_flagged_and_different():
 def test_single_path_shape():
     p = simulate(3, 6, seed=10)
     assert p.values.shape == (1, grid_factor(6) + 1, 3)
-    assert p.path().shape == (len(p.times), 3)
+    assert p.path().shape == (grid_factor(6) + 1, 3)
 
 
 @pytest.mark.parametrize("reps", [3, 300])
