@@ -21,7 +21,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .core import FiniteDistribution, check_mc_samples
-from .quadrature import gauss_legendre_1d
+from .quadrature import tensor_rule
 
 # Orders within KL_WINDOW of 1 use the KL limit form; orders above
 # INF_THRESHOLD use the max-ratio form.
@@ -230,8 +230,8 @@ class ContinuousDensity:
         self.pdf = pdf
         self.lower = lower
         self.upper = upper
-        pts, wts = gauss_legendre_1d(lower, upper, DENSITY_NODES)
-        vals = np.asarray(pdf(pts), dtype=float)
+        pts, wts = tensor_rule((lower,), (upper,), DENSITY_NODES)
+        vals = np.asarray(pdf(pts[:, 0]), dtype=float)
         if vals.min() < -1e-12:
             raise ValueError("density is negative on the window")
         self.mass = float(np.dot(wts, np.clip(vals, 0.0, None)))
@@ -272,8 +272,8 @@ def differential_entropy(density: ContinuousDensity) -> dict:
     """
 
     def entropy_at(nodes: int) -> float:
-        pts, wts = gauss_legendre_1d(density.lower, density.upper, nodes)
-        vals = np.clip(np.asarray(density.pdf(pts), dtype=float), 0.0, None)
+        pts, wts = tensor_rule((density.lower,), (density.upper,), nodes)
+        vals = np.clip(np.asarray(density.pdf(pts[:, 0]), dtype=float), 0.0, None)
         mask = vals > 0
         return float(-np.dot(wts[mask], vals[mask] * np.log(vals[mask])))
 

@@ -14,10 +14,11 @@ lemma both divisions by the gcd stay in ints too.  Exact powers ``P^n``
 are refused before any is built when ``n * D.bit_length()`` exceeds
 ``MAX_POWER_BITS``, and the resolvent below before it runs when
 ``n**3 * (D.bit_length() + (n + 1).bit_length())`` exceeds
-``MAX_ELIMINATION_COST`` or ``n * (D.bit_length() + 2) + 1``, a bound on
-the bits of every integer its report prints, exceeds ``MAX_PRINTED_BITS``.
-Only the radius of convergence (smallest pole magnitude) goes
-through floating point root finding, polished by Newton steps.
+``MAX_ELIMINATION_COST`` or ``D`` itself has more than ``MAX_POWER_BITS``
+bits, and ``markov_report`` refuses a report that would print an integer
+of more than ``MAX_PRINTED_DIGITS`` decimal digits.  Only the radius of convergence
+(smallest pole magnitude) goes through floating point root finding,
+polished by Newton steps.
 
 All resolvent entries of a chain come from ``det(D*I - rA)`` and
 ``adj(D*I - rA)``, memoised on the immutable ``TransitionMatrix``.  They
@@ -50,13 +51,13 @@ NEWTON_STEPS = 60
 # Cap on n * D.bit_length() for an exact n-step power of a chain with
 # common denominator D: its entries reach D**n, and the work of building
 # them grows faster than their size.  The cap keeps every such Fraction
-# well under CPython's 4300-digit limit on int-to-str conversion.
+# well under CPython's 4300-digit limit on int-to-str conversion.  It also
+# caps D's bits for the resolvent.
 MAX_POWER_BITS = 2**13
-# Cap on the bits of every integer that the resolvent of a chain puts in a
-# report.  Every int of at most 14 284 bits has at most 4300 decimal
-# digits, CPython's default limit on int-to-str conversion; the cap is that
-# default, whatever limit the running interpreter was given.
-MAX_PRINTED_BITS = 14_284
+# Cap on the decimal digits of every integer that ``markov_report`` puts in
+# a report: CPython's default limit on int-to-str conversion, whatever
+# limit the running interpreter was given.
+MAX_PRINTED_DIGITS = 4300
 # Cap on n**3 * (D.bit_length() + (n + 1).bit_length()) for the resolvent
 # of an n-state chain.  Its elimination makes on the order of n**4 integer
 # products of up to n * (D.bit_length() + (n + 1).bit_length()) bits, and
@@ -287,24 +288,9 @@ class TransitionMatrix:
     @cached_property
     def _det_adj(self) -> Tuple[Poly, Tuple[Tuple[Poly, ...], ...]]:
         bits = self._scaled[0].bit_length()
-        # Every integer printed from the resolvent is below 2**printed.  By
-        # the triangle inequality for products, the absolute coefficient sum
-        # of det(D*I - rA) is at most the permanent of the entries' sums
-        # (D + A_ii on the diagonal, A_ij off it), so at most the product of
-        # its row sums, (2D)**n; that of D*adj(D*I - rA) is at most
-        # D*(2D)**(n-1).  A factor of degree m of an integer polynomial f
-        # has absolute coefficient sum at most 2**m ||f||_2 (Mignotte), so
-        # the reduced num and den of P_ii have sums of at most 4**n D**n.
-        # They are coprime with joint content 1, so Theta = (num - den)/num
-        # needs no further reduction and its sums are at most 2 * 4**n D**n.
-        # Each printed numerator, denominator and value at 1 is bounded by a
-        # sum, and D < 2**bits.
-        printed = self.n * (bits + 2) + 1
-        if printed > MAX_PRINTED_BITS:
-            raise ValueError("the resolvent of a %d-state chain with a %d-bit common "
-                             "denominator prints integers of up to n*(bits+2)+1 = %d "
-                             "bits, over the cap of %d bits"
-                             % (self.n, bits, printed, MAX_PRINTED_BITS))
+        if bits > MAX_POWER_BITS:
+            raise ValueError("the resolvent of a chain with a %d-bit common denominator "
+                             "is over the cap of %d bits" % (bits, MAX_POWER_BITS))
         extra = (self.n + 1).bit_length()
         cost = self.n**3 * (bits + extra)
         if cost > MAX_ELIMINATION_COST:
@@ -546,6 +532,15 @@ def markov_report(P: TransitionMatrix, i: int, series_terms: int = 8) -> dict:
     pii = resolvent(P, i, i)
     theta = _theta(pii)
     irreducible = P.is_irreducible()
+    at_1 = theta.eval(Fraction(1)) if irreducible else Fraction(0)
+    # Each printed numerator and denominator divides one of these integers.
+    widest = max(map(abs, (*pii.num.c, *pii.den.c, *theta.num.c, *theta.den.c,
+                           at_1.numerator, at_1.denominator)))
+    if widest >= 10**MAX_PRINTED_DIGITS:
+        raise ValueError("the report of a %d-state chain with a %d-bit common "
+                         "denominator prints a %d-bit integer, over the cap of %d "
+                         "decimal digits" % (P.n, P._scaled[0].bit_length(),
+                                             widest.bit_length(), MAX_PRINTED_DIGITS))
     report = {
         "state": i,
         "P_gf": pii.display(),
@@ -556,5 +551,5 @@ def markov_report(P: TransitionMatrix, i: int, series_terms: int = 8) -> dict:
         "irreducible": irreducible,
     }
     if irreducible:
-        report["theta_at_1"] = theta.eval(Fraction(1))
+        report["theta_at_1"] = at_1
     return report

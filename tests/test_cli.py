@@ -146,25 +146,30 @@ def generic_chain_file(path, n, bits):
 def test_markov_refuses_a_report_past_the_digit_limit(capsys, monkeypatch, tmp_path):
     # A 3-state chain over an 8192-bit D: its P_gf and Theta_gf coefficients
     # have about 2 * 8192 bits, past CPython's 4300-digit limit on printing
-    # an int, so it is refused before the elimination runs.
+    # an int, so the report is refused by name before any of it is printed.
     path = generic_chain_file(tmp_path / "big.json", 3, 8192)
 
-    def fail(rows):
-        raise AssertionError("eliminated a refused chain")
-    monkeypatch.setattr(markov, "_det_adjugate", fail)
+    def fail(self):
+        raise AssertionError("formatted a refused report")
+    monkeypatch.setattr(markov.RationalFunction, "display", fail)
     code, out, err = run_cli(capsys, "markov", "--matrix", path, "--terms", "1")
     assert code == 2 and out == ""
-    assert err == ("error: the resolvent of a 3-state chain with a 8192-bit common "
-                   "denominator prints integers of up to n*(bits+2)+1 = 24583 bits, "
-                   "over the cap of %d bits\n" % markov.MAX_PRINTED_BITS)
+    assert err == ("error: the report of a 3-state chain with a 8192-bit common "
+                   "denominator prints a 16382-bit integer, over the cap of %d decimal "
+                   "digits\n" % markov.MAX_PRINTED_DIGITS)
 
 
-def test_markov_prints_a_chain_just_under_the_digit_cap(capsys, tmp_path):
-    bits = (markov.MAX_PRINTED_BITS - 1) // 2 - 2
-    path = generic_chain_file(tmp_path / "under.json", 2, bits)
+def test_markov_digit_cap_boundary(capsys, tmp_path):
+    # The largest generic 3-state chain whose report prints, and one bit more.
+    path = generic_chain_file(tmp_path / "under.json", 3, 7143)
     rep = run_json(capsys, "markov", "--matrix", path, "--terms", "1")
     digits = [len(t) for t in re.findall(r"\d+", rep["P_gf"] + rep["Theta_gf"])]
-    assert 2000 < max(digits) <= 4300
+    assert 4290 < max(digits) <= 4300
+    path = generic_chain_file(tmp_path / "over.json", 3, 7144)
+    code, out, err = run_cli(capsys, "markov", "--matrix", path, "--terms", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the report of a 3-state chain with a 7144-bit ")
+    assert "prints a 14286-bit integer" in err
 
 
 def test_markov_admits_twelve_terms_of_a_six_state_chain(capsys):

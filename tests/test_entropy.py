@@ -257,12 +257,11 @@ def test_window_mass_beyond_mass_tol_refused(scale):
 ], ids=["window-inf", "window-nan", "gaussian-var-inf", "gaussian-mean-nan",
         "gaussian-var-nan", "gaussian-mean-inf", "gaussian-mean-minus-inf"])
 def test_non_finite_window_refused_before_any_rule(monkeypatch, make, message):
-    from kdcheck import entropy
+    from kdcheck import quadrature
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a rule")
-    # The name that ContinuousDensity calls, bound in entropy.
-    monkeypatch.setattr(entropy, "gauss_legendre_1d", refuse)
+    monkeypatch.setattr(quadrature, "gauss_legendre_1d", refuse)
     with pytest.raises(ValueError, match="^%s$" % message):
         make()
 

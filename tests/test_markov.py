@@ -236,30 +236,27 @@ def test_elimination_cap_boundary(monkeypatch):
 
 def test_resolvent_refuses_a_denominator_over_the_power_cap(monkeypatch):
     # n**3 * (bits + 2) is under MAX_ELIMINATION_COST here, so only the cap
-    # on the printed bits, n * (bits + 2) + 1, refuses this chain.
+    # on the bits of D refuses this chain.
     chain = chain_over(2, 2**39_999 + 1)
     assert 2**3 * (chain._scaled[0].bit_length() + 2) <= markov.MAX_ELIMINATION_COST
     refuse_elimination(monkeypatch)
     for call in (lambda: resolvent(chain, 0, 1), lambda: theta_gf(chain, 0)):
-        with pytest.raises(ValueError, match="40000-bit .* = 80005 bits, over the cap "
-                           "of %d bits" % markov.MAX_PRINTED_BITS):
+        with pytest.raises(ValueError, match="40000-bit .* over the cap of %d bits"
+                           % markov.MAX_POWER_BITS):
             call()
     assert "_det_adj" not in vars(chain)
 
 
 def test_resolvent_power_cap_boundary(monkeypatch):
-    # For each size, the largest denominator whose printed bits
-    # n * (bits + 2) + 1 are at most MAX_PRINTED_BITS, and one bit more.
-    for n in (2, 3, 5):
-        bits = (markov.MAX_PRINTED_BITS - 1) // n - 2
-        admitted = chain_over(n, 2**(bits - 1) + 1)
-        refused = chain_over(n, 2**bits + 1)
-        assert admitted._scaled[0].bit_length() == bits
-        monkeypatch.setattr(markov, "_det_adjugate", lambda rows: "eliminated")
-        assert admitted._det_adj == "eliminated"
-        refuse_elimination(monkeypatch)
-        with pytest.raises(ValueError, match="%d-bit" % (bits + 1)):
-            refused._det_adj
+    bits = markov.MAX_POWER_BITS
+    admitted = chain_over(2, 2**(bits - 1) + 1)
+    refused = chain_over(2, 2**bits + 1)
+    assert admitted._scaled[0].bit_length() == bits
+    monkeypatch.setattr(markov, "_det_adjugate", lambda rows: "eliminated")
+    assert admitted._det_adj == "eliminated"
+    refuse_elimination(monkeypatch)
+    with pytest.raises(ValueError, match="%d-bit" % (bits + 1)):
+        refused._det_adj
 
 
 def random_chain(raw, n):
