@@ -22,10 +22,8 @@ from .entropy import (
     differential_entropy,
     divergence_report,
     entropy_report,
-    min_entropy,
     renyi_divergence,
     renyi_entropy,
-    shannon_entropy,
 )
 from .hashing import (
     HashFamily,
@@ -90,7 +88,7 @@ __all__ = [
     "parse_rational", "schatten_norm", "trace_distance",
     "ContinuousDensity", "aep_estimate",
     "differential_entropy", "divergence_report", "entropy_report",
-    "min_entropy", "renyi_divergence", "renyi_entropy", "shannon_entropy",
+    "renyi_divergence", "renyi_entropy",
     "HashFamily", "build_family", "joint_state", "lhl_bound",
     "lhl_distance", "lhl_report", "verify_universality",
     "Poly", "RationalFunction", "TransitionMatrix", "first_return",

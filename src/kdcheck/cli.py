@@ -231,32 +231,22 @@ def cmd_markov(args) -> int:
 
 
 def _fn_gauss(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        sq, d = x ** 2, 1
-    else:
-        sq, d = (x ** 2).sum(axis=1), x.shape[1]
-    return np.exp(-0.5 * sq) / (2.0 * math.pi) ** (d / 2.0)
+    return np.exp(-0.5 * (x ** 2).sum(axis=1)) / (2.0 * math.pi) ** (x.shape[1] / 2.0)
 
 
 def _fn_wave(x):
-    x = np.asarray(x, dtype=float)
-    first = x if x.ndim == 1 else x[:, 0]
     # Where the Gaussian factor is 0 so is the function, even where x**2 or
     # 2x overflows and cos(2x) is not finite.
     with np.errstate(over="ignore"):
-        sq = x ** 2 if x.ndim == 1 else (x ** 2).sum(axis=1)
-    gauss = np.exp(-0.25 * sq)
+        gauss = np.exp(-0.25 * (x ** 2).sum(axis=1))
     out = np.zeros_like(gauss)
     live = gauss != 0
-    out[live] = gauss[live] * np.cos(2.0 * first[live])
+    out[live] = gauss[live] * np.cos(2.0 * x[live, 0])
     return out
 
 
 def _fn_bump(x):
-    x = np.asarray(x, dtype=float)
-    sq = x ** 2 if x.ndim == 1 else (x ** 2).sum(axis=1)
-    return 1.0 / (1.0 + sq)
+    return 1.0 / (1.0 + (x ** 2).sum(axis=1))
 
 
 _FUNCTIONS = {"gauss": _fn_gauss, "wave": _fn_wave, "bump": _fn_bump}

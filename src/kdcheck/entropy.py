@@ -10,6 +10,9 @@ size) by default, so values are measured in alphabet digits.
 
 Entropies use ``h_a(f) = (1/(1-a)) log_b sum f^a`` with base defaulting to
 the number of symbols, so the uniform distribution has entropy one.
+Min-entropy and Shannon entropy are ``renyi_entropy`` at orders
+``math.inf`` and 1.  ``aep_estimate`` draws discrete symbols with
+``Generator.choice`` and continuous ones by inverse-CDF tabulation.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ def _order_value(order) -> float:
     if not a >= 0:
         raise ValueError("divergence order must satisfy alpha >= 0, got %r" % (order,))
     return a
-
-
-def _log_base(x: float, base: float) -> float:
-    return math.log(x) / math.log(base)
 
 
 def _resolve_base(base, default: float) -> float:
@@ -81,26 +80,26 @@ def _divergence_with_method(
                 if v == 0:
                     return math.inf, "closed-form:max-ratio"
                 worst = max(worst, float(w) / float(v))
-        return _log_base(worst, base), "closed-form:max-ratio"
+        return math.log(worst, base), "closed-form:max-ratio"
 
     if alpha == 0.0:
         mass = sum((v for w, v in p if w > 0), start=Fraction(0)) if f_plus.exact \
             else math.fsum(float(v) for w, v in p if w > 0)
         if mass == 0:
             return math.inf, "closed-form:support-mass"
-        return -_log_base(float(mass), base), "closed-form:support-mass"
+        return -math.log(float(mass), base), "closed-form:support-mass"
 
     if alpha == 0.5:
         s = math.fsum(math.sqrt(float(w) * float(v)) for w, v in p)
         if s == 0.0:
             return math.inf, "closed-form:bhattacharyya"
-        return -2.0 * _log_base(s, base), "closed-form:bhattacharyya"
+        return -2.0 * math.log(s, base), "closed-form:bhattacharyya"
 
     if alpha == 2.0:
         if any(w > 0 and v == 0 for w, v in p):
             return math.inf, "closed-form:chi-square"
         s = math.fsum(float(w) ** 2 / float(v) for w, v in p if w > 0)
-        return _log_base(s, base), "closed-form:chi-square"
+        return math.log(s, base), "closed-form:chi-square"
 
     if alpha > 1.0 and any(w > 0 and v == 0 for w, v in p):
         return math.inf, "generic"
@@ -111,7 +110,7 @@ def _divergence_with_method(
     )
     if s == 0.0:
         return math.inf, "generic"
-    return _log_base(s, base) / (alpha - 1.0), "generic"
+    return math.log(s, base) / (alpha - 1.0), "generic"
 
 
 def renyi_divergence(
@@ -157,17 +156,17 @@ def _entropy_with_method(
 ) -> Tuple[float, str]:
     weights = f.weights
     if math.isinf(alpha) or alpha > INF_THRESHOLD:
-        return -_log_base(float(max(weights)), base), "closed-form:min-entropy"
+        return -math.log(float(max(weights)), base), "closed-form:min-entropy"
     if abs(alpha - 1.0) < KL_WINDOW:
         total = math.fsum(
             -float(w) * math.log(float(w)) for w in weights if w > 0
         )
         return total / math.log(base), "closed-form:shannon"
     if alpha == 0.0:
-        return _log_base(float(len(f.support)), base), "closed-form:max-entropy"
+        return math.log(float(len(f.support)), base), "closed-form:max-entropy"
     s = math.fsum(float(w) ** alpha for w in weights if w > 0)
     method = "closed-form:power-sum" if alpha in (0.5, 2.0) else "generic"
-    return _log_base(s, base) / (1.0 - alpha), method
+    return math.log(s, base) / (1.0 - alpha), method
 
 
 def renyi_entropy(
@@ -191,16 +190,6 @@ def entropy_report(f: FiniteDistribution, order, base=None) -> dict:
     b = _resolve_base(base, f.alphabet.num_symbols)
     value, method = _entropy_with_method(f, alpha, b)
     return {"order": alpha, "value": value, "method": method, "log_base": b}
-
-
-def min_entropy(f: FiniteDistribution, base=None) -> float:
-    """``-log_b max_x f(x)`` with base defaulting to the alphabet size."""
-    b = _resolve_base(base, f.alphabet.size)
-    return -_log_base(float(f.max_weight), b)
-
-
-def shannon_entropy(f: FiniteDistribution, base=None) -> float:
-    return renyi_entropy(f, 1.0, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -290,38 +279,6 @@ def differential_entropy(density: ContinuousDensity) -> dict:
 # Sampling estimators
 # ---------------------------------------------------------------------------
 
-def _alias_table(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Walker alias table: (prob, alias) arrays for O(1) categorical draws."""
-    n = len(weights)
-    prob = np.zeros(n)
-    alias = np.zeros(n, dtype=np.int64)
-    scaled = weights * n
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = l
-        scaled[l] = scaled[l] - (1.0 - scaled[s])
-        (small if scaled[l] < 1.0 else large).append(l)
-    for i in large:
-        prob[i] = 1.0
-    for i in small:
-        prob[i] = 1.0
-    return prob, alias
-
-
-def sample_discrete(
-    f: FiniteDistribution, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``n`` symbols by the alias method."""
-    prob, alias = _alias_table(f.as_floats())
-    idx = rng.integers(0, len(prob), size=n)
-    keep = rng.random(n) < prob[idx]
-    return np.where(keep, idx, alias[idx])
-
-
 # Inverse-CDF table resolution for continuous sampling.
 _CDF_GRID = 4097
 
@@ -343,9 +300,9 @@ def sample_continuous(
 def aep_estimate(f, n: int, seed: int = 0) -> float:
     """Empirical entropy-rate estimate ``-(1/n) sum ln f(X_i)`` in nats.
 
-    ``f`` may be a :class:`FiniteDistribution` (alias-method sampling) or a
-    :class:`ContinuousDensity` (inverse-CDF sampling).  Deterministic
-    for a fixed seed.
+    ``f`` may be a :class:`FiniteDistribution` (drawn by
+    ``Generator.choice``) or a :class:`ContinuousDensity` (inverse-CDF
+    sampling).  Deterministic for a fixed seed.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
@@ -353,7 +310,7 @@ def aep_estimate(f, n: int, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     if isinstance(f, FiniteDistribution):
         w = f.as_floats()
-        xs = sample_discrete(f, n, rng)
+        xs = rng.choice(len(w), size=n, p=w)
         return float(-np.mean(np.log(w[xs])))
     if isinstance(f, ContinuousDensity):
         xs = sample_continuous(f, n, rng)

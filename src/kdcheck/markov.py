@@ -196,14 +196,17 @@ def poly_str(coeffs: Sequence) -> str:
 
 class RationalFunction:
     """Quotient of two coprime integer polynomials whose coefficients have
-    gcd 1, with a positive leading coefficient in the denominator."""
+    gcd 1, with a positive leading coefficient in the denominator.  The
+    zero function is ``0/1``."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num.is_zero():
+        if num.is_zero():
+            den = Poly([1])
+        else:
             g = poly_gcd(num, den)
             num, den = num.exact_div(g), den.exact_div(g)
         self.num, self.den = _primitive(num, den)

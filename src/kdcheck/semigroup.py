@@ -5,6 +5,9 @@ correlations (dimension at most 4).  Determinants are computed twice, by
 LAPACK LU and by the hand-expanded closed forms, and must agree to 1e-10;
 likewise the inverse (Cholesky route vs cofactor closed forms for d <= 3).
 
+A test function ``f`` maps an ``(N, d)`` array of points to ``N`` values,
+in every dimension, one included.
+
 ``apply`` evaluates ``P_t f`` either by seeded Monte Carlo with per-point
 derived seeds or by quadrature in whitened coordinates,
 ``P_t f(x) = sum_k w_k f(x + sqrt(t) L z_k)``, where ``L`` is the Cholesky
@@ -224,10 +227,7 @@ def inverse_sigma(spec: CovSpec) -> Tuple[np.ndarray, dict]:
 
 
 def kernel_pdf(spec: CovSpec, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Density of ``N(0, t Sigma)`` as a vectorized callable.
-
-    For ``dim == 1`` accepts an (N,) array; otherwise (N, dim).
-    """
+    """Density of ``N(0, t Sigma)`` as a vectorized callable on (N, dim) arrays."""
     if t <= 0:
         raise ValueError("kernel time must be positive")
     d = spec.dim
@@ -238,14 +238,8 @@ def kernel_pdf(spec: CovSpec, t: float) -> Callable[[np.ndarray], np.ndarray]:
     norm = 1.0 / math.sqrt((2.0 * math.pi) ** d * det)
 
     def pdf(x: np.ndarray) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        if d == 1:
-            z = pts.reshape(-1, 1)
-        else:
-            z = np.atleast_2d(pts)
-        quad = np.einsum("ni,ij,nj->n", z, inv, z)
-        out = norm * np.exp(-0.5 * quad)
-        return out if np.ndim(x) else float(out[0])
+        z = np.asarray(x, dtype=float)
+        return norm * np.exp(-0.5 * np.einsum("ni,ij,nj->n", z, inv, z))
 
     return pdf
 
@@ -261,9 +255,8 @@ def _as_points(points, dim: int) -> np.ndarray:
     return pts
 
 
-def _eval_f(f: Callable, pts: np.ndarray, dim: int) -> np.ndarray:
-    x = pts[:, 0] if dim == 1 else pts
-    return np.asarray(f(x), dtype=float).reshape(pts.shape[0])
+def _eval_f(f: Callable, pts: np.ndarray) -> np.ndarray:
+    return np.asarray(f(pts), dtype=float).reshape(pts.shape[0])
 
 
 def _check_time(t: float) -> None:
@@ -345,7 +338,7 @@ def _average(f: Callable, pts: np.ndarray, offsets: np.ndarray,
         block = pts_t[:, i:i + point_step]
         for j in range(0, len(weights), node_step):
             planes = block[:, :, None] + off_t[:, None, j:j + node_step]
-            vals = _eval_f(f, planes.reshape(d, -1).T, d).reshape(block.shape[1], -1)
+            vals = _eval_f(f, planes.reshape(d, -1).T).reshape(block.shape[1], -1)
             out[i:i + point_step] += vals @ weights[j:j + node_step]
     return out
 
@@ -404,7 +397,7 @@ def apply(
     Parameters
     ----------
     f : callable
-        Vectorized test function ((N,) array for dim 1, else (N, dim)).
+        Vectorized test function, mapping an (N, dim) array to (N,).
     t : float
         Nonnegative time; ``t == 0`` returns ``f`` at the points.
     spec : CovSpec
@@ -429,7 +422,7 @@ def apply(
     pts = _as_points(points, d)
     _check_finite("query points", pts)
     if t == 0:
-        return _eval_f(f, pts, d)
+        return _eval_f(f, pts)
     if method == "quadrature":
         return _hermite_average(f, t, _cholesky(spec), pts, nodes)[0]
     if method == "mc":
@@ -441,7 +434,7 @@ def apply(
         out, vals = np.empty(pts.shape[0]), np.empty(samples)
         for i, x in enumerate(pts):
             _mc_rows(np.random.default_rng(seeds[i]), vals, d,
-                     lambda _, z: _eval_f(f, x[None, :] + z @ scaled.T, d))
+                     lambda _, z: _eval_f(f, x[None, :] + z @ scaled.T))
             out[i] = float(np.mean(vals))
         return out
     raise ValueError("method must be 'quadrature' or 'mc'")
@@ -487,7 +480,7 @@ def check_semigroup(
         chol = _cholesky(spec)
         rhs, n, estimate = _hermite_average(f, s + t, chol, pts, nodes)
         inner_rule = _whitened_rule(chol, t, n)
-        inner = lambda y: _average(f, _as_points(y, d), *inner_rule)
+        inner = lambda y: _average(f, y, *inner_rule)
         lhs = _average(inner, pts, *_whitened_rule(chol, s, n))
         dev = float(np.abs(lhs - rhs).max())
         return {
@@ -516,9 +509,9 @@ def check_semigroup(
             # x + A is stored whole; adding B to it rounds as x + A + B does.
             _mc_rows(rng, first, d, lambda _, z: x[None, :] + math.sqrt(s) * (z @ chol.T))
             _mc_rows(rng, v1, d, lambda rows, z: _eval_f(
-                f, first[rows] + math.sqrt(t) * (z @ chol.T), d))
+                f, first[rows] + math.sqrt(t) * (z @ chol.T)))
             _mc_rows(rng, v2, d, lambda _, z: _eval_f(
-                f, x[None, :] + math.sqrt(s + t) * (z @ chol.T), d))
+                f, x[None, :] + math.sqrt(s + t) * (z @ chol.T)))
             dev = abs(float(v1.mean() - v2.mean()))
             se = math.sqrt(v1.var(ddof=1) / samples + v2.var(ddof=1) / samples)
             max_dev = max(max_dev, dev)
@@ -564,7 +557,7 @@ def check_contraction(
                       "standard deviations" % WINDOW_SIGMAS,
                       np.concatenate([lows, highs, highs - lows]))
     pts_out, wts_out = tensor_rule(lows, highs, WINDOW_NODES.get(d, 41))
-    f_out = _eval_f(f, pts_out, d)
+    f_out = _eval_f(f, pts_out)
     ptf_out, n, estimate = _hermite_average(f, t, _cholesky(spec), pts_out,
                                             nodes)
     sup_f = float(np.abs(f_out).max())

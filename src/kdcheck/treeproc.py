@@ -225,7 +225,8 @@ def increment_stats(ensemble: PathEnsemble) -> dict:
     series = inc.reshape(reps, n_inc * d)
     means = series.mean(axis=0)
     variances = series.var(axis=0, ddof=1)
-    corr = np.corrcoef(series, rowvar=False)
+    # One series (eta 0 in one dimension) has a 0-d correlation "matrix".
+    corr = np.atleast_2d(np.corrcoef(series, rowvar=False))
     off = corr[np.triu_indices(n_inc * d, k=1)]
     threshold = 4.0 / math.sqrt(reps)
     return {

@@ -814,3 +814,71 @@ def test_wave_at_a_huge_point_is_zero(capsys, extra):
                                  "--points=1e308;-1e308;1e200", *extra)
     assert code == 0 and err == ""
     assert "nan" not in out
+
+
+# ---------------------------------------------------------------------------
+# Edge-value sweep: no traceback, no unnamed refusal, no NaN in a report
+# ---------------------------------------------------------------------------
+
+EDGE_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "1e-320", "-0", "0",
+               "-1", "1/0", "0/0", "", "2", "3/2", "0.5", "1e9"]
+
+# One argv per subcommand and mode, verify-all aside.  Each "--name=value"
+# item is an option that the sweep sets to every edge value in turn; the
+# "=" form hands values such as "-inf" to the option, not to argparse.
+EDGE_BASES = {
+    "entropy-order": ["entropy", "--weights=1/2,1/4,1/4", "--order=2", "--base=3"],
+    "entropy-divergence": ["entropy", "--weights=3/4,1/4", "--other=1/2,1/2",
+                           "--order=0.5", "--base=2"],
+    "entropy-random-aep": ["entropy", "--random=6", "--alphabet-power=1",
+                           "--aep-samples=1000", "--order=1", "--seed=3"],
+    "entropy-gaussian": ["entropy", "--gaussian=0,1", "--aep-samples=500", "--seed=1"],
+    "lhl": ["lhl", "--q=2", "--m=2", "--k=1", "--family=toeplitz",
+            "--weights=1/2,1/4,1/8,1/8", "--h-plus=1/2", "--assert-bounds"],
+    "quantum-lhl": ["quantum-lhl", "--q=2", "--m=2", "--k=1", "--family=linear",
+                    "--dim-q=2", "--seed=3"],
+    "phi": ["phi", "--n=3", "--assert-bounds"],
+    "markov": ["markov", "--rows=1/2,1/2;1/3,2/3", "--state=1", "--terms=4"],
+    "semigroup-apply": ["semigroup", "--variances=1,0.5", "--correlations=0.3",
+                        "--function=wave", "--time=0.5", "--points=0.5,-1;1,2",
+                        "--nodes=8"],
+    "semigroup-compose": ["semigroup", "--variances=0.8", "--function=gauss",
+                          "--method=mc", "--compose=0.3,0.5", "--points=-1;0.5",
+                          "--samples=500", "--seed=2", "--tol=1e-6"],
+    "semigroup-contract": ["semigroup", "--variances=1", "--function=bump", "--contract",
+                           "--window=3", "--time=0.4", "--nodes=10"],
+    "treesim-path": ["treesim", "--dim=2", "--eta=4", "--reps=3", "--rep=1",
+                     "--mode=paper-literal", "--keep-eta=2", "--seed=1"],
+    "treesim-stats": ["treesim", "--dim=1", "--eta=4", "--reps=20", "--stats",
+                      "--mode=standard", "--seed=0"],
+}
+
+
+def run_main(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own refusals
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_BASES))
+def test_edge_values_exit_cleanly_without_nan(capsys, monkeypatch, tmp_path, name):
+    monkeypatch.chdir(tmp_path)  # a value read as a file name names no file
+    base = EDGE_BASES[name]
+    assert run_main(capsys, base)[0] in (0, 3)
+    for i, item in enumerate(base):
+        if "=" not in item:
+            continue
+        option = item.split("=", 1)[0]
+        for value in EDGE_VALUES:
+            argv = base[:i] + ["%s=%s" % (option, value)] + base[i + 1:]
+            code, out, err = run_main(capsys, argv)
+            assert code in (0, 2, 3), (argv, code, err)
+            if code == 2:
+                lines = err.splitlines()
+                assert lines and [n for n, line in enumerate(lines)
+                                  if "error:" in line] == [len(lines) - 1], (argv, err)
+            if code == 0:
+                assert not re.search(r"\bnan\b", out, re.I), (argv, out)

@@ -14,10 +14,8 @@ from kdcheck.entropy import (
     differential_entropy,
     divergence_report,
     entropy_report,
-    min_entropy,
     renyi_divergence,
     renyi_entropy,
-    shannon_entropy,
 )
 
 GAUSS_ENTROPY = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -139,13 +137,13 @@ def test_entropy_order2_oracle():
 
 
 def test_entropy_min_oracle():
-    assert abs(min_entropy(STAIRS) - 0.5) < 1e-12
     assert abs(renyi_entropy(STAIRS, math.inf) - 0.5) < 1e-12
+    assert abs(renyi_entropy(STAIRS, math.inf, base=2) - 1.0) < 1e-12
 
 
 def test_entropy_shannon_oracle():
-    assert abs(shannon_entropy(STAIRS) - 0.875) < 1e-12
-    assert abs(shannon_entropy(STAIRS, base=2) - 1.75) < 1e-12
+    assert abs(renyi_entropy(STAIRS, 1.0) - 0.875) < 1e-12
+    assert abs(renyi_entropy(STAIRS, 1.0, base=2) - 1.75) < 1e-12
 
 
 def test_entropy_order0_counts_support():
@@ -199,7 +197,7 @@ def test_entropy_order_monotone(raw):
 @given(weights_strategy(5))
 def test_collision_entropy_dominates_min_entropy(raw):
     f = make_dist(raw)
-    assert renyi_entropy(f, 2.0) >= min_entropy(f) - 1e-12
+    assert renyi_entropy(f, 2.0) >= renyi_entropy(f, math.inf) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +270,19 @@ def test_non_finite_window_refused_before_any_rule(monkeypatch, make, message):
 
 def test_aep_discrete_converges():
     f = STAIRS
-    h_nats = shannon_entropy(f, base=math.e)
+    h_nats = renyi_entropy(f, 1.0, base=math.e)
     est = aep_estimate(f, 10**4, seed=3)
     assert abs(est - h_nats) < 0.02
+
+
+def test_aep_wide_alphabet_within_six_standard_errors():
+    # 2**16 symbols, drawn by Generator.choice; the standard error of
+    # -ln f(X) is taken from the exact law.
+    f = FiniteDistribution.random_rational(Alphabet(2**16), np.random.default_rng(16))
+    w = f.as_floats()
+    h_nats = renyi_entropy(f, 1.0, base=math.e)
+    se = math.sqrt((float(np.dot(w, np.log(w) ** 2)) - h_nats**2) / 10**5)
+    assert abs(aep_estimate(f, 10**5, seed=4) - h_nats) <= 6 * se
 
 
 def test_aep_gaussian_converges():

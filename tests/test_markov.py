@@ -512,6 +512,17 @@ def test_display_with_zero_constant_term():
     assert RationalFunction(Poly(), Poly([3])).display() == "0"
 
 
+def test_zero_function_is_zero_over_one():
+    # State 0 is absorbing, so it never reaches state 2.
+    chain = TransitionMatrix.build([[1, 0, 0], [Fraction(1, 2), Fraction(1, 2), 0],
+                                    [0, Fraction(1, 3), Fraction(2, 3)]])
+    zero = resolvent(chain, 0, 2)
+    assert zero.num.is_zero() and zero.den == Poly([1])
+    assert zero.display() == "0"
+    assert radius_of_convergence(zero) == math.inf
+    assert RationalFunction(Poly(), Poly([0, 3])) == RationalFunction(Poly(), Poly([1]))
+
+
 SIX = chain_of([2, 1, 3, 1, 1, 1], [1, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6],
                [5, 1, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1], [1, 1, 1, 0, 0, 0])
 
@@ -521,8 +532,8 @@ SIX = chain_of([2, 1, 3, 1, 1, 1], [1, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6],
     # Newton on the non-monic integer denominator gives ...381, on a
     # derivative rounded twice (np.polyder) 1.0, and with np.polyval's
     # complex products 0.9999999999999999.
-    (RationalFunction(Poly(), Poly([77, -156, 61, 38, -20])), 1.0000000000000002),
-    (RationalFunction(Poly(), Poly([63, -153, 115, -23, -2])), 1.0),
+    (RationalFunction(Poly([1]), Poly([77, -156, 61, 38, -20])), 1.0000000000000002),
+    (RationalFunction(Poly([1]), Poly([63, -153, 115, -23, -2])), 1.0),
 ])
 def test_radius_pinned_to_the_last_digit(rf, radius):
     assert radius_of_convergence(rf) == radius
@@ -636,9 +647,12 @@ def test_poly_gcd_coprime_and_zero_arguments():
 
 def euclid_rational(num, den):
     """Reference reduction: divide by the Euclid gcd, then scale jointly to
-    integers with gcd 1 and a positive leading denominator coefficient."""
+    integers with gcd 1 and a positive leading denominator coefficient.
+    A zero numerator gets the denominator 1."""
     num, den = num.c, den.c
-    if num:
+    if not num:
+        den = (1,)
+    else:
         g = euclid_gcd(num, den)
         num, den = rational_divmod(num, g)[0], rational_divmod(den, g)[0]
     rf = RationalFunction.__new__(RationalFunction)

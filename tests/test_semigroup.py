@@ -164,6 +164,7 @@ def test_kernel_normalization_d1():
     spec = CovSpec(1, (0.7,))
     pdf = kernel_pdf(spec, 0.9)
     pts, wts = tensor_rule((-8.0,), (8.0,), 201)
+    assert pts.shape[1] == 1 and pdf(pts).shape == (len(pts),)
     assert abs(float(np.dot(wts, pdf(pts))) - 1.0) < 1e-8
 
 
@@ -177,6 +178,31 @@ def test_kernel_normalization_d2_correlated():
 # ---------------------------------------------------------------------------
 # Averaging operator
 # ---------------------------------------------------------------------------
+
+SPEC_1D = CovSpec(1, (0.8,))
+PTS_1D = [-1.0, 0.5]
+ROUTES_1D = {
+    "apply-identity": lambda f: apply(f, 0.0, SPEC_1D, PTS_1D),
+    "apply-quadrature": lambda f: apply(f, 0.5, SPEC_1D, PTS_1D),
+    "apply-mc": lambda f: apply(f, 0.5, SPEC_1D, PTS_1D, method="mc", samples=100),
+    "compose-quadrature": lambda f: check_semigroup(f, 0.3, 0.5, SPEC_1D, PTS_1D),
+    "compose-mc": lambda f: check_semigroup(f, 0.3, 0.5, SPEC_1D, PTS_1D,
+                                            method="mc", samples=100),
+    "contraction": lambda f: check_contraction(f, 0.5, SPEC_1D, ((-4.0,), (4.0,))),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES_1D))
+def test_one_dimensional_f_receives_n_by_one_arrays(route):
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return np.exp(-0.5 * x[:, 0] ** 2)
+
+    ROUTES_1D[route](f)
+    assert shapes and all(len(shape) == 2 and shape[1] == 1 for shape in shapes)
+
 
 def test_time_zero_is_identity():
     spec = CovSpec(1, (1.0,))
@@ -454,7 +480,7 @@ def row_major_average(f, pts, offsets, weights, chunk_rows):
         block = pts[i:i + point_step]
         for j in range(0, len(weights), node_step):
             rows = block[:, None, :] + offsets[None, j:j + node_step, :]
-            vals = semigroup._eval_f(f, rows.reshape(-1, d), d).reshape(len(block), -1)
+            vals = semigroup._eval_f(f, rows.reshape(-1, d)).reshape(len(block), -1)
             out[i:i + point_step] += vals @ weights[j:j + node_step]
     return out
 
@@ -475,8 +501,7 @@ def test_coordinate_major_average_matches_row_major(monkeypatch, d, chunk_rows):
 
     def f(x):
         seen.append(x)
-        cols = x.reshape(len(x), -1)
-        return np.cos(cols[:, 0]) * np.exp(-0.5 * np.sum(cols * cols, axis=1))
+        return np.cos(x[:, 0]) * np.exp(-0.5 * np.sum(x * x, axis=1))
 
     want = row_major_average(f, pts, offsets, weights, chunk_rows)
     seen.clear()
@@ -486,7 +511,7 @@ def test_coordinate_major_average_matches_row_major(monkeypatch, d, chunk_rows):
     assert len(seen) > 1 if chunk_rows < len(pts) * len(weights) else len(seen) == 1
     for x in seen:
         assert x.dtype == np.float64
-        assert x.shape == ((len(x),) if d == 1 else (len(x), d))
+        assert x.shape == (len(x), d)
         assert 0 < len(x) <= chunk_rows
 
 
@@ -514,7 +539,7 @@ def whole_array_apply_mc(f, t, spec, points, seed, samples):
     out = np.empty(pts.shape[0])
     for i, x in enumerate(pts):
         z = np.random.default_rng(seeds[i]).standard_normal((samples, d))
-        out[i] = float(np.mean(semigroup._eval_f(f, x[None, :] + z @ scaled.T, d)))
+        out[i] = float(np.mean(semigroup._eval_f(f, x[None, :] + z @ scaled.T)))
     return out
 
 
@@ -530,9 +555,9 @@ def whole_array_compose_mc(f, s, t, spec, points, seed, samples):
         z1 = rng.standard_normal((samples, d))
         z2 = rng.standard_normal((samples, d))
         y = x[None, :] + math.sqrt(s) * (z1 @ chol.T) + math.sqrt(t) * (z2 @ chol.T)
-        v1 = semigroup._eval_f(f, y, d)
+        v1 = semigroup._eval_f(f, y)
         z3 = rng.standard_normal((samples, d))
-        v2 = semigroup._eval_f(f, x[None, :] + math.sqrt(s + t) * (z3 @ chol.T), d)
+        v2 = semigroup._eval_f(f, x[None, :] + math.sqrt(s + t) * (z3 @ chol.T))
         dev = abs(float(v1.mean() - v2.mean()))
         se = math.sqrt(v1.var(ddof=1) / samples + v2.var(ddof=1) / samples)
         max_dev = max(max_dev, dev)

@@ -4,6 +4,8 @@ Each test makes one route that a check or a command reads return a wrong
 value, and asserts that the check, or the command's exit code, says so.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -125,10 +127,13 @@ def test_covariance_check_counts_a_route_disagreement(monkeypatch):
 
 
 # Each entropy route of check 9 made to lie, and the counter it must raise.
+# The h2-versus-h_min lie is min-entropy alone: order inf, every other order true.
+REAL_RENYI_ENTROPY = entropy.renyi_entropy
 ENTROPY_LIES = [
     ("renyi_entropy", lambda f, a, base=None: float(a), "monotonicity_violations"),
     ("renyi_divergence", lambda f, g, a, base=None: -float(a), "monotonicity_violations"),
-    ("min_entropy", lambda f, base=None: 1e9, "h2_vs_hmin_violations"),
+    ("renyi_entropy", lambda f, a, base=None: 1e9 if a == math.inf
+     else REAL_RENYI_ENTROPY(f, a, base=base), "h2_vs_hmin_violations"),
     ("renyi_divergence", lambda f, g, a, base=None: 0.0, "kl_violations"),
 ]
 
