@@ -13,8 +13,8 @@ from .core import (
     StateDensity,
     format_rational,
     parse_rational,
-    schatten_norm,
     trace_distance,
+    trace_norm,
 )
 from .entropy import (
     ContinuousDensity,
@@ -85,7 +85,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "FiniteDistribution", "StateDensity", "format_rational",
-    "parse_rational", "schatten_norm", "trace_distance",
+    "parse_rational", "trace_distance", "trace_norm",
     "ContinuousDensity", "aep_estimate",
     "differential_entropy", "divergence_report", "entropy_report",
     "renyi_divergence", "renyi_entropy",

@@ -318,7 +318,11 @@ def cmd_treesim(args) -> int:
         if args.keep_eta > eta:
             raise ValueError("keep_eta cannot exceed the simulated level")
         eta = args.keep_eta
-    if args.stats:
+    if args.stats:  # simulate_ensemble's and increment_stats' refusals, before simulating
+        treeproc.grid_factor(eta)
+        treeproc._check_args(args.dim, args.reps, args.mode)
+        treeproc._check_cells("returned level", args.reps, eta, args.dim)
+        treeproc._check_stats(args.mode, args.reps)
         ens = treeproc.simulate_ensemble(args.dim, eta, args.reps,
                                          seed=args.seed, mode=args.mode)
         rep = treeproc.increment_stats(ens)

@@ -1,15 +1,15 @@
 """Shared state types and distance primitives.
 
 Finite alphabets, probability weight vectors with an exact-rational or a
-float backend, density operators with a diagonal fast path, Schatten
-p-norms, trace distance, and the JSON readers used by the command line
-tools.
+float backend, density operators (an exact rational diagonal or a dense
+Hermitian matrix), the trace norm, trace distance, and the JSON readers
+used by the command line tools.
 
 Exactness contract: whenever every input is rational (``fractions.Fraction``
-weights or diagonal entries), sums and distances with p in {1, inf} stay
-rational end to end.  Dense complex matrices always go through
-the float path.  Exact kernels elsewhere run on integers: each scales its
-rationals once with :func:`scale_to_integers`, the one place that does.
+weights or diagonal entries), sums and trace distances stay rational end
+to end.  Every other state is a dense complex matrix on the float path.
+Exact kernels elsewhere run on integers: each scales its rationals once
+with :func:`scale_to_integers`, the one place that does.
 """
 
 from __future__ import annotations
@@ -198,51 +198,46 @@ class FiniteDistribution:
 class StateDensity:
     """Density operator, possibly subnormalized (trace <= 1).
 
-    Diagonal operators keep their entries as a tuple (exact rationals or
-    floats); general operators are dense Hermitian ``complex128`` arrays.
-    Construct through :meth:`from_diag` or :meth:`from_matrix`.
+    An exact state keeps its rational diagonal as a tuple; every other
+    state is a dense Hermitian ``complex128`` array.  Construct through
+    :meth:`from_diag` or :meth:`from_matrix`.
     """
 
-    __slots__ = ("dim", "diag", "mat", "exact")
+    __slots__ = ("dim", "diag", "mat")
 
-    def __init__(self, dim: int, diag=None, mat=None, exact: bool = False):
+    def __init__(self, dim: int, diag=None, mat=None):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "exact", exact)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateDensity is immutable")
 
     @classmethod
     def from_diag(cls, entries: Sequence[Scalar]) -> "StateDensity":
+        """Exact state from rational entries; any float entry makes it dense."""
         entries = tuple(entries)
         if not entries:
             raise ValueError("state must have dimension >= 1")
-        exact = all(_is_rational(e) for e in entries)
-        if exact:
-            entries = tuple(Fraction(e) for e in entries)
-            if any(e < 0 for e in entries):
-                raise ValueError("diagonal entries must be nonnegative")
-            tr = sum(entries)
-            if tr > 1:
-                raise ValueError("trace %s exceeds 1" % tr)
-        else:
+        if not all(_is_rational(e) for e in entries):
             vals = [float(e) for e in entries]
             if any(v < -PSD_TOL for v in vals):
                 raise ValueError("diagonal entry below -1e-10: not positive semidefinite")
-            entries = tuple(0.0 if v < 0 else v for v in vals)
-            if math.fsum(entries) > 1 + TRACE_TOL:
-                raise ValueError("trace exceeds 1 beyond tolerance")
-        return cls(len(entries), diag=entries, exact=exact)
+            return cls.from_matrix(np.diag([0.0 if v < 0 else v for v in vals]))
+        entries = tuple(Fraction(e) for e in entries)
+        if any(e < 0 for e in entries):
+            raise ValueError("diagonal entries must be nonnegative")
+        tr = sum(entries)
+        if tr > 1:
+            raise ValueError("trace %s exceeds 1" % tr)
+        return cls(len(entries), diag=entries)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "StateDensity":
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("state matrix must be square")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > HERMITIAN_TOL * scale:
+        if not _is_hermitian(m):
             raise ValueError("state matrix is not Hermitian within 1e-10")
         m = 0.5 * (m + m.conj().T)
         evals = np.linalg.eigvalsh(m)
@@ -254,104 +249,70 @@ class StateDensity:
         tr = float(np.real(np.trace(m)))
         if tr > 1 + TRACE_TOL:
             raise ValueError("trace %g exceeds 1 beyond tolerance" % tr)
-        return cls(m.shape[0], mat=m, exact=False)
+        return cls(m.shape[0], mat=m)
 
     @property
-    def is_diagonal(self) -> bool:
+    def exact(self) -> bool:
+        """True for a rational diagonal, the only exact form."""
         return self.diag is not None
 
     def trace(self) -> Scalar:
-        if self.diag is not None:
-            return sum(self.diag) if self.exact else math.fsum(self.diag)
+        if self.exact:
+            return sum(self.diag)
         return float(np.real(np.trace(self.mat)))
 
     @property
     def is_normalized(self) -> bool:
         tr = self.trace()
-        if self.exact:
-            return tr == 1
-        return abs(float(tr) - 1.0) <= TRACE_TOL
+        return tr == 1 if self.exact else abs(tr - 1.0) <= TRACE_TOL
 
     def to_matrix(self) -> np.ndarray:
-        if self.diag is not None:
+        if self.exact:
             return np.diag(np.array([float(d) for d in self.diag], dtype=complex))
         return self.mat.copy()
 
-    def __sub__(self, other: "StateDensity"):
-        """Difference as a diagonal tuple (both diagonal) or dense array."""
-        if not isinstance(other, StateDensity):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
-        if self.diag is not None and other.diag is not None:
-            return tuple(a - b for a, b in zip(self.diag, other.diag))
-        return self.to_matrix() - other.to_matrix()
 
-    def __repr__(self) -> str:
-        kind = "diag" if self.is_diagonal else "dense"
-        return "StateDensity(dim=%d, %s, trace=%s)" % (self.dim, kind, self.trace())
-
-
-def _singular_values(x) -> np.ndarray:
-    m = np.asarray(x, dtype=complex)
+def _is_hermitian(m: np.ndarray) -> bool:
+    """False when ``m`` is off Hermitian by more than 1e-10, relative to ``max |m|``."""
     scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.conj().T).max() <= HERMITIAN_TOL * scale:
-        return np.abs(np.linalg.eigvalsh(m))
-    return np.linalg.svd(m, compute_uv=False)
+    return not np.abs(m - m.conj().T).max() > HERMITIAN_TOL * scale
 
 
-def schatten_norm(x, p: float = 1) -> Scalar:
-    """Schatten p-norm ``(sum_i s_i^p)^(1/p)`` of an operator or diagonal.
+def trace_norm(x) -> Scalar:
+    """Trace norm ``sum_i |lambda_i|`` of a Hermitian matrix or a diagonal.
 
-    Parameters
-    ----------
-    x : StateDensity, ndarray, or sequence
-        A state, a dense (Hermitian or general) matrix, a 1-D array, or a
-        sequence of scalars interpreted as a diagonal.  Differences of two
-        diagonal states (tuples of rationals) stay exact for p in {1, inf}.
-    p : float
-        Schatten order ``p >= 1``; ``math.inf`` is the operator norm.
-
-    Returns
-    -------
-    Fraction or float
-        Exact when the input is rational and p in {1, inf}; float otherwise.
+    ``x`` is a dense Hermitian matrix, or a sequence of scalars read as a
+    diagonal: an exact ``Fraction`` when every entry is rational, a float
+    otherwise.  A matrix that is not Hermitian within 1e-10 is refused.
     """
-    if not (p >= 1):
-        raise ValueError("Schatten order must satisfy p >= 1, got %r" % (p,))
-    if isinstance(x, StateDensity):
-        x = x.diag if x.diag is not None else x.mat
     if isinstance(x, np.ndarray) and x.ndim == 2:
-        mags = _singular_values(x)
-    else:
-        entries = list(x)
-        if all(_is_rational(e) for e in entries):
-            if p == 1:
-                return Fraction(sum(abs(Fraction(e)) for e in entries))
-            if math.isinf(p):
-                return max((abs(Fraction(e)) for e in entries), default=Fraction(0))
-            return math.fsum(abs(float(e)) ** p for e in entries) ** (1.0 / p)
-        mags = np.abs(np.array([complex(e) for e in entries]))
-    if math.isinf(p):
-        return float(mags.max()) if mags.size else 0.0
-    if p == 1:
-        return float(mags.sum())
-    return float((mags**p).sum() ** (1.0 / p))
+        if not _is_hermitian(x):
+            raise ValueError("trace norm needs a Hermitian matrix within 1e-10")
+        return float(np.abs(np.linalg.eigvalsh(x)).sum())
+    entries = list(x)
+    if all(_is_rational(e) for e in entries):
+        return Fraction(sum(abs(Fraction(e)) for e in entries))
+    return float(np.abs(np.array([complex(e) for e in entries])).sum())
 
 
-def trace_distance(a, b, p: float = 1) -> Scalar:
-    """Schatten-1 distance between two distributions or two states.
+def trace_distance(a, b) -> Scalar:
+    """Trace norm of the difference of two distributions or two states.
 
     Exact (Fraction) when both arguments are rational-backed.
     """
     if isinstance(a, FiniteDistribution) and isinstance(b, FiniteDistribution):
         if a.alphabet != b.alphabet:
             raise ValueError("distributions live on different alphabets")
-        diff = tuple(x - y for x, y in zip(a.weights, b.weights))
-        return schatten_norm(diff, p)
-    if isinstance(a, StateDensity) and isinstance(b, StateDensity):
-        return schatten_norm(a - b, p)
-    raise ValueError("trace_distance expects two distributions or two states")
+        a, b = a.weights, b.weights
+    elif isinstance(a, StateDensity) and isinstance(b, StateDensity):
+        if a.dim != b.dim:
+            raise ValueError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
+        if not (a.exact and b.exact):
+            return trace_norm(a.to_matrix() - b.to_matrix())
+        a, b = a.diag, b.diag
+    else:
+        raise ValueError("trace_distance expects two distributions or two states")
+    return trace_norm([x - y for x, y in zip(a, b)])
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ class Ensemble:
             if not s.is_normalized:
                 raise ValueError("ensemble states must have trace 1")
         dim = dims.pop()
-        exact = prior.exact and all(s.is_diagonal and s.exact for s in states)
+        exact = prior.exact and all(s.exact for s in states)
         den = numerators = None
         if exact:
             den, flat = scale_to_integers(
@@ -91,12 +91,9 @@ class Ensemble:
         """Subnormalized operator ``p_x rho_x`` as a dense float array."""
         return float(self.prior.weights[x]) * self.states[x].to_matrix()
 
-    def average(self) -> StateDensity:
-        """Ensemble average ``sum_x p_x rho_x``, dense and float."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in range(len(self.states)):
-            total += self.weighted(x)
-        return StateDensity.from_matrix(total)
+    def average(self) -> np.ndarray:
+        """Ensemble average ``sum_x p_x rho_x``: exactly Hermitian, as each term is."""
+        return sum(self.weighted(x) for x in range(len(self.states)))
 
 
 @dataclass(frozen=True)
@@ -167,7 +164,7 @@ def pretty_good_measurement(ensemble: Ensemble) -> Povm:
         rank_deficient = 0 in t
         return Povm(ensemble.dim, elements, exact=True,
                     complete_on_support_only=rank_deficient)
-    t = ensemble.average().to_matrix()
+    t = ensemble.average()
     evals, vecs = np.linalg.eigh(t)
     inv_sqrt = np.where(evals > PINV_CUTOFF, 1.0 / np.sqrt(np.clip(evals, PINV_CUTOFF, None)), 0.0)
     s = (vecs * inv_sqrt) @ vecs.conj().T

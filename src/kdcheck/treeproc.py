@@ -206,6 +206,13 @@ def simulate_ensemble(dim: int, eta: int, reps: int, seed: int = 0,
     return PathEnsemble(dim, eta, values, mode)
 
 
+def _check_stats(mode: str, reps: int):
+    if mode == "paper-literal":
+        raise ValueError("increment statistics attach to standard mode only")
+    if reps < 2:
+        raise ValueError("increment statistics need at least 2 replications")
+
+
 def increment_stats(ensemble: PathEnsemble) -> dict:
     """Mean, variance, and pairwise correlation of disjoint grid increments.
 
@@ -213,10 +220,7 @@ def increment_stats(ensemble: PathEnsemble) -> dict:
     entries beyond ``4/sqrt(reps)`` in absolute value are counted as
     violations.
     """
-    if ensemble.nonstandard:
-        raise ValueError("increment statistics attach to standard mode only")
-    if ensemble.reps < 2:
-        raise ValueError("increment statistics need at least 2 replications")
+    _check_stats(ensemble.mode, ensemble.reps)
     vals = ensemble.values
     reps, n_pts, d = vals.shape
     inc = np.diff(vals, axis=1)  # (reps, n_inc, d)

@@ -560,6 +560,8 @@ def run_check(check: Check) -> dict:
 
 def run_all(filter_substr: Optional[str] = None,
             budget: float = 300.0) -> dict:
+    if not budget >= 0:  # NaN too
+        raise ValueError("budget must be a nonnegative number of seconds, got %r" % budget)
     selected = [c for c in CHECKS
                 if filter_substr is None or filter_substr in c.name]
     if not selected:

@@ -431,6 +431,19 @@ def test_mc_compose_judged_in_standard_errors(capsys, monkeypatch):
     assert code == 3 and rep["value"] == rep["bound"] == 3 and "passed" not in rep
 
 
+def test_float_diagonal_ensemble_prints_as_its_dense_matrix(capsys, tmp_path):
+    diags = [[0.75, 0.25], [0.25, 0.75], [0.5, 0.5], [1.0, 0.0]]
+    prior = {"alphabet": {"size": 4}, "weights": ["1/4"] * 4}
+    runs = []
+    for form, states in (("diag", [{"diag": d} for d in diags]),
+                         ("matrix", [{"matrix": np.diag(d).tolist()} for d in diags])):
+        path = tmp_path / ("%s.json" % form)
+        path.write_text(json.dumps({"prior": prior, "states": states}))
+        runs.append(run_cli(capsys, "quantum-lhl", "--q", "2", "--m", "2", "--k", "1",
+                            "--ensemble", str(path)))
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+
+
 def test_verify_filter_lhl(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--filter", "lhl")
     assert code == 0
@@ -468,6 +481,19 @@ def test_verify_budget_exceeded(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--budget", "0.000001")
     assert code == 4
     assert "SKIP" in out
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_verify_budget_refused_before_any_check(capsys, monkeypatch, budget):
+    from kdcheck import verify
+
+    def refuse(check):
+        raise AssertionError("ran %s under a refused budget" % check.name)
+    monkeypatch.setattr(verify, "run_check", refuse)
+    code, out, err = run_cli(capsys, "verify-all", "--filter", "pgm-success",
+                             "--json", "--budget", budget)
+    assert (code, out) == (2, "")
+    assert err == "error: budget must be a nonnegative number of seconds, got %r\n" % float(budget)
 
 
 def test_verify_json_shape(capsys):
@@ -707,6 +733,21 @@ def test_treesim_rep_checked_before_simulating(capsys, monkeypatch, rep):
     assert err == "error: rep index out of range\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--mode", "paper-literal", "--eta", "4"],
+     "increment statistics attach to standard mode only"),
+    (["--reps", "1"], "increment statistics need at least 2 replications"),
+])
+def test_treesim_stats_checked_before_simulating(capsys, monkeypatch, argv, message):
+    from kdcheck import treeproc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated a refused --stats run")
+    monkeypatch.setattr(treeproc, "_simulate_chunk", refuse)
+    code, out, err = run_cli(capsys, "treesim", "--stats", *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 SG_MC = ["semigroup", "--variances", "1", "--method", "mc", "--points", "0"]
 AEP = ["entropy", "--weights", "1/2,1/4,1/4", "--aep-samples"]
 MC_CAP = "%d Monte Carlo samples exceed MAX_MC_SAMPLES = %d"
@@ -823,9 +864,10 @@ def test_wave_at_a_huge_point_is_zero(capsys, extra):
 EDGE_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "1e-320", "-0", "0",
                "-1", "1/0", "0/0", "", "2", "3/2", "0.5", "1e9"]
 
-# One argv per subcommand and mode, verify-all aside.  Each "--name=value"
-# item is an option that the sweep sets to every edge value in turn; the
-# "=" form hands values such as "-inf" to the option, not to argparse.
+# One argv per subcommand and mode.  Each "--name=value" item is an option
+# that the sweep sets to every edge value in turn; the "=" form hands values
+# such as "-inf" to the option, not to argparse.  verify-all sweeps --budget
+# only, and may also exit 4 (budget exceeded).
 EDGE_BASES = {
     "entropy-order": ["entropy", "--weights=1/2,1/4,1/4", "--order=2", "--base=3"],
     "entropy-divergence": ["entropy", "--weights=3/4,1/4", "--other=1/2,1/2",
@@ -851,6 +893,7 @@ EDGE_BASES = {
                      "--mode=paper-literal", "--keep-eta=2", "--seed=1"],
     "treesim-stats": ["treesim", "--dim=1", "--eta=4", "--reps=20", "--stats",
                       "--mode=standard", "--seed=0"],
+    "verify-all": ["verify-all", "--filter", "pgm-success-table", "--json", "--budget=300"],
 }
 
 
@@ -875,7 +918,7 @@ def test_edge_values_exit_cleanly_without_nan(capsys, monkeypatch, tmp_path, nam
         for value in EDGE_VALUES:
             argv = base[:i] + ["%s=%s" % (option, value)] + base[i + 1:]
             code, out, err = run_main(capsys, argv)
-            assert code in (0, 2, 3), (argv, code, err)
+            assert code in (0, 2, 3) or (name, code) == ("verify-all", 4), (argv, code, err)
             if code == 2:
                 lines = err.splitlines()
                 assert lines and [n for n, line in enumerate(lines)

@@ -15,9 +15,9 @@ from kdcheck.core import (
     format_rational,
     parse_rational,
     scale_to_integers,
-    schatten_norm,
     state_from_json,
     trace_distance,
+    trace_norm,
 )
 
 
@@ -142,14 +142,12 @@ def test_trace_distance_dense_oracle():
     assert abs(trace_distance(a, b) - math.sqrt(2.0)) < 1e-12
 
 
-def test_schatten_norms():
+def test_trace_norm_forms():
     s = StateDensity.from_diag((Fraction(3, 4), Fraction(1, 4)))
-    assert schatten_norm(s, 1) == 1
-    assert schatten_norm(s, math.inf) == Fraction(3, 4)
-    v = np.array([3.0, 4.0])
-    assert abs(schatten_norm(v, 2) - 5.0) < 1e-12
-    with pytest.raises(ValueError, match="p >= 1"):
-        schatten_norm(v, 0.5)
+    norm = trace_norm(s.diag)
+    assert norm == 1 and isinstance(norm, Fraction)
+    assert trace_norm(np.array([3.0, -4.0])) == 7.0
+    assert trace_norm(np.diag([3.0, -4.0])) == 7.0
 
 
 def test_schatten_one_matches_eigenvalue_oracle():
@@ -157,7 +155,38 @@ def test_schatten_one_matches_eigenvalue_oracle():
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = 0.5 * (a + a.conj().T)
     want = float(np.abs(np.linalg.eigvalsh(h)).sum())
-    assert abs(schatten_norm(h, 1) - want) < 1e-9
+    assert abs(trace_norm(h) - want) < 1e-9
+
+
+def test_float_diagonal_is_a_dense_state():
+    s = StateDensity.from_diag((0.5, Fraction(1, 4), 0.25))
+    assert not s.exact and s.diag is None
+    assert s.mat.tobytes() == np.diag([0.5, 0.25, 0.25]).astype(complex).tobytes()
+    assert s.trace() == 1.0 and s.is_normalized
+
+
+def test_float_diagonal_clamps_entries_just_below_zero():
+    s = StateDensity.from_diag((0.75, 0.25 + 1e-12, -1e-12))
+    assert s.mat[2, 2] == 0 and not math.copysign(1.0, s.mat[2, 2].real) < 0
+    assert np.array_equal(s.mat, np.diag([0.75, 0.25 + 1e-12, 0.0]))
+
+
+def test_trace_distance_of_weighted_states_is_the_helstrom_norm():
+    # ||W_0 - W_1||_1 with W_x = p_x rho_x subnormalized, as (1 + ||.||_1)/2 needs.
+    rng = np.random.default_rng(74)
+    for _ in range(20):
+        a = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        rhos = [m @ m.conj().T / np.trace(m @ m.conj().T).real for m in a]
+        p0 = float(rng.uniform(0.1, 0.9))
+        w0 = StateDensity.from_matrix(p0 * rhos[0])
+        w1 = StateDensity.from_matrix((1 - p0) * rhos[1])
+        want = float(np.abs(np.linalg.eigvalsh(w0.mat - w1.mat)).sum())
+        assert trace_distance(w0, w1) == want
+    w0 = StateDensity.from_diag((Fraction(1, 4), Fraction(1, 8)))
+    w1 = StateDensity.from_diag((Fraction(1, 8), Fraction(1, 2)))
+    d = trace_distance(w0, w1)
+    assert isinstance(d, Fraction) and d == Fraction(1, 2)
+    assert (1 + d) / 2 == Fraction(1, 4) + Fraction(1, 2)  # sum_i max_x W_x[i]
 
 
 def test_trace_distance_matches_direct_loop():

@@ -129,6 +129,32 @@ def test_error_sandwich_exact():
         assert eo * eo <= eg <= eo
 
 
+def reference_float_pgm(ens):
+    """The float PGM with its average re-validated through ``from_matrix``."""
+    t = StateDensity.from_matrix(ens.average()).to_matrix()
+    evals, vecs = np.linalg.eigh(t)
+    inv_sqrt = np.where(evals > quantum.PINV_CUTOFF,
+                        1.0 / np.sqrt(np.clip(evals, quantum.PINV_CUTOFF, None)), 0.0)
+    s = (vecs * inv_sqrt) @ vecs.conj().T
+    elements = [s @ ens.weighted(x) @ s for x in range(len(ens.states))]
+    return [0.5 * (g + g.conj().T) for g in elements], bool((evals <= quantum.PINV_CUTOFF).any())
+
+
+def test_float_pgm_is_bit_identical_to_the_revalidated_route():
+    # Check 2's draws: its 250 rotated (odd) trials, seed 2024.
+    rng = np.random.default_rng(2024)
+    for trial in range(500):
+        ens = random_diagonal_ensemble(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)))
+        if trial % 2 == 0:
+            continue
+        ens = rotate_ensemble(ens, rng)
+        assert isinstance(ens.average(), np.ndarray)
+        povm = pretty_good_measurement(ens)
+        elements, rank_deficient = reference_float_pgm(ens)
+        assert povm.complete_on_support_only == rank_deficient
+        assert [g.tobytes() for g in povm.elements] == [g.tobytes() for g in elements]
+
+
 def test_error_sandwich_dense_commuting():
     rng = np.random.default_rng(42)
     for _ in range(10):

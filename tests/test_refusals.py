@@ -16,6 +16,7 @@ from kdcheck.core import (
     distribution_from_json,
     parse_rational,
     state_from_json,
+    trace_norm,
 )
 
 F2 = FiniteDistribution(Alphabet(2), (Fraction(1, 2), Fraction(1, 2)))
@@ -55,7 +56,7 @@ CORE = [
     (lambda: StateDensity.from_diag((Fraction(3, 4), Fraction(3, 4))), "trace 3/2 exceeds 1"),
     (lambda: StateDensity.from_diag((1.5, -0.5)),
      "diagonal entry below -1e-10: not positive semidefinite"),
-    (lambda: StateDensity.from_diag((0.75, 0.75)), "trace exceeds 1 beyond tolerance"),
+    (lambda: StateDensity.from_diag((0.75, 0.75)), "trace 1.5 exceeds 1 beyond tolerance"),
     (lambda: StateDensity.from_matrix(np.zeros((2, 3))), "state matrix must be square"),
     (lambda: StateDensity.from_matrix([[0.5, 0.5], [0.0, 0.5]]),
      "state matrix is not Hermitian within 1e-10"),
@@ -63,6 +64,8 @@ CORE = [
      "state matrix has eigenvalue -1 below -1e-10: not positive semidefinite"),
     (lambda: StateDensity.from_matrix([[1.0, 0.0], [0.0, 1.0]]),
      "trace 2 exceeds 1 beyond tolerance"),
+    (lambda: trace_norm(np.array([[0.5, 1.0], [0.0, 0.5]])),
+     "trace norm needs a Hermitian matrix within 1e-10"),
     (lambda: distribution_from_json({"weights": ["1"]}),
      "distribution JSON needs 'alphabet' and 'weights'"),
     (lambda: state_from_json({"dim": 2}), "state JSON needs either 'diag' or 'matrix'"),
