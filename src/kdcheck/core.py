@@ -7,9 +7,11 @@ used by the command line tools.
 
 Exactness contract: whenever every input is rational (``fractions.Fraction``
 weights or diagonal entries), sums and trace distances stay rational end
-to end.  Every other state is a dense complex matrix on the float path.
-Exact kernels elsewhere run on integers: each scales its rationals once
-with :func:`scale_to_integers`, the one place that does.
+to end.  An exact distribution holds its integer ``numerators`` over one
+``denominator``, and ``as_floats()`` is its float readout; every other
+state is a dense complex matrix on the float path.  Exact kernels run on
+integers: rationals are scaled once with :func:`scale_to_integers`, the
+one place that does.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def scale_to_integers(values: Iterable[Rational]) -> Tuple[int, List[int]]:
     denominators, so ``gcd(D, *n) == 1`` when the values are reduced."""
     values = list(values)
     d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+    return d, [int(v.numerator) * (d // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,10 @@ class Alphabet:
 class FiniteDistribution:
     """Probability weights over an :class:`Alphabet`.
 
-    Weights are stored either as exact ``Fraction`` values or as floats;
-    the backend is recorded in :attr:`exact` and preserved by every
-    operation that can preserve it.
+    An exact distribution holds one ``denominator`` ``D`` and a read-only
+    array of Python-int ``numerators``, reduced so that ``gcd(D, *n) == 1``;
+    a float one holds None in both and its weights as a read-only float64
+    array.  :meth:`as_floats` is the one float readout of either.
 
     Parameters
     ----------
@@ -116,51 +119,54 @@ class FiniteDistribution:
         Index set; the weight vector has ``alphabet.num_symbols`` entries.
     weights : sequence of Fraction/int or float
         Nonnegative, summing to one (exactly for the rational backend,
-        within 1e-12 for the float backend).
+        within 1e-12 for the float backend); floats must be finite.
     """
 
-    __slots__ = ("alphabet", "weights", "exact")
+    __slots__ = ("alphabet", "exact", "denominator", "numerators", "_floats")
 
     def __init__(self, alphabet: Alphabet, weights: Sequence[Scalar]):
         weights = tuple(weights)
         if len(weights) != alphabet.num_symbols:
-            raise ValueError(
-                "expected %d weights for this alphabet, got %d"
-                % (alphabet.num_symbols, len(weights))
-            )
-        exact = all(_is_rational(w) for w in weights)
-        if exact:
-            weights = tuple(Fraction(w) for w in weights)
-            if any(w < 0 for w in weights):
+            raise ValueError("expected %d weights for this alphabet, got %d"
+                             % (alphabet.num_symbols, len(weights)))
+        if all(_is_rational(w) for w in weights):
+            den, numerators = scale_to_integers(weights)
+            if any(n < 0 for n in numerators):
                 raise ValueError("weights must be nonnegative")
-            if sum(weights) != 1:
+            if sum(numerators) != den:
                 raise ValueError("rational weights must sum to exactly 1")
-        else:
-            weights = tuple(float(w) for w in weights)
-            if any(w < -SUM_TOL for w in weights):
-                raise ValueError("weights must be nonnegative")
-            weights = tuple(0.0 if w < 0 else w for w in weights)
-            if abs(math.fsum(weights) - 1.0) > SUM_TOL:
-                raise ValueError("float weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "exact", exact)
+            self._set(alphabet, den, np.array(numerators, dtype=object))
+            return
+        floats = np.array([float(w) for w in weights])
+        if not np.isfinite(floats).all():
+            raise ValueError("weights must be finite")
+        if (floats < -SUM_TOL).any():
+            raise ValueError("weights must be nonnegative")
+        floats[floats < 0] = 0.0
+        if abs(math.fsum(floats) - 1.0) > SUM_TOL:
+            raise ValueError("float weights must sum to 1 within 1e-12")
+        self._set(alphabet, None, None, floats)
+
+    def _set(self, alphabet, den, numerators, floats=None):
+        """Store the fields; an exact law's floats are ``n / D``, correctly rounded."""
+        if den is not None:
+            numerators.flags.writeable = False
+            floats = (numerators / den).astype(float)
+        floats.flags.writeable = False
+        for name, value in zip(self.__slots__,
+                               (alphabet, den is not None, den, numerators, floats)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteDistribution is immutable")
 
-    def __len__(self) -> int:
-        return len(self.weights)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteDistribution)
-            and self.alphabet == other.alphabet
-            and self.weights == other.weights
+            and (self.alphabet, self.denominator) == (other.alphabet, other.denominator)
+            and np.array_equal(self.numerators if self.exact else self._floats,
+                               other.numerators if other.exact else other._floats)
         )
-
-    def __repr__(self) -> str:
-        return "FiniteDistribution(%r, %r)" % (self.alphabet, list(self.weights))
 
     @classmethod
     def uniform(cls, alphabet: Alphabet) -> "FiniteDistribution":
@@ -181,18 +187,14 @@ class FiniteDistribution:
                              % (n, MAX_SYMBOLS))
         raw = rng.integers(1, max_weight + 1, size=n)
         total = int(raw.sum())
-        return cls(alphabet, [Fraction(int(r), total) for r in raw])
-
-    @property
-    def support(self) -> tuple:
-        return tuple(i for i, w in enumerate(self.weights) if w > 0)
-
-    @property
-    def max_weight(self) -> Scalar:
-        return max(self.weights)
+        g = math.gcd(total, int(np.gcd.reduce(raw)))
+        dist = cls.__new__(cls)
+        dist._set(alphabet, total // g, (raw // g).astype(object))
+        return dist
 
     def as_floats(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights], dtype=float)
+        """The weights as a read-only float64 array."""
+        return self._floats
 
 
 class StateDensity:
@@ -303,16 +305,17 @@ def trace_distance(a, b) -> Scalar:
     if isinstance(a, FiniteDistribution) and isinstance(b, FiniteDistribution):
         if a.alphabet != b.alphabet:
             raise ValueError("distributions live on different alphabets")
-        a, b = a.weights, b.weights
-    elif isinstance(a, StateDensity) and isinstance(b, StateDensity):
+        if not (a.exact and b.exact):
+            return trace_norm(a.as_floats() - b.as_floats())
+        gap = np.abs(a.numerators * b.denominator - b.numerators * a.denominator).sum()
+        return Fraction(gap, a.denominator * b.denominator)
+    if isinstance(a, StateDensity) and isinstance(b, StateDensity):
         if a.dim != b.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
         if not (a.exact and b.exact):
             return trace_norm(a.to_matrix() - b.to_matrix())
-        a, b = a.diag, b.diag
-    else:
-        raise ValueError("trace_distance expects two distributions or two states")
-    return trace_norm([x - y for x, y in zip(a, b)])
+        return trace_norm([x - y for x, y in zip(a.diag, b.diag)])
+    raise ValueError("trace_distance expects two distributions or two states")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ Min-entropy and Shannon entropy are ``renyi_entropy`` at orders
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable, Tuple
 
 import numpy as np
@@ -54,59 +53,66 @@ def _resolve_base(base, default: float) -> float:
     return b
 
 
+def _readout(f: FiniteDistribution) -> Tuple[list, list]:
+    """Float weights, and which are positive: an exact law's integers decide,
+    so that a weight rounding to 0.0 stays positive."""
+    w = f.as_floats()
+    return w.tolist(), (f.numerators > 0 if f.exact else w > 0).tolist()
+
+
 def _divergence_with_method(
     f: FiniteDistribution, f_plus: FiniteDistribution, alpha: float, base: float
 ) -> Tuple[float, str]:
     if f.alphabet != f_plus.alphabet:
         raise ValueError("divergence needs a common alphabet")
-    p = [ (w, v) for w, v in zip(f.weights, f_plus.weights) ]
+    w, on = _readout(f)
+    p = list(zip(w, on, *_readout(f_plus)))  # (w, w > 0, v, v > 0) per symbol
 
     if abs(alpha - 1.0) < KL_WINDOW:
-        # KL limit.  Exact zero when the weight vectors coincide.
-        if f.weights == f_plus.weights:
+        # KL limit.  Exact zero when the two laws are equal.
+        if f == f_plus:
             return 0.0, "closed-form:kl"
         total = 0.0
-        for w, v in p:
-            if w > 0:
-                if v == 0:
+        for w, pw, v, pv in p:
+            if pw:
+                if not pv:
                     return math.inf, "closed-form:kl"
-                total += float(w) * math.log(float(w) / float(v))
+                total += w * math.log(w / v)
         return total / math.log(base), "closed-form:kl"
 
     if math.isinf(alpha) or alpha > INF_THRESHOLD:
         worst = 0.0
-        for w, v in p:
-            if w > 0:
-                if v == 0:
+        for w, pw, v, pv in p:
+            if pw:
+                if not pv:
                     return math.inf, "closed-form:max-ratio"
-                worst = max(worst, float(w) / float(v))
+                worst = max(worst, w / v)
         return math.log(worst, base), "closed-form:max-ratio"
 
     if alpha == 0.0:
-        mass = sum((v for w, v in p if w > 0), start=Fraction(0)) if f_plus.exact \
-            else math.fsum(float(v) for w, v in p if w > 0)
+        on = np.array(on, dtype=bool)  # an exact mass is an integer sum, rounded once
+        mass, den = ((f_plus.numerators[on].sum(initial=0), f_plus.denominator)
+                     if f_plus.exact else (math.fsum(f_plus.as_floats()[on]), 1.0))
         if mass == 0:
             return math.inf, "closed-form:support-mass"
-        return -math.log(float(mass), base), "closed-form:support-mass"
+        return -math.log(mass / den, base), "closed-form:support-mass"
 
     if alpha == 0.5:
-        s = math.fsum(math.sqrt(float(w) * float(v)) for w, v in p)
+        s = math.fsum(math.sqrt(w * v) for w, _, v, _ in p)
         if s == 0.0:
             return math.inf, "closed-form:bhattacharyya"
         return -2.0 * math.log(s, base), "closed-form:bhattacharyya"
 
+    if alpha > 1.0 and any(pw and not pv for _, pw, _, pv in p):
+        return math.inf, "closed-form:chi-square" if alpha == 2.0 else "generic"
     if alpha == 2.0:
-        if any(w > 0 and v == 0 for w, v in p):
-            return math.inf, "closed-form:chi-square"
-        s = math.fsum(float(w) ** 2 / float(v) for w, v in p if w > 0)
+        s = math.fsum(w ** 2 / v for w, pw, v, _ in p if pw)
         return math.log(s, base), "closed-form:chi-square"
 
-    if alpha > 1.0 and any(w > 0 and v == 0 for w, v in p):
-        return math.inf, "generic"
     s = math.fsum(
-        math.exp(alpha * math.log(float(w)) + (1.0 - alpha) * math.log(float(v)))
-        for w, v in p
-        if w > 0 and v > 0
+        math.exp(alpha * math.log(w) + (1.0 - alpha) * math.log(v))
+        for w, pw, v, pv in p
+        if pw and pv
     )
     if s == 0.0:
         return math.inf, "generic"
@@ -137,16 +143,13 @@ def renyi_divergence(
         Nonnegative; ``math.inf`` when the support condition fails
         (for ``alpha >= 1``, ``supp f`` must lie inside ``supp f_plus``).
     """
-    alpha = _order_value(order)
-    b = _resolve_base(base, f.alphabet.size)
-    value, _ = _divergence_with_method(f, f_plus, alpha, b)
-    return value
+    return _divergence_with_method(
+        f, f_plus, _order_value(order), _resolve_base(base, f.alphabet.size))[0]
 
 
 def divergence_report(f, f_plus, order, base=None) -> dict:
     """Value plus the dispatch arm used, for report emission."""
-    alpha = _order_value(order)
-    b = _resolve_base(base, f.alphabet.size)
+    alpha, b = _order_value(order), _resolve_base(base, f.alphabet.size)
     value, method = _divergence_with_method(f, f_plus, alpha, b)
     return {"order": alpha, "value": value, "method": method, "log_base": b}
 
@@ -154,17 +157,15 @@ def divergence_report(f, f_plus, order, base=None) -> dict:
 def _entropy_with_method(
     f: FiniteDistribution, alpha: float, base: float
 ) -> Tuple[float, str]:
-    weights = f.weights
+    w, pos = _readout(f)
     if math.isinf(alpha) or alpha > INF_THRESHOLD:
-        return -math.log(float(max(weights)), base), "closed-form:min-entropy"
+        return -math.log(max(w), base), "closed-form:min-entropy"
     if abs(alpha - 1.0) < KL_WINDOW:
-        total = math.fsum(
-            -float(w) * math.log(float(w)) for w in weights if w > 0
-        )
+        total = math.fsum(-x * math.log(x) for x, on in zip(w, pos) if on)
         return total / math.log(base), "closed-form:shannon"
     if alpha == 0.0:
-        return math.log(float(len(f.support)), base), "closed-form:max-entropy"
-    s = math.fsum(float(w) ** alpha for w in weights if w > 0)
+        return math.log(float(sum(pos)), base), "closed-form:max-entropy"
+    s = math.fsum(x ** alpha for x, on in zip(w, pos) if on)
     method = "closed-form:power-sum" if alpha in (0.5, 2.0) else "generic"
     return math.log(s, base) / (1.0 - alpha), method
 
@@ -178,16 +179,13 @@ def renyi_entropy(
     Pass ``base=f.alphabet.size`` to measure strings over a power alphabet
     in single-symbol digits instead.
     """
-    alpha = _order_value(order)
-    b = _resolve_base(base, f.alphabet.num_symbols)
-    value, _ = _entropy_with_method(f, alpha, b)
-    return value
+    return _entropy_with_method(
+        f, _order_value(order), _resolve_base(base, f.alphabet.num_symbols))[0]
 
 
 def entropy_report(f: FiniteDistribution, order, base=None) -> dict:
     """Entropy value plus the dispatch arm used, for report emission."""
-    alpha = _order_value(order)
-    b = _resolve_base(base, f.alphabet.num_symbols)
+    alpha, b = _order_value(order), _resolve_base(base, f.alphabet.num_symbols)
     value, method = _entropy_with_method(f, alpha, b)
     return {"order": alpha, "value": value, "method": method, "log_base": b}
 

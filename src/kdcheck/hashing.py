@@ -6,14 +6,13 @@ digit vectors (digit 0 is the least significant).  A family is its one
 ``x + d q**j`` are those of ``x`` plus ``d`` times matrix column ``j``, mod
 q) and held as the only copy; ``HashFamily.maps`` rebuilds it as int
 tuples on each read, for reference code.  Probabilities are integer sums:
-the input weights are scaled by their common denominator ``D``
-(``core.scale_to_integers``), each (key, member) cell of the joint law sums
-integer numerators over ``|G| D`` as float64 limbs small enough to be exact
-in any order (``_limbs``; Ozaki, Ogita, Oishi and Rump 2012), the cells are
-held as one read-only array of Python ints, and distances and collision
-probabilities are integer sums turned into a ``Fraction`` once.
-Bound comparisons are exact, with square-form comparisons used wherever
-the bound itself is an irrational square root.
+each (key, member) cell of the joint law sums the input law's integer
+numerators over ``|G| D`` (``D`` its denominator) as float64 limbs small
+enough to be exact in any order (``_limbs``; Ozaki, Ogita, Oishi and Rump
+2012), the cells are held as one read-only array of Python ints, and
+distances and collision probabilities are integer sums turned into a
+``Fraction`` once.  Bound comparisons are exact, with square-form
+comparisons used wherever the bound itself is an irrational square root.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import FiniteDistribution, scale_to_integers
+from .core import FiniteDistribution
 
 # Family enumeration cap: q**(m*k) members for the all-linear kind.
 MAX_FAMILY_SIZE = 2**20
@@ -245,10 +244,8 @@ def _set_counts(state, dtype, ndim: int) -> np.ndarray:
 
 def _require_exact(f: FiniteDistribution):
     if not f.exact:
-        raise ValueError(
-            "hashing requires an exact rational distribution; "
-            "build weights from Fractions or 'num/den' strings"
-        )
+        raise ValueError("hashing requires an exact rational distribution; "
+                         "build weights from Fractions or 'num/den' strings")
 
 
 def _limbs(values, n_terms: int) -> Tuple[np.ndarray, int]:
@@ -293,16 +290,15 @@ def _cell_sums(table: np.ndarray, values: Sequence[int], n_out: int) -> np.ndarr
 def joint_state(f: FiniteDistribution, family: HashFamily) -> JointKeyState:
     """Joint law of key and member under uniform member choice, exact.
 
-    The weights are scaled by their common denominator ``D`` and pushed
-    forward as integer sums per (key, member) cell, over ``|G| D``.
+    The integer numerators of ``f`` are pushed forward as sums per
+    (key, member) cell, over ``|G| D``.
     """
     _require_exact(f)
     if f.alphabet.num_symbols != family.q**family.m:
         raise ValueError("distribution does not match the family input alphabet")
-    den, numerators = scale_to_integers(f.weights)
-    sums = _cell_sums(family.table, numerators, family.q**family.k)
+    sums = _cell_sums(family.table, f.numerators, family.q**family.k)
     sums.flags.writeable = False  # JointKeyState keeps it without a copy
-    return JointKeyState(family.q, family.k, sums, family.group_size * den)
+    return JointKeyState(family.q, family.k, sums, family.group_size * f.denominator)
 
 
 def lhl_distance(f: FiniteDistribution, family: HashFamily) -> Fraction:
@@ -376,7 +372,7 @@ def lhl_report(f: FiniteDistribution, family: HashFamily,
     _require_exact(f)
     q, k = family.q, family.k
     size = family.group_size
-    max_w = Fraction(f.max_weight)
+    max_w = Fraction(f.numerators.max(), f.denominator)
     floor, h_val = _entropy_floor(q, h_plus, max_w)
     js = joint_state(f, family)
     dist = js.distance()

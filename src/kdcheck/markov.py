@@ -197,16 +197,16 @@ def poly_str(coeffs: Sequence) -> str:
 class RationalFunction:
     """Quotient of two coprime integer polynomials whose coefficients have
     gcd 1, with a positive leading coefficient in the denominator.  The
-    zero function is ``0/1``."""
+    zero function is ``0/1``.  ``coprime=True`` skips the gcd of a coprime pair."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly):
+    def __init__(self, num: Poly, den: Poly, coprime: bool = False):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             den = Poly([1])
-        else:
+        elif not coprime:
             g = poly_gcd(num, den)
             num, den = num.exact_div(g), den.exact_div(g)
         self.num, self.den = _primitive(num, den)
@@ -476,8 +476,8 @@ def theta_gf(P: TransitionMatrix, i: int) -> RationalFunction:
 
 
 def _theta(pii: RationalFunction) -> RationalFunction:
-    """``1 - 1/P_{i,i}(r)`` from the reduced ``P_{i,i}``."""
-    return RationalFunction(pii.num - pii.den, pii.num)
+    """``1 - 1/P_{i,i}(r)`` from the reduced ``P_{i,i}``: ``gcd(num - den, num) = 1``."""
+    return RationalFunction(pii.num - pii.den, pii.num, coprime=True)
 
 
 def _horner(coeffs: Sequence[float], z: complex) -> complex:

@@ -77,8 +77,10 @@ class Ensemble:
         exact = prior.exact and all(s.exact for s in states)
         den = numerators = None
         if exact:
+            # p_x rho_x[i] = n_x rho_x[i] / D stays reduced: row x sums to n_x.
             den, flat = scale_to_integers(
-                p * d for p, s in zip(prior.weights, states) for d in s.diag)
+                n * d for n, s in zip(prior.numerators.tolist(), states) for d in s.diag)
+            den *= prior.denominator
             numerators = tuple(zip(*[iter(flat)] * dim))
         for name, value in zip(self.__slots__, (prior.alphabet, prior, states,
                                                 dim, exact, den, numerators)):
@@ -89,7 +91,7 @@ class Ensemble:
 
     def weighted(self, x: int) -> np.ndarray:
         """Subnormalized operator ``p_x rho_x`` as a dense float array."""
-        return float(self.prior.weights[x]) * self.states[x].to_matrix()
+        return self.prior.as_floats()[x] * self.states[x].to_matrix()
 
     def average(self) -> np.ndarray:
         """Ensemble average ``sum_x p_x rho_x``: exactly Hermitian, as each term is."""

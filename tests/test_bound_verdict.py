@@ -37,7 +37,7 @@ def earlier_q_pow_neg(q, h_plus, f):
     if h_plus is None:
         if f is None:
             raise ValueError("h_plus required without a distribution")
-        return Fraction(f.max_weight)
+        return Fraction(max(f.numerators), f.denominator)
     whole = not isinstance(h_plus, float) or h_plus.is_integer()
     frac = Fraction(h_plus) if whole else None
     if frac is None or frac.denominator != 1:
@@ -53,7 +53,7 @@ def earlier_lhl_verdict(f, family, h_plus):
     dist = js.distance()
     pcol = js.collision_probability()
     qk = Fraction(1, q**k)
-    max_w = Fraction(f.max_weight)
+    max_w = Fraction(max(f.numerators), f.denominator)
     try:
         q_pow_neg_h = earlier_q_pow_neg(q, h_plus, f)
         exact_cmp = True

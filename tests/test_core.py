@@ -21,6 +21,10 @@ from kdcheck.core import (
 )
 
 
+def fractions(f):
+    return tuple(Fraction(n, f.denominator) for n in f.numerators)
+
+
 def test_parse_rational_roundtrip():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)
@@ -88,9 +92,9 @@ def test_distribution_float_tolerance():
 
 def test_uniform_and_point_mass():
     u = FiniteDistribution.uniform(Alphabet(2, 2))
-    assert u.weights == (Fraction(1, 4),) * 4
+    assert fractions(u) == (Fraction(1, 4),) * 4
     p = FiniteDistribution(Alphabet(2, 2), (0, 0, 0, 1))
-    assert p.exact and p.weights[3] == 1 and p.support == (3,)
+    assert p.exact and fractions(p)[3] == 1 and np.flatnonzero(p.numerators).tolist() == [3]
 
 
 def test_total_variation_oracle():
@@ -130,8 +134,8 @@ def test_state_from_matrix_checks():
 def test_trace_distance_diagonal_matches_tv():
     f = FiniteDistribution(Alphabet(2), (Fraction(3, 4), Fraction(1, 4)))
     u = FiniteDistribution.uniform(Alphabet(2))
-    sf = StateDensity.from_diag(f.weights)
-    su = StateDensity.from_diag(u.weights)
+    sf = StateDensity.from_diag(fractions(f))
+    su = StateDensity.from_diag(fractions(u))
     assert trace_distance(sf, su) == trace_distance(f, u) == Fraction(1, 2)
 
 
@@ -193,17 +197,26 @@ def test_trace_distance_matches_direct_loop():
     rng = np.random.default_rng(72)
     f = FiniteDistribution.random_rational(Alphabet(8), rng)
     g = FiniteDistribution.random_rational(Alphabet(8), rng)
-    direct = sum(abs(p - q) for p, q in zip(f.weights, g.weights))
+    direct = sum(abs(p - q) for p, q in zip(fractions(f), fractions(g)))
     assert trace_distance(f, g) == direct
+
+
+def test_trace_distance_over_two_denominators():
+    f = FiniteDistribution(Alphabet(3), (Fraction(1, 3),) * 3)
+    g = FiniteDistribution(Alphabet(3), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+    assert (f.denominator, g.denominator) == (3, 4)
+    direct = sum(abs(p - q) for p, q in zip(fractions(f), fractions(g)))
+    assert trace_distance(f, g) == direct == Fraction(1, 3)
+    assert isinstance(trace_distance(f, g), Fraction)
 
 
 def test_tensor_square_subadditive():
     rng = np.random.default_rng(73)
     for _ in range(10):
         a = StateDensity.from_diag(
-            FiniteDistribution.random_rational(Alphabet(3), rng).weights)
+            fractions(FiniteDistribution.random_rational(Alphabet(3), rng)))
         b = StateDensity.from_diag(
-            FiniteDistribution.random_rational(Alphabet(3), rng).weights)
+            fractions(FiniteDistribution.random_rational(Alphabet(3), rng)))
         aa = StateDensity.from_diag([x * y for x in a.diag for y in a.diag])
         bb = StateDensity.from_diag([x * y for x in b.diag for y in b.diag])
         lhs = trace_distance(aa, bb)
@@ -216,10 +229,10 @@ def test_distribution_json_roundtrip():
                             Fraction(1, 8), Fraction(1, 8)))
     # The CLI's writer: Fractions go out as "num/den" strings.
     data = json.loads(json.dumps(jsonable(
-        {"schema": 1, "alphabet": {"size": 2, "power": 2}, "weights": f.weights})))
+        {"schema": 1, "alphabet": {"size": 2, "power": 2}, "weights": fractions(f)})))
     assert data["weights"] == ["1/2", "1/4", "1/8", "1/8"]
     g = distribution_from_json(data)
-    assert g.weights == f.weights and g.alphabet == f.alphabet
+    assert fractions(g) == fractions(f) and g.alphabet == f.alphabet
 
 
 def test_state_json_roundtrip():

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from kdcheck.core import Alphabet, FiniteDistribution
+from kdcheck.cli import main
+from kdcheck.core import Alphabet, FiniteDistribution, distribution_from_json
 from kdcheck.entropy import (
     DENSITY_NODES,
     MASS_TOL,
@@ -309,3 +311,47 @@ def test_invalid_orders_rejected():
         renyi_entropy(STAIRS, -0.5)
     with pytest.raises(ValueError, match="alpha >= 0"):
         renyi_divergence(F34, U2, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Exact laws read as integer numerators over one denominator
+# ---------------------------------------------------------------------------
+
+# Printed by `kdcheck entropy --random 1048576 --order <order>` (seed 0)
+# when each weight was held as a Fraction and read with float(w).
+RANDOM_2_20 = {"0": 1.0, "0.5": 0.9923983707107981, "1": 0.9871335463618318,
+               "2": 0.9803730401002313, "inf": 0.9522669409087312}
+
+
+@pytest.mark.parametrize("order", sorted(RANDOM_2_20))
+def test_random_2_20_entropy_pinned(capsys, order):
+    assert main(["entropy", "--random", "1048576", "--order", order]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == RANDOM_2_20[order]
+
+
+def fraction_entropy(weights, alpha, base):
+    """Entropy read from one Fraction per weight, rounding each with float(w)."""
+    if math.isinf(alpha):
+        return -math.log(float(max(weights)), base)
+    if alpha == 1.0:
+        return math.fsum(-float(w) * math.log(float(w)) for w in weights if w > 0) \
+            / math.log(base)
+    if alpha == 0.0:
+        return math.log(float(sum(1 for w in weights if w > 0)), base)
+    s = math.fsum(float(w) ** alpha for w in weights if w > 0)
+    return math.log(s, base) / (1.0 - alpha)
+
+
+BIG_D = [Fraction(1, 3**40), Fraction(1, 5**30), Fraction(1, 7**25)]
+BIG_D.append(1 - sum(BIG_D))
+BIG_D_TEXT = ["%d/%d" % (w.numerator, w.denominator) for w in BIG_D]
+
+
+def test_denominator_past_2_53_reads_like_fractions(capsys):
+    f = distribution_from_json({"alphabet": {"size": 4}, "weights": BIG_D_TEXT})
+    assert f.denominator >= 2**53
+    assert f.as_floats().tolist() == [float(w) for w in BIG_D]
+    for order in (0.0, 0.5, 0.7, 1.0, 2.0, 3.0, math.inf):
+        assert renyi_entropy(f, order) == fraction_entropy(BIG_D, order, 4)
+        assert main(["entropy", "--weights", ",".join(BIG_D_TEXT), "--order", repr(order)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == fraction_entropy(BIG_D, order, 4)

@@ -28,6 +28,10 @@ from kdcheck.verify import random_diagonal_ensemble, rotate_ensemble
 # Per-cell references
 # ---------------------------------------------------------------------------
 
+def prior_fractions(ens):
+    return [Fraction(n, ens.prior.denominator) for n in ens.prior.numerators]
+
+
 def ref_key_blocks(table, numerators, n_out):
     """``out[kappa][g][i] = sum_{x: table[g, x] = kappa} numerators[x][i]``."""
     dim = len(numerators[0])
@@ -176,7 +180,7 @@ def test_hash_scale_ensemble_matches_loops():
     assert tripartite_distance(cq) == ref_tripartite(counts, 2, 3, cq.denominator)
     assert tuple(Fraction(t, cq.denominator) for t in cq._side_counts()) \
         == tuple(map(sum, zip(*(tuple(p * d for d in st.diag)
-                                for p, st in zip(ens.prior.weights, ens.states)))))
+                                for p, st in zip(prior_fractions(ens), ens.states)))))
     # A trivial side register reproduces the classical distance on the full family.
     trivial = Ensemble(ens.prior, [StateDensity.from_diag((Fraction(1),))] * 256)
     assert tripartite_distance(hashed_joint_blocks(trivial, full)) \

@@ -206,6 +206,10 @@ def brute_tables(kind, q, m, k):
     return tuple(tables)
 
 
+def fractions(f):
+    return [Fraction(n, f.denominator) for n in f.numerators]
+
+
 def brute_joint(weights, family):
     """``P_KG[kappa][g]`` one (member, symbol) cell at a time."""
     size = family.group_size
@@ -232,7 +236,7 @@ def brute_universality(family):
 
 
 def assert_joint_exact(f, family):
-    ref = brute_joint(f.weights, family)
+    ref = brute_joint(fractions(f), family)
     js = joint_state(f, family)
     assert [[Fraction(c, js.denominator) for c in row] for row in js.counts] == ref
     assert lhl_distance(f, family) == brute_distance(ref, family.q, family.k)
@@ -331,7 +335,7 @@ def test_lhl_report_builds_one_joint_law(monkeypatch):
     fam = build_family("toeplitz", 2, 3, 1)
     rep = lhl_report(UNIFORM8, fam)
     assert len(calls) == 1
-    ref = brute_joint(UNIFORM8.weights, fam)
+    ref = brute_joint(fractions(UNIFORM8), fam)
     assert rep["distance"] == brute_distance(ref, 2, 1)
     assert rep["collision_probability"] == brute_collision(ref)
 

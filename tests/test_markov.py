@@ -371,7 +371,7 @@ def test_one_elimination_per_chain(monkeypatch):
 
 
 def test_markov_report_reduces_each_function_once(monkeypatch):
-    # One gcd for P_ii and one for Theta, which is built from that P_ii.
+    # One gcd for P_ii; Theta, built from that P_ii, needs none.
     gcds = []
     real = markov.poly_gcd
 
@@ -381,7 +381,7 @@ def test_markov_report_reduces_each_function_once(monkeypatch):
     monkeypatch.setattr(markov, "poly_gcd", counted)
     chain = TransitionMatrix(SPARSE_CHAINS["cycle6"].rows)
     rep = markov_report(chain, 0, series_terms=6)
-    assert len(gcds) == 2
+    assert len(gcds) == 1
     assert rep["P_gf"] == resolvent(chain, 0, 0).display()
     assert rep["Theta_gf"] == theta_gf(chain, 0).display()
 
@@ -675,3 +675,27 @@ def test_reductions_match_euclid_over_q():
             want = euclid_rational(pii.num - pii.den, pii.num)
             got = theta_gf(chain, i)
             assert got == want and got.display() == want.display()
+
+
+def test_theta_without_gcd_equals_the_gcd_route():
+    # Theta is built from the reduced P_ii with no gcd; the gcd route
+    # RationalFunction(num - den, num) gives the same reduced function.
+    from kdcheck.verify import _random_positive_chain
+    rng = np.random.default_rng(606)   # check 6's 50 chains, then swap and lazy
+    chains = [_random_positive_chain(rng, int(rng.integers(2, 6))) for _ in range(50)]
+    chains += [SWAP, LAZY, TransitionMatrix.build([[1]])]
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        rows = random_sparse_chain(rng, n).rows
+        absorbing = int(rng.integers(n))
+        if rng.random() < 0.5:   # make one state absorbing
+            rows = [[Fraction(int(j == i)) for j in range(n)] if i == absorbing else row
+                    for i, row in enumerate(rows)]
+        chains.append(TransitionMatrix.build(rows))
+    for chain in chains:
+        for i in range(chain.n):
+            pii = resolvent(chain, i, i)
+            theta = markov._theta(pii)
+            by_gcd = RationalFunction(pii.num - pii.den, pii.num)
+            assert theta == by_gcd and theta.display() == by_gcd.display()

@@ -364,7 +364,7 @@ def test_float_side_register_matches_exact():
     fam = build_family("linear", 2, 2, 1)
     ens = random_diagonal_ensemble(rng, 4, 3)
     floats = Ensemble(
-        FiniteDistribution(ens.alphabet, tuple(float(p) for p in ens.prior.weights)),
+        FiniteDistribution(ens.alphabet, tuple(ens.prior.as_floats().tolist())),
         tuple(StateDensity.from_diag(tuple(float(v) for v in s.diag))
               for s in ens.states))
     assert not floats.exact
@@ -384,7 +384,7 @@ def test_float_side_register_matches_exact():
 # ---------------------------------------------------------------------------
 
 def ref_weighted(ens, x):
-    p = ens.prior.weights[x]
+    p = Fraction(ens.prior.numerators[x], ens.prior.denominator)
     return tuple(p * d for d in ens.states[x].diag)
 
 
@@ -479,7 +479,7 @@ def test_ensemble_denominator_is_the_lcm_of_its_weighted_entries():
         # The dense readouts are the float path's, on exact ensembles too.
         assert all(np.array_equal(ens.weighted(x), np.diag([float(p) * float(d) for d in
                                                             ens.states[x].diag]))
-                   for x, p in enumerate(ens.prior.weights))
+                   for x, p in enumerate(ens.prior.as_floats()))
         dense = rotate_ensemble(ens, rng)
         assert dense.denominator is None and dense.numerators is None
 

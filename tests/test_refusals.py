@@ -1,6 +1,7 @@
 """Input refusals, one table per module: each entry is a call and the whole
 message of the ``ValueError`` (or the named error) it must raise."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -50,6 +51,10 @@ CORE = [
     (lambda: FiniteDistribution(Alphabet(2), (Fraction(3, 2), Fraction(-1, 2))),
      "weights must be nonnegative"),
     (lambda: FiniteDistribution(Alphabet(2), (1.5, -0.5)), "weights must be nonnegative"),
+    (lambda: FiniteDistribution(Alphabet(2), (float("inf"), 1.0)), "weights must be finite"),
+    (lambda: FiniteDistribution(Alphabet(2), (-float("inf"), 1.0)), "weights must be finite"),
+    (lambda: distribution_from_json({"alphabet": {"size": 2}, "weights": [float("nan"), 1.0]}),
+     "weights must be finite"),
     (lambda: StateDensity.from_diag(()), "state must have dimension >= 1"),
     (lambda: StateDensity.from_diag((Fraction(3, 2), Fraction(-1, 2))),
      "diagonal entries must be nonnegative"),
@@ -213,6 +218,7 @@ def test_treeproc_refusals(call, message):
 
 CLI = [
     (["entropy", "--order", "2"], "provide --weights or --random"),
+    (["entropy", "--weights", "1e999,1.0"], "weights must be finite"),
     (["semigroup", "--variances", "1,1", "--correlations", "0.2", "--points=0;1"],
      "point has 1 coordinates, expected 2"),
 ]
@@ -223,3 +229,14 @@ def test_cli_refusals(capsys, argv, message):
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: %s\n" % message
+
+
+def test_nan_prior_is_refused_by_name(tmp_path, capsys):
+    # NaN passes every comparison-based check, so it is refused before them.
+    path = tmp_path / "nan-prior.json"
+    path.write_text(json.dumps({
+        "prior": {"alphabet": {"size": 2}, "weights": [float("nan"), 1.0]},
+        "states": [{"diag": [1.0, 0.0]}, {"diag": [0.0, 1.0]}]}))
+    assert main(["quantum-lhl", "--q", "2", "--m", "1", "--k", "1", "--ensemble", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: weights must be finite\n"
