@@ -60,37 +60,31 @@ def _readout(f: FiniteDistribution) -> Tuple[list, list]:
     return w.tolist(), (f.numerators > 0 if f.exact else w > 0).tolist()
 
 
+def _refuse_underflow(w: list, ons: tuple, law: str, route: str, use: str) -> None:
+    """Refuse, before any sum, a weight of ``law`` that is positive but 0.0 as
+    a float (below ``2**-1075``), where ``route`` would take its log or divide
+    by it: ``w`` holds the law's float weights, and the route reads the
+    symbols at which every positivity list in ``ons`` is true."""
+    if 0.0 in w:
+        for x, (v, *read) in enumerate(zip(w, *ons)):
+            if v == 0.0 and all(read):
+                raise ValueError(
+                    "symbol %d of %s has a positive weight that rounds to 0.0 as a "
+                    "float; the %s %s" % (x, law, route, use))
+
+
 def _divergence_with_method(
     f: FiniteDistribution, f_plus: FiniteDistribution, alpha: float, base: float
 ) -> Tuple[float, str]:
     if f.alphabet != f_plus.alphabet:
         raise ValueError("divergence needs a common alphabet")
-    w, on = _readout(f)
-    p = list(zip(w, on, *_readout(f_plus)))  # (w, w > 0, v, v > 0) per symbol
-
-    if abs(alpha - 1.0) < KL_WINDOW:
-        # KL limit.  Exact zero when the two laws are equal.
-        if f == f_plus:
-            return 0.0, "closed-form:kl"
-        total = 0.0
-        for w, pw, v, pv in p:
-            if pw:
-                if not pv:
-                    return math.inf, "closed-form:kl"
-                total += w * math.log(w / v)
-        return total / math.log(base), "closed-form:kl"
-
-    if math.isinf(alpha) or alpha > INF_THRESHOLD:
-        worst = 0.0
-        for w, pw, v, pv in p:
-            if pw:
-                if not pv:
-                    return math.inf, "closed-form:max-ratio"
-                worst = max(worst, w / v)
-        return math.log(worst, base), "closed-form:max-ratio"
+    w_f, on_f = _readout(f)
+    w_g, on_g = _readout(f_plus)
+    ons = (on_f, on_g)
+    p = list(zip(w_f, on_f, w_g, on_g))  # (w, w > 0, v, v > 0) per symbol
 
     if alpha == 0.0:
-        on = np.array(on, dtype=bool)  # an exact mass is an integer sum, rounded once
+        on = np.array(on_f, dtype=bool)  # an exact mass is an integer sum, rounded once
         mass, den = ((f_plus.numerators[on].sum(initial=0), f_plus.denominator)
                      if f_plus.exact else (math.fsum(f_plus.as_floats()[on]), 1.0))
         if mass == 0:
@@ -103,12 +97,41 @@ def _divergence_with_method(
             return math.inf, "closed-form:bhattacharyya"
         return -2.0 * math.log(s, base), "closed-form:bhattacharyya"
 
-    if alpha > 1.0 and any(pw and not pv for _, pw, _, pv in p):
+    outside = any(pw and not pv for _, pw, _, pv in p)  # supp f not in supp f_plus
+
+    if abs(alpha - 1.0) < KL_WINDOW:
+        # KL limit.  Exact zero when the two laws are equal.
+        if f == f_plus:
+            return 0.0, "closed-form:kl"
+        if outside:
+            return math.inf, "closed-form:kl"
+        _refuse_underflow(w_f, ons, "f", "KL divergence", "takes its log")
+        _refuse_underflow(w_g, ons, "f_plus", "KL divergence", "divides by it")
+        total = 0.0
+        for w, pw, v, _ in p:
+            if pw:
+                total += w * math.log(w / v)
+        return total / math.log(base), "closed-form:kl"
+
+    if math.isinf(alpha) or alpha > INF_THRESHOLD:
+        if outside:
+            return math.inf, "closed-form:max-ratio"
+        _refuse_underflow(w_g, ons, "f_plus", "max-ratio divergence", "divides by it")
+        worst = 0.0
+        for w, pw, v, _ in p:
+            if pw:
+                worst = max(worst, w / v)
+        return math.log(worst, base), "closed-form:max-ratio"
+
+    if alpha > 1.0 and outside:
         return math.inf, "closed-form:chi-square" if alpha == 2.0 else "generic"
     if alpha == 2.0:
+        _refuse_underflow(w_g, ons, "f_plus", "order-2 divergence", "divides by it")
         s = math.fsum(w ** 2 / v for w, pw, v, _ in p if pw)
         return math.log(s, base), "closed-form:chi-square"
 
+    for law, weights in (("f", w_f), ("f_plus", w_g)):
+        _refuse_underflow(weights, ons, law, "order-%g divergence" % alpha, "takes its log")
     s = math.fsum(
         math.exp(alpha * math.log(w) + (1.0 - alpha) * math.log(v))
         for w, pw, v, pv in p
@@ -161,6 +184,7 @@ def _entropy_with_method(
     if math.isinf(alpha) or alpha > INF_THRESHOLD:
         return -math.log(max(w), base), "closed-form:min-entropy"
     if abs(alpha - 1.0) < KL_WINDOW:
+        _refuse_underflow(w, (pos,), "f", "Shannon entropy", "takes its log")
         total = math.fsum(-x * math.log(x) for x, on in zip(w, pos) if on)
         return total / math.log(base), "closed-form:shannon"
     if alpha == 0.0:

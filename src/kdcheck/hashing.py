@@ -9,7 +9,8 @@ tuples on each read, for reference code.  Probabilities are integer sums:
 each (key, member) cell of the joint law sums the input law's integer
 numerators over ``|G| D`` (``D`` its denominator) as float64 limbs small
 enough to be exact in any order (``_limbs``; Ozaki, Ogita, Oishi and Rump
-2012), the cells are held as one read-only array of Python ints, and
+2012), the cells are held as one read-only integer array (int64 where a
+bound on the state's sizes lets every readout fit, else Python ints), and
 distances and collision probabilities are integer sums turned into a
 ``Fraction`` once.  Bound comparisons are exact, with square-form
 comparisons used wherever the bound itself is an irrational square root.
@@ -35,9 +36,15 @@ MAX_TABLE_CELLS = 2**22
 # bound and square stays below 2**1024: a finite float, and a Fraction well
 # inside CPython's 4300-digit limit on printing an int.
 MAX_FLOOR_BITS = 1000
-# Table cells per step of a pushforward, so that no temporary grows with the
-# family.  BLAS sums float side-register blocks in an order set by this step.
-CHUNK_CELLS = 2**12
+# Table cells per step of an exact pushforward, so that no temporary grows
+# with the family.  The four hash-scale reports on Toeplitz (2, 8, 3) and
+# (3, 5, 2) take 14.7 ms in steps of 2**12 cells, 10.9 ms at 2**14, 10.4 ms
+# at 2**15, 10.8 ms at 2**16 and 12.5 ms at 2**17 (medians of 25 passes,
+# 2-core host); (2, 8, 3) then takes 8 steps of 128 members, not 64 of 16.
+CHUNK_CELLS = 2**15
+# An exact state's counts are int64 when ``(q**k * denominator)**2`` is below
+# this: every sum its readouts take then fits (``_set_counts``).
+INT64_BOUND = 2**63
 # One-byte key digits made per step of a table build: Toeplitz (2, 10, 3)
 # builds ~10x faster than in steps of CHUNK_CELLS; larger steps gain little.
 _BUILD_DIGITS = 2**17
@@ -188,8 +195,9 @@ class JointKeyState:
 
     ``P_KG(kappa, g) = (1/|G|) sum_{x: g(x)=kappa} P_X(x)``, held as integer
     ``counts[kappa, g]`` over one ``denominator``: a read-only ``(q**k, |G|)``
-    array of Python ints.  The member marginal is uniform by construction;
-    validated on creation.
+    array, of the dtype ``_set_counts`` picks.  The member marginal is
+    uniform by construction; validated on creation.  Readouts return Python
+    ints and Fractions of them on either dtype.
     """
 
     q: int
@@ -198,7 +206,7 @@ class JointKeyState:
     denominator: int
 
     def __post_init__(self):
-        counts = _set_counts(self, object, 2)
+        counts = _set_counts(self, True, 2)
         if (counts < 0).any():
             raise ValueError("joint weights must be nonnegative")
         per_g = counts.sum(axis=0)
@@ -219,19 +227,36 @@ class JointKeyState:
         """
         n_out = self.q**self.k
         share = self.denominator // self.group_size
-        gap = sum(np.abs(n_out * row - share).sum() for row in self.counts)
+        gap = _scalar(np.abs(n_out * self.counts - share).sum())
         return Fraction(gap, self.q * n_out * self.denominator)
 
     def collision_probability(self) -> Fraction:
         """``sum_{kappa,g} P_KG(kappa,g)**2``."""
-        squares = sum((row * row).sum() for row in self.counts)
-        return Fraction(squares, self.denominator**2)
+        return Fraction(_scalar((self.counts * self.counts).sum()), self.denominator**2)
 
 
-def _set_counts(state, dtype, ndim: int) -> np.ndarray:
-    """Set ``state.counts`` to a read-only ``dtype`` array of ``ndim`` axes and one
-    row per key: kept if it already is one that owns its data, else copied."""
+def _set_counts(state, exact: bool, ndim: int) -> np.ndarray:
+    """Set ``state.counts`` to a read-only array of ``ndim`` axes and one row
+    per key, kept if it already is one of the right dtype that owns its data,
+    else copied.
+
+    Float counts are float64.  Exact counts are int64 when
+    ``(q**k * denominator)**2 < INT64_BOUND`` and they are integers in
+    ``[0, denominator]`` summing to at most ``denominator``, as a state's
+    cells do; else Python ints.  On a valid state every readout's sums are
+    then below ``(q**k * denominator)**2`` (``|G|`` divides the denominator),
+    and counts outside the rule, valid or not, are never wrapped to int64.
+    """
     counts = np.asarray(state.counts)
+    dtype = float
+    if exact:
+        dtype = object
+        den = state.denominator
+        if ((state.q**state.k * den)**2 < INT64_BOUND and counts.size * den < INT64_BOUND
+                and counts.size and 0 <= counts.min() and counts.max() <= den):
+            wide = counts.astype(np.int64, copy=False)  # in range: only non-integers change
+            if (wide is counts or (wide == counts).all()) and wide.sum() <= den:
+                counts, dtype = wide, np.int64
     if counts.dtype != dtype or counts.flags.writeable or not counts.flags.owndata:
         counts = counts.astype(dtype)
     counts.flags.writeable = False
@@ -240,6 +265,11 @@ def _set_counts(state, dtype, ndim: int) -> np.ndarray:
                          % (ndim, counts.shape))
     object.__setattr__(state, "counts", counts)
     return counts
+
+
+def _scalar(total):
+    """A sum over counts as a Python number: an int, not a numpy scalar."""
+    return total.item() if isinstance(total, np.generic) else total
 
 
 def _require_exact(f: FiniteDistribution):
@@ -260,8 +290,11 @@ def _limbs(values, n_terms: int) -> Tuple[np.ndarray, int]:
 
 
 def _join_limbs(sums: np.ndarray, bits: int) -> np.ndarray:
-    """Python ints from limb sums, made one leading block at a time, so that
+    """Integers from limb sums: int64 from one limb (each sum is below
+    ``2**53``), else Python ints, made one leading block at a time, so that
     their temporaries stay small."""
+    if sums.shape[-1] == 1:
+        return sums[..., 0].astype(np.int64)
     out = np.empty(sums.shape[:-1], dtype=object)
     for i, block in enumerate(sums):
         limbs = block.astype(np.int64).astype(object)

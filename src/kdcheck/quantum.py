@@ -17,10 +17,16 @@ distance of that state from (uniform key) x (member) x (side marginal)
 against ``q**-((h_plus - k)/2)``.  The blocks are diagonal in the
 ensemble's common eigenbasis.  On rational ensembles the integer
 numerators are summed per (key, member) cell over ``|G| D``, as exact
-float64 limbs multiplied key by key by an indicator of the family's table;
-both paths reduce the blocks alike, up to the last division.  This
-pushforward is apart from ``hashing.joint_state`` (a scatter), so that a
-trivial side register gives a second route to the classical distance.
+float64 limbs multiplied key by key by an indicator of the family's table,
+in steps of ``hashing.CHUNK_CELLS`` = 2**15 table cells: on Toeplitz
+(2, 8, 3), 8 steps of 128 members, measured fastest of 2**12 to 2**17
+(see that constant).  The counts are int64 when ``(q**k |G| D)**2 < 2**63``,
+else Python ints, and the exact distance sums only the entries above their
+share of the side marginal, twice, since the signed terms sum to zero.
+Float blocks keep steps of ``FLOAT_CHUNK_CELLS`` = 2**12 cells and sum the
+absolute terms of every entry.  This pushforward is apart from
+``hashing.joint_state`` (a scatter), so that a trivial side register gives
+a second route to the classical distance.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from .core import (
     state_from_json,
 )
 from .hashing import (CHUNK_CELLS, MAX_TABLE_CELLS, HashFamily, _bound_verdict,
-                      _entropy_floor, _join_limbs, _limbs, _set_counts, lhl_bound)
+                      _entropy_floor, _join_limbs, _limbs, _scalar, _set_counts,
+                      lhl_bound)
 
 COMMUTE_TOL = 1e-9
 PINV_CUTOFF = 1e-12
@@ -49,6 +56,13 @@ PINV_CUTOFF = 1e-12
 # table grow faster than n**2 in time; n = 200 takes about a second on a
 # 2-core host.
 MAX_PHI_DIM = 200
+# Table cells per step of the float side-register pushforward.  BLAS sums a
+# float block in an order set by the shape of its product: with OpenBLAS 0.3,
+# steps of hashing.CHUNK_CELLS on a Toeplitz (2, 8, 3) table change the last
+# bits of some blocks at dim_q = 60, 100 or 244 (not at 3, 32 or 200), so
+# float blocks keep the step they were first printed with.  Exact limb sums
+# are the same in any order.
+FLOAT_CHUNK_CELLS = 2**12
 
 
 class Ensemble:
@@ -236,10 +250,11 @@ class CqKeyState:
     Block ``(kappa, g)`` is the subnormalized side-register operator
     ``(1/|G|) sum_{x: g(x)=kappa} p_x rho_x`` as its diagonal in the
     ensemble's common eigenbasis, held as ``counts[kappa, g]`` over one
-    ``denominator``: a read-only ``(q**k, |G|, dim_q)`` array of Python-int
-    counts over ``|G| D`` on the exact path, of float sums over ``|G|``
-    otherwise.  Readouts sum Python objects in (key, member) order from 0,
-    as Python's ``sum`` does, so only ``_value`` tells the paths apart.
+    ``denominator``: a read-only ``(q**k, |G|, dim_q)`` array of integer
+    counts over ``|G| D`` on the exact path (int64 or Python ints, as
+    ``hashing._set_counts`` picks), of float sums over ``|G|`` otherwise.
+    Float readouts sum Python floats in (key, member) order from 0, as
+    Python's ``sum`` does; exact ones return Python ints and Fractions.
     Block-diagonal structure over the classical registers means Schatten-1
     norms decompose as sums over blocks.
     """
@@ -251,7 +266,7 @@ class CqKeyState:
     exact: bool
 
     def __post_init__(self):
-        _set_counts(self, object if self.exact else float, 3)
+        _set_counts(self, self.exact, 3)
 
     @property
     def group_size(self) -> int:
@@ -268,15 +283,21 @@ class CqKeyState:
         return count / (scale * self.denominator)
 
     def _side_counts(self) -> np.ndarray:
-        """Counts of ``T_Q``, the sum of all blocks: the side-register diagonal."""
-        return self.counts.reshape(-1, self.dim_q).sum(axis=0, dtype=object, initial=0)
+        """Counts of ``T_Q``, the sum of all blocks: the side-register diagonal,
+        as Python numbers."""
+        flat = self.counts.reshape(-1, self.dim_q)
+        if self.exact:
+            return flat.sum(axis=0).astype(object)
+        return flat.sum(axis=0, dtype=object, initial=0)
 
 
-def _key_blocks(table: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarray:
-    """``out[kappa, g] = sum_{x: table[g, x] = kappa} weights[x]``, key by key."""
+def _key_blocks(table: np.ndarray, weights: np.ndarray, n_out: int,
+                cells: int) -> np.ndarray:
+    """``out[kappa, g] = sum_{x: table[g, x] = kappa} weights[x]``, key by key,
+    in steps of about ``cells`` table cells."""
     size, n_in = table.shape
     out = np.zeros((n_out, size, weights.shape[1]), dtype=weights.dtype)
-    step = max(1, CHUNK_CELLS // n_in)
+    step = max(1, cells // n_in)
     for lo in range(0, size, step):
         rows = table[lo:lo + step]
         for kappa in range(n_out):
@@ -289,7 +310,7 @@ def _exact_key_blocks(table: np.ndarray, numerators: Sequence[Sequence[int]],
     """Integer ``_key_blocks``, exact on float64 limbs (``hashing._limbs``)."""
     limbs, bits = _limbs(numerators, table.shape[1])
     n_in, dim, n_limbs = limbs.shape
-    sums = _key_blocks(table, limbs.reshape(n_in, dim * n_limbs), n_out)
+    sums = _key_blocks(table, limbs.reshape(n_in, dim * n_limbs), n_out, CHUNK_CELLS)
     return _join_limbs(sums.reshape(sums.shape[:2] + (dim, n_limbs)), bits)
 
 
@@ -311,7 +332,8 @@ def hashed_joint_blocks(ensemble: Ensemble, family: HashFamily) -> CqKeyState:
         sums = _exact_key_blocks(family.table, ensemble.numerators, n_out)
         denominator = size * ensemble.denominator
     else:
-        sums = _key_blocks(family.table, _diagonals_in_common_basis(ensemble), n_out)
+        sums = _key_blocks(family.table, _diagonals_in_common_basis(ensemble), n_out,
+                           FLOAT_CHUNK_CELLS)
         denominator = size
     sums.flags.writeable = False  # CqKeyState keeps it without a copy
     return CqKeyState(family.q, family.k, sums, denominator, ensemble.exact)
@@ -323,14 +345,23 @@ def tripartite_distance(cq: CqKeyState):
     ``(1/q) sum_{kappa,g} || block(kappa,g) - q**-k (1/|G|) T_Q ||_1``;
     diagonal blocks make each trace norm a plain absolute sum.  With the
     side marginal's counts ``t``, an entry contributes
-    ``|q**k |G| c - t| / (q**k |G| denominator)``, summed key by key.
+    ``|s c - t| / (s denominator)``, where ``s = q**k |G|``.  Float blocks
+    are summed key by key.  On the exact path ``t_i`` is the sum of the
+    ``s`` entries ``c`` of column ``i``, so the terms ``s c - t_i`` sum to
+    zero, and the absolute sum is twice the sum of the positive ones: those
+    with ``c > t_i // s``.
     """
     side = cq._side_counts()
     spread = cq.q**cq.k * cq.group_size
     gap = 0
-    for block in cq.counts:
-        gap = np.abs(spread * block - side).sum(dtype=object, initial=gap)
-    return cq._value(gap, cq.q * spread)
+    if not cq.exact:
+        for block in cq.counts:
+            gap = np.abs(spread * block - side).sum(dtype=object, initial=gap)
+        return cq._value(gap, cq.q * spread)
+    for column, t in zip(cq.counts.reshape(-1, cq.dim_q).T, side):
+        above = column[column > t // spread]
+        gap += spread * _scalar(above.sum()) - len(above) * t
+    return cq._value(2 * gap, cq.q * spread)
 
 
 def tripartite_report(ensemble: Ensemble, family: HashFamily,

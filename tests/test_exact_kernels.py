@@ -6,11 +6,14 @@ one, two and three limbs.  The table builder is compared with a per-member
 ``M @ digits % q`` product, and the float side-register path (blocks,
 diagonals, readouts and ``e_opt``, with dimension 1 among the cases) with a
 copy of its earlier code, kept below, by ``==``.  The state classes hold
-their counts as one read-only array and read their sizes from its shape.
+their counts as one read-only array, int64 or Python ints by a bound on
+their sizes, and read their sizes from its shape; readouts are compared
+with the loops on both sides of that bound.
 """
 
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -140,18 +143,106 @@ def test_full_width_limbs_at_1024_symbols():
             .tolist() == [[[1024 * value]] * 2, [[0]] * 2]
 
 
-@pytest.mark.parametrize("q,m,k,members,bits,limbs", CASES)
+def int64_admitted(q, k, den):
+    return (q**k * den)**2 < hashing.INT64_BOUND
+
+
+def assert_python_ints(counts, value):
+    assert all(type(c) is int for c in np.ravel(counts.tolist()).tolist())
+    assert type(value.numerator) is int and type(value.denominator) is int
+
+
+# CASES, whose sums need Python ints, and two whose counts are int64.
+READOUT_CASES = CASES + [(2, 8, 3, 16, 4, 1), (3, 4, 2, 20, 6, 1)]
+
+
+@pytest.mark.parametrize("q,m,k,members,bits,limbs", READOUT_CASES)
 def test_side_register_readouts_match_loops(q, m, k, members, bits, limbs):
     rng = np.random.default_rng(bits * 77 + q + m)
     fam = sampled_family(q, m, k, members, rng)
     numerators = [(a, 0, c) for a, _, c in _draw(rng, q**m, 3, bits)]
+    numerators[1] = (0, 0, 0)                        # a symbol of weight zero
     counts = ref_key_blocks(fam.table, numerators, q**k)
     den = members * sum(map(sum, numerators))
-    cq = exact_state(counts, q, k, den)
-    assert tripartite_distance(cq) == ref_tripartite(counts, q, k, den)
-    side = [sum(b[i] for row in counts for b in row) for i in range(3)]
-    assert cq._side_counts().tolist() == side
-    assert side[1] == 0
+    for cq in (exact_state(counts, q, k, den),
+               CqKeyState(q, k, quantum._exact_key_blocks(fam.table, numerators, q**k),
+                          den, True)):
+        assert cq.counts.dtype == (np.int64 if int64_admitted(q, k, den) else object)
+        dist = tripartite_distance(cq)
+        assert dist == ref_tripartite(counts, q, k, den)
+        assert_python_ints(cq.counts, dist)
+        side = [sum(b[i] for row in counts for b in row) for i in range(3)]
+        assert cq._side_counts().tolist() == side
+        assert all(type(t) is int for t in cq._side_counts())
+        assert side[1] == 0
+
+
+@pytest.mark.parametrize("counts", [
+    [[[1, 1]], [[1, 1]]],            # uniform: every entry equals its share
+    [[[1, 3]], [[1, 1]]],            # column 0 tied, column 1 one above
+    [[[2, 0], [2, 1]], [[2, 5], [2, 0]]],   # column 1 has c == t // s < t / s
+    [[[1], [0], [2]], [[0], [3], [0]]],     # share 1: ties, zeros and excess
+    [[[0, 0]], [[0, 6]]],            # a zero column
+])
+def test_tripartite_distance_on_ties(counts):
+    total = sum(c for row in counts for b in row for c in b)
+    ref = ref_tripartite(counts, 2, 1, total)
+    for den in (total, 2**40 * total):      # int64 counts, then Python ints
+        cq = exact_state(counts, 2, 1, den)
+        assert cq.counts.dtype == (np.int64 if den == total else object)
+        assert tripartite_distance(cq) * den == ref * total
+    if all(c == counts[0][0][0] for row in counts for b in row for c in b):
+        assert ref == 0
+
+
+def test_int64_boundary_matches_python_ints():
+    # (q**k * |G| D)**2 < 2**63 with q**k = |G| = 2: D = 759250124 is the
+    # largest D admitted to int64 counts, D + 1 the first held as Python ints.
+    fam = build_family("linear", 2, 1, 1)
+    limit = math.isqrt(hashing.INT64_BOUND - 1)
+    assert 4 * 759250124 <= limit < 4 * 759250125
+    for den, dtype in ((759250124, np.int64), (759250125, object)):
+        f = FiniteDistribution(Alphabet(2), (Fraction(1, den), Fraction(den - 1, den)))
+        js = hashing.joint_state(f, fam)
+        assert js.counts.dtype == dtype and js.denominator == 2 * den
+        counts = ref_cell_sums(fam.table, [1, den - 1], 2)
+        assert js.counts.tolist() == counts
+        cells = [Fraction(c, 2 * den) for row in counts for c in row]
+        dist, pcol = js.distance(), js.collision_probability()
+        assert dist == sum(abs(c - Fraction(1, 4)) for c in cells) / 2
+        assert pcol == sum(c * c for c in cells)
+        assert_python_ints(js.counts, dist)
+        assert type(pcol.numerator) is int
+        # The same boundary on a side register: 2 * den is its denominator.
+        side = exact_state([[[1], [1]], [[den - 1], [den - 1]]], 2, 1, 2 * den)
+        assert side.counts.dtype == dtype
+        d = tripartite_distance(side)
+        assert d == ref_tripartite(side.counts.tolist(), 2, 1, 2 * den)
+        assert_python_ints(side.counts, d)
+
+
+WIDE = 2**70
+
+
+@pytest.mark.parametrize("counts,den,message", [
+    ([[-1], [2]], 1, "joint weights must be nonnegative"),
+    ([[-WIDE], [WIDE + 1]], 1, "joint weights must be nonnegative"),
+    ([[1], [1]], 3, "joint weights must sum to exactly 1"),
+    ([[WIDE], [1]], 1, "joint weights must sum to exactly 1"),
+    ([[2**62], [2**62]], 1, "joint weights must sum to exactly 1"),
+    ([[2**63 - 1], [2**63 - 1]], 2, "joint weights must sum to exactly 1"),
+    ([[1, 0], [1, 0]], 2, "member marginal must be exactly uniform"),
+    ([[WIDE, 0], [0, 0]], WIDE, "member marginal must be exactly uniform"),
+])
+def test_joint_refusals_on_either_dtype(counts, den, message):
+    forms = [np.array(counts, dtype=object)]
+    if all(-2**63 <= c < 2**63 for row in counts for c in row):
+        forms.append(np.array(counts, dtype=np.int64))
+    if all(0 <= c < 2**64 for row in counts for c in row):
+        forms.append(np.array(counts, dtype=np.uint64))
+    for form in forms:
+        with pytest.raises(ValueError, match="^%s$" % message):
+            hashing.JointKeyState(2, 1, form, den)
 
 
 def hash_scale_ensemble(seed=7, n=256, dim=3):
@@ -269,14 +360,33 @@ def earlier_float_distance(counts, q, k, size):
     return gap / (q * spread * size), side
 
 
-@pytest.mark.parametrize("kind,q,m,k,dim", [
-    ("linear", 2, 2, 1, 3), ("toeplitz", 3, 3, 2, 2), ("toeplitz", 2, 6, 2, 4),
-    ("toeplitz", 2, 8, 3, 3), ("toeplitz", 2, 6, 2, 1),
-])
-def test_float_path_is_unchanged(kind, q, m, k, dim):
+def float_diagonal_ensemble(ens):
+    """``ens`` with its prior and states as float diagonals: no common basis
+    to search, so that large alphabets stay quick."""
+    prior = FiniteDistribution(ens.alphabet, tuple(ens.prior.as_floats().tolist()))
+    return Ensemble(prior, [StateDensity.from_diag([float(d) for d in s.diag])
+                            for s in ens.states])
+
+
+# The last three cases would sum several members per product in steps of
+# 2**15 cells where the earlier code took steps of 2**12: 32 members of 1024
+# symbols at the table cap, and blocks of dimension 60, where such steps
+# change the last bits of some float blocks.
+FLOAT_CASES = [
+    ("linear", 2, 2, 1, 3, True), ("toeplitz", 3, 3, 2, 2, True),
+    ("toeplitz", 2, 6, 2, 4, True), ("toeplitz", 2, 8, 3, 3, True),
+    ("toeplitz", 2, 6, 2, 1, True), ("toeplitz", 2, 10, 3, 2, False),
+    ("toeplitz", 2, 8, 3, 60, False), ("toeplitz", 2, 6, 2, 60, True),
+]
+
+
+@pytest.mark.parametrize("kind,q,m,k,dim,rotated", FLOAT_CASES, ids=[
+    "-".join(map(str, case[:5])) + ("" if case[5] else "-diagonal") for case in FLOAT_CASES])
+def test_float_path_is_unchanged(kind, q, m, k, dim, rotated):
     rng = np.random.default_rng(q * 100 + m * 10 + dim)
     fam = build_family(kind, q, m, k)
-    dense = rotate_ensemble(random_diagonal_ensemble(rng, q**m, dim), rng)
+    exact = random_diagonal_ensemble(rng, q**m, dim)
+    dense = rotate_ensemble(exact, rng) if rotated else float_diagonal_ensemble(exact)
     assert not dense.exact
     cq = hashed_joint_blocks(dense, fam)
     counts = earlier_float_blocks(dense, fam)

@@ -240,3 +240,68 @@ def test_nan_prior_is_refused_by_name(tmp_path, capsys):
     assert main(["quantum-lhl", "--q", "2", "--m", "1", "--k", "1", "--ensemble", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: weights must be finite\n"
+
+
+# With N = 2**1100 the weight 1/N is positive but rounds to 0.0 as a float.
+# Routes that take its log or divide by it refuse it by symbol, before any
+# sum; the others (entropy at orders 0, 1/2, 2 and inf) still print a value.
+N = 2**1100
+TINY = "1/%d,%d/%d" % (N, N - 1, N)
+
+
+def underflow(law, route, use):
+    return ("symbol 0 of %s has a positive weight that rounds to 0.0 as a float; "
+            "the %s %s" % (law, route, use))
+
+
+UNDERFLOW = [
+    (["--order", "1"], underflow("f", "Shannon entropy", "takes its log")),
+    (["--other", TINY, "--order", "2"],
+     underflow("f_plus", "order-2 divergence", "divides by it")),
+    (["--other", TINY, "--order", "0.7"],
+     underflow("f", "order-0.7 divergence", "takes its log")),
+    (["--other", TINY, "--order", "3"], underflow("f", "order-3 divergence", "takes its log")),
+    (["--other", TINY, "--order", "inf"],
+     underflow("f_plus", "max-ratio divergence", "divides by it")),
+    (["--other", "1/2,1/2", "--order", "1"], underflow("f", "KL divergence", "takes its log")),
+    (["--other", "1/2,1/2", "--order", "0.7"],
+     underflow("f", "order-0.7 divergence", "takes its log")),
+    (["--other", "1/2,1/2", "--order", "3"],
+     underflow("f", "order-3 divergence", "takes its log")),
+]
+
+
+def underflow_id(argv):
+    other = "" if argv[0] != "--other" else "other=%s-" % ("same" if argv[1] == TINY else argv[1])
+    return other + "order=" + argv[-1]
+
+
+@pytest.mark.parametrize("argv,message", UNDERFLOW, ids=[underflow_id(a) for a, _ in UNDERFLOW])
+def test_underflowing_weight_is_refused_by_symbol(capsys, argv, message):
+    assert main(["entropy", "--weights", TINY] + argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: %s\n" % message
+
+
+def test_underflowing_weight_is_refused_as_a_reference(capsys):
+    # As f_plus, the weight is divided by on the KL route.
+    assert main(["entropy", "--weights", "1/2,1/2", "--other", TINY, "--order", "1"]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % underflow(
+        "f_plus", "KL divergence", "divides by it")
+
+
+@pytest.mark.parametrize("order", ["1", "2", "3", "inf"])
+def test_support_outside_the_reference_is_infinite_before_any_refusal(capsys, order):
+    # supp f is not inside supp f_plus, so the divergence is inf whatever the
+    # float readout of 1/N; the KL route read log(0.0) first and failed before.
+    assert main(["entropy", "--weights", TINY, "--other", "1,0", "--order", order]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and '"value": "inf"' in out.out
+
+
+@pytest.mark.parametrize("order,value", [("0", 1.0), ("0.5", 0.0), ("2", 0.0), ("inf", 0.0)])
+def test_underflowing_weight_keeps_the_routes_that_need_no_log_of_it(capsys, order, value):
+    assert main(["entropy", "--weights", TINY, "--order", order]) == 0
+    assert capsys.readouterr().err == ""
+    f = FiniteDistribution(Alphabet(2), (Fraction(1, N), Fraction(N - 1, N)))
+    assert entropy.renyi_entropy(f, float(order)) == value
