@@ -42,11 +42,12 @@ MAX_FLOOR_BITS = 1000
 # at 2**15, 10.8 ms at 2**16 and 12.5 ms at 2**17 (medians of 25 passes,
 # 2-core host); (2, 8, 3) then takes 8 steps of 128 members, not 64 of 16.
 CHUNK_CELLS = 2**15
-# An exact state's counts are int64 when ``(q**k * denominator)**2`` is below
-# this: every sum its readouts take then fits (``_set_counts``).
+# An exact state's counts are int64 when ``(q**k * denominator)**2`` and
+# ``counts.size * denominator`` are below this: every sum its readouts take
+# then fits (``_set_counts``).
 INT64_BOUND = 2**63
 # One-byte key digits made per step of a table build: Toeplitz (2, 10, 3)
-# builds ~10x faster than in steps of CHUNK_CELLS; larger steps gain little.
+# builds ~10x faster than in steps of 2**12 cells; larger steps gain little.
 _BUILD_DIGITS = 2**17
 
 
@@ -227,12 +228,13 @@ class JointKeyState:
         """
         n_out = self.q**self.k
         share = self.denominator // self.group_size
-        gap = _scalar(np.abs(n_out * self.counts - share).sum())
+        gap = _scalar(sum(np.abs(n_out * row - share).sum() for row in self.counts))
         return Fraction(gap, self.q * n_out * self.denominator)
 
     def collision_probability(self) -> Fraction:
         """``sum_{kappa,g} P_KG(kappa,g)**2``."""
-        return Fraction(_scalar((self.counts * self.counts).sum()), self.denominator**2)
+        squares = _scalar(sum((row * row).sum() for row in self.counts))
+        return Fraction(squares, self.denominator**2)
 
 
 def _set_counts(state, exact: bool, ndim: int) -> np.ndarray:
@@ -241,7 +243,8 @@ def _set_counts(state, exact: bool, ndim: int) -> np.ndarray:
     else copied.
 
     Float counts are float64.  Exact counts are int64 when
-    ``(q**k * denominator)**2 < INT64_BOUND`` and they are integers in
+    ``(q**k * denominator)**2`` and ``counts.size * denominator`` are both
+    below ``INT64_BOUND`` and they are integers in
     ``[0, denominator]`` summing to at most ``denominator``, as a state's
     cells do; else Python ints.  On a valid state every readout's sums are
     then below ``(q**k * denominator)**2`` (``|G|`` divides the denominator),

@@ -20,8 +20,8 @@ numerators are summed per (key, member) cell over ``|G| D``, as exact
 float64 limbs multiplied key by key by an indicator of the family's table,
 in steps of ``hashing.CHUNK_CELLS`` = 2**15 table cells: on Toeplitz
 (2, 8, 3), 8 steps of 128 members, measured fastest of 2**12 to 2**17
-(see that constant).  The counts are int64 when ``(q**k |G| D)**2 < 2**63``,
-else Python ints, and the exact distance sums only the entries above their
+(see that constant).  The counts are int64 when ``(q**k |G| D)**2`` and
+``counts.size |G| D`` are below 2**63, else Python ints, and the exact distance sums only the entries above their
 share of the side marginal, twice, since the signed terms sum to zero.
 Float blocks keep steps of ``FLOAT_CHUNK_CELLS`` = 2**12 cells and sum the
 absolute terms of every entry.  This pushforward is apart from
@@ -285,10 +285,7 @@ class CqKeyState:
     def _side_counts(self) -> np.ndarray:
         """Counts of ``T_Q``, the sum of all blocks: the side-register diagonal,
         as Python numbers."""
-        flat = self.counts.reshape(-1, self.dim_q)
-        if self.exact:
-            return flat.sum(axis=0).astype(object)
-        return flat.sum(axis=0, dtype=object, initial=0)
+        return self.counts.reshape(-1, self.dim_q).sum(axis=0, dtype=object, initial=0)
 
 
 def _key_blocks(table: np.ndarray, weights: np.ndarray, n_out: int,
