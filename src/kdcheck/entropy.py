@@ -73,6 +73,21 @@ def _refuse_underflow(w: list, ons: tuple, law: str, route: str, use: str) -> No
                     "float; the %s %s" % (x, law, route, use))
 
 
+def _finite_sum(terms, p: list, route: str) -> float:
+    """``math.fsum(terms)``, refused where a term or the sum passes the float
+    range, naming the symbol of the largest ratio of f to f_plus (``p`` holds
+    ``(w, w > 0, v, v > 0)`` per symbol)."""
+    try:
+        s = math.fsum(terms)
+    except OverflowError:
+        s = math.inf
+    if math.isinf(s):
+        _, x = max((math.log(w) - math.log(v), x) for x, (w, _, v, _) in enumerate(p) if w and v)
+        raise ValueError("symbol %d of f_plus lies so far below f that the %s "
+                         "overflows a float" % (x, route))
+    return s
+
+
 def _divergence_with_method(
     f: FiniteDistribution, f_plus: FiniteDistribution, alpha: float, base: float
 ) -> Tuple[float, str]:
@@ -111,7 +126,7 @@ def _divergence_with_method(
         for w, pw, v, _ in p:
             if pw:
                 total += w * math.log(w / v)
-        return total / math.log(base), "closed-form:kl"
+        return _finite_sum((total,), p, "KL divergence") / math.log(base), "closed-form:kl"
 
     if math.isinf(alpha) or alpha > INF_THRESHOLD:
         if outside:
@@ -121,22 +136,23 @@ def _divergence_with_method(
         for w, pw, v, _ in p:
             if pw:
                 worst = max(worst, w / v)
+        worst = _finite_sum((worst,), p, "max-ratio divergence")
         return math.log(worst, base), "closed-form:max-ratio"
 
     if alpha > 1.0 and outside:
         return math.inf, "closed-form:chi-square" if alpha == 2.0 else "generic"
     if alpha == 2.0:
         _refuse_underflow(w_g, ons, "f_plus", "order-2 divergence", "divides by it")
-        s = math.fsum(w ** 2 / v for w, pw, v, _ in p if pw)
+        s = _finite_sum((w ** 2 / v for w, pw, v, _ in p if pw), p, "order-2 divergence")
         return math.log(s, base), "closed-form:chi-square"
 
     for law, weights in (("f", w_f), ("f_plus", w_g)):
         _refuse_underflow(weights, ons, law, "order-%g divergence" % alpha, "takes its log")
-    s = math.fsum(
+    s = _finite_sum((
         math.exp(alpha * math.log(w) + (1.0 - alpha) * math.log(v))
         for w, pw, v, pv in p
         if pw and pv
-    )
+    ), p, "order-%g divergence" % alpha)
     if s == 0.0:
         return math.inf, "generic"
     return math.log(s, base) / (alpha - 1.0), "generic"
@@ -230,7 +246,7 @@ class ContinuousDensity:
         Integration window, whose mass must lie within ``MASS_TOL`` of 1.
     """
 
-    __slots__ = ("pdf", "lower", "upper", "mass")
+    __slots__ = ("pdf", "lower", "upper")
 
     def __init__(self, pdf: Callable, lower: float, upper: float):
         lower, upper = float(lower), float(upper)
@@ -245,11 +261,11 @@ class ContinuousDensity:
         vals = np.asarray(pdf(pts[:, 0]), dtype=float)
         if vals.min() < -1e-12:
             raise ValueError("density is negative on the window")
-        self.mass = float(np.dot(wts, np.clip(vals, 0.0, None)))
-        if abs(self.mass - 1.0) > MASS_TOL:
+        mass = float(np.dot(wts, np.clip(vals, 0.0, None)))
+        if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(
                 "window mass %.3g deviates from 1 beyond tol %.1g"
-                % (self.mass, MASS_TOL)
+                % (mass, MASS_TOL)
             )
 
     @classmethod

@@ -228,12 +228,12 @@ class JointKeyState:
         """
         n_out = self.q**self.k
         share = self.denominator // self.group_size
-        gap = _scalar(sum(np.abs(n_out * row - share).sum() for row in self.counts))
+        gap = int(sum(np.abs(n_out * row - share).sum() for row in self.counts))
         return Fraction(gap, self.q * n_out * self.denominator)
 
     def collision_probability(self) -> Fraction:
         """``sum_{kappa,g} P_KG(kappa,g)**2``."""
-        squares = _scalar(sum((row * row).sum() for row in self.counts))
+        squares = int(sum((row * row).sum() for row in self.counts))
         return Fraction(squares, self.denominator**2)
 
 
@@ -268,11 +268,6 @@ def _set_counts(state, exact: bool, ndim: int) -> np.ndarray:
                          % (ndim, counts.shape))
     object.__setattr__(state, "counts", counts)
     return counts
-
-
-def _scalar(total):
-    """A sum over counts as a Python number: an int, not a numpy scalar."""
-    return total.item() if isinstance(total, np.generic) else total
 
 
 def _require_exact(f: FiniteDistribution):

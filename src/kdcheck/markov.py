@@ -128,9 +128,6 @@ class Poly:
             out = out * r + c
         return out
 
-    def __repr__(self) -> str:
-        return "Poly(%s)" % (poly_str(self.c),)
-
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Greatest common divisor as a primitive integer polynomial (integer
@@ -247,9 +244,6 @@ class RationalFunction:
         if self.den.degree == 0:
             return num
         return "(%s)/(%s)" % (num, den)
-
-    def __repr__(self) -> str:
-        return "RationalFunction(%s)" % self.display()
 
 
 @dataclass(frozen=True)

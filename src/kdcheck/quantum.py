@@ -23,8 +23,9 @@ in steps of ``hashing.CHUNK_CELLS`` = 2**15 table cells: on Toeplitz
 (see that constant).  The counts are int64 when ``(q**k |G| D)**2`` and
 ``counts.size |G| D`` are below 2**63, else Python ints, and the exact distance sums only the entries above their
 share of the side marginal, twice, since the signed terms sum to zero.
-Float blocks keep steps of ``FLOAT_CHUNK_CELLS`` = 2**12 cells and sum the
-absolute terms of every entry.  This pushforward is apart from
+Float blocks keep steps of ``FLOAT_CHUNK_CELLS`` = 2**12 cells, so that
+their bits do not depend on the BLAS thread count (see that constant), and
+sum the absolute terms of every entry.  This pushforward is apart from
 ``hashing.joint_state`` (a scatter), so that a trivial side register gives
 a second route to the classical distance.
 """
@@ -47,7 +48,7 @@ from .core import (
     state_from_json,
 )
 from .hashing import (CHUNK_CELLS, MAX_TABLE_CELLS, HashFamily, _bound_verdict,
-                      _entropy_floor, _join_limbs, _limbs, _scalar, _set_counts,
+                      _entropy_floor, _join_limbs, _limbs, _set_counts,
                       lhl_bound)
 
 COMMUTE_TOL = 1e-9
@@ -57,11 +58,12 @@ PINV_CUTOFF = 1e-12
 # 2-core host.
 MAX_PHI_DIM = 200
 # Table cells per step of the float side-register pushforward.  BLAS sums a
-# float block in an order set by the shape of its product: with OpenBLAS 0.3,
-# steps of hashing.CHUNK_CELLS on a Toeplitz (2, 8, 3) table change the last
-# bits of some blocks at dim_q = 60, 100 or 244 (not at 3, 32 or 200), so
-# float blocks keep the step they were first printed with.  Exact limb sums
-# are the same in any order.
+# float block in an order set by its product's shape and thread count.  With
+# OpenBLAS 0.3 on two cores, steps of hashing.CHUNK_CELLS change the last bits
+# of blocks at most shapes tried, and make some differ between one thread and
+# two (Toeplitz (3, 5, 2) and (2, 9, 2) at dim_q 100).  These steps, which the
+# blocks were first printed with, gave one thread and two the same bits in
+# every case tried.  Exact limb sums are the same in any order.
 FLOAT_CHUNK_CELLS = 2**12
 
 
@@ -276,12 +278,6 @@ class CqKeyState:
     def dim_q(self) -> int:
         return self.counts.shape[2]
 
-    def _value(self, count, scale: int):
-        """``count / (scale * denominator)``: a Fraction on the exact path."""
-        if self.exact:
-            return Fraction(count, scale * self.denominator)
-        return count / (scale * self.denominator)
-
     def _side_counts(self) -> np.ndarray:
         """Counts of ``T_Q``, the sum of all blocks: the side-register diagonal,
         as Python numbers."""
@@ -354,11 +350,11 @@ def tripartite_distance(cq: CqKeyState):
     if not cq.exact:
         for block in cq.counts:
             gap = np.abs(spread * block - side).sum(dtype=object, initial=gap)
-        return cq._value(gap, cq.q * spread)
+        return gap / (cq.q * spread * cq.denominator)
     for column, t in zip(cq.counts.reshape(-1, cq.dim_q).T, side):
         above = column[column > t // spread]
-        gap += spread * _scalar(above.sum()) - len(above) * t
-    return cq._value(2 * gap, cq.q * spread)
+        gap += spread * int(above.sum()) - len(above) * t
+    return Fraction(2 * gap, cq.q * spread * cq.denominator)
 
 
 def tripartite_report(ensemble: Ensemble, family: HashFamily,

@@ -15,8 +15,8 @@ The "paper-literal" mode instead applies the printed interpolation rule
 ``W(t) = (1/eta!) * (W(l) + W(l + 1/f(eta-2))) * k + (1/f(eta)) * Z``
 with ``k`` the 1-based left-to-right index of the new point at its level
 and ``(l, l + 1/f(eta-2))`` the enclosing previous-level gap.  That rule
-is not distribution preserving; outputs are flagged nonstandard and no
-statistical claims attach to them.
+is not distribution preserving, so no statistical claim attaches to its
+paths: ``increment_stats`` refuses them.
 
 Both modes share one refinement kernel.  It walks a level in blocks of
 whole gaps, takes one normal draw per block in (gap, position, rep,
@@ -79,10 +79,6 @@ class PathEnsemble:
     @property
     def reps(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def nonstandard(self) -> bool:
-        return self.mode == "paper-literal"
 
     def path(self, rep: int = 0) -> np.ndarray:
         return self.values[rep]
@@ -250,16 +246,16 @@ def increment_stats(ensemble: PathEnsemble) -> dict:
 
 
 def refinement_delta(dim: int, etas: Sequence[int], seed: int = 0,
-                     reps: int = 1, mode: str = "standard") -> np.ndarray:
+                     reps: int = 1) -> np.ndarray:
     """Sup deviation of each level from the previous level's interpolant.
 
-    Paths are simulated once, to level ``max(etas)``.  For each ``eta``
-    in ``etas`` (even, >= 2) the coupled pair ``(W_{eta-2}, W_eta)`` is
-    read as two slices of them and
+    Standard-mode paths are simulated once, to level ``max(etas)``.  For
+    each ``eta`` in ``etas`` (even, >= 2) the coupled pair
+    ``(W_{eta-2}, W_eta)`` is read as two slices of them and
     ``sup_t |W_eta(t) - interp(W_{eta-2})(t)|`` over the level-``eta``
     grid is recorded.  Returns shape (reps, len(etas)).
     """
-    _check_args(dim, reps, mode)
+    _check_args(dim, reps, "standard")
     etas = list(etas)
     if not etas:
         raise ValueError("need at least one level")
@@ -286,5 +282,5 @@ def refinement_delta(dim: int, etas: Sequence[int], seed: int = 0,
             out[:, col] = np.abs(fine - interp).max(axis=(1, 2))
         return out
 
-    chunks = _chunks(dim, top, reps, seed, mode)
+    chunks = _chunks(dim, top, reps, seed, "standard")
     return np.concatenate([deltas(vals) for vals in chunks], axis=0)

@@ -460,8 +460,10 @@ def test_verify_json_timings_are_opt_in(capsys):
     rep = json.loads(first[1])
     assert "total_seconds" not in rep
     assert [sorted(r) for r in rep["results"]] == [[
-        "budget_seconds", "details", "name", "paper_anchor", "passed", "schema"]]
+        "details", "name", "paper_anchor", "passed", "schema"]]
     timed = run_json(capsys, *argv, "--timings")
+    assert [sorted(r) for r in timed["results"]] == [[
+        "details", "elapsed_seconds", "name", "paper_anchor", "passed", "schema"]]
     assert timed["total_seconds"] == timed["results"][0]["elapsed_seconds"] >= 0
 
 

@@ -14,7 +14,11 @@ with the loops on both sides of that bound.
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +402,36 @@ def test_float_path_is_unchanged(kind, q, m, k, dim, rotated):
     assert quantum._diagonals_in_common_basis(dense).tolist() \
         == [list(d) for d in earlier_diagonals(dense)]
     assert quantum.e_opt(dense) == earlier_e_opt(dense)
+
+
+def toeplitz_352_float_blocks_sha256():
+    """sha256 of the float blocks of Toeplitz (3, 5, 2) on a float-diagonal
+    ensemble of dimension 100.  Its states are the matrices that
+    ``float_diagonal_ensemble`` would build, without the eigenvalue check
+    that takes most of its time at this size."""
+    exact = random_diagonal_ensemble(np.random.default_rng(100), 243, 100)
+    prior = FiniteDistribution(exact.alphabet, tuple(exact.prior.as_floats().tolist()))
+    states = [StateDensity(100, mat=np.diag([complex(d) for d in s.diag])) for s in exact.states]
+    cq = hashed_joint_blocks(Ensemble(prior, states), build_family("toeplitz", 3, 5, 2))
+    return hashlib.sha256(cq.counts.tobytes()).hexdigest()
+
+
+def test_float_blocks_do_not_depend_on_the_blas_thread_count():
+    # With OpenBLAS 0.3 on two cores, steps of hashing.CHUNK_CELLS give these
+    # blocks different last bits on one thread (sha256 3e550e9f...) and on the
+    # default count (65b950b7...); steps of FLOAT_CHUNK_CELLS give f6c77a0c...
+    # on both.  On a one-core host both runs use one thread and this passes
+    # whatever the step.
+    here = Path(__file__).resolve().parent
+    src = Path(quantum.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), str(here), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_exact_kernels as t; "
+         "print(t.toeplitz_352_float_blocks_sha256())"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == toeplitz_352_float_blocks_sha256() + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -305,3 +305,57 @@ def test_underflowing_weight_keeps_the_routes_that_need_no_log_of_it(capsys, ord
     assert capsys.readouterr().err == ""
     f = FiniteDistribution(Alphabet(2), (Fraction(1, N), Fraction(N - 1, N)))
     assert entropy.renyi_entropy(f, float(order)) == value
+
+
+# With N = 2**1074 the weight 1/N reads as the least subnormal float, and with
+# N = 10**300 as a normal one.  Against a weight of 1/2 in f, a ratio, a term
+# or the sum of some divergence routes passes the float range, though the
+# divergence is finite (about 536 bits at order 1 for N = 2**1074); those
+# routes refuse it by symbol before printing.
+NS = {"2**1074": 2**1074, "10**300": 10**300}
+
+
+def reciprocal(n):
+    return "1/%d,%d/%d" % (NS[n], NS[n] - 1, NS[n])
+
+
+def overflow(route):
+    return "symbol 0 of f_plus lies so far below f that the %s overflows a float" % route
+
+
+OVERFLOW = [
+    ("2**1074", "1", overflow("KL divergence")),
+    ("2**1074", "inf", overflow("max-ratio divergence")),
+    ("2**1074", "2", overflow("order-2 divergence")),
+    ("2**1074", "3", overflow("order-3 divergence")),
+    ("2**1074", "10", overflow("order-10 divergence")),
+    ("10**300", "3", overflow("order-3 divergence")),
+    ("10**300", "10", overflow("order-10 divergence")),
+]
+
+
+@pytest.mark.parametrize("n,order,message", OVERFLOW,
+                         ids=["N=%s-order=%s" % case[:2] for case in OVERFLOW])
+def test_overflowing_ratio_is_refused_by_symbol(capsys, n, order, message):
+    other = reciprocal(n)
+    assert main(["entropy", "--weights", "1/2,1/2", "--other", other, "--order", order]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: %s\n" % message
+
+
+# The routes whose sums stay in range print what they printed before.
+IN_RANGE = [
+    ("2**1074", "0.5", "0.9999999999999999"), ("2**1074", "1.5", "1071.0"),
+    ("10**300", "0.5", "0.9999999999999999"), ("10**300", "1", "497.2892142331044"),
+    ("10**300", "1.5", "993.5784284662088"), ("10**300", "2", "994.5784284662087"),
+    ("10**300", "inf", "995.5784284662088"),
+]
+
+
+@pytest.mark.parametrize("n,order,value", IN_RANGE,
+                         ids=["N=%s-order=%s" % case[:2] for case in IN_RANGE])
+def test_ratio_in_range_keeps_its_value(capsys, n, order, value):
+    other = reciprocal(n)
+    assert main(["entropy", "--weights", "1/2,1/2", "--other", other, "--order", order]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and '\n  "value": %s\n' % value in out.out

@@ -142,10 +142,9 @@ def test_refinement_deltas_shrink():
     assert med[0] > med[1] > med[2]
 
 
-def test_literal_mode_flagged_and_different():
+def test_literal_mode_paths_differ():
     std = simulate_ensemble(1, 4, 20, seed=8)
     lit = simulate_ensemble(1, 4, 20, seed=8, mode="paper-literal")
-    assert not std.nonstandard and lit.nonstandard
     assert not np.array_equal(std.values, lit.values)
 
 
@@ -241,18 +240,19 @@ def test_one_path_rep_checked_before_simulating(no_simulation, reps, rep):
         simulate(1, 4, reps=reps, rep=rep)
 
 
-@pytest.mark.parametrize("block", [1, None])
-@pytest.mark.parametrize("mode", ["standard", "paper-literal"])
-def test_refinement_delta_matches_reference_kernel(monkeypatch, block, mode):
+# refinement_delta refines in standard mode only; the ids name it.
+@pytest.mark.parametrize("block", [1, None], ids=["standard-1", "standard-None"])
+def test_refinement_delta_matches_reference_kernel(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(treeproc, "_BLOCK_NORMALS", block)
-    got = refinement_delta(2, [2, 4, 6], seed=3, reps=260, mode=mode)
+    got = refinement_delta(2, [2, 4, 6], seed=3, reps=260)
 
     def reference(vals, eta_prev, eta, rng, mode, reps, keep):
         assert len(vals) == reps  # refinement_delta keeps every path
+        assert mode == "standard"
         return _reference_refine(vals, eta_prev, eta, rng, mode)
     monkeypatch.setattr(treeproc, "_refine", reference)
-    want = refinement_delta(2, [2, 4, 6], seed=3, reps=260, mode=mode)
+    want = refinement_delta(2, [2, 4, 6], seed=3, reps=260)
     assert np.array_equal(got, want)
 
 

@@ -149,14 +149,13 @@ def test_entropy_check_counts_the_lying_route(monkeypatch, name, lie, counter):
 def test_a_check_that_raises_is_a_failed_check():
     def boom():
         raise RuntimeError("route crashed")
-    res = verify.run_check(verify.Check("boom", "a crashing check", 1.0, boom))
+    res = verify.run_check(verify.Check("boom", "a crashing check", boom))
     assert res["passed"] is False
     assert res["details"] == {"error": "RuntimeError: route crashed"}
 
 
 def test_verify_all_exits_three_on_a_failed_check(monkeypatch, capsys):
-    failing = verify.Check("always-fails", "a check that fails", 1.0,
-                           lambda: {"passed": False})
+    failing = verify.Check("always-fails", "a check that fails", lambda: {"passed": False})
     monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:1] + (failing,))
     code, out, err = run_cli(capsys, "verify-all")
     assert code == 3 and err == ""
