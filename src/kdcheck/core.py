@@ -225,7 +225,10 @@ class StateDensity:
             vals = [float(e) for e in entries]
             if any(v < -PSD_TOL for v in vals):
                 raise ValueError("diagonal entry below -1e-10: not positive semidefinite")
-            return cls.from_matrix(np.diag([0.0 if v < 0 else v for v in vals]))
+            # The eigenvalues of a diagonal are its entries, so only the
+            # trace is left to check.
+            return cls._dense(np.diag(np.array([0.0 if v < 0 else v for v in vals],
+                                               dtype=complex)))
         entries = tuple(Fraction(e) for e in entries)
         if any(e < 0 for e in entries):
             raise ValueError("diagonal entries must be nonnegative")
@@ -248,6 +251,12 @@ class StateDensity:
                 "state matrix has eigenvalue %g below -1e-10: not positive semidefinite"
                 % evals.min()
             )
+        return cls._dense(m)
+
+    @classmethod
+    def _dense(cls, m: np.ndarray) -> "StateDensity":
+        """A state of the positive semidefinite ``complex`` matrix ``m``, once
+        its trace is checked."""
         tr = float(np.real(np.trace(m)))
         if tr > 1 + TRACE_TOL:
             raise ValueError("trace %g exceeds 1 beyond tolerance" % tr)

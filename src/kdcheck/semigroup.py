@@ -293,20 +293,30 @@ def _cholesky(spec: CovSpec) -> np.ndarray:
     return np.linalg.cholesky(sigma)
 
 
+_hermite_cache: dict = {}
+
+
 def _hermite_1d(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Probabilists' Gauss-Hermite rule by Golub-Welsch, weights summing to 1.
 
     The nodes are the eigenvalues of the Jacobi matrix with off-diagonal
     ``sqrt(k)``; each weight is the squared first component of its
-    eigenvector, which stays finite where ``hermegauss`` overflows.
+    eigenvector, which stays finite where ``hermegauss`` overflows.  The
+    rule is built once per order and returned as read-only arrays: an
+    ``eigh`` of order 40 wakes an OpenBLAS worker thread, which spins on
+    after the call returns.
     """
-    off = np.sqrt(np.arange(1.0, n))
-    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    weights = vecs[0] ** 2
-    # The rule is symmetric; symmetrize away eigensolver rounding.
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    return nodes, weights / weights.sum()
+    if n not in _hermite_cache:
+        off = np.sqrt(np.arange(1.0, n))
+        nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        weights = vecs[0] ** 2
+        # The rule is symmetric; symmetrize away eigensolver rounding.
+        nodes = 0.5 * (nodes - nodes[::-1])
+        weights = 0.5 * (weights + weights[::-1])
+        weights = weights / weights.sum()
+        nodes.flags.writeable = weights.flags.writeable = False
+        _hermite_cache[n] = nodes, weights
+    return _hermite_cache[n]
 
 
 def _whitened_rule(chol: np.ndarray, t: float,
@@ -373,6 +383,24 @@ def _hermite_average(f: Callable, t: float, chol: np.ndarray, pts: np.ndarray,
     return fine, n, estimate
 
 
+def _transform(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``z @ m.T``, each output coordinate a multiply-add over ``z``'s columns.
+
+    No BLAS call: at ``CHUNK_ROWS`` rows the product is past OpenBLAS's
+    threading cut, and its worker thread adds CPU time to a Monte Carlo
+    leg without shortening it.  The bytes depend on no BLAS build or
+    thread count.  The result is the ``(N, d)`` view of a coordinate-major
+    block, as in ``_average``: what is computed from it runs along
+    contiguous columns, not along rows of ``d`` entries.
+    """
+    out = np.empty((m.shape[0], len(z)))
+    for r, row in enumerate(m):
+        np.multiply(z[:, 0], row[0], out=out[r])
+        for c in range(1, len(row)):
+            out[r] += z[:, c] * row[c]
+    return out.T
+
+
 def _mc_rows(rng: np.random.Generator, out: np.ndarray, d: int,
              leg: Callable) -> None:
     """Fill ``out[rows] = leg(rows, z)`` in blocks of at most ``CHUNK_ROWS`` rows;
@@ -434,7 +462,7 @@ def apply(
         out, vals = np.empty(pts.shape[0]), np.empty(samples)
         for i, x in enumerate(pts):
             _mc_rows(np.random.default_rng(seeds[i]), vals, d,
-                     lambda _, z: _eval_f(f, x[None, :] + z @ scaled.T))
+                     lambda _, z: _eval_f(f, x[None, :] + _transform(z, scaled)))
             out[i] = float(np.mean(vals))
         return out
     raise ValueError("method must be 'quadrature' or 'mc'")
@@ -507,11 +535,12 @@ def check_semigroup(
             rng = np.random.default_rng(seeds[i])
             # z1's normals all precede z2's in the stream, so the first leg
             # x + A is stored whole; adding B to it rounds as x + A + B does.
-            _mc_rows(rng, first, d, lambda _, z: x[None, :] + math.sqrt(s) * (z @ chol.T))
+            _mc_rows(rng, first, d,
+                     lambda _, z: x[None, :] + math.sqrt(s) * _transform(z, chol))
             _mc_rows(rng, v1, d, lambda rows, z: _eval_f(
-                f, first[rows] + math.sqrt(t) * (z @ chol.T)))
+                f, first[rows] + math.sqrt(t) * _transform(z, chol)))
             _mc_rows(rng, v2, d, lambda _, z: _eval_f(
-                f, x[None, :] + math.sqrt(s + t) * (z @ chol.T)))
+                f, x[None, :] + math.sqrt(s + t) * _transform(z, chol)))
             dev = abs(float(v1.mean() - v2.mean()))
             se = math.sqrt(v1.var(ddof=1) / samples + v2.var(ddof=1) / samples)
             max_dev = max(max_dev, dev)

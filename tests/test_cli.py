@@ -703,7 +703,7 @@ MC_ARGV = ["semigroup", "--variances", "1,0.8,1.2", "--correlations", "0.2,-0.1,
 @pytest.mark.parametrize("argv,digest", [
     (MC_ARGV, "2f13c65af95c00f5c797043f6bb86d0f3e86ac9965643811436d26d3e9bcde6f"),
     (MC_ARGV + ["--compose", "0.3,0.6"],
-     "eb66e58e8596b6063deeb2efd02247ffe495c7f2edd5923ac275a1c476bf6a38"),
+     "7efde0187d5a4b6cc96bbd7e56f7de19c1147cb3dfbdfecff344b7d7590450ce"),
 ], ids=["apply", "compose"])
 def test_mc_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)

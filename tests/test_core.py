@@ -175,6 +175,22 @@ def test_float_diagonal_clamps_entries_just_below_zero():
     assert np.array_equal(s.mat, np.diag([0.75, 0.25 + 1e-12, 0.0]))
 
 
+def test_float_diagonal_skips_the_eigenvalue_check(monkeypatch):
+    entries = (0.5, 0.25 + 1e-12, -1e-12, 0.25 - 1e-12)
+    dense = StateDensity.from_matrix(np.diag([0.5, 0.25 + 1e-12, 0.0, 0.25 - 1e-12]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran eigvalsh on a diagonal")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    s = StateDensity.from_diag(entries)
+    assert s.mat.dtype == complex and s.mat.tobytes() == dense.mat.tobytes()
+    with pytest.raises(ValueError, match="^diagonal entry below -1e-10: not positive "
+                                         "semidefinite$"):
+        StateDensity.from_diag((1.0, -2e-10))
+    with pytest.raises(ValueError, match="^trace 1.5 exceeds 1 beyond tolerance$"):
+        StateDensity.from_diag((0.75, 0.75))
+
+
 def test_trace_distance_of_weighted_states_is_the_helstrom_norm():
     # ||W_0 - W_1||_1 with W_x = p_x rho_x subnormalized, as (1 + ||.||_1)/2 needs.
     rng = np.random.default_rng(74)

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -539,7 +541,8 @@ def whole_array_apply_mc(f, t, spec, points, seed, samples):
     out = np.empty(pts.shape[0])
     for i, x in enumerate(pts):
         z = np.random.default_rng(seeds[i]).standard_normal((samples, d))
-        out[i] = float(np.mean(semigroup._eval_f(f, x[None, :] + z @ scaled.T)))
+        y = x[None, :] + semigroup._transform(z, scaled)
+        out[i] = float(np.mean(semigroup._eval_f(f, y)))
     return out
 
 
@@ -554,10 +557,12 @@ def whole_array_compose_mc(f, s, t, spec, points, seed, samples):
         rng = np.random.default_rng(seeds[i])
         z1 = rng.standard_normal((samples, d))
         z2 = rng.standard_normal((samples, d))
-        y = x[None, :] + math.sqrt(s) * (z1 @ chol.T) + math.sqrt(t) * (z2 @ chol.T)
+        y = (x[None, :] + math.sqrt(s) * semigroup._transform(z1, chol)
+             + math.sqrt(t) * semigroup._transform(z2, chol))
         v1 = semigroup._eval_f(f, y)
         z3 = rng.standard_normal((samples, d))
-        v2 = semigroup._eval_f(f, x[None, :] + math.sqrt(s + t) * (z3 @ chol.T))
+        v2 = semigroup._eval_f(
+            f, x[None, :] + math.sqrt(s + t) * semigroup._transform(z3, chol))
         dev = abs(float(v1.mean() - v2.mean()))
         se = math.sqrt(v1.var(ddof=1) / samples + v2.var(ddof=1) / samples)
         max_dev = max(max_dev, dev)
@@ -584,6 +589,59 @@ def test_blocked_mc_composition_matches_whole_draw(d, samples):
                           seed=88, samples=samples)
     want = whole_array_compose_mc(f, 0.3, 0.6, MC_SPECS[d], MC_POINTS[d], 88, samples)
     assert (rep["max_abs_deviation"], rep["max_deviation_in_se"]) == want
+
+
+@pytest.mark.parametrize("rows", [1, semigroup.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_transform_matches_the_matrix_product(d, rows):
+    m = semigroup._cholesky(MC_SPECS[d])
+    z = np.random.default_rng(rows).standard_normal((rows, d))
+    got = semigroup._transform(z, m)
+    assert got.shape == (rows, d)
+    # Relative to the result, cancellation leaves gaps of 1e-12; a rounding
+    # error bound of a d-term dot product scales with its absolute terms.
+    terms = np.abs(z) @ np.abs(m).T
+    assert (np.abs(got - z @ m.T) <= d * np.finfo(float).eps * terms).all()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="no second core to wake")
+def test_semigroup_check_wakes_no_worker_thread():
+    # The d = 3 Monte Carlo and d = 2 quadrature compositions of verify-all.
+    f3 = lambda x: np.exp(-0.25 * np.sum(x ** 2, axis=-1))
+    pts3 = [[0.0, 0.0, 0.0], [0.5, -0.5, 0.2], [-0.7, 0.1, 0.9]]
+    f2 = lambda x: np.exp(-0.5 * ((x[:, 0] - 0.2) ** 2 + 0.8 * x[:, 1] ** 2) / 1.5) \
+        * (1.0 + 0.3 * np.sin(x[:, 0]))
+    pts2 = [[0.0, 0.0], [0.5, -0.4], [-0.8, 0.3], [1.0, 1.0]]
+
+    def checks():
+        check_semigroup(f3, 0.3, 0.6, MC_SPECS[3], pts3, method="mc", seed=88,
+                        samples=200_000)
+        check_semigroup(f2, 0.4, 0.7, MC_SPECS[2], pts2)
+    checks()
+    # The sleeps let a worker woken before finish spinning, and count the
+    # spin of one woken by the checks.
+    time.sleep(0.3)
+    proc, own = time.process_time(), time.thread_time()
+    checks()
+    time.sleep(0.3)
+    own = time.thread_time() - own
+    assert time.process_time() - proc - own < 0.1 * own
+
+
+def test_hermite_rule_is_built_once_and_read_only():
+    n = 13
+    nodes, weights = semigroup._hermite_1d(n)
+    again = semigroup._hermite_1d(n)
+    assert again[0] is nodes and again[1] is weights
+    for a in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # Golub-Welsch, symmetrized as the rule is.
+    off = np.sqrt(np.arange(1.0, n))
+    z, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 0.5 * (vecs[0] ** 2 + vecs[0, ::-1] ** 2)
+    assert np.array_equal(nodes, 0.5 * (z - z[::-1]))
+    assert np.array_equal(weights, w / w.sum())
 
 
 def test_mc_f_never_sees_more_than_chunk_rows():
