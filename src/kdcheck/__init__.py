@@ -13,8 +13,6 @@ from .core import (
     StateDensity,
     format_rational,
     parse_rational,
-    trace_distance,
-    trace_norm,
 )
 from .entropy import (
     ContinuousDensity,
@@ -32,7 +30,6 @@ from .hashing import (
     lhl_bound,
     lhl_distance,
     lhl_report,
-    verify_universality,
 )
 from .markov import (
     Poly,
@@ -50,7 +47,6 @@ from .quantum import (
     Ensemble,
     Povm,
     basis_plus_mixed_ensemble,
-    cond_min_entropy,
     e_gen,
     e_opt,
     hashed_joint_blocks,
@@ -85,17 +81,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "FiniteDistribution", "StateDensity", "format_rational",
-    "parse_rational", "trace_distance", "trace_norm",
+    "parse_rational",
     "ContinuousDensity", "aep_estimate",
     "differential_entropy", "divergence_report", "entropy_report",
     "renyi_divergence", "renyi_entropy",
     "HashFamily", "build_family", "joint_state", "lhl_bound",
-    "lhl_distance", "lhl_report", "verify_universality",
+    "lhl_distance", "lhl_report",
     "Poly", "RationalFunction", "TransitionMatrix", "first_return",
     "markov_report", "n_step", "radius_of_convergence", "resolvent",
     "theta_gf",
     "CqKeyState", "Ensemble", "Povm", "basis_plus_mixed_ensemble",
-    "cond_min_entropy", "e_gen", "e_opt", "hashed_joint_blocks",
+    "e_gen", "e_opt", "hashed_joint_blocks",
     "phi_report", "pretty_good_measurement",
     "tripartite_distance", "tripartite_report",
     "CovSpec", "QuadratureWarning", "apply", "build_sigma",

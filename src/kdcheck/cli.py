@@ -446,11 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="quadrature",
                    choices=["quadrature", "mc"])
     p.add_argument("--nodes", type=int, default=None,
-                   help="Gauss-Hermite nodes per dimension (at least 2); fixes "
+                   help="Gauss-Hermite nodes per dimension (2 to %d); fixes "
                         "the rule, whose node-halving error estimate is still "
                         "reported. By default the rule starts at %d and doubles "
                         "until the estimate is below %g"
-                        % (sg.HERMITE_NODES, sg.ESTIMATE_TOL))
+                        % (sg.MAX_HERMITE_NODES, sg.HERMITE_NODES, sg.ESTIMATE_TOL))
     p.add_argument("--samples", type=int, default=sg.DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--compose", default=None,

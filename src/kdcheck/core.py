@@ -1,17 +1,15 @@
-"""Shared state types and distance primitives.
+"""Shared state types and JSON readers.
 
 Finite alphabets, probability weight vectors with an exact-rational or a
 float backend, density operators (an exact rational diagonal or a dense
-Hermitian matrix), the trace norm, trace distance, and the JSON readers
-used by the command line tools.
+Hermitian matrix), and the JSON readers used by the command line tools.
 
 Exactness contract: whenever every input is rational (``fractions.Fraction``
-weights or diagonal entries), sums and trace distances stay rational end
-to end.  An exact distribution holds its integer ``numerators`` over one
-``denominator``, and ``as_floats()`` is its float readout; every other
-state is a dense complex matrix on the float path.  Exact kernels run on
-integers: rationals are scaled once with :func:`scale_to_integers`, the
-one place that does.
+weights or diagonal entries), sums stay rational end to end.  An exact
+distribution holds its integer ``numerators`` over one ``denominator``, and
+``as_floats()`` is its float readout; every other state is a dense complex
+matrix on the float path.  Exact kernels run on integers: rationals are
+scaled once with :func:`scale_to_integers`, the one place that does.
 """
 
 from __future__ import annotations
@@ -223,6 +221,7 @@ class StateDensity:
             raise ValueError("state must have dimension >= 1")
         if not all(_is_rational(e) for e in entries):
             vals = [float(e) for e in entries]
+            _refuse_non_finite(np.array(vals), "diagonal entry")
             if any(v < -PSD_TOL for v in vals):
                 raise ValueError("diagonal entry below -1e-10: not positive semidefinite")
             # The eigenvalues of a diagonal are its entries, so only the
@@ -242,6 +241,7 @@ class StateDensity:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("state matrix must be square")
+        _refuse_non_finite(m, "state matrix entry")
         if not _is_hermitian(m):
             raise ValueError("state matrix is not Hermitian within 1e-10")
         m = 0.5 * (m + m.conj().T)
@@ -283,48 +283,18 @@ class StateDensity:
         return self.mat.copy()
 
 
+def _refuse_non_finite(values: np.ndarray, what: str) -> None:
+    """Refuse the first NaN or infinite entry: NaN passes every later comparison."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        at = tuple(bad[0].tolist())
+        raise ValueError("%s %s is %s, not finite" % (what, list(at), values[at]))
+
+
 def _is_hermitian(m: np.ndarray) -> bool:
     """False when ``m`` is off Hermitian by more than 1e-10, relative to ``max |m|``."""
     scale = max(1.0, float(np.abs(m).max()))
     return not np.abs(m - m.conj().T).max() > HERMITIAN_TOL * scale
-
-
-def trace_norm(x) -> Scalar:
-    """Trace norm ``sum_i |lambda_i|`` of a Hermitian matrix or a diagonal.
-
-    ``x`` is a dense Hermitian matrix, or a sequence of scalars read as a
-    diagonal: an exact ``Fraction`` when every entry is rational, a float
-    otherwise.  A matrix that is not Hermitian within 1e-10 is refused.
-    """
-    if isinstance(x, np.ndarray) and x.ndim == 2:
-        if not _is_hermitian(x):
-            raise ValueError("trace norm needs a Hermitian matrix within 1e-10")
-        return float(np.abs(np.linalg.eigvalsh(x)).sum())
-    entries = list(x)
-    if all(_is_rational(e) for e in entries):
-        return Fraction(sum(abs(Fraction(e)) for e in entries))
-    return float(np.abs(np.array([complex(e) for e in entries])).sum())
-
-
-def trace_distance(a, b) -> Scalar:
-    """Trace norm of the difference of two distributions or two states.
-
-    Exact (Fraction) when both arguments are rational-backed.
-    """
-    if isinstance(a, FiniteDistribution) and isinstance(b, FiniteDistribution):
-        if a.alphabet != b.alphabet:
-            raise ValueError("distributions live on different alphabets")
-        if not (a.exact and b.exact):
-            return trace_norm(a.as_floats() - b.as_floats())
-        gap = np.abs(a.numerators * b.denominator - b.numerators * a.denominator).sum()
-        return Fraction(gap, a.denominator * b.denominator)
-    if isinstance(a, StateDensity) and isinstance(b, StateDensity):
-        if a.dim != b.dim:
-            raise ValueError("dimension mismatch: %d vs %d" % (a.dim, b.dim))
-        if not (a.exact and b.exact):
-            return trace_norm(a.to_matrix() - b.to_matrix())
-        return trace_norm([x - y for x, y in zip(a.diag, b.diag)])
-    raise ValueError("trace_distance expects two distributions or two states")
 
 
 # ---------------------------------------------------------------------------

@@ -176,20 +176,6 @@ def build_family(kind: str, q: int, m: int, k: int) -> HashFamily:
     return HashFamily(q, m, k, kind, _member_tables(kind, q, m, k, n_params))
 
 
-def verify_universality(family: HashFamily) -> Fraction:
-    """Worst-case collision probability ``max_{x != x'} Pr_g[g(x) = g(x')]``.
-
-    The family is universal iff the returned value is <= q**-k.  Each
-    column of the table is compared with every later column at once.
-    """
-    table = family.table
-    hits = 0
-    for x in range(table.shape[1] - 1):
-        same = table[:, x + 1:] == table[:, x:x + 1]
-        hits = max(hits, int(same.sum(axis=0).max()))
-    return Fraction(hits, family.group_size)
-
-
 @dataclass(frozen=True, eq=False)
 class JointKeyState:
     """Exact joint law of (hashed key, family member).

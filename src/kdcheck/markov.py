@@ -89,9 +89,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.c) - 1  # zero polynomial has degree -1
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.c == other.c
-
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.c, other.c
         n = max(len(a), len(b))
@@ -207,10 +204,6 @@ class RationalFunction:
             g = poly_gcd(num, den)
             num, den = num.exact_div(g), den.exact_div(g)
         self.num, self.den = _primitive(num, den)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalFunction)
-                and self.num == other.num and self.den == other.den)
 
     def series(self, n: int) -> Tuple[Fraction, ...]:
         """First ``n + 1`` Taylor coefficients at 0; needs ``den(0) != 0``."""

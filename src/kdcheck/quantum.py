@@ -32,7 +32,6 @@ a second route to the classical distance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -231,14 +230,6 @@ def e_opt(ensemble: Ensemble):
                         ensemble.denominator)
     # Summed in basis order from 0.0, one Python float addition at a time.
     return _diagonals_in_common_basis(ensemble).max(axis=0).sum(dtype=object, initial=0.0)
-
-
-def cond_min_entropy(ensemble: Ensemble, base: Optional[int] = None) -> float:
-    """``-log_q e_opt``: min-entropy of the symbol given the side register."""
-    b = float(base if base is not None else ensemble.alphabet.size)
-    if not b > 1:
-        raise ValueError("logarithm base must exceed 1")
-    return -math.log(float(e_opt(ensemble))) / math.log(b)
 
 
 # ---------------------------------------------------------------------------

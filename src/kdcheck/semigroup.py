@@ -44,6 +44,7 @@ DEFAULT_MC_SAMPLES = 10**6
 MC_SE_BOUND = 3.0  # Monte Carlo compositions pass below this many standard errors
 
 HERMITE_NODES = 20
+MAX_HERMITE_NODES = 1024  # per dimension; Golub-Welsch solves a dense n x n eigenproblem
 ESTIMATE_TOL = 1e-6
 CHUNK_ROWS = 2**16
 # Nodes per query point of the 8-sigma Gauss-Legendre box that the Hermite
@@ -281,6 +282,9 @@ def _check_nodes(nodes: Optional[int], dim: int) -> None:
     if nodes < 2:
         raise ValueError("nodes per dimension must be at least 2 "
                          "(the halving estimate uses nodes // 2), got %d" % nodes)
+    if nodes > MAX_HERMITE_NODES:
+        raise ValueError("%d Gauss-Hermite nodes per dimension exceed the cap of %d"
+                         % (nodes, MAX_HERMITE_NODES))
     if nodes**dim > MAX_TOTAL_NODES:
         raise ValueError("%d^%d quadrature nodes per point exceed the cap of %d"
                          % (nodes, dim, MAX_TOTAL_NODES))
@@ -377,8 +381,8 @@ def _hermite_average(f: Callable, t: float, chol: np.ndarray, pts: np.ndarray,
     if not estimate <= tol:
         warnings.warn(
             "Gauss-Hermite halving estimate %.3g exceeds %.3g at %d nodes per "
-            "dimension; pass a larger --nodes (nodes^%d at most %d)"
-            % (estimate, tol, n, d, MAX_TOTAL_NODES),
+            "dimension; pass a larger --nodes (at most %d, with nodes^%d at most %d)"
+            % (estimate, tol, n, MAX_HERMITE_NODES, d, MAX_TOTAL_NODES),
             QuadratureWarning, stacklevel=3)
     return fine, n, estimate
 

@@ -16,8 +16,6 @@ from kdcheck.core import (
     parse_rational,
     scale_to_integers,
     state_from_json,
-    trace_distance,
-    trace_norm,
 )
 
 
@@ -97,24 +95,6 @@ def test_uniform_and_point_mass():
     assert p.exact and fractions(p)[3] == 1 and np.flatnonzero(p.numerators).tolist() == [3]
 
 
-def test_total_variation_oracle():
-    f = FiniteDistribution(Alphabet(2), (Fraction(3, 4), Fraction(1, 4)))
-    u = FiniteDistribution.uniform(Alphabet(2))
-    assert trace_distance(f, u) / 2 == Fraction(1, 4)
-
-
-@seed(7)
-@given(st.lists(st.integers(min_value=1, max_value=50), min_size=2, max_size=8))
-def test_total_variation_bounds(raw):
-    tot = sum(raw)
-    f = FiniteDistribution(Alphabet(len(raw)),
-                           tuple(Fraction(r, tot) for r in raw))
-    u = FiniteDistribution.uniform(Alphabet(len(raw)))
-    tv = trace_distance(f, u) / 2
-    assert 0 <= tv <= 1
-    assert trace_distance(f, f) == 0
-
-
 def test_state_from_diag_exact():
     s = StateDensity.from_diag((Fraction(1, 2), Fraction(1, 2)))
     assert s.trace() == 1
@@ -129,37 +109,6 @@ def test_state_from_matrix_checks():
     m = np.array([[0.5, 0.1], [0.1, 0.5]])
     s = StateDensity.from_matrix(m)
     assert s.is_normalized
-
-
-def test_trace_distance_diagonal_matches_tv():
-    f = FiniteDistribution(Alphabet(2), (Fraction(3, 4), Fraction(1, 4)))
-    u = FiniteDistribution.uniform(Alphabet(2))
-    sf = StateDensity.from_diag(fractions(f))
-    su = StateDensity.from_diag(fractions(u))
-    assert trace_distance(sf, su) == trace_distance(f, u) == Fraction(1, 2)
-
-
-def test_trace_distance_dense_oracle():
-    a = StateDensity.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    b = StateDensity.from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    # eigenvalues of the difference are +-sqrt(1/2)
-    assert abs(trace_distance(a, b) - math.sqrt(2.0)) < 1e-12
-
-
-def test_trace_norm_forms():
-    s = StateDensity.from_diag((Fraction(3, 4), Fraction(1, 4)))
-    norm = trace_norm(s.diag)
-    assert norm == 1 and isinstance(norm, Fraction)
-    assert trace_norm(np.array([3.0, -4.0])) == 7.0
-    assert trace_norm(np.diag([3.0, -4.0])) == 7.0
-
-
-def test_schatten_one_matches_eigenvalue_oracle():
-    rng = np.random.default_rng(71)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = 0.5 * (a + a.conj().T)
-    want = float(np.abs(np.linalg.eigvalsh(h)).sum())
-    assert abs(trace_norm(h) - want) < 1e-9
 
 
 def test_float_diagonal_is_a_dense_state():
@@ -189,54 +138,6 @@ def test_float_diagonal_skips_the_eigenvalue_check(monkeypatch):
         StateDensity.from_diag((1.0, -2e-10))
     with pytest.raises(ValueError, match="^trace 1.5 exceeds 1 beyond tolerance$"):
         StateDensity.from_diag((0.75, 0.75))
-
-
-def test_trace_distance_of_weighted_states_is_the_helstrom_norm():
-    # ||W_0 - W_1||_1 with W_x = p_x rho_x subnormalized, as (1 + ||.||_1)/2 needs.
-    rng = np.random.default_rng(74)
-    for _ in range(20):
-        a = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-        rhos = [m @ m.conj().T / np.trace(m @ m.conj().T).real for m in a]
-        p0 = float(rng.uniform(0.1, 0.9))
-        w0 = StateDensity.from_matrix(p0 * rhos[0])
-        w1 = StateDensity.from_matrix((1 - p0) * rhos[1])
-        want = float(np.abs(np.linalg.eigvalsh(w0.mat - w1.mat)).sum())
-        assert trace_distance(w0, w1) == want
-    w0 = StateDensity.from_diag((Fraction(1, 4), Fraction(1, 8)))
-    w1 = StateDensity.from_diag((Fraction(1, 8), Fraction(1, 2)))
-    d = trace_distance(w0, w1)
-    assert isinstance(d, Fraction) and d == Fraction(1, 2)
-    assert (1 + d) / 2 == Fraction(1, 4) + Fraction(1, 2)  # sum_i max_x W_x[i]
-
-
-def test_trace_distance_matches_direct_loop():
-    rng = np.random.default_rng(72)
-    f = FiniteDistribution.random_rational(Alphabet(8), rng)
-    g = FiniteDistribution.random_rational(Alphabet(8), rng)
-    direct = sum(abs(p - q) for p, q in zip(fractions(f), fractions(g)))
-    assert trace_distance(f, g) == direct
-
-
-def test_trace_distance_over_two_denominators():
-    f = FiniteDistribution(Alphabet(3), (Fraction(1, 3),) * 3)
-    g = FiniteDistribution(Alphabet(3), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
-    assert (f.denominator, g.denominator) == (3, 4)
-    direct = sum(abs(p - q) for p, q in zip(fractions(f), fractions(g)))
-    assert trace_distance(f, g) == direct == Fraction(1, 3)
-    assert isinstance(trace_distance(f, g), Fraction)
-
-
-def test_tensor_square_subadditive():
-    rng = np.random.default_rng(73)
-    for _ in range(10):
-        a = StateDensity.from_diag(
-            fractions(FiniteDistribution.random_rational(Alphabet(3), rng)))
-        b = StateDensity.from_diag(
-            fractions(FiniteDistribution.random_rational(Alphabet(3), rng)))
-        aa = StateDensity.from_diag([x * y for x in a.diag for y in a.diag])
-        bb = StateDensity.from_diag([x * y for x in b.diag for y in b.diag])
-        lhs = trace_distance(aa, bb)
-        assert lhs <= 2 * trace_distance(a, b)
 
 
 def test_distribution_json_roundtrip():

@@ -29,6 +29,11 @@ def frac(a, b=1):
     return Fraction(a, b)
 
 
+def parts(rf):
+    """A rational function's numerator and denominator coefficient tuples."""
+    return rf.num.c, rf.den.c
+
+
 # ---------------------------------------------------------------------------
 # Polynomial layer
 # ---------------------------------------------------------------------------
@@ -62,7 +67,7 @@ def test_poly_divmod_and_gcd():
             p.exact_div(divisor)
     with pytest.raises(ZeroDivisionError):
         p.exact_div(Poly())
-    assert poly_gcd(p, d) == Poly([-1, 1])
+    assert poly_gcd(p, d).c == (-1, 1)
 
 
 def test_poly_eval():
@@ -76,7 +81,7 @@ def test_rational_function_reduces():
     num = Poly([1, 0, -1])
     den = Poly([1, -1])
     rf = RationalFunction(num, den)
-    assert rf.num == Poly([1, 1]) and rf.den == Poly([1])
+    assert parts(rf) == ((1, 1), (1,))
     assert rf.eval(frac(1, 3)) == frac(4, 3)
 
 
@@ -491,9 +496,9 @@ def test_rational_function_canonical_form():
     forms = [RationalFunction(scaled(p, 6), scaled(q, 4)),
              RationalFunction(scaled(p, -3), scaled(q, -2)),
              RationalFunction(scaled(p, 15), scaled(q, 10)), RationalFunction(p, q)]
-    assert forms[-1] != forms[0]
+    assert parts(forms[-1]) != parts(forms[0])
     forms.pop()
-    assert all(rf == forms[0] for rf in forms)
+    assert all(parts(rf) == parts(forms[0]) for rf in forms)
     for rf in forms:
         coeffs = rf.num.c + rf.den.c
         assert all(type(c) is int for c in coeffs)
@@ -517,10 +522,10 @@ def test_zero_function_is_zero_over_one():
     chain = TransitionMatrix.build([[1, 0, 0], [Fraction(1, 2), Fraction(1, 2), 0],
                                     [0, Fraction(1, 3), Fraction(2, 3)]])
     zero = resolvent(chain, 0, 2)
-    assert zero.num.is_zero() and zero.den == Poly([1])
+    assert parts(zero) == ((), (1,))
     assert zero.display() == "0"
     assert radius_of_convergence(zero) == math.inf
-    assert RationalFunction(Poly(), Poly([0, 3])) == RationalFunction(Poly(), Poly([1]))
+    assert parts(RationalFunction(Poly(), Poly([0, 3]))) == ((), (1,))
 
 
 SIX = chain_of([2, 1, 3, 1, 1, 1], [1, 1, 1, 1, 1, 1], [1, 2, 3, 4, 5, 6],
@@ -630,18 +635,18 @@ def test_poly_gcd_recovers_planted_factor():
         want, = primitive_parts(factor.c)
         a, b = poly_mul(factor, u), poly_mul(factor, v)
         g = poly_gcd(a, b)
-        assert g == want and g.c[-1] > 0
+        assert g.c == want.c and g.c[-1] > 0
         assert all(type(c) is int for c in g.c)
-        assert poly_gcd(scaled(a, 14), scaled(b, -15)) == want
-        assert poly_gcd(b, a) == want
+        assert poly_gcd(scaled(a, 14), scaled(b, -15)).c == want.c
+        assert poly_gcd(b, a).c == want.c
 
 
 def test_poly_gcd_coprime_and_zero_arguments():
     p = Poly([2, 4, -6])                    # 2 (1 + 2r - 3r^2)
-    assert poly_gcd(Poly([1, 1]), Poly([1, -1])) == Poly((1,))
-    assert poly_gcd(Poly([3]), p) == Poly((1,))
-    assert poly_gcd(p, Poly()) == Poly([-1, -2, 3])
-    assert poly_gcd(Poly(), scaled(p, -5)) == Poly([-1, -2, 3])
+    assert poly_gcd(Poly([1, 1]), Poly([1, -1])).c == (1,)
+    assert poly_gcd(Poly([3]), p).c == (1,)
+    assert poly_gcd(p, Poly()).c == (-1, -2, 3)
+    assert poly_gcd(Poly(), scaled(p, -5)).c == (-1, -2, 3)
     assert poly_gcd(Poly(), Poly()).is_zero()
 
 
@@ -670,11 +675,11 @@ def test_reductions_match_euclid_over_q():
             for j in range(chain.n):
                 want = euclid_rational(adj[i][j], det)
                 got = resolvent(chain, i, j)
-                assert got == want and got.display() == want.display()
+                assert parts(got) == parts(want) and got.display() == want.display()
             pii = euclid_rational(adj[i][i], det)
             want = euclid_rational(pii.num - pii.den, pii.num)
             got = theta_gf(chain, i)
-            assert got == want and got.display() == want.display()
+            assert parts(got) == parts(want) and got.display() == want.display()
 
 
 def test_theta_without_gcd_equals_the_gcd_route():
@@ -698,4 +703,4 @@ def test_theta_without_gcd_equals_the_gcd_route():
             pii = resolvent(chain, i, i)
             theta = markov._theta(pii)
             by_gcd = RationalFunction(pii.num - pii.den, pii.num)
-            assert theta == by_gcd and theta.display() == by_gcd.display()
+            assert parts(theta) == parts(by_gcd) and theta.display() == by_gcd.display()

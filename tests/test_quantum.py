@@ -13,7 +13,6 @@ from kdcheck.quantum import (
     Ensemble,
     Povm,
     basis_plus_mixed_ensemble,
-    cond_min_entropy,
     e_gen,
     e_opt,
     ensemble_from_json,
@@ -105,7 +104,6 @@ def test_orthogonal_pure_states_perfectly_distinguished():
     povm = pretty_good_measurement(ens)
     assert e_gen(ens, povm) == 1
     assert e_opt(ens) == 1
-    assert cond_min_entropy(ens, base=2) == 0
 
 
 def test_pgm_exact_two_state_oracle():
@@ -181,21 +179,6 @@ def test_noncommuting_ensemble_rejected_for_e_opt():
         e_opt(ens)
 
 
-def test_cond_min_entropy_uniform_prior():
-    # trivial side register: conditional min-entropy equals min-entropy
-    prior = FiniteDistribution(Alphabet(2, 2),
-                               (Fraction(1, 2), Fraction(1, 4),
-                                Fraction(1, 8), Fraction(1, 8)))
-    triv = Ensemble(prior, tuple([diag_state(Fraction(1))] * 4))
-    h = cond_min_entropy(triv, base=4)
-    assert abs(h - 0.5) < 1e-12
-
-
-def test_cond_min_entropy_two_state_oracle():
-    h = cond_min_entropy(two_state_ensemble(), base=2)
-    assert abs(h + math.log2(0.75)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Hashed key with a side register
 # ---------------------------------------------------------------------------
@@ -206,6 +189,8 @@ def test_trivial_side_register_matches_classical():
     for _ in range(5):
         prior = FiniteDistribution.random_rational(Alphabet(2, 2), rng)
         ens = Ensemble(prior, tuple([diag_state(Fraction(1))] * 4))
+        # nothing to measure: the best guess is the likeliest symbol
+        assert e_opt(ens) == Fraction(int(prior.numerators.max()), prior.denominator)
         cq = hashed_joint_blocks(ens, fam)
         assert tripartite_distance(cq) == lhl_distance(prior, fam)
 

@@ -17,7 +17,6 @@ from kdcheck.core import (
     distribution_from_json,
     parse_rational,
     state_from_json,
-    trace_norm,
 )
 
 F2 = FiniteDistribution(Alphabet(2), (Fraction(1, 2), Fraction(1, 2)))
@@ -62,15 +61,20 @@ CORE = [
     (lambda: StateDensity.from_diag((1.5, -0.5)),
      "diagonal entry below -1e-10: not positive semidefinite"),
     (lambda: StateDensity.from_diag((0.75, 0.75)), "trace 1.5 exceeds 1 beyond tolerance"),
+    (lambda: StateDensity.from_diag((float("nan"), 0.5)), "diagonal entry [0] is nan, not finite"),
+    (lambda: StateDensity.from_diag((Fraction(1, 2), -float("inf"))),
+     "diagonal entry [1] is -inf, not finite"),
     (lambda: StateDensity.from_matrix(np.zeros((2, 3))), "state matrix must be square"),
+    (lambda: StateDensity.from_matrix([[0.5, float("nan")], [float("nan"), 0.5]]),
+     "state matrix entry [0, 1] is (nan+0j), not finite"),
+    (lambda: StateDensity.from_matrix([[0.5, 0.0], [0.0, float("inf")]]),
+     "state matrix entry [1, 1] is (inf+0j), not finite"),
     (lambda: StateDensity.from_matrix([[0.5, 0.5], [0.0, 0.5]]),
      "state matrix is not Hermitian within 1e-10"),
     (lambda: StateDensity.from_matrix([[1.0, 0.0], [0.0, -1.0]]),
      "state matrix has eigenvalue -1 below -1e-10: not positive semidefinite"),
     (lambda: StateDensity.from_matrix([[1.0, 0.0], [0.0, 1.0]]),
      "trace 2 exceeds 1 beyond tolerance"),
-    (lambda: trace_norm(np.array([[0.5, 1.0], [0.0, 0.5]])),
-     "trace norm needs a Hermitian matrix within 1e-10"),
     (lambda: distribution_from_json({"weights": ["1"]}),
      "distribution JSON needs 'alphabet' and 'weights'"),
     (lambda: state_from_json({"dim": 2}), "state JSON needs either 'diag' or 'matrix'"),
@@ -221,6 +225,8 @@ CLI = [
     (["entropy", "--weights", "1e999,1.0"], "weights must be finite"),
     (["semigroup", "--variances", "1,1", "--correlations", "0.2", "--points=0;1"],
      "point has 1 coordinates, expected 2"),
+    (["semigroup", "--variances", "1", "--points=0", "--nodes", "100000"],
+     "100000 Gauss-Hermite nodes per dimension exceed the cap of 1024"),
 ]
 
 
@@ -240,6 +246,22 @@ def test_nan_prior_is_refused_by_name(tmp_path, capsys):
     assert main(["quantum-lhl", "--q", "2", "--m", "1", "--k", "1", "--ensemble", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: weights must be finite\n"
+
+
+@pytest.mark.parametrize("state,message", [
+    ({"diag": [float("nan"), 0.5]}, "diagonal entry [0] is nan, not finite"),
+    ({"matrix": [[0.5, float("nan")], [float("nan"), 0.5]]},
+     "state matrix entry [0, 1] is (nan+0j), not finite"),
+], ids=["diagonal", "off-diagonal"])
+def test_nan_state_is_refused_by_name(tmp_path, capsys, state, message):
+    # NaN passes the sign, Hermitian and trace checks, so it is refused before them.
+    path = tmp_path / "nan-state.json"
+    path.write_text(json.dumps({
+        "prior": {"alphabet": {"size": 2}, "weights": ["1/2", "1/2"]},
+        "states": [state, {"diag": [0.0, 1.0]}]}))
+    assert main(["quantum-lhl", "--q", "2", "--m", "1", "--k", "1", "--ensemble", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: %s\n" % message
 
 
 # With N = 2**1100 the weight 1/N is positive but rounds to 0.0 as a float.

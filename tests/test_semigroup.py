@@ -644,6 +644,33 @@ def test_hermite_rule_is_built_once_and_read_only():
     assert np.array_equal(weights, w / w.sum())
 
 
+def test_hermite_order_cap(monkeypatch):
+    cap = semigroup.MAX_HERMITE_NODES
+    spec1, spec2 = CovSpec(1, (1.0,)), CovSpec(2, (1.0, 1.0), (0.3,))
+    # At the cap: P_1 of the standard normal density at 0 is N(0; 0, 2).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, = apply(_FUNCTIONS["gauss"], 1.0, spec1, [0.0], nodes=cap)
+    assert abs(value - 1 / math.sqrt(4 * math.pi)) < 1e-12
+
+    def unexpected(n):
+        raise AssertionError("a rule was built")
+    monkeypatch.setattr(semigroup, "_hermite_1d", unexpected)
+    # One past it, refused before any rule is built, in one dimension and
+    # in two, where (cap + 1)**2 is within MAX_TOTAL_NODES.
+    assert (cap + 1) ** 2 <= MAX_TOTAL_NODES
+    message = "^%d Gauss-Hermite nodes per dimension exceed the cap of %d$" % (cap + 1, cap)
+    for spec, x in ((spec1, [0.0]), (spec2, [[0.0, 0.0]])):
+        for call in (lambda: apply(_FUNCTIONS["gauss"], 1.0, spec, x, nodes=cap + 1),
+                     lambda: check_semigroup(_FUNCTIONS["gauss"], 0.5, 0.5, spec, x,
+                                             nodes=cap + 1),
+                     lambda: check_contraction(_FUNCTIONS["gauss"], 0.5, spec,
+                                               ([-3.0] * spec.dim, [3.0] * spec.dim),
+                                               nodes=cap + 1)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 def test_mc_f_never_sees_more_than_chunk_rows():
     seen = []
 
