@@ -179,6 +179,17 @@ def test_noncommuting_ensemble_rejected_for_e_opt():
         e_opt(ens)
 
 
+def test_cond_min_entropy_uniform_prior():
+    # trivial side register: conditional min-entropy -log e_opt equals min-entropy
+    prior = FiniteDistribution(Alphabet(2, 2),
+                               (Fraction(1, 2), Fraction(1, 4),
+                                Fraction(1, 8), Fraction(1, 8)))
+    triv = Ensemble(prior, tuple([diag_state(Fraction(1))] * 4))
+    assert e_opt(triv) == Fraction(1, 2)
+    h = -math.log(e_opt(triv), 4)
+    assert abs(h - 0.5) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Hashed key with a side register
 # ---------------------------------------------------------------------------
@@ -189,8 +200,6 @@ def test_trivial_side_register_matches_classical():
     for _ in range(5):
         prior = FiniteDistribution.random_rational(Alphabet(2, 2), rng)
         ens = Ensemble(prior, tuple([diag_state(Fraction(1))] * 4))
-        # nothing to measure: the best guess is the likeliest symbol
-        assert e_opt(ens) == Fraction(int(prior.numerators.max()), prior.denominator)
         cq = hashed_joint_blocks(ens, fam)
         assert tripartite_distance(cq) == lhl_distance(prior, fam)
 
