@@ -193,7 +193,7 @@ class JointKeyState:
     denominator: int
 
     def __post_init__(self):
-        counts = _set_counts(self, True, 2)
+        counts = _set_counts(self, 2)
         if (counts < 0).any():
             raise ValueError("joint weights must be nonnegative")
         per_g = counts.sum(axis=0)
@@ -223,12 +223,12 @@ class JointKeyState:
         return Fraction(squares, self.denominator**2)
 
 
-def _set_counts(state, exact: bool, ndim: int) -> np.ndarray:
+def _set_counts(state, ndim: int) -> np.ndarray:
     """Set ``state.counts`` to a read-only array of ``ndim`` axes and one row
     per key, kept if it already is one of the right dtype that owns its data,
     else copied.
 
-    Float counts are float64.  Exact counts are int64 when
+    Counts are int64 when
     ``(q**k * denominator)**2`` and ``counts.size * denominator`` are both
     below ``INT64_BOUND`` and they are integers in
     ``[0, denominator]`` summing to at most ``denominator``, as a state's
@@ -237,15 +237,13 @@ def _set_counts(state, exact: bool, ndim: int) -> np.ndarray:
     and counts outside the rule, valid or not, are never wrapped to int64.
     """
     counts = np.asarray(state.counts)
-    dtype = float
-    if exact:
-        dtype = object
-        den = state.denominator
-        if ((state.q**state.k * den)**2 < INT64_BOUND and counts.size * den < INT64_BOUND
-                and counts.size and 0 <= counts.min() and counts.max() <= den):
-            wide = counts.astype(np.int64, copy=False)  # in range: only non-integers change
-            if (wide is counts or (wide == counts).all()) and wide.sum() <= den:
-                counts, dtype = wide, np.int64
+    dtype = object
+    den = state.denominator
+    if ((state.q**state.k * den)**2 < INT64_BOUND and counts.size * den < INT64_BOUND
+            and counts.size and 0 <= counts.min() and counts.max() <= den):
+        wide = counts.astype(np.int64, copy=False)  # in range: only non-integers change
+        if (wide is counts or (wide == counts).all()) and wide.sum() <= den:
+            counts, dtype = wide, np.int64
     if counts.dtype != dtype or counts.flags.writeable or not counts.flags.owndata:
         counts = counts.astype(dtype)
     counts.flags.writeable = False

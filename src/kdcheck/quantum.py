@@ -15,19 +15,16 @@ subnormalized blocks ``(1/|G|) sum_{x: g(x)=kappa} T_x`` of the
 (key, member, side) state, and ``tripartite_report`` checks the exact
 distance of that state from (uniform key) x (member) x (side marginal)
 against ``q**-((h_plus - k)/2)``.  The blocks are diagonal in the
-ensemble's common eigenbasis.  On rational ensembles the integer
-numerators are summed per (key, member) cell over ``|G| D``, as exact
-float64 limbs multiplied key by key by an indicator of the family's table,
-in steps of ``hashing.CHUNK_CELLS`` = 2**15 table cells: on Toeplitz
-(2, 8, 3), 8 steps of 128 members, measured fastest of 2**12 to 2**17
-(see that constant).  The counts are int64 when ``(q**k |G| D)**2`` and
-``counts.size |G| D`` are below 2**63, else Python ints, and the exact distance sums only the entries above their
-share of the side marginal, twice, since the signed terms sum to zero.
-Float blocks keep steps of ``FLOAT_CHUNK_CELLS`` = 2**12 cells, so that
-their bits do not depend on the BLAS thread count (see that constant), and
-sum the absolute terms of every entry.  This pushforward is apart from
-``hashing.joint_state`` (a scatter), so that a trivial side register gives
-a second route to the classical distance.
+ensemble's common eigenbasis.  Their one pushforward sums integers per
+(key, member) cell, as exact float64 limbs multiplied key by key by an
+indicator of the family's table, in steps of ``hashing.CHUNK_CELLS`` table
+cells: a rational ensemble's numerators over ``|G| D``, or a float
+ensemble's diagonals, exact integers over one power of two, whose distance
+is rounded to a float once.  The distance sums only the entries above
+their share of the side marginal, twice, since the signed terms sum to
+zero.  This pushforward is apart from ``hashing.joint_state`` (a scatter),
+so that a trivial side register gives a second route to the classical
+distance.
 """
 
 from __future__ import annotations
@@ -56,14 +53,9 @@ PINV_CUTOFF = 1e-12
 # table grow faster than n**2 in time; n = 200 takes about a second on a
 # 2-core host.
 MAX_PHI_DIM = 200
-# Table cells per step of the float side-register pushforward.  BLAS sums a
-# float block in an order set by its product's shape and thread count.  With
-# OpenBLAS 0.3 on two cores, steps of hashing.CHUNK_CELLS change the last bits
-# of blocks at most shapes tried, and make some differ between one thread and
-# two (Toeplitz (3, 5, 2) and (2, 9, 2) at dim_q 100).  These steps, which the
-# blocks were first printed with, gave one thread and two the same bits in
-# every case tried.  Exact limb sums are the same in any order.
-FLOAT_CHUNK_CELLS = 2**12
+# Limb sums per side-register pushforward, q**k |G| dim_q entries times limbs
+# per entry: 2**24 on Toeplitz (2, 8, 3) took 3.8 s and 474 MB (2-core host).
+MAX_LIMB_CELLS = 2**24
 
 
 class Ensemble:
@@ -73,7 +65,7 @@ class Ensemble:
     in integers, built once; a float one holds None in both fields."""
 
     __slots__ = ("alphabet", "prior", "states", "dim", "exact",
-                 "denominator", "numerators")
+                 "denominator", "numerators", "_diagonals")
 
     def __init__(self, prior: FiniteDistribution, states: Sequence[StateDensity]):
         states = tuple(states)
@@ -98,7 +90,7 @@ class Ensemble:
             den *= prior.denominator
             numerators = tuple(zip(*[iter(flat)] * dim))
         for name, value in zip(self.__slots__, (prior.alphabet, prior, states,
-                                                dim, exact, den, numerators)):
+                                                dim, exact, den, numerators, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -157,12 +149,17 @@ def _common_eigenbasis(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _diagonals_in_common_basis(ensemble: Ensemble) -> np.ndarray:
-    """Weighted float operators' diagonals in a common basis, ``(symbols, dim)``."""
-    mats = [ensemble.weighted(x) for x in range(len(ensemble.states))]
-    if not all(np.abs(m - np.diag(np.diag(m))).max() < COMMUTE_TOL for m in mats):
-        basis = _common_eigenbasis(mats)
-        mats = [basis.conj().T @ m @ basis for m in mats]
-    return np.array([np.real(np.diag(m)) for m in mats], dtype=float)
+    """Weighted float operators' diagonals in a common basis, ``(symbols, dim)``:
+    searched on the first read and kept, read-only, on the ensemble."""
+    if ensemble._diagonals is None:
+        mats = [ensemble.weighted(x) for x in range(len(ensemble.states))]
+        if not all(np.abs(m - np.diag(np.diag(m))).max() < COMMUTE_TOL for m in mats):
+            basis = _common_eigenbasis(mats)
+            mats = [basis.conj().T @ m @ basis for m in mats]
+        diagonals = np.array([np.real(np.diag(m)) for m in mats], dtype=float)
+        diagonals.flags.writeable = False
+        object.__setattr__(ensemble, "_diagonals", diagonals)
+    return ensemble._diagonals
 
 
 def pretty_good_measurement(ensemble: Ensemble) -> Povm:
@@ -242,24 +239,20 @@ class CqKeyState:
 
     Block ``(kappa, g)`` is the subnormalized side-register operator
     ``(1/|G|) sum_{x: g(x)=kappa} p_x rho_x`` as its diagonal in the
-    ensemble's common eigenbasis, held as ``counts[kappa, g]`` over one
-    ``denominator``: a read-only ``(q**k, |G|, dim_q)`` array of integer
-    counts over ``|G| D`` on the exact path (int64 or Python ints, as
-    ``hashing._set_counts`` picks), of float sums over ``|G|`` otherwise.
-    Float readouts sum Python floats in (key, member) order from 0, as
-    Python's ``sum`` does; exact ones return Python ints and Fractions.
-    Block-diagonal structure over the classical registers means Schatten-1
-    norms decompose as sums over blocks.
+    ensemble's common eigenbasis, held as integer ``counts[kappa, g]`` over
+    one ``denominator``: a read-only ``(q**k, |G|, dim_q)`` array of int64 or
+    Python ints, as ``hashing._set_counts`` picks.  Readouts return Python
+    ints and Fractions.  Block-diagonal structure over the classical
+    registers means Schatten-1 norms decompose as sums over blocks.
     """
 
     q: int
     k: int
     counts: np.ndarray
     denominator: int
-    exact: bool
 
     def __post_init__(self):
-        _set_counts(self, self.exact, 3)
+        _set_counts(self, 3)
 
     @property
     def group_size(self) -> int:
@@ -271,31 +264,39 @@ class CqKeyState:
 
     def _side_counts(self) -> np.ndarray:
         """Counts of ``T_Q``, the sum of all blocks: the side-register diagonal,
-        as Python numbers."""
+        as Python ints."""
         return self.counts.reshape(-1, self.dim_q).sum(axis=0, dtype=object, initial=0)
-
-
-def _key_blocks(table: np.ndarray, weights: np.ndarray, n_out: int,
-                cells: int) -> np.ndarray:
-    """``out[kappa, g] = sum_{x: table[g, x] = kappa} weights[x]``, key by key,
-    in steps of about ``cells`` table cells."""
-    size, n_in = table.shape
-    out = np.zeros((n_out, size, weights.shape[1]), dtype=weights.dtype)
-    step = max(1, cells // n_in)
-    for lo in range(0, size, step):
-        rows = table[lo:lo + step]
-        for kappa in range(n_out):
-            out[kappa, lo:lo + step] = (rows == kappa).astype(weights.dtype) @ weights
-    return out
 
 
 def _exact_key_blocks(table: np.ndarray, numerators: Sequence[Sequence[int]],
                       n_out: int) -> np.ndarray:
-    """Integer ``_key_blocks``, exact on float64 limbs (``hashing._limbs``)."""
-    limbs, bits = _limbs(numerators, table.shape[1])
-    n_in, dim, n_limbs = limbs.shape
-    sums = _key_blocks(table, limbs.reshape(n_in, dim * n_limbs), n_out, CHUNK_CELLS)
-    return _join_limbs(sums.reshape(sums.shape[:2] + (dim, n_limbs)), bits)
+    """``out[kappa, g] = sum_{x: table[g, x] = kappa} numerators[x]``, exact on
+    float64 limbs (``hashing._limbs``) in steps of ``CHUNK_CELLS`` table cells;
+    refuses more than ``MAX_LIMB_CELLS`` limb sums before any product."""
+    size, n_in = table.shape
+    limbs, bits = _limbs(numerators, n_in)
+    dim, n_limbs = limbs.shape[1:]
+    cells = n_out * size * dim * n_limbs
+    if cells > MAX_LIMB_CELLS:
+        raise ValueError("side-register pushforward of %d limb sums (q**k |G| dim times "
+                         "%d limbs) exceeds cap %d" % (cells, n_limbs, MAX_LIMB_CELLS))
+    weights = limbs.reshape(n_in, dim * n_limbs)
+    sums = np.zeros((n_out, size, dim * n_limbs))
+    step = max(1, CHUNK_CELLS // n_in)
+    for lo in range(0, size, step):
+        rows = table[lo:lo + step]
+        for kappa in range(n_out):
+            sums[kappa, lo:lo + step] = (rows == kappa).astype(float) @ weights
+    return _join_limbs(sums.reshape(n_out, size, dim, n_limbs), bits)
+
+
+def _dyadic(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Floats as exact Python ints over one power of two, ``(ints, e)`` with
+    ``values = ints / 2**e``, scaled by the smallest binary exponent present."""
+    mantissas, exponents = np.frexp(values)
+    low = int(exponents[mantissas != 0].min())   # frexp(0) reads exponent 0
+    ints = (mantissas * 2.0**53).astype(np.int64).astype(object)
+    return ints << (exponents - low).clip(0).astype(object), 53 - low
 
 
 def check_block_count(family: HashFamily, dim: int) -> None:
@@ -316,32 +317,30 @@ def hashed_joint_blocks(ensemble: Ensemble, family: HashFamily) -> CqKeyState:
         sums = _exact_key_blocks(family.table, ensemble.numerators, n_out)
         denominator = size * ensemble.denominator
     else:
-        sums = _key_blocks(family.table, _diagonals_in_common_basis(ensemble), n_out,
-                           FLOAT_CHUNK_CELLS)
-        denominator = size
+        ints, e = _dyadic(_diagonals_in_common_basis(ensemble))
+        # Rotated rank-deficient states read entries just below 0: never clamped.
+        negative = ints < 0
+        sums = _exact_key_blocks(family.table, np.where(negative, 0, ints), n_out)
+        if negative.any():
+            sums = sums - _exact_key_blocks(family.table, np.where(negative, -ints, 0), n_out)
+        denominator = size << e
     sums.flags.writeable = False  # CqKeyState keeps it without a copy
-    return CqKeyState(family.q, family.k, sums, denominator, ensemble.exact)
+    return CqKeyState(family.q, family.k, sums, denominator)
 
 
-def tripartite_distance(cq: CqKeyState):
+def tripartite_distance(cq: CqKeyState) -> Fraction:
     """Exact distance of the hashed state from uniform-key x member x side.
 
     ``(1/q) sum_{kappa,g} || block(kappa,g) - q**-k (1/|G|) T_Q ||_1``;
-    diagonal blocks make each trace norm a plain absolute sum.  With the
-    side marginal's counts ``t``, an entry contributes
-    ``|s c - t| / (s denominator)``, where ``s = q**k |G|``.  Float blocks
-    are summed key by key.  On the exact path ``t_i`` is the sum of the
-    ``s`` entries ``c`` of column ``i``, so the terms ``s c - t_i`` sum to
-    zero, and the absolute sum is twice the sum of the positive ones: those
-    with ``c > t_i // s``.
+    diagonal blocks make each trace norm a plain absolute sum.  With
+    ``s = q**k |G|`` and the side marginal's counts ``t``, an entry ``c`` of
+    column ``i`` contributes ``|s c - t_i| / (s denominator)``.  ``t_i`` sums
+    the column's ``s`` entries, so these terms sum to zero, and the absolute
+    sum is twice the sum of the positive ones: those with ``c > t_i // s``.
     """
     side = cq._side_counts()
     spread = cq.q**cq.k * cq.group_size
     gap = 0
-    if not cq.exact:
-        for block in cq.counts:
-            gap = np.abs(spread * block - side).sum(dtype=object, initial=gap)
-        return gap / (cq.q * spread * cq.denominator)
     for column, t in zip(cq.counts.reshape(-1, cq.dim_q).T, side):
         above = column[column > t // spread]
         gap += spread * int(above.sum()) - len(above) * t
@@ -355,8 +354,9 @@ def tripartite_report(ensemble: Ensemble, family: HashFamily,
     ``h_plus`` defaults to the conditional min-entropy ``-log_q e_opt``,
     making the squared-bound comparison exact on rational ensembles.
     """
-    cq = hashed_joint_blocks(ensemble, family)
-    dist = tripartite_distance(cq)
+    dist = tripartite_distance(hashed_joint_blocks(ensemble, family))
+    if not ensemble.exact:
+        dist = float(dist)  # rounded once, before the verdict reads it
     q, k = family.q, family.k
     eopt = e_opt(ensemble)
     floor, h_val = _entropy_floor(q, h_plus, eopt)  # default q**-h_min(X|Q)

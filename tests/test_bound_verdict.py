@@ -89,6 +89,8 @@ def earlier_lhl_verdict(f, family, h_plus):
 
 def earlier_tripartite_verdict(ensemble, family, h_plus):
     dist = tripartite_distance(hashed_joint_blocks(ensemble, family))
+    if not ensemble.exact:
+        dist = float(dist)    # the float distance the earlier verdict read
     q, k = family.q, family.k
     eopt = e_opt(ensemble)
     if h_plus is None:

@@ -3,18 +3,20 @@
 The kernels sum integers as float64 limbs (``hashing._limbs``); every test
 here compares them with plain Python-int loops on seeded inputs that need
 one, two and three limbs.  The table builder is compared with a per-member
-``M @ digits % q`` product, and the float side-register path (blocks,
-diagonals, readouts and ``e_opt``, with dimension 1 among the cases) with a
-copy of its earlier code, kept below, by ``==``.  The state classes hold
-their counts as one read-only array, int64 or Python ints by a bound on
-their sizes, and read their sizes from its shape; readouts are compared
-with the loops on both sides of that bound.
+``M @ digits % q`` product.  Float ensembles run on the same limb kernel as
+integers over one power of two: their blocks and distance are compared with
+a ``Fraction`` reference built from the float diagonals, and their distance,
+diagonals and ``e_opt`` with a copy of the earlier float code, kept below.
+The state classes hold their counts as one read-only array, int64 or Python
+ints by a bound on their sizes, and read their sizes from its shape;
+readouts are compared with the loops on both sides of that bound.
 """
 
 import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -69,7 +71,7 @@ def ref_tripartite(counts, q, k, denominator):
 
 
 def exact_state(counts, q, k, denominator):
-    return CqKeyState(q, k, np.array(counts, dtype=object), denominator, True)
+    return CqKeyState(q, k, np.array(counts, dtype=object), denominator)
 
 
 def sampled_family(q, m, k, members, rng):
@@ -169,8 +171,7 @@ def test_side_register_readouts_match_loops(q, m, k, members, bits, limbs):
     counts = ref_key_blocks(fam.table, numerators, q**k)
     den = members * sum(map(sum, numerators))
     for cq in (exact_state(counts, q, k, den),
-               CqKeyState(q, k, quantum._exact_key_blocks(fam.table, numerators, q**k),
-                          den, True)):
+               CqKeyState(q, k, quantum._exact_key_blocks(fam.table, numerators, q**k), den)):
         assert cq.counts.dtype == (np.int64 if int64_admitted(q, k, den) else object)
         dist = tripartite_distance(cq)
         assert dist == ref_tripartite(counts, q, k, den)
@@ -323,7 +324,7 @@ def test_toeplitz_table_at_the_cell_cap_is_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# Float side-register path: unchanged, compared with its earlier code
+# Float side-register ensembles: exact sums of their float diagonals
 # ---------------------------------------------------------------------------
 
 def earlier_diagonals(ensemble):
@@ -364,6 +365,21 @@ def earlier_float_distance(counts, q, k, size):
     return gap / (q * spread * size), side
 
 
+def fraction_blocks(ensemble, family):
+    """Blocks ``(1/|G|) sum_{x: g(x)=kappa} Fraction(d_x)`` of the float
+    diagonals, as an object array of ints over one returned denominator."""
+    fractions = [[Fraction(v) for v in row] for row in earlier_diagonals(ensemble)]
+    den = max(f.denominator for row in fractions for f in row)
+    ints = np.array([[f.numerator * (den // f.denominator) for f in row]
+                     for row in fractions], dtype=object)
+    n_out = family.q**family.k
+    out = np.zeros((n_out, family.group_size, ensemble.dim), dtype=object)
+    for g, row in enumerate(family.table):
+        for kappa in range(n_out):
+            out[kappa, g] = ints[row == kappa].sum(axis=0)
+    return out, family.group_size * den
+
+
 def float_diagonal_ensemble(ens):
     """``ens`` with its prior and states as float diagonals: no common basis
     to search, so that large alphabets stay quick."""
@@ -372,10 +388,34 @@ def float_diagonal_ensemble(ens):
                             for s in ens.states])
 
 
-# The last three cases would sum several members per product in steps of
-# 2**15 cells where the earlier code took steps of 2**12: 32 members of 1024
-# symbols at the table cap, and blocks of dimension 60, where such steps
-# change the last bits of some float blocks.
+def check_float_ensemble(dense, fam):
+    """Blocks and distance of a float ensemble equal the exact sums of its
+    float diagonals; the printed distance is that value rounded once, within
+    1e-13 relative of the earlier float code's."""
+    assert not dense.exact
+    q, k = fam.q, fam.k
+    cq = hashed_joint_blocks(dense, fam)
+    ref, den = fraction_blocks(dense, fam)
+    assert (cq.counts * den == ref * cq.denominator).all()
+    assert not cq.counts.flags.writeable
+    side = ref.reshape(-1, dense.dim).sum(axis=0)
+    assert (cq._side_counts() * den == side * cq.denominator).all()
+    spread = q**k * fam.group_size
+    exact = Fraction(int(np.abs(spread * ref - side).sum()), q * spread * den)
+    assert tripartite_distance(cq) == exact
+    report = quantum.tripartite_report(dense, fam)
+    assert type(report["distance"]) is float and report["distance"] == float(exact)
+    earlier, _ = earlier_float_distance(earlier_float_blocks(dense, fam), q, k,
+                                        fam.group_size)
+    assert abs(report["distance"] - earlier) <= 1e-13 * earlier
+    assert quantum._diagonals_in_common_basis(dense).tolist() \
+        == [list(d) for d in earlier_diagonals(dense)]
+    assert quantum.e_opt(dense) == earlier_e_opt(dense) == report["e_opt"]
+
+
+# The last three cases sum 32 members of 1024 symbols at the table cap, and
+# blocks of dimension 60, where the earlier float code's BLAS steps set the
+# last bits of some blocks.
 FLOAT_CASES = [
     ("linear", 2, 2, 1, 3, True), ("toeplitz", 3, 3, 2, 2, True),
     ("toeplitz", 2, 6, 2, 4, True), ("toeplitz", 2, 8, 3, 3, True),
@@ -391,17 +431,42 @@ def test_float_path_is_unchanged(kind, q, m, k, dim, rotated):
     fam = build_family(kind, q, m, k)
     exact = random_diagonal_ensemble(rng, q**m, dim)
     dense = rotate_ensemble(exact, rng) if rotated else float_diagonal_ensemble(exact)
-    assert not dense.exact
-    cq = hashed_joint_blocks(dense, fam)
-    counts = earlier_float_blocks(dense, fam)
-    assert cq.counts.tolist() == counts
-    assert not cq.counts.flags.writeable
-    dist, side = earlier_float_distance(counts, q, k, fam.group_size)
-    assert tripartite_distance(cq) == dist
-    assert cq._side_counts().tolist() == side
-    assert quantum._diagonals_in_common_basis(dense).tolist() \
-        == [list(d) for d in earlier_diagonals(dense)]
-    assert quantum.e_opt(dense) == earlier_e_opt(dense)
+    check_float_ensemble(dense, fam)
+
+
+@pytest.mark.parametrize("kind,q,m,k,seed", [
+    ("linear", 2, 2, 1, 3), ("toeplitz", 2, 3, 2, 0), ("toeplitz", 2, 4, 2, 1)])
+def test_rotated_rank_deficient_entries_below_zero_are_not_clamped(kind, q, m, k, seed):
+    # A rotated basis-plus-mixed ensemble reads common-basis entries down to
+    # about -4e-18 (-3.9e-18 for n = 3, seed 3): both signs are pushed forward.
+    ens = rotate_ensemble(quantum.basis_plus_mixed_ensemble(q**m - 1),
+                          np.random.default_rng(seed))
+    assert (quantum._diagonals_in_common_basis(ens) < 0).any()
+    check_float_ensemble(ens, build_family(kind, q, m, k))
+
+
+def test_float_diagonals_become_integers_over_one_power_of_two():
+    values = np.array([[0.75, 0.0, -2**-60], [1.0, 5e-324, 2**-1022]])
+    ints, e = quantum._dyadic(values)
+    assert [[Fraction(i, 2**e) for i in row] for row in ints.tolist()] \
+        == [[Fraction(v) for v in row] for row in values.tolist()]
+    # The smallest exponent is the subnormal's: 2**-1074 reads 2**52 / 2**1126.
+    assert e == 1126 and ints[1, 1] == 2**52 and all(type(i) is int for i in ints.ravel())
+    ints, e = quantum._dyadic(np.array([[0.5, 0.25]]))   # the smallest exponent present
+    assert ints.tolist() == [[2**53, 2**52]] and e == 54
+
+
+def test_common_basis_is_searched_once_per_report(monkeypatch):
+    calls = []
+    search = quantum._common_eigenbasis
+    monkeypatch.setattr(quantum, "_common_eigenbasis",
+                        lambda mats: calls.append(len(mats)) or search(mats))
+    rng = np.random.default_rng(32)
+    dense = rotate_ensemble(random_diagonal_ensemble(rng, 27, 3), rng)
+    report = quantum.tripartite_report(dense, build_family("toeplitz", 3, 3, 2))
+    assert calls == [27] and report["e_opt"] == quantum.e_opt(dense)
+    assert not quantum._diagonals_in_common_basis(dense).flags.writeable
+    assert calls == [27]
 
 
 def toeplitz_352_float_blocks_sha256():
@@ -413,15 +478,15 @@ def toeplitz_352_float_blocks_sha256():
     prior = FiniteDistribution(exact.alphabet, tuple(exact.prior.as_floats().tolist()))
     states = [StateDensity(100, mat=np.diag([complex(d) for d in s.diag])) for s in exact.states]
     cq = hashed_joint_blocks(Ensemble(prior, states), build_family("toeplitz", 3, 5, 2))
-    return hashlib.sha256(cq.counts.tobytes()).hexdigest()
+    return hashlib.sha256(repr((cq.counts.tolist(), cq.denominator)).encode()).hexdigest()
 
 
 def test_float_blocks_do_not_depend_on_the_blas_thread_count():
-    # With OpenBLAS 0.3 on two cores, steps of hashing.CHUNK_CELLS give these
-    # blocks different last bits on one thread (sha256 3e550e9f...) and on the
-    # default count (65b950b7...); steps of FLOAT_CHUNK_CELLS give f6c77a0c...
-    # on both.  On a one-core host both runs use one thread and this passes
-    # whatever the step.
+    # Float blocks are exact integer sums of float64 limbs, the same in any
+    # order.  With OpenBLAS 0.3 on two cores, the earlier float BLAS blocks
+    # of this case had different last bits on one thread and on the default
+    # count at steps of hashing.CHUNK_CELLS.  On a one-core host both runs
+    # use one thread and this passes whatever the kernel.
     here = Path(__file__).resolve().parent
     src = Path(quantum.__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
@@ -461,13 +526,13 @@ def test_joint_state_needs_one_row_per_key():
 
 
 def test_side_register_state_reads_its_sizes_from_counts():
-    # A stated group size of 5 would read a distance of 0.4 from the same blocks.
-    cq = CqKeyState(2, 1, (((0.75,),), ((0.25,),)), 1, False)
+    # A stated group size of 5 would read a distance of 2/5 from the same blocks.
+    cq = CqKeyState(2, 1, (((3,),), ((1,),)), 4)
     assert (cq.group_size, cq.dim_q) == (1, 1)
-    assert cq.counts.dtype == float and not cq.counts.flags.writeable
-    assert tripartite_distance(cq) == 0.25
+    assert cq.counts.dtype == np.int64 and not cq.counts.flags.writeable
+    assert tripartite_distance(cq) == Fraction(1, 4)
     with pytest.raises(ValueError, match="one row per key"):
-        CqKeyState(2, 1, (((1.0,),),), 1, False)
+        CqKeyState(2, 1, (((4,),),), 4)
     with pytest.raises(ValueError, match="one row per key"):
         exact_state([[[1]]], 2, 1, 1)
 
@@ -482,11 +547,60 @@ def test_block_count_cap_checked_before_any_sum(monkeypatch):
 
     fam = build_family("linear", 2, 4, 4)          # q**k |G| = 2**20
     quantum.check_block_count(fam, 4)               # 2**22 entries: at the cap
-    monkeypatch.setattr(quantum, "_key_blocks", forbidden)
     monkeypatch.setattr(quantum, "_exact_key_blocks", forbidden)
     ens = random_diagonal_ensemble(np.random.default_rng(3), 16, 5)
     with pytest.raises(ValueError, match="exceeds cap"):
         hashed_joint_blocks(ens, fam)
+
+
+class RefusedTable(np.ndarray):
+    """A table whose key indicators cannot be formed: comparing it raises."""
+
+    def __eq__(self, other):
+        raise AssertionError("indicator formed past the limb-cell cap")
+
+
+def test_limb_cell_cap_at_the_cap_and_one_past(monkeypatch):
+    fam = build_family("toeplitz", 2, 4, 2)              # 4 keys, 32 members
+    ens = random_diagonal_ensemble(np.random.default_rng(8), 16, 5)
+    n_limbs = limb_count(ens.numerators, 16)
+    cells = 4 * fam.group_size * 5 * n_limbs
+    monkeypatch.setattr(quantum, "MAX_LIMB_CELLS", cells)          # at the cap
+    assert hashed_joint_blocks(ens, fam).counts.tolist() \
+        == ref_key_blocks(fam.table, ens.numerators, 4)
+    monkeypatch.setattr(quantum, "MAX_LIMB_CELLS", cells - 1)      # one past it
+    message = "^%s$" % re.escape("side-register pushforward of %d limb sums (q**k |G| dim "
+                                 "times %d limbs) exceeds cap %d" % (cells, n_limbs, cells - 1))
+    with pytest.raises(ValueError, match=message):
+        quantum._exact_key_blocks(fam.table.view(RefusedTable), ens.numerators, 4)
+    with pytest.raises(ValueError, match=message):
+        hashed_joint_blocks(ens, fam)
+
+
+def test_limb_cell_cap_counts_a_float_ensemble_exponent_span(monkeypatch):
+    # One entry of 2**-1000 widens every dyadic integer to ~1050 bits.
+    fam = build_family("linear", 2, 2, 1)                # 2 keys, 4 members
+    prior = FiniteDistribution(Alphabet(2, 2), (0.25,) * 4)
+    states = [StateDensity.from_diag([1.0 - 2.0**-1000, 2.0**-1000])] \
+        + [StateDensity.from_diag([0.5, 0.5])] * 3
+    ens = Ensemble(prior, states)
+    ints, _ = quantum._dyadic(quantum._diagonals_in_common_basis(ens))
+    n_limbs = limb_count(ints, 4)
+    assert n_limbs == 21
+    monkeypatch.setattr(quantum, "MAX_LIMB_CELLS", 2 * 4 * 2 * n_limbs)
+    cq = hashed_joint_blocks(ens, fam)
+    assert cq.denominator == 4 * 2**1054       # p_0 rho_0[1] = 2**-1002 = 2**52 / 2**1054
+    monkeypatch.setattr(quantum, "MAX_LIMB_CELLS", 2 * 4 * 2 * n_limbs - 1)
+    with pytest.raises(ValueError, match="limb sums .* exceeds cap"):
+        hashed_joint_blocks(ens, fam)
+
+
+@pytest.mark.parametrize("q,m,k,dim", [(2, 8, 3, 60), (3, 5, 2, 100)])
+def test_limb_cell_cap_admits_the_cli_scale_points(q, m, k, dim):
+    # The ensembles `quantum-lhl --family toeplitz --dim-q dim` draws at seed 0.
+    ens = random_diagonal_ensemble(np.random.default_rng(0), q**m, dim)
+    cells = q**k * q**(m + k - 1) * dim * limb_count(ens.numerators, q**m)
+    assert cells <= quantum.MAX_LIMB_CELLS
 
 
 def test_cli_refuses_block_count_before_drawing(monkeypatch, capsys):

@@ -227,6 +227,10 @@ CLI = [
      "point has 1 coordinates, expected 2"),
     (["semigroup", "--variances", "1", "--points=0", "--nodes", "100000"],
      "100000 Gauss-Hermite nodes per dimension exceed the cap of 1024"),
+    (["quantum-lhl", "--q", "2", "--m", "8", "--k", "3", "--family", "toeplitz",
+      "--dim-q", "200"],
+     "side-register pushforward of 29491200 limb sums (q**k |G| dim times 18 limbs) "
+     "exceeds cap 16777216"),
 ]
 
 
