@@ -1,14 +1,14 @@
 """Shared state types and JSON readers.
 
 Finite alphabets, probability weight vectors with an exact-rational or a
-float backend, density operators (an exact rational diagonal or a dense
-Hermitian matrix), and the JSON readers used by the command line tools.
+float backend, density operators (an exact diagonal or a dense Hermitian
+matrix), and the JSON readers used by the command line tools.
 
 Exactness contract: whenever every input is rational (``fractions.Fraction``
 weights or diagonal entries), sums stay rational end to end.  An exact
-distribution holds its integer ``numerators`` over one ``denominator``, and
-``as_floats()`` is its float readout; every other state is a dense complex
-matrix on the float path.  Exact kernels run on integers: rationals are
+distribution or state holds integer ``numerators`` over one ``denominator``,
+read as floats by ``as_floats()`` or ``to_matrix()``; every other state is
+a dense complex matrix on the float path.  Exact kernels run on integers: rationals are
 scaled once with :func:`scale_to_integers`, the one place that does.
 """
 
@@ -40,10 +40,6 @@ def check_mc_samples(n: int) -> None:
     if n > MAX_MC_SAMPLES:
         raise ValueError("%d Monte Carlo samples exceed MAX_MC_SAMPLES = %d"
                          % (n, MAX_MC_SAMPLES))
-
-
-def _is_rational(x) -> bool:
-    return isinstance(x, Rational)
 
 
 def parse_rational(text) -> Fraction:
@@ -127,7 +123,7 @@ class FiniteDistribution:
         if len(weights) != alphabet.num_symbols:
             raise ValueError("expected %d weights for this alphabet, got %d"
                              % (alphabet.num_symbols, len(weights)))
-        if all(_is_rational(w) for w in weights):
+        if all(isinstance(w, Rational) for w in weights):
             den, numerators = scale_to_integers(weights)
             if any(n < 0 for n in numerators):
                 raise ValueError("weights must be nonnegative")
@@ -198,17 +194,17 @@ class FiniteDistribution:
 class StateDensity:
     """Density operator, possibly subnormalized (trace <= 1).
 
-    An exact state keeps its rational diagonal as a tuple; every other
-    state is a dense Hermitian ``complex128`` array.  Construct through
-    :meth:`from_diag` or :meth:`from_matrix`.
+    An exact state holds its diagonal as :class:`FiniteDistribution` holds
+    its weights, Python-int ``numerators`` over one ``denominator``; every
+    other state is a dense Hermitian ``complex128`` array ``mat``.
+    Construct through :meth:`from_diag` or :meth:`from_matrix`.
     """
 
-    __slots__ = ("dim", "diag", "mat")
+    __slots__ = ("dim", "denominator", "numerators", "mat")
 
-    def __init__(self, dim: int, diag=None, mat=None):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "mat", mat)
+    def __init__(self, dim: int, denominator=None, numerators=None, mat=None):
+        for name, value in zip(self.__slots__, (dim, denominator, numerators, mat)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateDensity is immutable")
@@ -219,7 +215,7 @@ class StateDensity:
         entries = tuple(entries)
         if not entries:
             raise ValueError("state must have dimension >= 1")
-        if not all(_is_rational(e) for e in entries):
+        if not all(isinstance(e, Rational) for e in entries):
             vals = [float(e) for e in entries]
             _refuse_non_finite(np.array(vals), "diagonal entry")
             if any(v < -PSD_TOL for v in vals):
@@ -228,13 +224,20 @@ class StateDensity:
             # trace is left to check.
             return cls._dense(np.diag(np.array([0.0 if v < 0 else v for v in vals],
                                                dtype=complex)))
-        entries = tuple(Fraction(e) for e in entries)
-        if any(e < 0 for e in entries):
+        return cls._from_integers(*scale_to_integers(entries))
+
+    @classmethod
+    def _from_integers(cls, den: int, numerators: Sequence[int]) -> "StateDensity":
+        """Exact state of diagonal ``numerators / den``, reduced by their gcd."""
+        numerators = np.array(numerators, dtype=object)
+        if (numerators < 0).any():
             raise ValueError("diagonal entries must be nonnegative")
-        tr = sum(entries)
-        if tr > 1:
-            raise ValueError("trace %s exceeds 1" % tr)
-        return cls(len(entries), diag=entries)
+        if numerators.sum() > den:
+            raise ValueError("trace %s exceeds 1" % Fraction(numerators.sum(), den))
+        g = math.gcd(den, *numerators)
+        den, numerators = den // g, numerators // g
+        numerators.flags.writeable = False
+        return cls(len(numerators), den, numerators)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "StateDensity":
@@ -264,22 +267,17 @@ class StateDensity:
 
     @property
     def exact(self) -> bool:
-        """True for a rational diagonal, the only exact form."""
-        return self.diag is not None
-
-    def trace(self) -> Scalar:
-        if self.exact:
-            return sum(self.diag)
-        return float(np.real(np.trace(self.mat)))
+        """True for integer numerators over one denominator, the only exact form."""
+        return self.denominator is not None
 
     @property
     def is_normalized(self) -> bool:
-        tr = self.trace()
-        return tr == 1 if self.exact else abs(tr - 1.0) <= TRACE_TOL
+        return (self.numerators.sum() == self.denominator if self.exact
+                else abs(float(np.real(np.trace(self.mat))) - 1.0) <= TRACE_TOL)
 
     def to_matrix(self) -> np.ndarray:
         if self.exact:
-            return np.diag(np.array([float(d) for d in self.diag], dtype=complex))
+            return np.diag((self.numerators / self.denominator).astype(complex))
         return self.mat.copy()
 
 

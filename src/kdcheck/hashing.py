@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -235,8 +236,13 @@ def _set_counts(state, ndim: int) -> np.ndarray:
     cells do; else Python ints.  On a valid state every readout's sums are
     then below ``(q**k * denominator)**2`` (``|G|`` divides the denominator),
     and counts outside the rule, valid or not, are never wrapped to int64.
+    A count that is not an integer, such as a float or a Fraction, is refused.
     """
     counts = np.asarray(state.counts)
+    if counts.dtype.kind not in "iu" and not all(
+            issubclass(t, Integral) for t in set(map(type, counts.ravel().tolist()))):
+        at, c = next((i, c) for i, c in np.ndenumerate(counts) if not isinstance(c, Integral))
+        raise ValueError("count %s is %s %s, not an integer" % (list(at), type(c).__name__, c))
     dtype = object
     den = state.denominator
     if ((state.q**state.k * den)**2 < INT64_BOUND and counts.size * den < INT64_BOUND

@@ -6,7 +6,8 @@ by the inverse square root of the ensemble average; its success
 probability ``e_gen`` sandwiches the optimal guessing probability
 ``e_opt`` via ``e_opt**2 <= e_gen <= e_opt``.  A diagonal rational
 ensemble holds every ``p_x rho_x`` once as integer numerators over one
-denominator ``D``, and its exact path runs on those integers; commuting
+denominator ``D``, built from its prior's and its states' integers with
+one gcd, and its exact path runs on those integers; commuting
 dense ensembles are rotated once into a verified common eigenbasis;
 ``e_opt`` is defined on commuting ensembles only.
 
@@ -29,6 +30,7 @@ distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -40,7 +42,6 @@ from .core import (
     FiniteDistribution,
     StateDensity,
     distribution_from_json,
-    scale_to_integers,
     state_from_json,
 )
 from .hashing import (CHUNK_CELLS, MAX_TABLE_CELLS, HashFamily, _bound_verdict,
@@ -77,18 +78,19 @@ class Ensemble:
         dims = {s.dim for s in states}
         if len(dims) != 1:
             raise ValueError("all states must share one dimension")
-        for s in states:
-            if not s.is_normalized:
-                raise ValueError("ensemble states must have trace 1")
+        if not all(s.is_normalized for s in states):
+            raise ValueError("ensemble states must have trace 1")
         dim = dims.pop()
         exact = prior.exact and all(s.exact for s in states)
         den = numerators = None
         if exact:
-            # p_x rho_x[i] = n_x rho_x[i] / D stays reduced: row x sums to n_x.
-            den, flat = scale_to_integers(
-                n * d for n, s in zip(prior.numerators.tolist(), states) for d in s.diag)
-            den *= prior.denominator
-            numerators = tuple(zip(*[iter(flat)] * dim))
+            # p_x rho_x[i] = n_x a_x[i] (L / D_x) / (D_p L), L = lcm(D_x), over one gcd.
+            lcm = math.lcm(*(s.denominator for s in states))
+            rows = [s.numerators * (n * (lcm // s.denominator))
+                    for n, s in zip(prior.numerators.tolist(), states)]
+            g = math.gcd(prior.denominator * lcm, *(math.gcd(*row) for row in rows))
+            den = prior.denominator * lcm // g
+            numerators = tuple(tuple((row // g).tolist()) for row in rows)
         for name, value in zip(self.__slots__, (prior.alphabet, prior, states,
                                                 dim, exact, den, numerators, None)):
             object.__setattr__(self, name, value)
@@ -392,11 +394,7 @@ def basis_plus_mixed_ensemble(n: int) -> Ensemble:
     if n > MAX_PHI_DIM:
         raise ValueError("dimension %d exceeds MAX_PHI_DIM = %d" % (n, MAX_PHI_DIM))
     prior = FiniteDistribution.uniform(Alphabet(n + 1))
-    states = []
-    for xi in range(n):
-        diag = [Fraction(0)] * n
-        diag[xi] = Fraction(1)
-        states.append(StateDensity.from_diag(diag))
+    states = [StateDensity.from_diag(row) for row in np.eye(n, dtype=int).tolist()]
     states.append(StateDensity.from_diag([Fraction(1, n)] * n))
     return Ensemble(prior, states)
 

@@ -34,14 +34,11 @@ from .quadrature import tensor_rule
 
 def random_diagonal_ensemble(rng: np.random.Generator, n_symbols: int,
                              dim: int) -> quantum.Ensemble:
-    """Exact rational ensemble of diagonal states."""
+    """Exact ensemble of diagonal states, drawn as integers with no Fraction per entry."""
     prior = FiniteDistribution.random_rational(Alphabet(n_symbols), rng, 16)
-    states = []
-    for _ in range(n_symbols):
-        raw = rng.integers(1, 16, size=dim)
-        tot = int(raw.sum())
-        states.append(StateDensity.from_diag([Fraction(int(r), tot) for r in raw]))
-    return quantum.Ensemble(prior, states)
+    raws = [rng.integers(1, 16, size=dim) for _ in range(n_symbols)]
+    return quantum.Ensemble(prior, [StateDensity._from_integers(int(raw.sum()), raw.tolist())
+                                    for raw in raws])
 
 
 def rotate_ensemble(ens: quantum.Ensemble,
@@ -176,7 +173,7 @@ def check_tripartite() -> dict:
     trivial_gap = Fraction(0)
     for _ in range(10):
         prior = FiniteDistribution.random_rational(Alphabet(2, 2), rng)
-        ens = quantum.Ensemble(prior, [StateDensity.from_diag((Fraction(1),))] * 4)
+        ens = quantum.Ensemble(prior, [StateDensity.from_diag((1,))] * 4)
         dist_q = quantum.tripartite_distance(quantum.hashed_joint_blocks(ens, family))
         trivial_gap = max(trivial_gap, abs(dist_q - hashing.lhl_distance(prior, family)))
     return {

@@ -275,7 +275,7 @@ def test_hash_scale_ensemble_matches_loops():
     assert cq.denominator == 64 * ens.denominator
     assert tripartite_distance(cq) == ref_tripartite(counts, 2, 3, cq.denominator)
     assert tuple(Fraction(t, cq.denominator) for t in cq._side_counts()) \
-        == tuple(map(sum, zip(*(tuple(p * d for d in st.diag)
+        == tuple(map(sum, zip(*(tuple(p * Fraction(n, st.denominator) for n in st.numerators)
                                 for p, st in zip(prior_fractions(ens), ens.states)))))
     # A trivial side register reproduces the classical distance on the full family.
     trivial = Ensemble(ens.prior, [StateDensity.from_diag((Fraction(1),))] * 256)
@@ -384,7 +384,7 @@ def float_diagonal_ensemble(ens):
     """``ens`` with its prior and states as float diagonals: no common basis
     to search, so that large alphabets stay quick."""
     prior = FiniteDistribution(ens.alphabet, tuple(ens.prior.as_floats().tolist()))
-    return Ensemble(prior, [StateDensity.from_diag([float(d) for d in s.diag])
+    return Ensemble(prior, [StateDensity.from_diag((s.numerators / s.denominator).tolist())
                             for s in ens.states])
 
 
@@ -476,7 +476,7 @@ def toeplitz_352_float_blocks_sha256():
     that takes most of its time at this size."""
     exact = random_diagonal_ensemble(np.random.default_rng(100), 243, 100)
     prior = FiniteDistribution(exact.alphabet, tuple(exact.prior.as_floats().tolist()))
-    states = [StateDensity(100, mat=np.diag([complex(d) for d in s.diag])) for s in exact.states]
+    states = [StateDensity(100, mat=s.to_matrix()) for s in exact.states]
     cq = hashed_joint_blocks(Ensemble(prior, states), build_family("toeplitz", 3, 5, 2))
     return hashlib.sha256(repr((cq.counts.tolist(), cq.denominator)).encode()).hexdigest()
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from kdcheck.core import Alphabet, FiniteDistribution, StateDensity
+from kdcheck.core import (Alphabet, FiniteDistribution, StateDensity, scale_to_integers,
+                          state_from_json)
 from kdcheck.hashing import build_family, lhl_distance
-from kdcheck import quantum
+from kdcheck import quantum, verify
 from kdcheck.quantum import (
     MAX_PHI_DIM,
     Ensemble,
@@ -359,7 +360,7 @@ def test_float_side_register_matches_exact():
     ens = random_diagonal_ensemble(rng, 4, 3)
     floats = Ensemble(
         FiniteDistribution(ens.alphabet, tuple(ens.prior.as_floats().tolist())),
-        tuple(StateDensity.from_diag(tuple(float(v) for v in s.diag))
+        tuple(StateDensity.from_diag(tuple((s.numerators / s.denominator).tolist()))
               for s in ens.states))
     assert not floats.exact
     cq = hashed_joint_blocks(floats, fam)
@@ -379,7 +380,8 @@ def test_float_side_register_matches_exact():
 
 def ref_weighted(ens, x):
     p = Fraction(ens.prior.numerators[x], ens.prior.denominator)
-    return tuple(p * d for d in ens.states[x].diag)
+    s = ens.states[x]
+    return tuple(p * Fraction(n, s.denominator) for n in s.numerators)
 
 
 def numerator_weighted(ens, x):
@@ -471,8 +473,8 @@ def test_ensemble_denominator_is_the_lcm_of_its_weighted_entries():
         assert hashed_joint_blocks(ens, fam).denominator == fam.group_size * den
         assert all(numerator_weighted(ens, x) == ref_weighted(ens, x) for x in range(8))
         # The dense readouts are the float path's, on exact ensembles too.
-        assert all(np.array_equal(ens.weighted(x), np.diag([float(p) * float(d) for d in
-                                                            ens.states[x].diag]))
+        assert all(np.array_equal(ens.weighted(x), np.diag([float(p) * d for d in (
+                       ens.states[x].numerators / ens.states[x].denominator).tolist()]))
                    for x, p in enumerate(ens.prior.as_floats()))
         dense = rotate_ensemble(ens, rng)
         assert dense.denominator is None and dense.numerators is None
@@ -485,3 +487,95 @@ def test_e_gen_rejects_a_povm_that_does_not_fit():
     for ens, other in ((two, three), (three, two), (two, qutrits), (qutrits, two)):
         with pytest.raises(ValueError, match="does not fit"):
             e_gen(ens, pretty_good_measurement(other))
+
+
+# ---------------------------------------------------------------------------
+# Exact states: integer numerators over one denominator
+# ---------------------------------------------------------------------------
+
+def earlier_state_integers(entries):
+    """``(D, numerators)`` of the diagonal the earlier ``from_diag`` kept, one
+    Fraction per entry."""
+    return scale_to_integers(Fraction(e) for e in entries)
+
+
+def earlier_ensemble_integers(ens):
+    """``(denominator, numerators)`` as the earlier ``Ensemble.__init__`` built
+    them: a Fraction product ``n_x * rho_x[i]`` per entry, scaled once."""
+    states = [tuple(Fraction(a, s.denominator) for a in s.numerators) for s in ens.states]
+    den, flat = scale_to_integers(
+        n * d for n, diag in zip(ens.prior.numerators.tolist(), states) for d in diag)
+    return den * ens.prior.denominator, tuple(zip(*[iter(flat)] * ens.dim))
+
+
+def assert_integer_state(s, entries):
+    assert (s.denominator, s.numerators.tolist()) == earlier_state_integers(entries)
+    assert math.gcd(s.denominator, *s.numerators) == 1
+    assert all(type(n) is int for n in s.numerators) and not s.numerators.flags.writeable
+    # The dense readout is each entry's correctly rounded float, as float(Fraction).
+    assert s.to_matrix().tobytes() == np.diag(
+        [complex(float(Fraction(e))) for e in entries]).tobytes()
+
+
+def check2_ensembles(monkeypatch):
+    """The 500 exact ensembles check 2 draws, recorded while it runs."""
+    drawn = []
+
+    def record(*args):
+        drawn.append(random_diagonal_ensemble(*args))
+        return drawn[-1]
+    monkeypatch.setattr(verify, "random_diagonal_ensemble", record)
+    assert verify.check_pgm_sandwich()["passed"]
+    return drawn
+
+
+UNREDUCED = [["2/4", "1/4", "1/4"], ["0/3", "6/8", "2/8"], [1, "0", "0/7"],
+             ["10/30", "10/30", "30/90"]]
+
+
+def test_state_integers_match_the_fraction_route():
+    for entries in UNREDUCED + [
+            ["1/4", "1/4"], ["0", "0"], ["1/6", "1/10", "0", "1/15"],   # subnormalized
+            ["1/%d" % 2**200, "%d/%d" % (3**120 - 1, 3**121)], ["3/%d" % 2**1076, 0]]:
+        assert_integer_state(state_from_json({"diag": entries}), entries)
+        parsed = [Fraction(e) for e in entries]
+        assert_integer_state(StateDensity.from_diag(parsed), parsed)
+
+
+def test_ensemble_integers_match_the_fraction_route(monkeypatch):
+    ensembles = check2_ensembles(monkeypatch)
+    assert len(ensembles) == 500
+    ensembles += [basis_plus_mixed_ensemble(n) for n in (2, 3, 4, 5, 6, MAX_PHI_DIM)]
+    ensembles.append(ensemble_from_json({
+        "prior": {"alphabet": {"size": 2, "power": 2}, "weights": ["2/4", "0", "3/12", "1/4"]},
+        "states": [{"diag": d} for d in UNREDUCED]}))
+    ensembles.append(big_denominator_ensemble())
+    for ens in ensembles:
+        assert ens.exact
+        assert (ens.denominator, ens.numerators) == earlier_ensemble_integers(ens)
+
+
+def fraction_calls(monkeypatch, build):
+    """How many Fractions ``build()`` constructs."""
+    calls = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counting))
+        build()
+    return len(calls)
+
+
+def test_integer_generators_build_no_fraction_per_entry(monkeypatch):
+    # The earlier generators built one Fraction per state entry and one per
+    # weighted entry of the ensemble.
+    def draw(n_symbols, dim):
+        return fraction_calls(monkeypatch, lambda: random_diagonal_ensemble(
+            np.random.default_rng(3), n_symbols, dim))
+    assert draw(2, 2) == draw(64, 2) == draw(2, 100) == draw(32, 50)
+    phi = [fraction_calls(monkeypatch, lambda: basis_plus_mixed_ensemble(n))
+           for n in (2, 20, MAX_PHI_DIM)]
+    assert phi == [phi[0]] * 3

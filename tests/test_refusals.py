@@ -117,6 +117,15 @@ HASHING = [
      "member marginal must be exactly uniform"),
     (lambda: hashing.joint_state(F2, hashing.build_family("linear", 2, 2, 1)),
      "distribution does not match the family input alphabet"),
+    # Counts are integers only: Python floats, np.float64 and Fractions are refused.
+    (lambda: hashing.JointKeyState(2, 1, ((0.5,), (0.5,)), 1),
+     "count [0, 0] is float64 0.5, not an integer"),
+    (lambda: hashing.JointKeyState(2, 1, np.array([[1], [np.float64(0.0)]], dtype=object), 1),
+     "count [1, 0] is float64 0.0, not an integer"),
+    (lambda: hashing.JointKeyState(2, 1, np.array([[2**70], [0.5]], dtype=object), 2**70),
+     "count [1, 0] is float 0.5, not an integer"),
+    (lambda: hashing.JointKeyState(2, 1, ((Fraction(1, 2),), (Fraction(1, 2),)), 1),
+     "count [0, 0] is Fraction 1/2, not an integer"),
 ]
 
 
@@ -177,6 +186,14 @@ QUANTUM = [
     (lambda: quantum.basis_plus_mixed_ensemble(1), "dimension must be >= 2"),
     (lambda: quantum.ensemble_from_json({"states": []}),
      "ensemble JSON needs 'prior' and 'states'"),
+    (lambda: quantum.CqKeyState(2, 1, (((0.75,),), ((0.25,),)), 1),
+     "count [0, 0, 0] is float64 0.75, not an integer"),
+    (lambda: quantum.CqKeyState(2, 1, np.array([[[3]], [[np.float64(1.0)]]], dtype=object), 4),
+     "count [1, 0, 0] is float64 1.0, not an integer"),
+    (lambda: quantum.CqKeyState(2, 1, np.array([[[3]], [[0.25]]], dtype=object), 4),
+     "count [1, 0, 0] is float 0.25, not an integer"),
+    (lambda: quantum.CqKeyState(2, 1, (((Fraction(3, 4),),), ((Fraction(1, 4),),)), 1),
+     "count [0, 0, 0] is Fraction 3/4, not an integer"),
 ]
 
 
@@ -266,6 +283,32 @@ def test_nan_state_is_refused_by_name(tmp_path, capsys, state, message):
     assert main(["quantum-lhl", "--q", "2", "--m", "1", "--k", "1", "--ensemble", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("diag,message", [
+    ([], "state must have dimension >= 1"),
+    (["3/2", "-1/2"], "diagonal entries must be nonnegative"),
+    ([2, -1], "diagonal entries must be nonnegative"),
+    (["6/8", "6/8"], "trace 3/2 exceeds 1"),
+    ([float("nan"), 0.5], "diagonal entry [0] is nan, not finite"),
+], ids=["empty", "negative", "negative-int", "over-trace", "nan"])
+def test_refused_diagonal_exits_2_by_name(tmp_path, capsys, diag, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({
+        "prior": {"alphabet": {"size": 2}, "weights": ["1/2", "1/2"]},
+        "states": [{"diag": diag}, {"diag": [0, 1]}]}))
+    assert main(["quantum-lhl", "--q", "2", "--m", "1", "--k", "1", "--ensemble", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("den,numerators,message", [
+    (2, [3, -1], "diagonal entries must be nonnegative"),
+    (8, [6, 6], "trace 3/2 exceeds 1"),
+], ids=["negative", "over-trace"])
+def test_integer_diagonal_refusals(den, numerators, message):
+    # The integer generators' constructor checks what from_diag checks.
+    check_table(lambda: StateDensity._from_integers(den, numerators), message)
 
 
 # With N = 2**1100 the weight 1/N is positive but rounds to 0.0 as a float.
