@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Alphabet, FiniteDistribution, format_rational, parse_rational
+from .core import (Alphabet, FiniteDistribution, format_rational, parse_rational,
+                   rows_from_json)
 from . import entropy as ent
 from . import hashing
 from . import markov
@@ -99,25 +100,14 @@ def _print_csv(header: str, columns: Sequence[np.ndarray],
         out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _parse_number(tok: str):
-    tok = tok.strip()
-    if "." in tok or "e" in tok or "E" in tok:
-        return float(tok)
-    return parse_rational(tok)
-
-
-def _parse_weights(text: str):
-    return tuple(_parse_number(t) for t in text.split(","))
-
-
-def _parse_rows(text: str):
-    return [[parse_rational(t) for t in row.split(",")]
-            for row in text.split(";")]
+def _parse_numbers(text: str, floats: bool = True):
+    """A comma list, each token read by ``core.parse_rational``."""
+    return tuple(parse_rational(t, floats) for t in text.split(","))
 
 
 def _distribution(args) -> FiniteDistribution:
     if args.weights is not None:
-        weights = _parse_weights(args.weights)
+        weights = _parse_numbers(args.weights)
         size = args.alphabet_size or len(weights)
         power = args.alphabet_power
         return FiniteDistribution(Alphabet(size, power), weights)
@@ -147,7 +137,7 @@ def cmd_entropy(args) -> int:
     else:
         source = _distribution(args)
         if args.other is not None:
-            g = FiniteDistribution(source.alphabet, _parse_weights(args.other))
+            g = FiniteDistribution(source.alphabet, _parse_numbers(args.other))
             rep = ent.divergence_report(source, g, args.order, base=args.base)
             emit(rep, "divergence of two distributions at one order")
             return EXIT_OK
@@ -166,12 +156,12 @@ def cmd_lhl(args) -> int:
     if args.uniform:
         f = FiniteDistribution.uniform(Alphabet(args.q, args.m))
     elif args.weights is not None:
-        weights = tuple(parse_rational(t) for t in args.weights.split(","))
-        f = FiniteDistribution(Alphabet(args.q, args.m), weights)
+        f = FiniteDistribution(Alphabet(args.q, args.m),
+                               _parse_numbers(args.weights, floats=False))
     else:
         rng = np.random.default_rng(args.seed)
         f = FiniteDistribution.random_rational(Alphabet(args.q, args.m), rng)
-    h_plus = None if args.h_plus is None else _parse_number(args.h_plus)
+    h_plus = None if args.h_plus is None else parse_rational(args.h_plus, floats=True)
     rep = dict(hashing.lhl_report(f, family, h_plus=h_plus))
     rep["value"] = rep["distance"]
     emit(rep, "distance of a hashed key from uniform-independent",
@@ -215,13 +205,9 @@ def cmd_phi(args) -> int:
 def cmd_markov(args) -> int:
     if args.matrix is not None:
         with open(args.matrix, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        raw_rows = data.get("rows") if isinstance(data, dict) else None
-        if not isinstance(raw_rows, list) or not all(isinstance(r, list) for r in raw_rows):
-            raise ValueError("matrix JSON needs a 'rows' list")
-        rows = [[parse_rational(c) for c in row] for row in raw_rows]
+            rows = rows_from_json(json.load(fh))
     elif args.rows is not None:
-        rows = _parse_rows(args.rows)
+        rows = [_parse_numbers(row, floats=False) for row in args.rows.split(";")]
     else:
         raise ValueError("provide --matrix FILE or --rows")
     chain = markov.TransitionMatrix.build(rows)

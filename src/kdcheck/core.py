@@ -1,8 +1,11 @@
-"""Shared state types and JSON readers.
+"""Shared state types and the readers of outside input.
 
 Finite alphabets, probability weight vectors with an exact-rational or a
 float backend, density operators (an exact diagonal or a dense Hermitian
-matrix), and the JSON readers used by the command line tools.
+matrix), and the readers of outside input.  :func:`parse_rational` reads
+every number, from JSON or the command line; each JSON schema has one
+reader here (``quantum`` joins two into the ensemble reader), whose
+refusals name a JSON path; :func:`_refuse_non_finite` refuses NaN and inf.
 
 Exactness contract: whenever every input is rational (``fractions.Fraction``
 weights or diagonal entries), sums stay rational end to end.  An exact
@@ -42,25 +45,26 @@ def check_mc_samples(n: int) -> None:
                          % (n, MAX_MC_SAMPLES))
 
 
-def parse_rational(text) -> Fraction:
-    """Parse ``"num/den"`` strings (or bare integers) into a Fraction."""
-    if isinstance(text, Rational):
+def parse_rational(value, floats: bool = False) -> Scalar:
+    """The one reader of a number from outside.  An int (not a bool), a
+    ``Fraction`` or a string ``"n"`` or ``"n/d"`` is exact.  A float, or a
+    string with ``.``, ``e`` or ``E`` (the command line's only float), is a
+    float, returned where ``floats`` lets the float backend take one and
+    refused as ``exact rational expected`` elsewhere; the JSON readers pass
+    ``floats`` false for a string.  Booleans, None, lists, dicts, other
+    strings and ``"1/0"`` are refused; NaN and inf are left to the caller."""
+    if isinstance(value, Rational) and not isinstance(value, bool):
+        return Fraction(value)
+    text = value.strip() if isinstance(value, str) else None
+    if isinstance(value, float) or text is not None and ("." in text or "e" in text.lower()):
+        if floats:
+            return float(value)
+        raise ValueError("exact rational expected; got %s%r (write it as 'num/den')"
+                         % ("float " if text is None else "", value))
+    try:
         return Fraction(text)
-    if isinstance(text, str):
-        stripped = text.strip()
-        if "." in stripped or "e" in stripped.lower():
-            raise ValueError(
-                "exact rational expected; got %r (write it as 'num/den')" % text
-            )
-        try:
-            return Fraction(stripped)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("cannot parse %r as a rational" % (text,)) from exc
-    if isinstance(text, float):
-        raise ValueError(
-            "exact rational expected; got float %r (write it as 'num/den')" % text
-        )
-    raise ValueError("cannot parse %r as a rational" % (text,))
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError("cannot parse %r as a rational" % (value,)) from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -132,8 +136,7 @@ class FiniteDistribution:
             self._set(alphabet, den, np.array(numerators, dtype=object))
             return
         floats = np.array([float(w) for w in weights])
-        if not np.isfinite(floats).all():
-            raise ValueError("weights must be finite")
+        _refuse_non_finite(floats, "weight")
         if (floats < -SUM_TOL).any():
             raise ValueError("weights must be nonnegative")
         floats[floats < 0] = 0.0
@@ -296,41 +299,80 @@ def _is_hermitian(m: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON readers
+# JSON readers: a refusal names its path, like ``states[0].matrix[1][0]``; other keys are ignored
 # ---------------------------------------------------------------------------
 
-def _json_number(x) -> Scalar:
-    """A JSON weight: "num/den" strings and ints exact, other numbers float."""
-    if isinstance(x, bool):
-        raise ValueError("weights must be numbers, got %r" % x)
-    if isinstance(x, (str, int)):
-        return Fraction(x)
-    return float(x)
-
-
-def distribution_from_json(obj: dict) -> FiniteDistribution:
-    """Read an ``{"alphabet", "weights"}`` object; floats allowed for the float backend."""
+def _built(path: str, build, *args):
+    """``build(*args)``, its refusal prefixed with ``path``."""
     try:
-        alpha = obj["alphabet"]
-        alphabet = Alphabet(int(alpha["size"]), int(alpha.get("power", 1)))
-        raw = obj["weights"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("distribution JSON needs 'alphabet' and 'weights'") from exc
-    return FiniteDistribution(alphabet, [_json_number(w) for w in raw])
+        return build(*args)
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError("%s: %s" % (path or "top level", exc)) from None
 
 
-def state_from_json(obj: dict) -> StateDensity:
+def _expect(ok, path: str, what: str, value) -> None:
+    """Refuse ``value`` unless ``ok``, cut short: it may be a whole document."""
+    if not ok:
+        text = repr(value)
+        text = text if len(text) <= 60 else text[:56] + " ..."
+        raise ValueError("%s: expected %s, got %s" % (path or "top level", what, text))
+
+
+def _get(obj, key: str, path: str):
+    _expect(isinstance(obj, dict) and key in obj, path, "an object with key %r" % key, obj)
+    return obj[key], "%s.%s" % (path, key) if path else key
+
+
+def _number(value, path: str, floats: bool = True, pair: bool = False):
+    """``value`` by :func:`parse_rational` (a JSON string is exact), or ``[re, im]``."""
+    if pair and isinstance(value, list):
+        _expect(len(value) == 2, path, "a number or [re, im]", value)
+        return _built(path, complex, *_numbers(value, path))
+    return _built(path, parse_rational, value, floats and not isinstance(value, str))
+
+
+def _numbers(values, path: str, floats: bool = True) -> list:
+    _expect(isinstance(values, list), path, "a list", values)
+    return [_number(v, "%s[%d]" % (path, i), floats) for i, v in enumerate(values)]
+
+
+def _square(rows, path: str) -> list:
+    """A list of ``n >= 1`` rows, each a list of ``n`` entries."""
+    _expect(isinstance(rows, list) and rows, path, "a list of rows", rows)
+    for i, row in enumerate(rows):
+        _expect(isinstance(row, list) and len(row) == len(rows), "%s[%d]" % (path, i),
+                "a list of %d entries, one per row" % len(rows), row)
+    return rows
+
+
+def distribution_from_json(obj, path: str = "") -> FiniteDistribution:
+    """Read ``{"alphabet": {"size", "power" (default 1)}, "weights": [...]}``."""
+    alpha, apath = _get(obj, "alphabet", path)
+    size, power = _get(alpha, "size", apath)[0], alpha.get("power", 1)
+    for key, value in (("size", size), ("power", power)):
+        _expect(type(value) is int, "%s.%s" % (apath, key), "an integer", value)
+    weights = _numbers(*_get(obj, "weights", path))
+    alphabet, bits = _built(apath, Alphabet, size, power), len(weights).bit_length()
+    _expect(power <= bits, apath + ".power",  # else size**power, too large, is not formed
+            "at most %d for %d weights" % (bits, len(weights)), power)
+    return _built(path, FiniteDistribution, alphabet, weights)
+
+
+def state_from_json(obj, path: str = "") -> StateDensity:
+    """Read ``{"diag": [...]}``, exact when every entry is, or a dense
+    ``{"matrix": [[...], ...]}`` whose entries are numbers or ``[re, im]``."""
+    _expect(isinstance(obj, dict) and ("diag" in obj or "matrix" in obj), path,
+            "an object with 'diag' or 'matrix'", obj)
     if "diag" in obj:
-        return StateDensity.from_diag([_json_number(d) for d in obj["diag"]])
-    if "matrix" in obj:
-        rows = obj["matrix"]
-        n = len(rows)
-        m = np.zeros((n, n), dtype=complex)
-        for i, row in enumerate(rows):
-            for j, cell in enumerate(row):
-                if isinstance(cell, (list, tuple)):
-                    m[i, j] = complex(cell[0], cell[1])
-                else:
-                    m[i, j] = complex(cell)
-        return StateDensity.from_matrix(m)
-    raise ValueError("state JSON needs either 'diag' or 'matrix'")
+        return _built(path, StateDensity.from_diag, _numbers(*_get(obj, "diag", path)))
+    rows, path_m = _get(obj, "matrix", path)
+    return _built(path, StateDensity.from_matrix,
+                  [[_number(cell, "%s[%d][%d]" % (path_m, i, j), pair=True)
+                    for j, cell in enumerate(row)] for i, row in enumerate(_square(rows, path_m))])
+
+
+def rows_from_json(obj) -> List[List[Fraction]]:
+    """Read a chain ``{"rows": [[...], ...]}``: a square matrix of exact entries."""
+    rows, path = _get(obj, "rows", "")
+    return [_numbers(row, "%s[%d]" % (path, i), floats=False)
+            for i, row in enumerate(_square(rows, path))]

@@ -266,13 +266,17 @@ def _require_exact(f: FiniteDistribution):
                          "build weights from Fractions or 'num/den' strings")
 
 
-def _limbs(values, n_terms: int) -> Tuple[np.ndarray, int]:
-    """Nonnegative ints as float64 limbs on a new last axis, and their width:
-    ``53 - (n_terms - 1).bit_length()`` bits, so that any sum of at most
-    ``n_terms`` limbs stays below ``2**53`` and is exact in any order."""
-    values = np.array(values, dtype=object)
+def _limb_shape(top: int, n_terms: int) -> Tuple[int, int]:
+    """``(bits, n_limbs)`` for ints up to ``top``: ``53 - (n_terms - 1).bit_length()``
+    bits a limb keep any sum of ``n_terms`` limbs below ``2**53``, exact in any order."""
     bits = 53 - (n_terms - 1).bit_length()
-    n_limbs = max(1, -(-int(values.max()).bit_length() // bits))
+    return bits, max(1, -(-top.bit_length() // bits))
+
+
+def _limbs(values, n_terms: int) -> Tuple[np.ndarray, int]:
+    """Nonnegative ints as float64 limbs on a new last axis, and their width."""
+    values = np.asarray(values, dtype=object)
+    bits, n_limbs = _limb_shape(int(values.max()), n_terms)
     return np.stack([((values >> (bits * j)) & ((1 << bits) - 1)).astype(float)
                      for j in range(n_limbs)], axis=-1), bits
 

@@ -37,16 +37,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    Alphabet,
-    FiniteDistribution,
-    StateDensity,
-    distribution_from_json,
-    state_from_json,
-)
+from .core import (Alphabet, FiniteDistribution, StateDensity, _built, _expect, _get,
+                   distribution_from_json, state_from_json)
 from .hashing import (CHUNK_CELLS, MAX_TABLE_CELLS, HashFamily, _bound_verdict,
-                      _entropy_floor, _join_limbs, _limbs, _set_counts,
-                      lhl_bound)
+                      _entropy_floor, _join_limbs, _limb_shape, _limbs,
+                      _set_counts, lhl_bound)
 
 COMMUTE_TOL = 1e-9
 PINV_CUTOFF = 1e-12
@@ -274,14 +269,15 @@ def _exact_key_blocks(table: np.ndarray, numerators: Sequence[Sequence[int]],
                       n_out: int) -> np.ndarray:
     """``out[kappa, g] = sum_{x: table[g, x] = kappa} numerators[x]``, exact on
     float64 limbs (``hashing._limbs``) in steps of ``CHUNK_CELLS`` table cells;
-    refuses more than ``MAX_LIMB_CELLS`` limb sums before any product."""
+    refuses more than ``MAX_LIMB_CELLS`` limb sums before any limb is split."""
     size, n_in = table.shape
-    limbs, bits = _limbs(numerators, n_in)
-    dim, n_limbs = limbs.shape[1:]
+    numerators = np.asarray(numerators, dtype=object)
+    dim, n_limbs = numerators.shape[1], _limb_shape(int(numerators.max()), n_in)[1]
     cells = n_out * size * dim * n_limbs
     if cells > MAX_LIMB_CELLS:
         raise ValueError("side-register pushforward of %d limb sums (q**k |G| dim times "
                          "%d limbs) exceeds cap %d" % (cells, n_limbs, MAX_LIMB_CELLS))
+    limbs, bits = _limbs(numerators, n_in)
     weights = limbs.reshape(n_in, dim * n_limbs)
     sums = np.zeros((n_out, size, dim * n_limbs))
     step = max(1, CHUNK_CELLS // n_in)
@@ -423,11 +419,9 @@ def phi_report(n: int) -> dict:
     }
 
 
-def ensemble_from_json(obj: dict) -> Ensemble:
-    """Read ``{"prior": {...}, "states": [...]}`` built from the core schema."""
-    try:
-        prior = distribution_from_json(obj["prior"])
-        states = [state_from_json(s) for s in obj["states"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("ensemble JSON needs 'prior' and 'states'") from exc
-    return Ensemble(prior, states)
+def ensemble_from_json(obj) -> Ensemble:
+    """Read ``{"prior": {...}, "states": [...]}``; a refusal names its JSON path."""
+    states, path = _get(obj, "states", "")
+    _expect(isinstance(states, list), path, "a list", states)
+    return _built(path, Ensemble, distribution_from_json(*_get(obj, "prior", "")),
+                  [state_from_json(s, "%s[%d]" % (path, i)) for i, s in enumerate(states)])

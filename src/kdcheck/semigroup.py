@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import check_mc_samples
+from .core import _refuse_non_finite, check_mc_samples
 from .quadrature import MAX_TOTAL_NODES, _tensor_grid, tensor_rule
 
 DET_CROSS_TOL = 1e-10
@@ -248,11 +248,12 @@ def kernel_pdf(spec: CovSpec, t: float) -> Callable[[np.ndarray], np.ndarray]:
 def _as_points(points, dim: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if dim == 1:
-        return pts.reshape(-1, 1)
-    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    elif pts.ndim == 1:
         pts = pts.reshape(1, -1)
     if pts.shape[1] != dim:
         raise ValueError("query points must have %d coordinates" % dim)
+    _refuse_non_finite(pts, "query point")
     return pts
 
 
@@ -266,13 +267,6 @@ def _check_time(t: float) -> None:
         raise ValueError("time must be nonnegative")
     if not math.isfinite(t):
         raise ValueError("time must be finite")
-
-
-def _check_finite(name: str, values: np.ndarray) -> None:
-    """Reject a NaN or infinite entry of ``values`` before any rule is built."""
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        raise ValueError("%s must be finite, got %r" % (name, float(bad[0])))
 
 
 def _check_nodes(nodes: Optional[int], dim: int) -> None:
@@ -452,7 +446,6 @@ def apply(
     d = spec.dim
     _check_nodes(nodes, d)
     pts = _as_points(points, d)
-    _check_finite("query points", pts)
     if t == 0:
         return _eval_f(f, pts)
     if method == "quadrature":
@@ -507,7 +500,6 @@ def check_semigroup(
     d = spec.dim
     _check_nodes(nodes, d)
     pts = _as_points(points, d)
-    _check_finite("query points", pts)
     if method == "quadrature":
         chol = _cholesky(spec)
         rhs, n, estimate = _hermite_average(f, s + t, chol, pts, nodes)
@@ -582,13 +574,13 @@ def check_contraction(
     d = spec.dim
     _check_nodes(nodes, d)
     lows, highs = (np.atleast_1d(np.asarray(w, dtype=float)) for w in window)
-    _check_finite("window", np.concatenate([lows, highs]))
+    _refuse_non_finite(np.concatenate([lows, highs]), "window bound")
     with np.errstate(over="ignore"):
         half = WINDOW_SIGMAS * np.sqrt(t * np.diag(spec.sigma()))
         lows, highs = lows - half, highs + half
-        _check_finite("the bounds and width of the window widened by %g kernel "
-                      "standard deviations" % WINDOW_SIGMAS,
-                      np.concatenate([lows, highs, highs - lows]))
+        _refuse_non_finite(np.concatenate([lows, highs, highs - lows]),
+                           "bound or width of the window widened by %g kernel "
+                           "standard deviations" % WINDOW_SIGMAS)
     pts_out, wts_out = tensor_rule(lows, highs, WINDOW_NODES.get(d, 41))
     f_out = _eval_f(f, pts_out)
     ptf_out, n, estimate = _hermite_average(f, t, _cholesky(spec), pts_out,

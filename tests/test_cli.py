@@ -92,13 +92,21 @@ def test_markov_requires_input(capsys):
     assert "rows" in err
 
 
+MALFORMED_CHAINS = {
+    '{"rows": 5}': "rows: expected a list of rows, got 5",
+    '{"rows": [5]}': "rows[0]: expected a list of 1 entries, one per row, got 5",
+    '{"rows": "01"}': "rows: expected a list of rows, got '01'",
+    '[["1"]]': "top level: expected an object with key 'rows', got [['1']]",
+}
+
+
 @pytest.mark.parametrize("data", [{"rows": 5}, {"rows": [5]}, {"rows": "01"}, [["1"]]])
 def test_markov_malformed_matrix_exits_two(capsys, tmp_path, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "markov", "--matrix", str(path))
     assert code == 2 and out == ""
-    assert err == "error: matrix JSON needs a 'rows' list\n"
+    assert err == "error: %s\n" % MALFORMED_CHAINS[json.dumps(data)]
 
 
 def test_markov_refuses_oversized_powers_before_building_them():
@@ -816,23 +824,34 @@ SG1 = ["semigroup", "--variances", "1", "--points=1"]
     (["entropy", "--gaussian", "nan,1"], "mean must be finite, got nan"),
     (["entropy", "--gaussian", "inf,1"], "mean must be finite, got inf"),
     (["entropy", "--gaussian", "0,nan"], "variance must be finite, got nan"),
-    (["semigroup", "--variances", "1", "--points=nan", "--compose", "0.5,0.5",
-      "--assert-bounds"], "query points must be finite, got nan"),
-    (["semigroup", "--variances", "1", "--points=0;inf", "--compose", "0.5,0.5",
-      "--method", "mc"], "query points must be finite, got inf"),
-    (["semigroup", "--variances", "1", "--points=nan"], "query points must be finite, got nan"),
-    (["semigroup", "--variances", "1", "--points=nan", "--method", "mc"],
-     "query points must be finite, got nan"),
-    (["semigroup", "--variances", "1,1", "--correlations", "0.3", "--points=0,0;1,-inf",
-      "--time", "0"],
-     "query points must be finite, got -inf"),
-    (["semigroup", "--variances", "1", "--contract", "--window", "inf"],
-     "window must be finite, got -inf"),
-    (["semigroup", "--variances", "1", "--contract", "--window", "nan"],
-     "window must be finite, got nan"),
-    (["semigroup", "--variances", "1", "--contract", "--window", "1e308"],
-     "the bounds and width of the window widened by 8 kernel standard deviations "
-     "must be finite, got inf"),
+    # Each case keeps the name it had when the message read "... must be finite, got ...".
+    pytest.param(["semigroup", "--variances", "1", "--points=nan", "--compose", "0.5,0.5",
+                  "--assert-bounds"], "query point [0, 0] is nan, not finite",
+                 id="argv12-query points must be finite, got nan"),
+    pytest.param(["semigroup", "--variances", "1", "--points=0;inf", "--compose", "0.5,0.5",
+                  "--method", "mc"], "query point [1, 0] is inf, not finite",
+                 id="argv13-query points must be finite, got inf"),
+    pytest.param(["semigroup", "--variances", "1", "--points=nan"],
+                 "query point [0, 0] is nan, not finite",
+                 id="argv14-query points must be finite, got nan"),
+    pytest.param(["semigroup", "--variances", "1", "--points=nan", "--method", "mc"],
+                 "query point [0, 0] is nan, not finite",
+                 id="argv15-query points must be finite, got nan"),
+    pytest.param(["semigroup", "--variances", "1,1", "--correlations", "0.3",
+                  "--points=0,0;1,-inf", "--time", "0"],
+                 "query point [1, 1] is -inf, not finite",
+                 id="argv16-query points must be finite, got -inf"),
+    pytest.param(["semigroup", "--variances", "1", "--contract", "--window", "inf"],
+                 "window bound [0] is -inf, not finite",
+                 id="argv17-window must be finite, got -inf"),
+    pytest.param(["semigroup", "--variances", "1", "--contract", "--window", "nan"],
+                 "window bound [0] is nan, not finite",
+                 id="argv18-window must be finite, got nan"),
+    pytest.param(["semigroup", "--variances", "1", "--contract", "--window", "1e308"],
+                 "bound or width of the window widened by 8 kernel standard deviations "
+                 "[2] is inf, not finite",
+                 id="argv19-the bounds and width of the window widened by 8 kernel "
+                    "standard deviations must be finite, got inf"),
 ])
 def test_non_finite_gaussian_parameters_exit_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -167,5 +167,5 @@ def test_state_json_roundtrip():
     (state_from_json, {"diag": [True, 0]}),
 ])
 def test_json_readers_reject_booleans(read, obj):
-    with pytest.raises(ValueError, match="must be numbers"):
+    with pytest.raises(ValueError, match=r"\[0\]: cannot parse True as a rational$"):
         read(obj)

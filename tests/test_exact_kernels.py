@@ -577,6 +577,17 @@ def test_limb_cell_cap_at_the_cap_and_one_past(monkeypatch):
         hashed_joint_blocks(ens, fam)
 
 
+def test_limb_cell_cap_refuses_before_any_limb_is_split(monkeypatch, capsys):
+    # The limb count comes from the largest numerator's bit length alone.
+    def split(*args):
+        raise AssertionError("limbs split past the limb-cell cap")
+    monkeypatch.setattr(quantum, "_limbs", split)
+    assert main(["quantum-lhl", "--q", "2", "--m", "8", "--k", "3", "--family", "toeplitz",
+                 "--dim-q", "512"]) == 2
+    assert re.fullmatch(r"error: side-register pushforward of \d+ limb sums \(q\*\*k \|G\| "
+                        r"dim times \d+ limbs\) exceeds cap 16777216\n", capsys.readouterr().err)
+
+
 def test_limb_cell_cap_counts_a_float_ensemble_exponent_span(monkeypatch):
     # One entry of 2**-1000 widens every dyadic integer to ~1050 bits.
     fam = build_family("linear", 2, 2, 1)                # 2 keys, 4 members

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kdcheck import entropy, hashing, markov, quadrature, quantum, semigroup, treeproc
+from kdcheck import cli, entropy, hashing, markov, quadrature, quantum, semigroup, treeproc
 from kdcheck.cli import main
 from kdcheck.core import (
     Alphabet,
@@ -36,7 +36,8 @@ def check_table(call, message, error=ValueError):
 
 
 def ids(table):
-    return [message[:40] for _, message in table]
+    """The first 40 characters of each message, unless the case names itself."""
+    return [getattr(case, "id", None) or case[1][:40] for case in table]
 
 
 CORE = [
@@ -50,10 +51,14 @@ CORE = [
     (lambda: FiniteDistribution(Alphabet(2), (Fraction(3, 2), Fraction(-1, 2))),
      "weights must be nonnegative"),
     (lambda: FiniteDistribution(Alphabet(2), (1.5, -0.5)), "weights must be nonnegative"),
-    (lambda: FiniteDistribution(Alphabet(2), (float("inf"), 1.0)), "weights must be finite"),
-    (lambda: FiniteDistribution(Alphabet(2), (-float("inf"), 1.0)), "weights must be finite"),
-    (lambda: distribution_from_json({"alphabet": {"size": 2}, "weights": [float("nan"), 1.0]}),
-     "weights must be finite"),
+    # Cases whose message changed keep the names they had: the rule they state holds.
+    pytest.param(lambda: FiniteDistribution(Alphabet(2), (float("inf"), 1.0)),
+                 "weight [0] is inf, not finite", id="weights must be finite0"),
+    pytest.param(lambda: FiniteDistribution(Alphabet(2), (-float("inf"), 1.0)),
+                 "weight [0] is -inf, not finite", id="weights must be finite1"),
+    pytest.param(lambda: distribution_from_json(
+        {"alphabet": {"size": 2}, "weights": [float("nan"), 1.0]}),
+        "top level: weight [0] is nan, not finite", id="weights must be finite2"),
     (lambda: StateDensity.from_diag(()), "state must have dimension >= 1"),
     (lambda: StateDensity.from_diag((Fraction(3, 2), Fraction(-1, 2))),
      "diagonal entries must be nonnegative"),
@@ -75,9 +80,12 @@ CORE = [
      "state matrix has eigenvalue -1 below -1e-10: not positive semidefinite"),
     (lambda: StateDensity.from_matrix([[1.0, 0.0], [0.0, 1.0]]),
      "trace 2 exceeds 1 beyond tolerance"),
-    (lambda: distribution_from_json({"weights": ["1"]}),
-     "distribution JSON needs 'alphabet' and 'weights'"),
-    (lambda: state_from_json({"dim": 2}), "state JSON needs either 'diag' or 'matrix'"),
+    pytest.param(lambda: distribution_from_json({"weights": ["1"]}),
+                 "top level: expected an object with key 'alphabet', got {'weights': ['1']}",
+                 id="distribution JSON needs 'alphabet' and '"),
+    pytest.param(lambda: state_from_json({"dim": 2}),
+                 "top level: expected an object with 'diag' or 'matrix', got {'dim': 2}",
+                 id="state JSON needs either 'diag' or 'matri"),
 ]
 
 
@@ -184,8 +192,9 @@ QUANTUM = [
                                          hashing.build_family("linear", 2, 2, 1)),
      "ensemble alphabet does not match the family input"),
     (lambda: quantum.basis_plus_mixed_ensemble(1), "dimension must be >= 2"),
-    (lambda: quantum.ensemble_from_json({"states": []}),
-     "ensemble JSON needs 'prior' and 'states'"),
+    pytest.param(lambda: quantum.ensemble_from_json({"states": []}),
+                 "top level: expected an object with key 'prior', got {'states': []}",
+                 id="ensemble JSON needs 'prior' and 'states'"),
     (lambda: quantum.CqKeyState(2, 1, (((0.75,),), ((0.25,),)), 1),
      "count [0, 0, 0] is float64 0.75, not an integer"),
     (lambda: quantum.CqKeyState(2, 1, np.array([[[3]], [[np.float64(1.0)]]], dtype=object), 4),
@@ -239,7 +248,8 @@ def test_treeproc_refusals(call, message):
 
 CLI = [
     (["entropy", "--order", "2"], "provide --weights or --random"),
-    (["entropy", "--weights", "1e999,1.0"], "weights must be finite"),
+    pytest.param(["entropy", "--weights", "1e999,1.0"], "weight [0] is inf, not finite",
+                 id="weights must be finite"),
     (["semigroup", "--variances", "1,1", "--correlations", "0.2", "--points=0;1"],
      "point has 1 coordinates, expected 2"),
     (["semigroup", "--variances", "1", "--points=0", "--nodes", "100000"],
@@ -266,13 +276,13 @@ def test_nan_prior_is_refused_by_name(tmp_path, capsys):
         "states": [{"diag": [1.0, 0.0]}, {"diag": [0.0, 1.0]}]}))
     assert main(["quantum-lhl", "--q", "2", "--m", "1", "--k", "1", "--ensemble", str(path)]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and out.err == "error: weights must be finite\n"
+    assert out.out == "" and out.err == "error: prior: weight [0] is nan, not finite\n"
 
 
 @pytest.mark.parametrize("state,message", [
-    ({"diag": [float("nan"), 0.5]}, "diagonal entry [0] is nan, not finite"),
+    ({"diag": [float("nan"), 0.5]}, "states[0]: diagonal entry [0] is nan, not finite"),
     ({"matrix": [[0.5, float("nan")], [float("nan"), 0.5]]},
-     "state matrix entry [0, 1] is (nan+0j), not finite"),
+     "states[0]: state matrix entry [0, 1] is (nan+0j), not finite"),
 ], ids=["diagonal", "off-diagonal"])
 def test_nan_state_is_refused_by_name(tmp_path, capsys, state, message):
     # NaN passes the sign, Hermitian and trace checks, so it is refused before them.
@@ -286,11 +296,11 @@ def test_nan_state_is_refused_by_name(tmp_path, capsys, state, message):
 
 
 @pytest.mark.parametrize("diag,message", [
-    ([], "state must have dimension >= 1"),
-    (["3/2", "-1/2"], "diagonal entries must be nonnegative"),
-    ([2, -1], "diagonal entries must be nonnegative"),
-    (["6/8", "6/8"], "trace 3/2 exceeds 1"),
-    ([float("nan"), 0.5], "diagonal entry [0] is nan, not finite"),
+    ([], "states[0]: state must have dimension >= 1"),
+    (["3/2", "-1/2"], "states[0]: diagonal entries must be nonnegative"),
+    ([2, -1], "states[0]: diagonal entries must be nonnegative"),
+    (["6/8", "6/8"], "states[0]: trace 3/2 exceeds 1"),
+    ([float("nan"), 0.5], "states[0]: diagonal entry [0] is nan, not finite"),
 ], ids=["empty", "negative", "negative-int", "over-trace", "nan"])
 def test_refused_diagonal_exits_2_by_name(tmp_path, capsys, diag, message):
     path = tmp_path / "state.json"
@@ -300,6 +310,114 @@ def test_refused_diagonal_exits_2_by_name(tmp_path, capsys, diag, message):
     assert main(["quantum-lhl", "--q", "2", "--m", "1", "--k", "1", "--ensemble", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: %s\n" % message
+
+
+P2 = {"alphabet": {"size": 2}, "weights": ["1/2", "1/2"]}
+ZERO_ONE = {"diag": [0, 1]}
+
+
+def ensemble(first_state, prior=P2):
+    return {"prior": prior, "states": [first_state, ZERO_ONE]}
+
+
+def with_size(size):
+    return ensemble({"diag": [1, 0]}, {"alphabet": {"size": size}, "weights": ["1/2", "1/2"]})
+
+
+# Each malformed file exits 2 with one line that names the JSON path of what it refuses.
+MALFORMED_ENSEMBLES = [
+    (ensemble({"matrix": [[1, 0]]}),
+     "states[0].matrix[0]: expected a list of 1 entries, one per row, got [1, 0]"),
+    (ensemble({"matrix": [[[1]]]}),
+     "states[0].matrix[0][0]: expected a number or [re, im], got [1]"),
+    (ensemble({"diag": [None, 1]}), "states[0].diag[0]: cannot parse None as a rational"),
+    (ensemble({"diag": [[1], 0]}), "states[0].diag[0]: cannot parse [1] as a rational"),
+    (ensemble(1), "states[0]: expected an object with 'diag' or 'matrix', got 1"),
+    ([P2, []], "top level: expected an object with key 'states', got "
+               "[{'alphabet': {'size': 2}, 'weights': ['1/2', '1/2']}, []]"),
+    (ensemble({"diag": ["1/0", 1]}), "states[0].diag[0]: cannot parse '1/0' as a rational"),
+    (ensemble({"diag": [1, 0]}, {"alphabet": {"size": 2}, "weights": ["1/0", 1]}),
+     "prior.weights[0]: cannot parse '1/0' as a rational"),
+    (ensemble({"matrix": []}), "states[0].matrix: expected a list of rows, got []"),
+    (with_size(2.5), "prior.alphabet.size: expected an integer, got 2.5"),
+    (with_size("2"), "prior.alphabet.size: expected an integer, got '2'"),
+    (ensemble({"matrix": [[True, 0], [0, 0]]}),
+     "states[0].matrix[0][0]: cannot parse True as a rational"),
+    (ensemble({"matrix": [["1+0j", 0], [0, 0]]}),
+     "states[0].matrix[0][0]: cannot parse '1+0j' as a rational"),
+    (ensemble({"diag": ["0.5", "0.5"]}),
+     "states[0].diag[0]: exact rational expected; got '0.5' (write it as 'num/den')"),
+    (ensemble({"diag": [1, 0]}, {"alphabet": {"size": 2, "power": 10**20},
+                                 "weights": ["1/2", "1/2"]}),
+     "prior.alphabet.power: expected at most 2 for 2 weights, got 100000000000000000000"),
+    (ensemble({"matrix": [[10**400, 0], [0, 0]]}),
+     "states[0]: integer division result too large for a float"),
+]
+MALFORMED_IDS = ["ragged-row", "one-element-cell", "null-in-diag", "list-in-diag", "bare-int-state",
+                 "top-level-list", "one-over-zero-in-state", "one-over-zero-in-prior",
+                 "empty-matrix", "fractional-size", "string-size", "boolean-cell",
+                 "complex-string-cell", "decimal-string", "huge-power", "huge-cell"]
+
+
+@pytest.mark.parametrize("data,message", MALFORMED_ENSEMBLES, ids=MALFORMED_IDS)
+def test_malformed_ensemble_names_its_path(tmp_path, capsys, data, message):
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(data))
+    assert main(["quantum-lhl", "--q", "2", "--m", "1", "--k", "1", "--ensemble", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[True, 0], [0, 1]], "rows[0][0]: cannot parse True as a rational"),
+    ([[0.5, 0.5], [1, 0]],
+     "rows[0][0]: exact rational expected; got float 0.5 (write it as 'num/den')"),
+    ([["1"], ["0", "1"]], "rows[0]: expected a list of 2 entries, one per row, got ['1']"),
+    ([], "rows: expected a list of rows, got []"),
+], ids=["boolean", "float", "ragged", "empty"])
+def test_malformed_chain_names_its_path(tmp_path, capsys, rows, message):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"rows": rows}))
+    assert main(["markov", "--matrix", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: %s\n" % message
+
+
+# The number grammar: these inputs read as they did before the readers were merged.
+def test_prior_reads_exact_strings_and_integers_and_float_literals():
+    def weights(raw):
+        f = distribution_from_json({"alphabet": {"size": 2}, "weights": raw})
+        return (f.denominator, f.numerators.tolist()) if f.exact else f.as_floats().tolist()
+    assert weights(["3/4", "1/4"]) == (4, [3, 1])
+    assert weights([1, 0]) == (1, [1, 0])
+    assert weights([0.25, 0.75]) == [0.25, 0.75]
+    assert weights(["3/4", 0.25]) == [0.75, 0.25]
+    # 3 is exact, so the sum is checked exactly, not within the float tolerance.
+    check_table(lambda: weights([3, 0]), "top level: rational weights must sum to exactly 1")
+
+
+def test_command_line_float_tokens_are_floats_where_the_float_backend_is(capsys):
+    assert cli._parse_numbers("0.5,5e-1,1E0") == (0.5, 0.5, 1.0)
+    assert cli._parse_numbers("1/2,1") == (Fraction(1, 2), Fraction(1))
+    assert parse_rational("0.25", floats=True) == 0.25
+    assert main(["lhl", "--q", "2", "--m", "1", "--k", "1", "--weights", "0.5,0.5"]) == 2
+    assert capsys.readouterr().err == \
+        "error: exact rational expected; got '0.5' (write it as 'num/den')\n"
+    assert main(["markov", "--rows", "0.5,0.5;1,0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: exact rational expected; got '0.5' (write it as 'num/den')\n"
+
+
+def test_readme_ensemble_with_its_ignored_dim_key_is_read(tmp_path, capsys):
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps({
+        "prior": {"alphabet": {"size": 4}, "weights": ["1/4", "1/4", "1/4", "1/4"]},
+        "states": [{"dim": 2, "diag": ["3/4", "1/4"]}, {"dim": 2, "diag": ["1/4", "3/4"]},
+                   {"dim": 2, "diag": ["1/2", "1/2"]}, {"dim": 2, "diag": ["1", "0"]}]}))
+    assert main(["quantum-lhl", "--q", "2", "--m", "2", "--k", "1", "--ensemble", str(path),
+                 "--assert-bounds"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and '"exact_comparison": true' in out.out
 
 
 @pytest.mark.parametrize("den,numerators,message", [

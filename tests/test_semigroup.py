@@ -746,28 +746,28 @@ def test_non_finite_parameters_refused_before_any_rule(monkeypatch, call, messag
 
 
 GAUSS = _FUNCTIONS["gauss"]
-WIDENED = ("the bounds and width of the window widened by 8 kernel standard "
-           "deviations must be finite, got %s")
+WIDENED = ("bound or width of the window widened by 8 kernel standard "
+           "deviations %s is %s, not finite")
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: apply(GAUSS, 1.0, UNIT, [0.0, math.nan]), "query points must be finite, got nan"),
-    (lambda: apply(GAUSS, 0.0, UNIT, [math.inf]), "query points must be finite, got inf"),
+    (lambda: apply(GAUSS, 1.0, UNIT, [0.0, math.nan]), "query point [1, 0] is nan, not finite"),
+    (lambda: apply(GAUSS, 0.0, UNIT, [math.inf]), "query point [0, 0] is inf, not finite"),
     (lambda: apply(GAUSS, 1.0, UNIT, [math.nan], method="mc"),
-     "query points must be finite, got nan"),
+     "query point [0, 0] is nan, not finite"),
     (lambda: apply(GAUSS, 1.0, CovSpec(2, (1.0, 1.0), (0.3,)), [[0.0, 0.0], [1.0, -math.inf]]),
-     "query points must be finite, got -inf"),
+     "query point [1, 1] is -inf, not finite"),
     (lambda: check_semigroup(GAUSS, 0.5, 0.5, UNIT, [math.nan]),
-     "query points must be finite, got nan"),
+     "query point [0, 0] is nan, not finite"),
     (lambda: check_semigroup(GAUSS, 0.5, 0.5, UNIT, [1.0, math.inf], method="mc"),
-     "query points must be finite, got inf"),
+     "query point [1, 0] is inf, not finite"),
     (lambda: check_contraction(GAUSS, 1.0, UNIT, ([-math.inf], [4.0])),
-     "window must be finite, got -inf"),
+     "window bound [0] is -inf, not finite"),
     (lambda: check_contraction(GAUSS, 1.0, UNIT, ([-4.0], [math.nan])),
-     "window must be finite, got nan"),
-    (lambda: check_contraction(GAUSS, 1.0, UNIT, ([-1e308], [1e308])), WIDENED % "inf"),
+     "window bound [1] is nan, not finite"),
+    (lambda: check_contraction(GAUSS, 1.0, UNIT, ([-1e308], [1e308])), WIDENED % ("[2]", "inf")),
     (lambda: check_contraction(GAUSS, 1e308, CovSpec(1, (10.0,)), ([-4.0], [4.0])),
-     WIDENED % "-inf"),
+     WIDENED % ("[0]", "-inf")),
 ], ids=["apply-nan", "apply-t0-inf", "apply-mc-nan", "apply-d2-minus-inf", "compose-nan",
         "compose-mc-inf", "contract-window-minus-inf", "contract-window-nan",
         "contract-width-overflows", "contract-half-overflows"])
