@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Alphabet, FiniteDistribution, format_rational, parse_rational,
-                   rows_from_json)
+from .core import (MAX_SYMBOLS, Alphabet, FiniteDistribution, format_rational,
+                   parse_rational, rows_from_json)
 from . import entropy as ent
 from . import hashing
 from . import markov
@@ -105,17 +105,29 @@ def _parse_numbers(text: str, floats: bool = True):
     return tuple(parse_rational(t, floats) for t in text.split(","))
 
 
+def _alphabet(size: int, power: int, most: int, what: str) -> Alphabet:
+    """``Alphabet(size, power)``, refused from bit lengths, before ``size**power``
+    is formed, when a power above 1 makes more than ``most`` symbols."""
+    alphabet = Alphabet(size, power)
+    if power > 1 and power * (size.bit_length() - 1) >= most.bit_length():
+        raise ValueError("--alphabet-power %d: an alphabet of %d**%d symbols exceeds %s"
+                         % (power, size, power, what))
+    return alphabet
+
+
 def _distribution(args) -> FiniteDistribution:
     if args.weights is not None:
         weights = _parse_numbers(args.weights)
         size = args.alphabet_size or len(weights)
-        power = args.alphabet_power
-        return FiniteDistribution(Alphabet(size, power), weights)
+        alphabet = _alphabet(size, args.alphabet_power, len(weights),
+                             "the %d weights given" % len(weights))
+        return FiniteDistribution(alphabet, weights)
     if args.random is None:
         raise ValueError("provide --weights or --random")
+    alphabet = _alphabet(args.random, args.alphabet_power, MAX_SYMBOLS,
+                         "MAX_SYMBOLS = %d" % MAX_SYMBOLS)
     rng = np.random.default_rng(args.seed)
-    return FiniteDistribution.random_rational(
-        Alphabet(args.random, args.alphabet_power), rng)
+    return FiniteDistribution.random_rational(alphabet, rng)
 
 
 def _float_list(text: str):

@@ -247,6 +247,8 @@ class StateDensity:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("state matrix must be square")
+        if not m.size:
+            raise ValueError("state must have dimension >= 1")
         _refuse_non_finite(m, "state matrix entry")
         if not _is_hermitian(m):
             raise ValueError("state matrix is not Hermitian within 1e-10")

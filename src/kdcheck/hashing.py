@@ -43,9 +43,10 @@ MAX_FLOOR_BITS = 1000
 # at 2**15, 10.8 ms at 2**16 and 12.5 ms at 2**17 (medians of 25 passes,
 # 2-core host); (2, 8, 3) then takes 8 steps of 128 members, not 64 of 16.
 CHUNK_CELLS = 2**15
-# An exact state's counts are int64 when ``(q**k * denominator)**2`` and
+# A joint law's counts are int64 when ``(q**k * denominator)**2`` and
 # ``counts.size * denominator`` are below this: every sum its readouts take
-# then fits (``_set_counts``).
+# then fits (``_set_counts``).  A side-register column's limbs are summed in
+# int64 under the same bound (``quantum.CqKeyState._wide``).
 INT64_BOUND = 2**63
 # One-byte key digits made per step of a table build: Toeplitz (2, 10, 3)
 # builds ~10x faster than in steps of 2**12 cells; larger steps gain little.
@@ -194,7 +195,7 @@ class JointKeyState:
     denominator: int
 
     def __post_init__(self):
-        counts = _set_counts(self, 2)
+        counts = _set_counts(self)
         if (counts < 0).any():
             raise ValueError("joint weights must be nonnegative")
         per_g = counts.sum(axis=0)
@@ -224,9 +225,9 @@ class JointKeyState:
         return Fraction(squares, self.denominator**2)
 
 
-def _set_counts(state, ndim: int) -> np.ndarray:
-    """Set ``state.counts`` to a read-only array of ``ndim`` axes and one row
-    per key, kept if it already is one of the right dtype that owns its data,
+def _set_counts(state) -> np.ndarray:
+    """Set ``state.counts`` to a read-only array of 2 axes and one row per
+    key, kept if it already is one of the right dtype that owns its data,
     else copied.
 
     Counts are int64 when
@@ -236,13 +237,9 @@ def _set_counts(state, ndim: int) -> np.ndarray:
     cells do; else Python ints.  On a valid state every readout's sums are
     then below ``(q**k * denominator)**2`` (``|G|`` divides the denominator),
     and counts outside the rule, valid or not, are never wrapped to int64.
-    A count that is not an integer, such as a float or a Fraction, is refused.
+    A count that is not an integer is refused (``_integer_counts``).
     """
-    counts = np.asarray(state.counts)
-    if counts.dtype.kind not in "iu" and not all(
-            issubclass(t, Integral) for t in set(map(type, counts.ravel().tolist()))):
-        at, c = next((i, c) for i, c in np.ndenumerate(counts) if not isinstance(c, Integral))
-        raise ValueError("count %s is %s %s, not an integer" % (list(at), type(c).__name__, c))
+    counts = _integer_counts(state.counts)
     dtype = object
     den = state.denominator
     if ((state.q**state.k * den)**2 < INT64_BOUND and counts.size * den < INT64_BOUND
@@ -253,11 +250,27 @@ def _set_counts(state, ndim: int) -> np.ndarray:
     if counts.dtype != dtype or counts.flags.writeable or not counts.flags.owndata:
         counts = counts.astype(dtype)
     counts.flags.writeable = False
+    _check_rows(state, counts, 2)
+    object.__setattr__(state, "counts", counts)
+    return counts
+
+
+def _integer_counts(counts) -> np.ndarray:
+    """``counts`` as an array; a count that is not an integer, such as a float
+    or a Fraction, is refused by its index."""
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu" and not all(
+            issubclass(t, Integral) for t in set(map(type, counts.ravel().tolist()))):
+        at, c = next((i, c) for i, c in np.ndenumerate(counts) if not isinstance(c, Integral))
+        raise ValueError("count %s is %s %s, not an integer" % (list(at), type(c).__name__, c))
+    return counts
+
+
+def _check_rows(state, counts: np.ndarray, ndim: int) -> None:
+    """Refuse ``counts`` unless they have ``ndim`` axes and one row per key."""
     if counts.ndim != ndim or len(counts) != state.q**state.k:
         raise ValueError("counts need %d axes and one row per key, got shape %s"
                          % (ndim, counts.shape))
-    object.__setattr__(state, "counts", counts)
-    return counts
 
 
 def _require_exact(f: FiniteDistribution):

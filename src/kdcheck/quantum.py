@@ -21,11 +21,19 @@ ensemble's common eigenbasis.  Their one pushforward sums integers per
 indicator of the family's table, in steps of ``hashing.CHUNK_CELLS`` table
 cells: a rational ensemble's numerators over ``|G| D``, or a float
 ensemble's diagonals, exact integers over one power of two, whose distance
-is rounded to a float once.  The distance sums only the entries above
-their share of the side marginal, twice, since the signed terms sum to
-zero.  This pushforward is apart from ``hashing.joint_state`` (a scatter),
-so that a trivial side register gives a second route to the classical
-distance.
+is rounded to a float once.  The limb sums stay int64 limbs from the
+pushforward to the verdict, and no Python int is made per entry: one
+carry pass by floor shifts leaves ``limbs[j, i, kappa, g]``, limb ``j`` of
+entry ``i`` of block ``(kappa, g)``, in ``[0, 2**bits)`` for every limb
+but the top, which holds the rest and the sign.  The distance sums only
+the entries above their share of the side marginal, twice, since the
+signed terms sum to zero; it finds them by a compare from the top limb
+down and sums them limb by limb, in int64 while ``s 2**bits`` and ``s``
+times the column's largest top limb are below ``2**63``
+(``s = q**k |G|``), else in Python ints.  This pushforward is apart from
+``hashing.joint_state`` (a scatter), so that a trivial side register gives
+a second route to the classical distance; the two share only
+``hashing._limbs``.
 """
 
 from __future__ import annotations
@@ -39,9 +47,9 @@ import numpy as np
 
 from .core import (Alphabet, FiniteDistribution, StateDensity, _built, _expect, _get,
                    distribution_from_json, state_from_json)
-from .hashing import (CHUNK_CELLS, MAX_TABLE_CELLS, HashFamily, _bound_verdict,
-                      _entropy_floor, _join_limbs, _limb_shape, _limbs,
-                      _set_counts, lhl_bound)
+from .hashing import (CHUNK_CELLS, INT64_BOUND, MAX_TABLE_CELLS, HashFamily,
+                      _bound_verdict, _check_rows, _entropy_floor, _integer_counts,
+                      _limb_shape, _limbs, lhl_bound)
 
 COMMUTE_TOL = 1e-9
 PINV_CUTOFF = 1e-12
@@ -50,7 +58,8 @@ PINV_CUTOFF = 1e-12
 # 2-core host.
 MAX_PHI_DIM = 200
 # Limb sums per side-register pushforward, q**k |G| dim_q entries times limbs
-# per entry: 2**24 on Toeplitz (2, 8, 3) took 3.8 s and 474 MB (2-core host).
+# per entry: 2**24 on Toeplitz (2, 8, 3) takes 0.4-1.4 s and 310 MB in
+# process (2-core host).
 MAX_LIMB_CELLS = 2**24
 
 
@@ -236,56 +245,136 @@ class CqKeyState:
 
     Block ``(kappa, g)`` is the subnormalized side-register operator
     ``(1/|G|) sum_{x: g(x)=kappa} p_x rho_x`` as its diagonal in the
-    ensemble's common eigenbasis, held as integer ``counts[kappa, g]`` over
-    one ``denominator``: a read-only ``(q**k, |G|, dim_q)`` array of int64 or
-    Python ints, as ``hashing._set_counts`` picks.  Readouts return Python
-    ints and Fractions.  Block-diagonal structure over the classical
-    registers means Schatten-1 norms decompose as sums over blocks.
+    ensemble's common eigenbasis, held as integer counts
+    ``c[kappa, g, i]`` over one ``denominator``, each as carried int64 limbs
+    of ``bits`` bits: ``c[kappa, g, i] = sum_j limbs[j, i, kappa, g]
+    2**(bits j)``, every limb but the top in ``[0, 2**bits)`` and the top
+    one holding the rest, sign included.  ``limbs`` is one read-only
+    ``(n_limbs, dim_q, q**k, |G|)`` array.  Given integer counts
+    ``(q**k, |G|, dim_q)`` and no ``bits``, as in
+    ``CqKeyState(q, k, counts, denominator)``, the state refuses a count
+    that is not an integer and splits them once, as wide as
+    ``hashing._limb_shape`` allows for sums of ``q**k |G|`` terms.  Readouts
+    return Python ints and Fractions.  Block-diagonal structure over the
+    classical registers means Schatten-1 norms decompose as sums over
+    blocks.
     """
 
     q: int
     k: int
-    counts: np.ndarray
+    limbs: np.ndarray
     denominator: int
+    bits: Optional[int] = None
 
     def __post_init__(self):
-        _set_counts(self, 3)
+        limbs = self.limbs
+        if self.bits is None:
+            counts = _integer_counts(limbs).astype(object)
+            _check_rows(self, counts, 3)
+            bits, n_limbs = _limb_shape(max(map(abs, counts.ravel().tolist()), default=0),
+                                        len(counts) * counts.shape[1])
+            limbs = _carried(np.moveaxis(counts, 2, 0), bits, n_limbs)
+            object.__setattr__(self, "bits", bits)
+        elif limbs.dtype != np.int64 or limbs.flags.writeable or not limbs.flags.owndata:
+            limbs = limbs.astype(np.int64)
+        limbs.flags.writeable = False
+        object.__setattr__(self, "limbs", limbs)
 
     @property
     def group_size(self) -> int:
-        return self.counts.shape[1]
+        return self.limbs.shape[3]
 
     @property
     def dim_q(self) -> int:
-        return self.counts.shape[2]
+        return self.limbs.shape[1]
+
+    def _rows(self) -> np.ndarray:
+        """The limbs as ``(n_limbs, dim_q, s)``, ``s = q**k |G|`` entries a column."""
+        return self.limbs.reshape(len(self.limbs), self.dim_q, -1)
+
+    def _wide(self) -> np.ndarray:
+        """Which side columns are summed in Python ints, by the bound that
+        ``tripartite_distance`` states; any other column's limb sums fit int64."""
+        rows = self._rows()
+        s = rows.shape[2]
+        return np.array([s << self.bits >= INT64_BOUND or s * top >= INT64_BOUND
+                         for top in np.abs(rows[-1]).max(axis=1, initial=0).tolist()],
+                        dtype=bool)
 
     def _side_counts(self) -> np.ndarray:
         """Counts of ``T_Q``, the sum of all blocks: the side-register diagonal,
         as Python ints."""
-        return self.counts.reshape(-1, self.dim_q).sum(axis=0, dtype=object, initial=0)
+        return np.array(_column_sums(self._rows(), self._wide(), self.bits), dtype=object)
 
 
-def _exact_key_blocks(table: np.ndarray, numerators: Sequence[Sequence[int]],
-                      n_out: int) -> np.ndarray:
-    """``out[kappa, g] = sum_{x: table[g, x] = kappa} numerators[x]``, exact on
-    float64 limbs (``hashing._limbs``) in steps of ``CHUNK_CELLS`` table cells;
-    refuses more than ``MAX_LIMB_CELLS`` limb sums before any limb is split."""
+def _carried(values, bits: int, n_limbs: int) -> np.ndarray:
+    """An array of ints as carried int64 limbs on a new first axis, by floor
+    shifts: every limb but the top in ``[0, 2**bits)``, the top one the rest,
+    sign included."""
+    mask = (1 << bits) - 1
+    return np.stack([(values >> bits * j) & mask for j in range(n_limbs - 1)]
+                    + [values >> bits * (n_limbs - 1)]).astype(np.int64)
+
+
+def _column_sums(rows: np.ndarray, wide: np.ndarray, bits: int) -> list:
+    """``sum_r c[i, r]`` for each column ``i`` of carried limbs ``rows``,
+    ``(n_limbs, dim_q, s)``, as Python ints: limbs summed in int64, and a
+    ``wide`` column's summed again in Python ints."""
+    sums = rows.sum(axis=2).astype(object)
+    for i in np.flatnonzero(wide):
+        sums[:, i] = rows[:, i].sum(axis=1, dtype=object)
+    return [sum(v << bits * j for j, v in enumerate(column)) for column in sums.T.tolist()]
+
+
+def _key_limb_sums(table: np.ndarray, values: np.ndarray,
+                   n_out: int) -> Tuple[np.ndarray, int]:
+    """``out[j, i, kappa, g]``, limb ``j`` of ``sum_{x: table[g, x] = kappa}
+    values[x, i]`` for nonnegative ints, and the limb width: exact float64
+    limb sums (``hashing._limbs``), one indicator product per key and step of
+    ``CHUNK_CELLS`` table cells, stored as int64."""
     size, n_in = table.shape
-    numerators = np.asarray(numerators, dtype=object)
-    dim, n_limbs = numerators.shape[1], _limb_shape(int(numerators.max()), n_in)[1]
-    cells = n_out * size * dim * n_limbs
-    if cells > MAX_LIMB_CELLS:
-        raise ValueError("side-register pushforward of %d limb sums (q**k |G| dim times "
-                         "%d limbs) exceeds cap %d" % (cells, n_limbs, MAX_LIMB_CELLS))
-    limbs, bits = _limbs(numerators, n_in)
+    limbs, bits = _limbs(values, n_in)
+    _, dim, n_limbs = limbs.shape
     weights = limbs.reshape(n_in, dim * n_limbs)
-    sums = np.zeros((n_out, size, dim * n_limbs))
+    sums = np.empty((n_limbs, dim, n_out, size), dtype=np.int64)
+    by_block = sums.transpose(2, 3, 1, 0)           # [kappa, g, i, j]
     step = max(1, CHUNK_CELLS // n_in)
     for lo in range(0, size, step):
         rows = table[lo:lo + step]
         for kappa in range(n_out):
-            sums[kappa, lo:lo + step] = (rows == kappa).astype(float) @ weights
-    return _join_limbs(sums.reshape(n_out, size, dim, n_limbs), bits)
+            by_block[kappa, lo:lo + step] = ((rows == kappa).astype(float) @ weights
+                                             ).reshape(len(rows), dim, n_limbs)
+    return sums, bits
+
+
+def _exact_key_blocks(table: np.ndarray, numerators: Sequence[Sequence[int]],
+                      n_out: int) -> Tuple[np.ndarray, int]:
+    """``out[kappa, g] = sum_{x: table[g, x] = kappa} numerators[x]`` as carried
+    int64 limbs, and their width, as ``CqKeyState`` holds them.
+
+    Each sign's part is summed by ``_key_limb_sums``; the negative part's
+    limb sums are subtracted from the positive part's, and one carry pass
+    by floor shifts leaves every limb but the top in ``[0, 2**bits)``.
+    Refuses more than ``MAX_LIMB_CELLS`` limb sums before any limb is split.
+    """
+    size, n_in = table.shape
+    numerators = np.asarray(numerators, dtype=object)
+    negative = numerators < 0
+    dim, n_limbs = numerators.shape[1], _limb_shape(int(np.abs(numerators).max()), n_in)[1]
+    cells = n_out * size * dim * n_limbs
+    if cells > MAX_LIMB_CELLS:
+        raise ValueError("side-register pushforward of %d limb sums (q**k |G| dim times "
+                         "%d limbs) exceeds cap %d" % (cells, n_limbs, MAX_LIMB_CELLS))
+    sums, bits = _key_limb_sums(table, np.where(negative, 0, numerators), n_out)
+    if negative.any():
+        minus = _key_limb_sums(table, np.where(negative, -numerators, 0), n_out)[0]
+        if len(minus) > len(sums):      # the part with more limbs holds the difference
+            sums, minus = -minus, -sums
+        sums[:len(minus)] -= minus
+    for j in range(len(sums) - 1):
+        sums[j + 1] += sums[j] >> bits
+        sums[j] &= (1 << bits) - 1
+    return sums, bits
 
 
 def _dyadic(values: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -310,20 +399,16 @@ def hashed_joint_blocks(ensemble: Ensemble, family: HashFamily) -> CqKeyState:
     if ensemble.alphabet.num_symbols != family.q**family.m:
         raise ValueError("ensemble alphabet does not match the family input")
     check_block_count(family, ensemble.dim)
-    size, n_out = family.group_size, family.q**family.k
+    size = family.group_size
     if ensemble.exact:
-        sums = _exact_key_blocks(family.table, ensemble.numerators, n_out)
-        denominator = size * ensemble.denominator
+        numerators, denominator = ensemble.numerators, size * ensemble.denominator
     else:
-        ints, e = _dyadic(_diagonals_in_common_basis(ensemble))
         # Rotated rank-deficient states read entries just below 0: never clamped.
-        negative = ints < 0
-        sums = _exact_key_blocks(family.table, np.where(negative, 0, ints), n_out)
-        if negative.any():
-            sums = sums - _exact_key_blocks(family.table, np.where(negative, -ints, 0), n_out)
+        numerators, e = _dyadic(_diagonals_in_common_basis(ensemble))
         denominator = size << e
-    sums.flags.writeable = False  # CqKeyState keeps it without a copy
-    return CqKeyState(family.q, family.k, sums, denominator)
+    limbs, bits = _exact_key_blocks(family.table, numerators, family.q**family.k)
+    limbs.flags.writeable = False  # CqKeyState keeps it without a copy
+    return CqKeyState(family.q, family.k, limbs, denominator, bits)
 
 
 def tripartite_distance(cq: CqKeyState) -> Fraction:
@@ -335,14 +420,36 @@ def tripartite_distance(cq: CqKeyState) -> Fraction:
     column ``i`` contributes ``|s c - t_i| / (s denominator)``.  ``t_i`` sums
     the column's ``s`` entries, so these terms sum to zero, and the absolute
     sum is twice the sum of the positive ones: those with ``c > t_i // s``.
+
+    Read from the limbs, all columns at once: ``t_i`` from the column's limb
+    sums, ``t_i // s`` split into limbs alike, the entries above it by a
+    lexicographic compare from the top limb down, and their masked limb
+    sums.  Only ``O(dim_q n_limbs)`` Python ints are made.  A column's limb
+    sums stay in int64 while ``s 2**bits < 2**63`` and ``s`` times its
+    largest ``|top limb|`` is below ``2**63``; any other column is summed in
+    Python ints (``CqKeyState._wide``).
     """
-    side = cq._side_counts()
     spread = cq.q**cq.k * cq.group_size
-    gap = 0
-    for column, t in zip(cq.counts.reshape(-1, cq.dim_q).T, side):
-        above = column[column > t // spread]
-        gap += spread * int(above.sum()) - len(above) * t
+    rows, wide = cq._rows(), cq._wide()
+    side = _column_sums(rows, wide, cq.bits)
+    above = _above(rows, [t // spread for t in side], cq.bits)
+    masked = _column_sums(rows * above, wide, cq.bits)
+    gap = sum(spread * m - c * t for m, c, t in
+              zip(masked, np.count_nonzero(above, axis=1).tolist(), side))
     return Fraction(2 * gap, cq.q * spread * cq.denominator)
+
+
+def _above(rows: np.ndarray, values: list, bits: int) -> np.ndarray:
+    """Which entries of carried limbs ``rows``, ``(n_limbs, dim_q, s)``, exceed
+    ``values[i]`` in their column ``i``, each an int whose top limb lies within
+    the column's: ``values`` are split alike and compared limb by limb from
+    the top down."""
+    digits = _carried(np.array(values, dtype=object), bits, len(rows))[..., None]
+    above, tied = rows[-1] > digits[-1], rows[-1] == digits[-1]
+    for j in range(len(rows) - 2, -1, -1):
+        above |= tied & (rows[j] > digits[j])
+        tied &= rows[j] == digits[j]
+    return above
 
 
 def tripartite_report(ensemble: Ensemble, family: HashFamily,

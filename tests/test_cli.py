@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -798,6 +799,20 @@ def test_random_distribution_symbol_cap_exits_two(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "exceeds MAX_SYMBOLS" in err
+
+
+@pytest.mark.parametrize("argv,limit", [
+    (["--weights", "1/2,1/2"], "the 2 weights given"),
+    (["--random", "2"], "MAX_SYMBOLS = 1048576"),
+])
+def test_alphabet_power_refused_from_bit_lengths(capsys, argv, limit):
+    # 2**1000000000 is never formed: the refusal takes well under a second.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "entropy", *argv, "--alphabet-power", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: --alphabet-power 1000000000: an alphabet of 2**1000000000 "
+                   "symbols exceeds %s\n" % limit)
 
 
 def test_phi_dimension_cap(capsys):

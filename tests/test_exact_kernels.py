@@ -7,9 +7,13 @@ one, two and three limbs.  The table builder is compared with a per-member
 integers over one power of two: their blocks and distance are compared with
 a ``Fraction`` reference built from the float diagonals, and their distance,
 diagonals and ``e_opt`` with a copy of the earlier float code, kept below.
-The state classes hold their counts as one read-only array, int64 or Python
-ints by a bound on their sizes, and read their sizes from its shape;
-readouts are compared with the loops on both sides of that bound.
+The joint law holds its counts as one read-only array, int64 or Python
+ints by a bound on its sizes; the side-register state holds carried int64
+limbs, joined here with Python ints, and sums a column's limbs in int64 by
+a bound of its own.  Both read their sizes from their array's shape, and
+readouts are compared with the loops on both sides of each bound.  The
+side-register distance is compared with a copy of its earlier Python-int
+code, kept below.
 """
 
 import hashlib
@@ -74,6 +78,41 @@ def exact_state(counts, q, k, denominator):
     return CqKeyState(q, k, np.array(counts, dtype=object), denominator)
 
 
+def join(limbs, bits):
+    """Counts ``(q**k, |G|, dim_q)`` as Python ints from carried limbs
+    ``(n_limbs, dim_q, q**k, |G|)``, joined here."""
+    return np.moveaxis(sum(limb.astype(object) << bits * j for j, limb in enumerate(limbs)), 0, 2)
+
+
+def joined(cq):
+    return join(cq.limbs, cq.bits)
+
+
+def assert_carried(limbs, bits):
+    """Every limb but the top lies in ``[0, 2**bits)``."""
+    assert limbs.dtype == np.int64
+    assert ((0 <= limbs[:-1]) & (limbs[:-1] < 2**bits)).all()
+
+
+def earlier_tripartite_distance(counts, q, k, denominator):
+    """``quantum.tripartite_distance`` as written before limbs: Python-int
+    counts ``(q**k, |G|, dim_q)``, one column at a time."""
+    counts = np.asarray(counts, dtype=object)
+    dim = counts.shape[2]
+    side = counts.reshape(-1, dim).sum(axis=0, dtype=object, initial=0)
+    spread = q**k * counts.shape[1]
+    gap = 0
+    for column, t in zip(counts.reshape(-1, dim).T, side):
+        above = column[column > t // spread]
+        gap += spread * int(above.sum()) - len(above) * t
+    return Fraction(2 * gap, q * spread * denominator)
+
+
+def assert_earlier_distance(cq):
+    assert tripartite_distance(cq) \
+        == earlier_tripartite_distance(joined(cq), cq.q, cq.k, cq.denominator)
+
+
 def sampled_family(q, m, k, members, rng):
     """An explicit family of ``members`` random maps on ``q**m`` symbols."""
     table = rng.integers(0, q**k, size=(members, q**m))
@@ -112,10 +151,11 @@ def test_exact_key_blocks_and_cell_sums_match_loops(q, m, k, members, bits, limb
     numerators[1] = (0, 0, 0)                       # a symbol of weight zero
     numerators = [(a, 0, c) for a, _, c in numerators]   # a zero column
     assert limb_count(numerators, n_in) == limbs
-    got = quantum._exact_key_blocks(fam.table, numerators, n_out)
+    got, width = quantum._exact_key_blocks(fam.table, numerators, n_out)
+    assert got.shape == (limbs, 3, n_out, members)
+    assert_carried(got, width)
     ref = ref_key_blocks(fam.table, numerators, n_out)
-    assert got.tolist() == ref
-    assert all(type(v) is int for row in got.tolist() for b in row for v in b)
+    assert join(got, width).tolist() == ref
     values = [a for a, _, _ in numerators]
     assert hashing._cell_sums(fam.table, values, n_out).tolist() \
         == ref_cell_sums(fam.table, values, n_out)
@@ -133,7 +173,7 @@ def test_cell_sums_around_two_to_the_53(values, limbs):
     sums = hashing._cell_sums(fam.table, values, 2).tolist()
     assert sums == ref_cell_sums(fam.table, values, 2)
     assert sum(values) in sums[0]
-    blocks = quantum._exact_key_blocks(fam.table, [(v,) for v in values], 2)
+    blocks = join(*quantum._exact_key_blocks(fam.table, [(v,) for v in values], 2))
     assert blocks.tolist() == ref_key_blocks(fam.table, [(v,) for v in values], 2)
 
 
@@ -145,12 +185,8 @@ def test_full_width_limbs_at_1024_symbols():
         assert limb_count(values, 1024) == limbs
         sums = hashing._cell_sums(fam.table, values, 2).tolist()
         assert sums == [[1024 * value] * 2, [0, 0]]
-        assert quantum._exact_key_blocks(fam.table, [(v,) for v in values], 2) \
+        assert join(*quantum._exact_key_blocks(fam.table, [(v,) for v in values], 2)) \
             .tolist() == [[[1024 * value]] * 2, [[0]] * 2]
-
-
-def int64_admitted(q, k, den):
-    return (q**k * den)**2 < hashing.INT64_BOUND
 
 
 def assert_python_ints(counts, value):
@@ -158,8 +194,18 @@ def assert_python_ints(counts, value):
     assert type(value.numerator) is int and type(value.denominator) is int
 
 
-# CASES, whose sums need Python ints, and two whose counts are int64.
-READOUT_CASES = CASES + [(2, 8, 3, 16, 4, 1), (3, 4, 2, 20, 6, 1)]
+def wide_columns(cq):
+    """``CqKeyState._wide`` by its stated bound: ``s 2**bits`` or ``s`` times a
+    column's largest ``|top limb|`` at least ``2**63``, in Python ints."""
+    s = cq.q**cq.k * cq.group_size
+    tops = [max(abs(v) for v in np.ravel(cq.limbs[-1, i]).tolist()) for i in range(cq.dim_q)]
+    return [s * 2**cq.bits >= 2**63 or s * top >= 2**63 for top in tops]
+
+
+# CASES, whose joint-law sums need Python ints, two whose counts are int64,
+# and two of 11 and 15 limbs of 49 bits.
+READOUT_CASES = CASES + [(2, 8, 3, 16, 4, 1), (3, 4, 2, 20, 6, 1),
+                         (2, 4, 2, 8, 500, 11), (2, 4, 2, 8, 700, 15)]
 
 
 @pytest.mark.parametrize("q,m,k,members,bits,limbs", READOUT_CASES)
@@ -168,14 +214,17 @@ def test_side_register_readouts_match_loops(q, m, k, members, bits, limbs):
     fam = sampled_family(q, m, k, members, rng)
     numerators = [(a, 0, c) for a, _, c in _draw(rng, q**m, 3, bits)]
     numerators[1] = (0, 0, 0)                        # a symbol of weight zero
+    assert limb_count(numerators, q**m) == limbs
     counts = ref_key_blocks(fam.table, numerators, q**k)
     den = members * sum(map(sum, numerators))
-    for cq in (exact_state(counts, q, k, den),
-               CqKeyState(q, k, quantum._exact_key_blocks(fam.table, numerators, q**k), den)):
-        assert cq.counts.dtype == (np.int64 if int64_admitted(q, k, den) else object)
+    got, width = quantum._exact_key_blocks(fam.table, numerators, q**k)
+    for cq in (exact_state(counts, q, k, den), CqKeyState(q, k, got, den, width)):
+        assert joined(cq).tolist() == counts
+        assert cq._wide().tolist() == wide_columns(cq)
         dist = tripartite_distance(cq)
         assert dist == ref_tripartite(counts, q, k, den)
-        assert_python_ints(cq.counts, dist)
+        assert_earlier_distance(cq)
+        assert_python_ints(cq._side_counts(), dist)
         side = [sum(b[i] for row in counts for b in row) for i in range(3)]
         assert cq._side_counts().tolist() == side
         assert all(type(t) is int for t in cq._side_counts())
@@ -192,10 +241,13 @@ def test_side_register_readouts_match_loops(q, m, k, members, bits, limbs):
 def test_tripartite_distance_on_ties(counts):
     total = sum(c for row in counts for b in row for c in b)
     ref = ref_tripartite(counts, 2, 1, total)
-    for den in (total, 2**40 * total):      # int64 counts, then Python ints
-        cq = exact_state(counts, 2, 1, den)
-        assert cq.counts.dtype == (np.int64 if den == total else object)
-        assert tripartite_distance(cq) * den == ref * total
+    # One limb, then two and four or five: ties across limbs; the scale cancels.
+    for scale in (1, 2**52 + 3, 2**200 + 3):
+        scaled = [[[c * scale for c in b] for b in row] for row in counts]
+        cq = exact_state(scaled, 2, 1, scale * total)
+        assert joined(cq).tolist() == scaled
+        assert tripartite_distance(cq) == ref
+        assert_earlier_distance(cq)
     if all(c == counts[0][0][0] for row in counts for b in row for c in b):
         assert ref == 0
 
@@ -218,12 +270,13 @@ def test_int64_boundary_matches_python_ints():
         assert pcol == sum(c * c for c in cells)
         assert_python_ints(js.counts, dist)
         assert type(pcol.numerator) is int
-        # The same boundary on a side register: 2 * den is its denominator.
-        side = exact_state([[[1], [1]], [[den - 1], [den - 1]]], 2, 1, 2 * den)
-        assert side.counts.dtype == dtype
+        # The same counts on a side register: 2 * den is its denominator.
+        blocks = [[[1], [1]], [[den - 1], [den - 1]]]
+        side = exact_state(blocks, 2, 1, 2 * den)
+        assert joined(side).tolist() == blocks
         d = tripartite_distance(side)
-        assert d == ref_tripartite(side.counts.tolist(), 2, 1, 2 * den)
-        assert_python_ints(side.counts, d)
+        assert d == ref_tripartite(blocks, 2, 1, 2 * den)
+        assert_python_ints(side._side_counts(), d)
 
 
 WIDE = 2**70
@@ -270,8 +323,8 @@ def test_hash_scale_ensemble_matches_loops():
     fam = HashFamily(2, 8, 3, "explicit", full.table[::16])   # 64 of 1024 members
     cq = hashed_joint_blocks(ens, fam)
     counts = ref_key_blocks(fam.table, ens.numerators, 8)
-    assert cq.counts.tolist() == counts
-    assert not cq.counts.flags.writeable
+    assert joined(cq).tolist() == counts
+    assert not cq.limbs.flags.writeable
     assert cq.denominator == 64 * ens.denominator
     assert tripartite_distance(cq) == ref_tripartite(counts, 2, 3, cq.denominator)
     assert tuple(Fraction(t, cq.denominator) for t in cq._side_counts()) \
@@ -281,6 +334,101 @@ def test_hash_scale_ensemble_matches_loops():
     trivial = Ensemble(ens.prior, [StateDensity.from_diag((Fraction(1),))] * 256)
     assert tripartite_distance(hashed_joint_blocks(trivial, full)) \
         == hashing.lhl_distance(ens.prior, full)
+
+
+# ---------------------------------------------------------------------------
+# Limbs, carries and the limb distance against Python ints
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 8])
+def test_limbs_and_carries_at_limb_boundaries(m):
+    n_in = 2**m
+    bits = 53 - (n_in - 1).bit_length()
+    values = [0, 1, 2**bits - 1, 2**bits, 2**(2 * bits) - 1]
+    limbs, width = hashing._limbs(values, n_in)
+    assert width == bits and limbs.dtype == float
+    assert limbs.tolist() == [[(v >> bits * j) & (2**bits - 1) for j in range(2)]
+                              for v in values]
+    # One member maps every symbol to key 0, so its cell holds a - b: the
+    # negative part's limb sums are subtracted, then carried by floor shifts.
+    fam = HashFamily(2, m, 1, "explicit", np.zeros((1, n_in), dtype=np.uint8))
+    for a, b in itertools.product(values, repeat=2):
+        got, width = quantum._exact_key_blocks(fam.table, [(a,), (-b,)] + [(0,)] * (n_in - 2), 2)
+        assert width == bits and len(got) == max(1, -(-max(a, b).bit_length() // bits))
+        assert_carried(got, width)
+        assert join(got, width).tolist() == [[[a - b]], [[0]]]
+        assert got[-1, 0, 0, 0] == (a - b) >> width * (len(got) - 1)
+
+
+def split(counts, bits, n_limbs):
+    """Python-int counts ``(q**k, |G|, dim_q)`` as carried limbs
+    ``(n_limbs, dim_q, q**k, |G|)``, split here by floor shifts."""
+    counts = np.moveaxis(np.array(counts, dtype=object), 2, 0)
+    return np.array([(counts >> bits * j) & (2**bits - 1) for j in range(n_limbs - 1)]
+                    + [counts >> bits * (n_limbs - 1)]).astype(np.int64)
+
+
+@pytest.mark.parametrize("q,k,members,bits,wide", [
+    (3, 1, 1, 61, False),        # s 2**bits = 2**63 - 2**61
+    (2, 1, 2, 61, True),         # s 2**bits = 2**63
+    (5, 1, 1, 61, True),         # five lower limbs near 2**61 sum past 2**63
+    (2, 3, 1024, 49, False),     # s = 2**13, as on Toeplitz (2, 8, 3): 2**62
+    (2, 3, 1024, 50, True),      # 2**63
+])
+def test_int64_column_sums_on_both_sides_of_the_bound(q, k, members, bits, wide):
+    rng = np.random.default_rng(bits + members)
+    s = q**k * members
+    assert (s * 2**bits < 2**63) is not wide
+    lows = rng.integers(2**bits - 2**10, 2**bits, size=(q**k, members, 2)).tolist()
+    tops = rng.integers(0, 8, size=(q**k, members, 2)).tolist()
+    counts = [[[t * 2**bits + lo for t, lo in zip(tb, lb)] for tb, lb in zip(tr, lr)]
+              for tr, lr in zip(tops, lows)]
+    cq = CqKeyState(q, k, split(counts, bits, 2), sum(c for r in counts for b in r for c in b), bits)
+    assert joined(cq).tolist() == counts
+    assert cq._wide().tolist() == [wide, wide] == wide_columns(cq)
+    assert_earlier_distance(cq)
+    if (q, members) == (5, 1):
+        assert sum(lo for row in lows for b in row for lo in b[:1]) >= 2**63
+
+
+def test_top_limb_bound_is_per_column():
+    # s = 3 and 20-bit limbs: the lower limbs' bound holds, so only the top
+    # limbs decide; columns 0 and 2 have tops whose s-fold exceeds 2**63.
+    big = 2**61 + 2**60
+    counts = [[[big * 2**20 + 5, 7 * 2**20 + 1, -big * 2**20 + 3]],
+              [[(big - 1) * 2**20, 2 * 2**20, -(big - 2) * 2**20]],
+              [[(big - 3) * 2**20 + 2**19, 9, -(big - 1) * 2**20 + 1]]]
+    cq = CqKeyState(3, 1, split(counts, 20, 2), 1, 20)
+    assert joined(cq).tolist() == counts
+    assert cq._wide().tolist() == [True, False, True] == wide_columns(cq)
+    assert cq._side_counts().tolist() == [sum(row[0][i] for row in counts) for i in range(3)]
+    assert_earlier_distance(cq)
+
+
+@pytest.mark.parametrize("q,m,k,dim,seed", [(2, 8, 3, 60, seed) for seed in range(3)]
+                         + [(3, 5, 2, 100, seed) for seed in range(3)])
+def test_limb_distance_at_the_cli_scale_points(q, m, k, dim, seed):
+    # The ensembles `quantum-lhl --family toeplitz --dim-q dim --seed seed` draws.
+    ens = random_diagonal_ensemble(np.random.default_rng(seed), q**m, dim)
+    cq = hashed_joint_blocks(ens, build_family("toeplitz", q, m, k))
+    assert len(cq.limbs) >= 11 and not cq._wide().any()
+    assert_carried(cq.limbs, cq.bits)
+    assert_earlier_distance(cq)
+
+
+def test_side_register_report_neither_joins_limbs_nor_scans_types(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the side-register route joined limbs or scanned count types")
+
+    ens = hash_scale_ensemble()
+    fam = build_family("toeplitz", 2, 8, 3)
+    expected = earlier_tripartite_distance(joined(hashed_joint_blocks(ens, fam)), 2, 3,
+                                           fam.group_size * ens.denominator)
+    for name in ("_join_limbs", "_set_counts", "_integer_counts"):
+        monkeypatch.setattr(hashing, name, forbidden)
+        monkeypatch.setattr(quantum, name, forbidden, raising=False)
+    report = quantum.tripartite_report(ens, fam)
+    assert report["distance"] == expected and report["exact_comparison"]
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +544,15 @@ def check_float_ensemble(dense, fam):
     q, k = fam.q, fam.k
     cq = hashed_joint_blocks(dense, fam)
     ref, den = fraction_blocks(dense, fam)
-    assert (cq.counts * den == ref * cq.denominator).all()
-    assert not cq.counts.flags.writeable
+    assert (joined(cq) * den == ref * cq.denominator).all()
+    assert not cq.limbs.flags.writeable
+    assert_carried(cq.limbs, cq.bits)
     side = ref.reshape(-1, dense.dim).sum(axis=0)
     assert (cq._side_counts() * den == side * cq.denominator).all()
     spread = q**k * fam.group_size
     exact = Fraction(int(np.abs(spread * ref - side).sum()), q * spread * den)
     assert tripartite_distance(cq) == exact
+    assert_earlier_distance(cq)
     report = quantum.tripartite_report(dense, fam)
     assert type(report["distance"]) is float and report["distance"] == float(exact)
     earlier, _ = earlier_float_distance(earlier_float_blocks(dense, fam), q, k,
@@ -442,7 +592,10 @@ def test_rotated_rank_deficient_entries_below_zero_are_not_clamped(kind, q, m, k
     ens = rotate_ensemble(quantum.basis_plus_mixed_ensemble(q**m - 1),
                           np.random.default_rng(seed))
     assert (quantum._diagonals_in_common_basis(ens) < 0).any()
-    check_float_ensemble(ens, build_family(kind, q, m, k))
+    fam = build_family(kind, q, m, k)
+    check_float_ensemble(ens, fam)
+    # Some blocks sum below 0 and are held with a negative top limb.
+    assert (joined(hashed_joint_blocks(ens, fam)) < 0).any()
 
 
 def test_float_diagonals_become_integers_over_one_power_of_two():
@@ -478,7 +631,7 @@ def toeplitz_352_float_blocks_sha256():
     prior = FiniteDistribution(exact.alphabet, tuple(exact.prior.as_floats().tolist()))
     states = [StateDensity(100, mat=s.to_matrix()) for s in exact.states]
     cq = hashed_joint_blocks(Ensemble(prior, states), build_family("toeplitz", 3, 5, 2))
-    return hashlib.sha256(repr((cq.counts.tolist(), cq.denominator)).encode()).hexdigest()
+    return hashlib.sha256(repr((joined(cq).tolist(), cq.denominator)).encode()).hexdigest()
 
 
 def test_float_blocks_do_not_depend_on_the_blas_thread_count():
@@ -529,7 +682,7 @@ def test_side_register_state_reads_its_sizes_from_counts():
     # A stated group size of 5 would read a distance of 2/5 from the same blocks.
     cq = CqKeyState(2, 1, (((3,),), ((1,),)), 4)
     assert (cq.group_size, cq.dim_q) == (1, 1)
-    assert cq.counts.dtype == np.int64 and not cq.counts.flags.writeable
+    assert cq.limbs.dtype == np.int64 and not cq.limbs.flags.writeable
     assert tripartite_distance(cq) == Fraction(1, 4)
     with pytest.raises(ValueError, match="one row per key"):
         CqKeyState(2, 1, (((4,),),), 4)
@@ -566,7 +719,7 @@ def test_limb_cell_cap_at_the_cap_and_one_past(monkeypatch):
     n_limbs = limb_count(ens.numerators, 16)
     cells = 4 * fam.group_size * 5 * n_limbs
     monkeypatch.setattr(quantum, "MAX_LIMB_CELLS", cells)          # at the cap
-    assert hashed_joint_blocks(ens, fam).counts.tolist() \
+    assert joined(hashed_joint_blocks(ens, fam)).tolist() \
         == ref_key_blocks(fam.table, ens.numerators, 4)
     monkeypatch.setattr(quantum, "MAX_LIMB_CELLS", cells - 1)      # one past it
     message = "^%s$" % re.escape("side-register pushforward of %d limb sums (q**k |G| dim "

@@ -206,9 +206,11 @@ def test_trivial_side_register_matches_classical():
 
 
 def block_values(cq):
-    """The blocks of a hashed exact state, ``counts / denominator``, as nested lists."""
+    """The blocks of a hashed exact state, ``counts / denominator``, as nested
+    lists: the counts are joined here from the state's carried limbs."""
+    counts = sum(limb.astype(object) << cq.bits * j for j, limb in enumerate(cq.limbs))
     return [[[Fraction(c, cq.denominator) for c in b] for b in row]
-            for row in cq.counts.tolist()]
+            for row in np.moveaxis(counts, 0, 2).tolist()]
 
 
 def test_key_sum_per_seed_is_scaled_side_state():

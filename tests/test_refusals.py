@@ -70,6 +70,8 @@ CORE = [
     (lambda: StateDensity.from_diag((Fraction(1, 2), -float("inf"))),
      "diagonal entry [1] is -inf, not finite"),
     (lambda: StateDensity.from_matrix(np.zeros((2, 3))), "state matrix must be square"),
+    pytest.param(lambda: StateDensity.from_matrix(np.zeros((0, 0))),
+                 "state must have dimension >= 1", id="empty state matrix"),
     (lambda: StateDensity.from_matrix([[0.5, float("nan")], [float("nan"), 0.5]]),
      "state matrix entry [0, 1] is (nan+0j), not finite"),
     (lambda: StateDensity.from_matrix([[0.5, 0.0], [0.0, float("inf")]]),
